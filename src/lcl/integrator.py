@@ -1,14 +1,19 @@
 """Fixed-step RK4 synthesis of a curve and its frame from a profile.
 
 The state is (alpha, T, N, B1, B2) in R^20. The frame block satisfies the
-linear system F' = A(s) F with A from frames.frenet_matrix, and alpha' = T,
-so each RK4 stage is a 4x4 matrix product plus a row copy. Curvatures are
-evaluated once on the half-step lattice before the loop.
+linear system F' = A(s) F with A from frames.frenet_matrix, and alpha' = T.
+Because the system is linear, one RK4 step is F <- F + D_i F and
+alpha <- alpha + q_i F, with D_i and q_i built for every step at once from
+the Frenet matrices on the half-step lattice. Only the sweep of 4x4
+products stays a Python loop; the increment form F + D_i F (not P_i F with
+P_i = I + D_i) keeps the roundoff of the classical per-stage scheme.
 
-Gram drift is watched every step. In "monitor" mode it is only recorded;
-in "project" mode a single Newton step pulls the frame back onto the Gram
-constraint set after each RK4 update. Either way the run aborts when the
-residual passes 1000 * eps_gram, since results are meaningless past that.
+In "monitor" mode Gram drift is only recorded; in "project" mode a single
+Newton step pulls the frame back onto the Gram constraint set after each
+step of the sweep. Drift and positions are computed for the whole grid
+once the sweep is done, and the run then aborts, naming the first step
+whose residual passed 1000 * eps_gram, since results are meaningless past
+that.
 """
 
 from __future__ import annotations
@@ -69,17 +74,13 @@ class CurveTrace:
         return self.frames[:, row, :]
 
 
-def _max_gram_deviation(frame_matrices: np.ndarray, kind: FrameKind) -> np.ndarray:
-    dev = np.abs(gram_matrix(frame_matrices) - gram_targets(kind))
-    return dev.reshape(dev.shape[:-2] + (16,)).max(axis=-1)
-
-
 def _project_matrix(f: np.ndarray, kind: FrameKind) -> tuple[np.ndarray, bool]:
     """One Newton step onto the ten Gram constraints.
 
     Works on the flattened 16 coordinates; the least-squares solve picks
     the minimal-Euclidean-norm correction. Returns (frame, singular_flag);
-    a rank-deficient constraint Jacobian leaves the frame untouched.
+    a rank-deficient constraint Jacobian, or a frame that has overflowed,
+    leaves the frame untouched.
     """
     target = gram_targets(kind)
     gram = gram_matrix(f)
@@ -89,7 +90,10 @@ def _project_matrix(f: np.ndarray, kind: FrameKind) -> tuple[np.ndarray, bool]:
     for row, (i, j) in enumerate(PAIR_INDICES):
         jac[row, 4 * i:4 * i + 4] += mf[j]
         jac[row, 4 * j:4 * j + 4] += mf[i]
-    delta, _, rank, _ = np.linalg.lstsq(jac, -resid, rcond=None)
+    try:
+        delta, _, rank, _ = np.linalg.lstsq(jac, -resid, rcond=None)
+    except np.linalg.LinAlgError:  # a non-finite frame; the sweep aborts
+        return f, True
     if rank < 10:
         return f, True
     return f + delta.reshape(4, 4), False
@@ -164,39 +168,40 @@ def integrate_frame(profile: CurvatureProfile,
 
     positions = np.empty((n, 4))
     frames = np.empty((n, 4, 4))
-    gram_res = np.empty(n)
     positions[0] = pos0.to_array()
     frames[0] = frame0.to_matrix()
-    gram_res[0] = res0.max_entry()
 
-    target_flat = gram_targets(profile.kind)
-    abort_at = ABORT_FACTOR * eps_gram
+    d, q = _rk4_increments(mats, h)
+    del mats  # lowers peak memory; only d and q are read from here on
     project = drift_mode == "project"
     warn_count = 0
-    alpha = positions[0].copy()
-    f = frames[0].copy()
-    for i in range(steps):
-        a0, am, a1 = mats[2 * i], mats[2 * i + 1], mats[2 * i + 2]
-        k1 = a0 @ f
-        g1 = f + (h / 2.0) * k1
-        k2 = am @ g1
-        g2 = f + (h / 2.0) * k2
-        k3 = am @ g2
-        g3 = f + h * k3
-        k4 = a1 @ g3
-        alpha = alpha + (h / 6.0) * (f[0] + 2.0 * g1[0] + 2.0 * g2[0] + g3[0])
-        f = f + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if project:
-            f, singular = _project_matrix(f, profile.kind)
-            warn_count += singular
-        dev = float(np.max(np.abs(gram_matrix(f) - target_flat)))
-        if dev > abort_at:
-            raise IntegrationError(
-                f"Gram drift {dev:.3g} exceeded {abort_at:.3g} at step "
-                f"{i + 1} (s = {s[i + 1]:.6g}); reduce h or check the profile")
-        positions[i + 1] = alpha
-        frames[i + 1] = f
-        gram_res[i + 1] = dev
+    f = frames[0]
+    # a blown-up run sweeps on past its first bad step; the abort below
+    # reports it, so overflow warnings from the later steps are noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(steps):
+            f = f + d[i] @ f
+            if project:
+                f, singular = _project_matrix(f, profile.kind)
+                warn_count += singular
+            frames[i + 1] = f
+
+        # positions: alpha_{i+1} = alpha_i + q_i F_i, summed in step order
+        np.matmul(q[:, None, :], frames[:-1], out=positions[1:, None, :])
+        np.cumsum(positions, axis=0, out=positions)
+
+        dev = gram_matrix(frames)
+        dev -= gram_targets(profile.kind)
+        np.abs(dev, out=dev)
+        gram_res = dev.reshape(n, 16).max(axis=1)
+
+    abort_at = ABORT_FACTOR * eps_gram
+    past = np.flatnonzero(~(gram_res <= abort_at))
+    if past.size:
+        i = int(past[0])
+        raise IntegrationError(
+            f"Gram drift {gram_res[i]:.3g} exceeded {abort_at:.3g} at step "
+            f"{i} (s = {s[i]:.6g}); reduce h or check the profile")
 
     if warn_count:
         log.warning("projection Jacobian was singular at %d steps", warn_count)
@@ -206,6 +211,39 @@ def integrate_frame(profile: CurvatureProfile,
     return CurveTrace(kind=profile.kind, s=s, positions=positions,
                       frames=frames, gram_res=gram_res, h=h, profile=profile,
                       projection_warnings=warn_count)
+
+
+def _rk4_increments(mats: np.ndarray, h: float
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Every RK4 step of F' = A F as an increment, F <- F + D_i F.
+
+    mats holds A on the half-step lattice, so step i uses A0 = mats[2i],
+    Am = mats[2i+1], A1 = mats[2i+2]. With the stage matrices
+    K1 = A0, K2 = Am (I + h/2 K1), K3 = Am (I + h/2 K2), K4 = A1 (I + h K3),
+    D_i = h/6 (K1 + 2 K2 + 2 K3 + K4). The position increment is q_i F_i
+    with q_i = h e0 + h^2/6 (K1 + K2 + K3)[0], the RK4 weights of the T
+    rows of the four stages. Returns (D, q) of shapes (steps, 4, 4) and
+    (steps, 4).
+    """
+    a0, am, a1 = mats[0:-1:2], mats[1::2], mats[2::2]
+    k2 = np.matmul(am, a0)
+    k2 *= h / 2.0
+    k2 += am
+    k3 = np.matmul(am, k2)
+    k3 *= h / 2.0
+    k3 += am
+    q = a0[:, 0, :] + k2[:, 0, :] + k3[:, 0, :]
+    q *= h * h / 6.0
+    q[:, 0] += h
+    d = np.matmul(a1, k3)
+    d *= h
+    d += a1
+    d += a0
+    k2 += k3
+    k2 *= 2.0
+    d += k2
+    d *= h / 6.0
+    return d, q
 
 
 def _frenet_matrices(kappa, tau, sigma, kind: FrameKind) -> np.ndarray:
@@ -254,13 +292,17 @@ def resample_curvatures(trace: CurveTrace
 
 CSV_HEADER = ("s,x1,x2,x3,x4,T1,T2,T3,T4,N1,N2,N3,N4,"
               "B11,B12,B13,B14,B21,B22,B23,B24,gram_residual")
+_CSV_ROW = ",".join(["%.17g"] * 22) + "\n"
 
 
 def write_trace_csv(trace: CurveTrace, path) -> None:
     """Write the trace with 17 significant digits, one row per grid point."""
+    table = np.empty((trace.n, 22))
+    table[:, 0] = trace.s
+    table[:, 1:5] = trace.positions
+    table[:, 5:21] = trace.frames.reshape(trace.n, 16)
+    table[:, 21] = trace.gram_res
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        for i in range(trace.n):
-            row = [trace.s[i], *trace.positions[i],
-                   *trace.frames[i].reshape(16), trace.gram_res[i]]
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        for row in table:
+            fh.write(_CSV_ROW % tuple(row.tolist()))

@@ -121,7 +121,11 @@ def nullspace_min_singular(matrix) -> NullspaceResult:
     that value, and a degeneracy flag. An all-zero matrix is degenerate:
     the entire space is nullspace and an arbitrary unit vector is returned.
     Fewer than 4 rows cannot have full column rank, so sigma_min is 0 and
-    the candidate spans the exact nullspace.
+    the candidate spans the exact nullspace; only there is the full SVD
+    needed, since the thin one returns fewer than 4 right vectors.
+
+    The SVD fixes the vector only up to sign, so the sign is chosen to
+    make its first component above 1e-6 of its largest one positive.
     """
     a = np.atleast_2d(np.asarray(matrix, dtype=float))
     if a.ndim != 2 or a.shape[1] != 4:
@@ -130,6 +134,9 @@ def nullspace_min_singular(matrix) -> NullspaceResult:
         raise ValueError("matrix must have at least one row")
     if not np.any(a):
         return NullspaceResult(Vec4(1.0, 0.0, 0.0, 0.0), 0.0, True)
-    _, s, vt = np.linalg.svd(a, full_matrices=True)
+    _, s, vt = np.linalg.svd(a, full_matrices=a.shape[0] < 4)
     sigma_min = float(s[-1]) if len(s) == 4 else 0.0
-    return NullspaceResult(Vec4.from_array(vt[-1]), sigma_min, False)
+    u = vt[-1]
+    lead = u[np.flatnonzero(np.abs(u) > 1e-6 * np.max(np.abs(u)))[0]]
+    return NullspaceResult(Vec4.from_array(-u if lead < 0 else u),
+                           sigma_min, False)

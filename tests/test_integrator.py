@@ -7,7 +7,8 @@ from lcl import (CurvatureProfile, FrameKind, canonical_frame, gram_matrix,
                  gram_targets, integrate_frame, pairing, resample_curvatures,
                  write_trace_csv)
 from lcl.errors import ConfigError, FrameError, IntegrationError
-from lcl.integrator import CSV_HEADER, project_frame
+from lcl.integrator import (CSV_HEADER, _frenet_matrices, _project_matrix,
+                            project_frame)
 
 PN = FrameKind.PARTIALLY_NULL
 
@@ -101,8 +102,17 @@ def test_initial_frame_must_satisfy_the_gram_targets():
 def test_integration_aborts_when_drift_passes_the_hard_limit():
     p = CurvatureProfile.create("partially_null", kappa="3 + 2*sin(2*s)",
                                 tau="2 + s", domain=(0.0, 30.0))
-    with pytest.raises(IntegrationError):
+    with pytest.raises(IntegrationError, match=r"at step 25 \(s = 0\.075\)"):
         integrate_frame(p, h=0.003, eps_gram=3e-16)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("drift_mode", ["monitor", "project"])
+def test_overflowing_frames_abort_at_the_first_step(drift_mode):
+    p = CurvatureProfile.create("partially_null", kappa="1e60", tau="1",
+                                domain=(0.0, 1.0))
+    with pytest.raises(IntegrationError, match=r"at step 1 \(s = 0\.1\)"):
+        integrate_frame(p, h=0.1, drift_mode=drift_mode)
 
 
 def test_project_mode_reduces_long_run_drift():
@@ -188,3 +198,62 @@ def test_pseudo_null_integration_respects_its_targets(quad_psn_trace):
     assert quad_psn_trace.max_gram_residual < 1e-12
     f0 = quad_psn_trace.frames[0]
     assert np.allclose(f0, canonical_frame(FrameKind.PSEUDO_NULL).to_matrix())
+
+
+def _per_step_rk4(p, h, drift_mode):
+    """Classical RK4, one stage at a time, as a reference for the sweep."""
+    steps = int(np.floor(p.span / h + 1e-9))
+    s_half = p.s_min + (h / 2.0) * np.arange(2 * steps + 1)
+    mats = _frenet_matrices(*p.evaluate_arrays(s_half), p.kind)
+    f = canonical_frame(p.kind).to_matrix()
+    alpha = np.zeros(4)
+    frames, positions = [f], [alpha]
+    for i in range(steps):
+        a0, am, a1 = mats[2 * i], mats[2 * i + 1], mats[2 * i + 2]
+        k1 = a0 @ f
+        g1 = f + (h / 2.0) * k1
+        k2 = am @ g1
+        g2 = f + (h / 2.0) * k2
+        k3 = am @ g2
+        g3 = f + h * k3
+        k4 = a1 @ g3
+        alpha = alpha + (h / 6.0) * (f[0] + 2.0 * g1[0] + 2.0 * g2[0] + g3[0])
+        f = f + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if drift_mode == "project":
+            f, _ = _project_matrix(f, p.kind)
+        frames.append(f)
+        positions.append(alpha)
+    frames = np.array(frames)
+    gram_res = np.abs(gram_matrix(frames) - gram_targets(p.kind))
+    return frames, np.array(positions), gram_res.reshape(-1, 16).max(axis=1)
+
+
+@pytest.mark.parametrize("drift_mode", ["monitor", "project"])
+@pytest.mark.parametrize("family,curvatures", [
+    ("partially_null", {"kappa": "2 + sin(s)", "tau": "1 + s^2/4"}),
+    ("pseudo_null", {"tau": "2", "sigma": "-s^2 + s"}),
+])
+def test_batched_sweep_matches_per_step_rk4(family, curvatures, drift_mode):
+    p = CurvatureProfile.create(family, domain=(0.0, 1.0), **curvatures)
+    tr = integrate_frame(p, h=2e-3, drift_mode=drift_mode)
+    frames, positions, gram_res = _per_step_rk4(p, 2e-3, drift_mode)
+    f_scale = np.max(np.abs(frames))
+    assert np.max(np.abs(tr.frames - frames)) <= 1e-12 * f_scale
+    assert (np.max(np.abs(tr.positions - positions))
+            <= 1e-12 * np.max(np.abs(positions)))
+    # Gram entries are quadratic in the frame
+    assert np.max(np.abs(tr.gram_res - gram_res)) <= 1e-12 * f_scale ** 2
+
+
+def test_csv_bytes_match_per_value_formatting(tmp_path):
+    p = CurvatureProfile.create("partially_null", kappa="2 + sin(s)",
+                                tau="1 + s^2/4", domain=(0.0, 1.0))
+    tr = integrate_frame(p, h=0.05)
+    out = tmp_path / "trace.csv"
+    write_trace_csv(tr, out)
+    expected = [CSV_HEADER]
+    for i in range(tr.n):
+        row = [tr.s[i], *tr.positions[i], *tr.frames[i].reshape(16),
+               tr.gram_res[i]]
+        expected.append(",".join(f"{v:.17g}" for v in row))
+    assert out.read_bytes() == ("\n".join(expected) + "\n").encode()

@@ -103,3 +103,38 @@ def test_nullspace_scale_of_rows_does_not_change_direction():
     v1, v2 = r1.vector.to_array(), r2.vector.to_array()
     cos = abs(v1 @ v2) / (np.linalg.norm(v1) * np.linalg.norm(v2))
     assert cos == pytest.approx(1.0, abs=1e-10)
+
+
+def test_nullspace_sign_is_fixed_by_the_first_significant_component():
+    rng = np.random.default_rng(17)
+    m = rng.normal(size=(50, 4))
+    d = np.array([-1.0, 0.3, 0.0, 2.0])
+    m -= np.outer(m @ d, d) / (d @ d)
+    base = nullspace_min_singular(m).vector.to_array()
+    assert base[0] > 0.0
+    for other in (-m, m[rng.permutation(len(m))]):
+        got = nullspace_min_singular(other).vector.to_array()
+        assert np.allclose(got, base, rtol=0.0, atol=1e-12)
+
+
+def test_nullspace_sign_skips_negligible_leading_components():
+    # u1 is roundoff-sized, so u2 decides the sign
+    d = np.array([1e-9, -1.0, 0.5, 0.0])
+    rng = np.random.default_rng(19)
+    m = rng.normal(size=(40, 4))
+    m -= np.outer(m @ d, d) / (d @ d)
+    for sign in (1.0, -1.0):
+        got = nullspace_min_singular(sign * m).vector.to_array()
+        assert got[1] > 0.0
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_nullspace_of_short_matrices_is_exact(rows):
+    rng = np.random.default_rng(23 + rows)
+    a = rng.normal(size=(rows, 4))
+    res = nullspace_min_singular(a)
+    v = res.vector.to_array()
+    assert res.sigma_min == 0.0
+    assert not res.degenerate
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
+    assert np.max(np.abs(a @ v)) < 1e-14
