@@ -18,7 +18,6 @@ import math
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import QuadratureError
 
@@ -36,7 +35,10 @@ def antiderivative(f: Callable, s0: float, s1: float,
 
     Raises QuadratureError (carrying the best estimate) when the adaptive
     scheme reports non-convergence or the estimate is not finite.
+    scipy is imported here, on first call, so `import lcl` does not load it.
     """
+    from scipy.integrate import quad
+
     res = quad(f, s0, s1, epsabs=abs_tol, epsrel=1e-12,
                limit=200, full_output=1)
     value = res[0]

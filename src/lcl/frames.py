@@ -26,8 +26,6 @@ class FrameKind(Enum):
     PSEUDO_NULL = "pseudo_null"
 
 
-ROW_NAMES = ("T", "N", "B1", "B2")
-
 # Distinct frame pairs (i <= j) in a fixed order; labels for reporting.
 PAIR_INDICES = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 1),
                 (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))

@@ -2,8 +2,9 @@
 
 A profile fixes the curve family and the curvature functions over an
 arc-length interval [s_min, s_max]. Components are either expression
-strings in s or monotone-cubic interpolants of sample tables; both are
-plain callables afterwards, so every consumer treats them uniformly.
+strings in s or sample tables, interpolated by the in-package monotone
+cubic (PCHIP) of SampleTable; both are plain callables afterwards, so
+every consumer treats them uniformly.
 
 Family rules enforced by validate():
 
@@ -29,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import OutOfDomainError, ProfileError
 from .expr import Expr, Num, parse_expression
@@ -41,11 +41,26 @@ VALIDATION_SAMPLES = 257
 _ZERO_TOL = 1e-9
 
 
-class SampleTable:
-    """Monotone cubic interpolant of (s, value) samples.
+def _pchip_end_slope(h0, h1, m0, m1) -> float:
+    """One-sided three-point end slope, limited to keep the end shape."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
 
-    Monotone (PCHIP) interpolation keeps sign behavior of the samples, so
-    a strictly positive table cannot acquire spurious zero crossings.
+
+class SampleTable:
+    """Monotone cubic (PCHIP) interpolant of (s, value) samples.
+
+    Fritsch-Carlson slopes with the same rules as scipy's
+    PchipInterpolator: interior slopes are the weighted harmonic mean of
+    the neighbouring secants, or 0 where those change sign or one is 0;
+    end slopes use the three-point shape-preserving formula; two samples
+    give a line. Monotone interpolation keeps the sign behavior of the
+    samples, so a strictly positive table cannot acquire spurious zero
+    crossings. Points outside the table follow the end cubics.
     """
 
     def __init__(self, s, values):
@@ -61,10 +76,33 @@ class SampleTable:
             raise ProfileError("sample table entries must be finite")
         self.s = s
         self.values = values
-        self._interp = PchipInterpolator(s, values, extrapolate=True)
+        h = np.diff(s)
+        m = np.diff(values) / h
+        d = np.empty_like(values)
+        if m.shape[0] == 1:
+            d[:] = m[0]
+        else:
+            w1 = 2.0 * h[1:] + h[:-1]
+            w2 = h[1:] + 2.0 * h[:-1]
+            flat = ((np.sign(m[1:]) != np.sign(m[:-1]))
+                    | (m[1:] == 0) | (m[:-1] == 0))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+                d[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
+            d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+            d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+        # Cubic on [s_i, s_i+1] in t = x - s_i: ((c3 t + c2) t + d_i) t + y_i.
+        c3 = (d[:-1] + d[1:] - 2.0 * m) / h
+        self._c2 = (m - d[:-1]) / h - c3
+        self._c3 = c3 / h
+        self._d = d[:-1]
 
     def __call__(self, x):
-        out = self._interp(np.asarray(x, dtype=float))
+        xs = np.asarray(x, dtype=float)
+        i = np.clip(np.searchsorted(self.s, xs, side="right") - 1,
+                    0, self.s.shape[0] - 2)
+        t = xs - self.s[i]
+        out = ((self._c3[i] * t + self._c2[i]) * t + self._d[i]) * t + self.values[i]
         return float(out) if np.ndim(x) == 0 else out
 
     def to_jsonable(self):
@@ -206,10 +244,6 @@ class CurvatureProfile:
                           sigma=obj.get("sigma"),
                           domain=domain,
                           label=obj.get("label", ""))
-
-
-def eval_profile(p: CurvatureProfile, s: float) -> tuple[float, float, float]:
-    return p.evaluate(s)
 
 
 def load_profile(path) -> CurvatureProfile:

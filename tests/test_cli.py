@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -240,3 +241,24 @@ def test_console_script_is_installed(circle_file):
     assert proc.returncode == 0
     obj = json.loads(proc.stdout)
     assert obj["label"] == "circle"
+
+
+def test_classify_runs_without_importing_scipy(tmp_path):
+    s = np.linspace(0.0, 1.0, 41)
+    profile = dict(QUAD, sigma={"s": s.tolist(), "values": (0.5 * s + 0.1).tolist()})
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(profile))
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import lcl, lcl.cli
+        assert lcl.cli.main(["classify", sys.argv[1]]) == 0
+        loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+        assert not loaded, loaded
+        assert abs(lcl.antiderivative(np.sin, 0.0, np.pi) - 2.0) < 1e-13
+        assert "scipy.integrate" in sys.modules
+    """)
+    proc = subprocess.run([sys.executable, "-c", script, str(path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["label"] == "quad"

@@ -142,6 +142,49 @@ def test_sample_table_interpolates_monotonically():
     assert np.all(np.diff(fine) > 0)
 
 
+_POS_S = np.linspace(0.0, 2.0, 11)
+PCHIP_TABLES = {
+    "two-point": ([0.0, 1.5], [2.0, -1.0]),
+    "three-point": ([0.0, 0.4, 2.0], [1.0, 3.0, 2.5]),
+    "non-uniform": ([-1.0, -0.9, 0.2, 0.25, 1.7, 3.0],
+                    [0.3, 1.1, 0.9, 4.0, -2.0, 5.0]),
+    "flat-runs": ([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+                  [0.0, -0.0, 0.0, 2.0, 2.0, 0.5, 0.5]),
+    "sign-changes": ([0.0, 0.3, 1.0, 1.2, 2.5, 2.6],
+                     [0.0, -1.0, 2.0, -3.0, 3.0, -0.5]),
+    "steep-ends": ([0.0, 0.1, 1.0, 1.1], [0.0, 5.0, -5.0, 0.0]),
+    "positive": (_POS_S**1.5, 1e-3 + np.exp(-8.0 * _POS_S)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PCHIP_TABLES))
+def test_sample_table_matches_scipy_pchip(name):
+    from scipy.interpolate import PchipInterpolator
+
+    s, values = (np.asarray(a, dtype=float) for a in PCHIP_TABLES[name])
+    table = SampleTable(s, values)
+    ref = PchipInterpolator(s, values, extrapolate=True)
+    span = s[-1] - s[0]
+    x = np.concatenate(
+        [np.linspace(s[0] - 0.3 * span, s[-1] + 0.3 * span, 401), s])
+    got = table(x)
+    want = ref(x)
+    assert isinstance(got, np.ndarray) and got.shape == x.shape
+    bound = 1e-13 * (1.0 + np.max(np.abs(want)))
+    assert np.max(np.abs(got - want)) <= bound
+    for xi in (s[0] - 0.2 * span, s[0], 0.5 * (s[0] + s[1]), s[-1],
+               s[-1] + 0.2 * span):
+        scalar = table(xi)
+        assert isinstance(scalar, float)
+        assert abs(scalar - float(ref(xi))) <= bound
+
+
+def test_sample_table_keeps_a_positive_table_positive():
+    s, values = PCHIP_TABLES["positive"]
+    fine = SampleTable(s, values)(np.linspace(s[0], s[-1], 2001))
+    assert np.all(fine > 0.0)
+
+
 def test_sample_table_rejects_unsorted_or_short_input():
     with pytest.raises(ProfileError):
         SampleTable(np.array([0.0, 2.0, 1.0]), np.array([1.0, 1.0, 1.0]))
