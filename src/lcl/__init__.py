@@ -9,14 +9,13 @@ about the closed forms.
 
 from .axis import (AxisCandidate, AxisValidation, ambient_axis,
                     assemble_axis, validate_axis)
-from .calculus import (antiderivative, cumulative_integral, derivative,
-                       grid_derivative, make_cumulative, pointwise_derivative)
-from .classifier import (ClassificationReport, CheckResult, FittedConstant,
-                         OracleResult, Tolerances, Verdict, classify_profile,
-                         oracle_detect, pn_implication_closure,
-                         pn_type0_check, pn_type1_check, pn_type1_axis,
-                         pn_type2_axis, pn_type3_check, pn_type0_axes,
-                         psn_implication_closure, psn_type0_check,
+from .calculus import (antiderivative, cumulative_integral, grid_derivative,
+                       make_cumulative, pointwise_derivative)
+from .classifier import (PN_IMPLICATIONS, PSN_IMPLICATIONS,
+                         ClassificationReport, OracleResult, classify_profile,
+                         implication_closure, oracle_detect, pn_type0_check,
+                         pn_type1_check, pn_type1_axis, pn_type2_axis,
+                         pn_type3_check, pn_type0_axes, psn_type0_check,
                          psn_type1_axis, psn_type1_check, psn_type2_axis,
                          psn_type2_check, psn_type3_check)
 from .errors import (ConfigError, DegenerateAxisError, EvaluationError,
@@ -24,6 +23,7 @@ from .errors import (ConfigError, DegenerateAxisError, EvaluationError,
                      IntegrationError, LclError, OutOfDomainError,
                      ProfileError, QuadratureError)
 from .expr import parse_expression
+from .fits import CheckResult, FittedConstant, Tolerances, Verdict
 from .frames import (Frame, FrameKind, canonical_frame, frenet_matrix,
                      frenet_rhs, gram_matrix, gram_residual, gram_targets)
 from .hyperbolic import (SphereFit, TauForm, closed_form_center,
@@ -54,17 +54,17 @@ __all__ = [
     "assemble_axis",
     "canonical_frame", "causal_character", "classify_profile",
     "closed_form_center", "cumulative_integral", "default_suite",
-    "derivative", "fit_pseudohyperbolic", "fixtures_from_json",
+    "fit_pseudohyperbolic", "fixtures_from_json",
     "frenet_matrix", "frenet_rhs", "gram_matrix", "gram_residual",
     "gram_targets", "grid_derivative", "h3_membership", "h3_ratio_check",
     "h3_type1_nonexistence", "h3_type2_tau_form", "h3_type3_residual",
-    "integrate_frame", "load_profile", "load_suite", "lorentz_norm",
-    "make_cumulative",
+    "implication_closure", "integrate_frame", "load_profile", "load_suite",
+    "lorentz_norm", "make_cumulative",
     "make_h3_type2_profile", "metric", "nullspace_min_singular",
-    "oracle_detect", "pairing", "parse_expression", "pn_implication_closure",
+    "oracle_detect", "pairing", "parse_expression", "PN_IMPLICATIONS",
     "pn_type0_axes", "pn_type0_check", "pn_type1_axis", "pn_type1_check",
     "pn_type2_axis", "pn_type3_check", "pointwise_derivative",
-    "project_frame", "psn_implication_closure", "psn_type0_check",
+    "project_frame", "PSN_IMPLICATIONS", "psn_type0_check",
     "psn_type1_axis", "psn_type1_check", "psn_type2_axis", "psn_type2_check",
     "psn_type3_check", "render_table", "resample_curvatures",
     "run_theorem_suite", "save_profile", "validate_axis", "write_trace_csv",

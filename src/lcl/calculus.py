@@ -9,13 +9,13 @@ Design notes:
   forms exist, so expression-based and sampled profiles share one code
   path. First and second derivatives use 4th-order stencils, third
   derivatives a 2nd-order stencil; near a domain edge the stencil shifts
-  inside and the result is flagged.
+  inside.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -108,64 +108,20 @@ _CENTRAL = {order: _stencil_weights(np.arange(-2, 3), order)
             for order in (1, 2, 3)}
 
 
-class DerivativeResult(NamedTuple):
-    value: float
-    one_sided: bool
-
-
-def derivative_detail(f: Callable, s: float, order: int = 1,
-                      step: float | None = None,
-                      domain: tuple[float, float] | None = None
-                      ) -> DerivativeResult:
-    """Finite-difference derivative of f at s with edge handling.
-
-    Default step is 1e-4 * (1 + |s|). With `domain` given, the 5-point
-    stencil shifts to stay inside [domain[0], domain[1]] and the result is
-    flagged one_sided.
-    """
-    if order not in (1, 2, 3):
-        raise ValueError(f"order must be 1, 2, or 3, got {order}")
-    h = step if step is not None else DEFAULT_FD_SCALE * (1.0 + abs(s))
-    offsets = np.arange(-2, 3, dtype=float)
-    shift = 0.0
-    if domain is not None:
-        lo, hi = domain
-        if hi - lo < 4.0 * h:
-            h = (hi - lo) / 4.0
-        shift = max(0.0, math.ceil((lo - (s - 2.0 * h)) / h))
-        if shift == 0.0:
-            shift = min(0.0, math.floor((hi - (s + 2.0 * h)) / h))
-    if shift:
-        offsets = offsets + shift
-        weights = _stencil_weights(offsets, order)
-    else:
-        weights = _CENTRAL[order]
-    pts = s + offsets * h
-    vals = np.array([float(f(p)) for p in pts])
-    return DerivativeResult(float(weights @ vals) / h**order, bool(shift))
-
-
-def derivative(f, s, step=None, domain=None) -> float:
-    return derivative_detail(f, s, 1, step, domain).value
-
-
-def second_derivative(f, s, step=None, domain=None) -> float:
-    return derivative_detail(f, s, 2, step, domain).value
-
-
-def third_derivative(f, s, step=None, domain=None) -> float:
-    return derivative_detail(f, s, 3, step, domain).value
-
-
 def pointwise_derivative(f: Callable, s: np.ndarray, order: int = 1,
                          step: float | None = None,
                          domain: tuple[float, float] | None = None
                          ) -> np.ndarray:
     """Vectorized stencil derivative of a callable at many points.
 
+    Default step is 1e-4 * (1 + |s|). With `domain` given, the 5-point
+    stencil shifts to stay inside [domain[0], domain[1]], and a domain
+    narrower than four steps shrinks the step to a quarter of its width.
     Points sharing the same stencil shift are evaluated in one batch, so f
-    only needs a handful of array calls. Semantics match derivative_detail.
+    only needs a handful of array calls.
     """
+    if order not in (1, 2, 3):
+        raise ValueError(f"order must be 1, 2, or 3, got {order}")
     s = np.asarray(s, dtype=float)
     h = step if step is not None else DEFAULT_FD_SCALE * (1.0 + np.abs(s))
     h = np.broadcast_to(np.asarray(h, dtype=float), s.shape).copy()

@@ -21,67 +21,25 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .axis import (AxisCandidate, AxisValidation, ambient_axis,
-                   assemble_axis, validate_axis)
+from . import hyperbolic
+from .axis import AxisCandidate, assemble_axis, validate_axis
 from .calculus import (cumulative_integral, grid_derivative, make_cumulative,
                        pointwise_derivative)
 from .errors import DegenerateAxisError, ProfileError
+from .fits import (CheckResult, FittedConstant, Tolerances, Verdict,
+                   _constant_fit, _damped_lstsq, _guard_nonzero, _jsonable,
+                   _rms)
 from .frames import FrameKind
 from .integrator import CurveTrace, integrate_frame
 from .minkowski import SIGNS, Vec4, nullspace_min_singular, pairing
 from .profiles import CurvatureProfile
 
 log = logging.getLogger("lcl.classifier")
-
-
-class Verdict(Enum):
-    YES = "Yes"
-    NO = "No"
-    UNDETERMINED = "Undetermined"
-
-    @classmethod
-    def of(cls, flag: bool) -> "Verdict":
-        return cls.YES if flag else cls.NO
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Knobs shared by the checks; defaults match the acceptance suite."""
-
-    eps_gram: float = 1e-6
-    eps_cond: float = 1e-6          # relative residual for condition checks
-    eps_axis: float = 1e-6          # axis validation scale
-    eps_oracle_coeff: float = 1e-7  # oracle threshold is this * sqrt(rows)
-    damping: float = 1e-12          # Tikhonov damping for the small fits
-    grid_points: int = 1001
-
-
-@dataclass(frozen=True)
-class FittedConstant:
-    value: float
-    residual: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", float(self.value))
-        object.__setattr__(self, "residual", float(self.residual))
-
-    def to_json_dict(self) -> dict:
-        return {"value": _jsonable(self.value), "residual": _jsonable(self.residual)}
-
-
-@dataclass
-class CheckResult:
-    verdict: Verdict
-    residual: float
-    constants: dict = field(default_factory=dict)
-    flags: list = field(default_factory=list)
-    extras: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -104,41 +62,6 @@ class OracleResult:
             "g_mean": _jsonable(self.g_mean),
             "g_variance": _jsonable(self.g_variance),
         }
-
-
-def _jsonable(x):
-    if x is None:
-        return None
-    x = float(x)
-    return x if math.isfinite(x) else repr(x)
-
-
-def _rms(x: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(np.square(x))))
-
-
-def _damped_lstsq(a: np.ndarray, b: np.ndarray, damping: float) -> np.ndarray:
-    """Normal-equation least squares with Tikhonov damping.
-
-    The damping keeps degenerate fits finite instead of letting one
-    coefficient wander off; callers still flag degeneracy explicitly.
-    """
-    ata = a.T @ a + damping * np.eye(a.shape[1])
-    return np.linalg.solve(ata, a.T @ b)
-
-
-def _constant_fit(values: np.ndarray, eps: float) -> tuple[bool, float, float]:
-    """(is_constant, mean, relative spread) for a sampled function."""
-    mean = float(np.mean(values))
-    spread = float(np.max(values) - np.min(values))
-    residual = spread / (1.0 + abs(mean))
-    return residual < eps, mean, residual
-
-
-def _guard_nonzero(values: np.ndarray, name: str) -> None:
-    scale = 1.0 + float(np.max(np.abs(values)))
-    if np.min(np.abs(values)) < 1e-12 * scale:
-        raise ProfileError(f"{name} vanishes at a sample point")
 
 
 # ---------------------------------------------------------------------------
@@ -320,35 +243,6 @@ def pn_type3_check(p: CurvatureProfile,
 
 
 PN_IMPLICATIONS = ((0, 1), (0, 2), (0, 3), (1, 2), (3, 0), (3, 1), (3, 2))
-
-
-def pn_implication_closure(raw: dict) -> tuple[dict, list, list]:
-    """Propagate the implication graph 0 => {1,2,3}, 1 => 2, 3 => {0,1,2}.
-
-    Yes propagates forward, No propagates backward (contrapositive), and
-    a raw No that an implication says must be Yes is reported as an
-    inconsistency instead of being overwritten. Idempotent and monotone:
-    no Yes ever becomes No.
-    """
-    closed = {k: raw.get(k, Verdict.UNDETERMINED) for k in range(4)}
-    notes, inconsistencies = [], []
-    changed = True
-    while changed:
-        changed = False
-        for a, b in PN_IMPLICATIONS:
-            if closed[a] is Verdict.YES and closed[b] is Verdict.NO:
-                msg = f"k{a}=Yes implies k{b}=Yes but k{b}=No"
-                if msg not in inconsistencies:
-                    inconsistencies.append(msg)
-            elif closed[a] is Verdict.YES and closed[b] is Verdict.UNDETERMINED:
-                closed[b] = Verdict.YES
-                notes.append(f"k{b}=Yes from k{a}=Yes")
-                changed = True
-            elif closed[b] is Verdict.NO and closed[a] is Verdict.UNDETERMINED:
-                closed[a] = Verdict.NO
-                notes.append(f"k{a}=No from k{b}=No")
-                changed = True
-    return closed, notes, inconsistencies
 
 
 # ---------------------------------------------------------------------------
@@ -549,22 +443,6 @@ def _binormal_closed_form_residual(p: CurvatureProfile, tol: Tolerances
 PSN_IMPLICATIONS = ((1, 2),)
 
 
-def psn_implication_closure(raw: dict) -> tuple[dict, list, list]:
-    """Same propagation as the partially null closure, rule 1 => 2 only."""
-    closed = {k: raw.get(k, Verdict.UNDETERMINED) for k in range(4)}
-    notes, inconsistencies = [], []
-    for a, b in PSN_IMPLICATIONS:
-        if closed[a] is Verdict.YES and closed[b] is Verdict.NO:
-            inconsistencies.append(f"k{a}=Yes implies k{b}=Yes but k{b}=No")
-        elif closed[a] is Verdict.YES and closed[b] is Verdict.UNDETERMINED:
-            closed[b] = Verdict.YES
-            notes.append(f"k{b}=Yes from k{a}=Yes")
-        elif closed[b] is Verdict.NO and closed[a] is Verdict.UNDETERMINED:
-            closed[a] = Verdict.NO
-            notes.append(f"k{a}=No from k{b}=No")
-    return closed, notes, inconsistencies
-
-
 def _require_kind(p: CurvatureProfile, kind: FrameKind) -> None:
     if p.kind is not kind:
         raise ProfileError(f"check requires a {kind.value} profile, "
@@ -622,18 +500,89 @@ def classify_profile(p: CurvatureProfile,
                      drift_mode: str = "monitor",
                      tol: Tolerances = Tolerances(),
                      trace: Optional[CurveTrace] = None) -> ClassificationReport:
-    """Full classification: checks, axes, oracle, closure, and flags."""
+    """Full classification: checks, axes, oracle, closure, and flags.
+
+    A family step returns the condition result for each k, its validated
+    axes and their flags; everything after that is shared.
+    """
     p.validate()
     if trace is None:
         trace = integrate_frame(p, h=h, drift_mode=drift_mode,
                                 eps_gram=tol.eps_gram)
+    oracle = {k: oracle_detect(trace, k, tol) for k in range(4)}
     if p.kind is FrameKind.PARTIALLY_NULL:
-        sigma_vals = p.evaluate_arrays(p.grid(65))[2]
-        if np.max(np.abs(sigma_vals)) > 1e-12:
-            raise ProfileError("classification requires sigma = 0 for "
-                               "partially null profiles")
-        return _classify_partially_null(p, trace, tol)
-    return _classify_pseudo_null(p, trace, tol)
+        checks, axes, flags = _partially_null_checks(p, trace, tol)
+        implications = PN_IMPLICATIONS
+    else:
+        checks, axes, flags = _pseudo_null_checks(p, trace, tol, oracle)
+        implications = PSN_IMPLICATIONS
+
+    raw = {k: res.verdict for k, res in checks.items()}
+    closed, notes, inconsistencies = implication_closure(raw, implications)
+    flags.extend(f"closure-inconsistency: {msg}" for msg in inconsistencies)
+    for res in checks.values():
+        flags.extend(res.flags)
+    agreement = {k: oracle[k].verdict is closed[k] for k in range(4)}
+    for k, ok in agreement.items():
+        if not ok:
+            flags.append(f"oracle-condition-disagreement: k{k} condition "
+                         f"{closed[k].value}, oracle {oracle[k].verdict.value}")
+    constants = {}
+    for res in checks.values():
+        constants.update(res.constants)
+
+    trivial = hyp = None
+    if p.kind is FrameKind.PARTIALLY_NULL:
+        b1 = trace.frames[0, 2]
+        trivial = {
+            "note": "B1 pairs constantly with every frame vector and is "
+                    "excluded from oracle verdicts",
+            "g_values": {f"k{k}": _jsonable(pairing(trace.frames[0, k], b1))
+                         for k in range(4)},
+        }
+    else:
+        hyp = hyperbolic.pseudohyperbolic_block(p, trace, tol, type1=checks[1])
+        if hyp.get("is_h3_family") and checks[1].verdict is Verdict.YES:
+            flags.append("internal-inconsistency: constant-ratio curve "
+                         "classified 1-type")
+    return ClassificationReport(
+        label=p.label, kind=p.kind,
+        verdicts=closed, raw_verdicts=raw,
+        condition_residuals={k: res.residual for k, res in checks.items()},
+        constants=constants, axes=axes, oracle=oracle, agreement=agreement,
+        closure_notes=notes, flags=flags,
+        max_gram_residual=trace.max_gram_residual, trivial_axis=trivial,
+        pseudohyperbolic=hyp)
+
+
+def implication_closure(raw: dict, implications) -> tuple[dict, list, list]:
+    """Propagate verdicts along the edges (a, b), read "k = a implies k = b".
+
+    The graphs are PN_IMPLICATIONS (0 => {1,2,3}, 1 => 2, 3 => {0,1,2})
+    and PSN_IMPLICATIONS (1 => 2). Yes propagates forward, No propagates
+    backward (contrapositive), and a raw No that an implication says must
+    be Yes is reported as an inconsistency instead of being overwritten.
+    Idempotent and monotone: no Yes ever becomes No.
+    """
+    closed = {k: raw.get(k, Verdict.UNDETERMINED) for k in range(4)}
+    notes, inconsistencies = [], []
+    changed = True
+    while changed:
+        changed = False
+        for a, b in implications:
+            if closed[a] is Verdict.YES and closed[b] is Verdict.NO:
+                msg = f"k{a}=Yes implies k{b}=Yes but k{b}=No"
+                if msg not in inconsistencies:
+                    inconsistencies.append(msg)
+            elif closed[a] is Verdict.YES and closed[b] is Verdict.UNDETERMINED:
+                closed[b] = Verdict.YES
+                notes.append(f"k{b}=Yes from k{a}=Yes")
+                changed = True
+            elif closed[b] is Verdict.NO and closed[a] is Verdict.UNDETERMINED:
+                closed[a] = Verdict.NO
+                notes.append(f"k{a}=No from k{b}=No")
+                changed = True
+    return closed, notes, inconsistencies
 
 
 def _validated(trace, candidates, tol, flags, context):
@@ -648,17 +597,13 @@ def _validated(trace, candidates, tol, flags, context):
     return out
 
 
-def _relabel(candidate: AxisCandidate, k: int) -> AxisCandidate:
-    return AxisCandidate(k=k, source=candidate.source, s=candidate.s,
-                         coeffs=candidate.coeffs, U=candidate.U)
-
-
-def _classify_partially_null(p, trace, tol) -> ClassificationReport:
-    flags, axes = [], []
-    r0 = pn_type0_check(p, tol)
-    r1 = pn_type1_check(p, tol)
-    r3 = pn_type3_check(p, tol)
-
+def _partially_null_checks(p, trace, tol) -> tuple[dict, list, list]:
+    """Condition results for k = 0..3, validated axes and axis flags."""
+    sigma_vals = p.evaluate_arrays(p.grid(65))[2]
+    if np.max(np.abs(sigma_vals)) > 1e-12:
+        raise ProfileError("classification requires sigma = 0 for "
+                           "partially null profiles")
+    flags = []
     # 2-type axis exists for every admissible profile; verdict is its
     # validation, and a failure there is an internal inconsistency.
     axis2 = pn_type2_axis(p, trace, (1.0, 0.0, 0.0), tol)
@@ -666,67 +611,42 @@ def _classify_partially_null(p, trace, tol) -> ClassificationReport:
     if not val2.passed:
         flags.append("internal-inconsistency: universal 2-type axis failed "
                      f"validation (max_dU {val2.max_du:.3g})")
-    axes.append((axis2, val2))
-    r2_verdict = Verdict.of(val2.passed)
+    axes = [(axis2, val2)]
+    checks = {0: pn_type0_check(p, tol), 1: pn_type1_check(p, tol),
+              2: CheckResult(Verdict.of(val2.passed), val2.max_du),
+              3: pn_type3_check(p, tol)}
 
-    if r0.verdict is Verdict.YES:
+    if checks[0].verdict is Verdict.YES:
         ratio_axes = pn_type0_axes(p, trace, tol)
         axes.extend(_validated(trace, ratio_axes, tol, flags, "constant-ratio"))
-        axes.extend(_validated(trace, [_relabel(ratio_axes[0], 3)],
+        axes.extend(_validated(trace, [replace(ratio_axes[0], k=3)],
                                tol, flags, "constant-ratio"))
+    r1 = checks[1]
     if r1.verdict is Verdict.YES:
         if r1.extras.get("degenerate"):
             ratio_axis = pn_type0_axes(p, trace, tol)[0]
-            axes.extend(_validated(trace, [_relabel(ratio_axis, 1)],
+            axes.extend(_validated(trace, [replace(ratio_axis, k=1)],
                                    tol, flags, "degenerate affine"))
         else:
             axis1 = pn_type1_axis(p, trace, r1.constants["C"].value,
                                   r1.constants["c0"].value, tol)
             axes.extend(_validated(trace, [axis1], tol, flags, "affine"))
-
-    raw = {0: r0.verdict, 1: r1.verdict, 2: r2_verdict, 3: r3.verdict}
-    closed, notes, inconsistencies = pn_implication_closure(raw)
-    flags.extend(f"closure-inconsistency: {msg}" for msg in inconsistencies)
-    for res in (r0, r1, r3):
-        flags.extend(res.flags)
-
-    oracle = {k: oracle_detect(trace, k, tol) for k in range(4)}
-    agreement = {k: oracle[k].verdict is closed[k] for k in range(4)}
-    for k, ok in agreement.items():
-        if not ok:
-            flags.append(f"oracle-condition-disagreement: k{k} condition "
-                         f"{closed[k].value}, oracle {oracle[k].verdict.value}")
-
-    constants = {}
-    for res in (r0, r1):
-        constants.update(res.constants)
-
-    b1 = trace.frames[0, 2]
-    trivial = {
-        "note": "B1 pairs constantly with every frame vector and is "
-                "excluded from oracle verdicts",
-        "g_values": {f"k{k}": _jsonable(pairing(trace.frames[0, k], b1))
-                     for k in range(4)},
-    }
-    return ClassificationReport(
-        label=p.label, kind=p.kind,
-        verdicts=closed, raw_verdicts=raw,
-        condition_residuals={0: r0.residual, 1: r1.residual,
-                             2: val2.max_du, 3: r3.residual},
-        constants=constants, axes=axes, oracle=oracle, agreement=agreement,
-        closure_notes=notes, flags=flags,
-        max_gram_residual=trace.max_gram_residual, trivial_axis=trivial)
+    return checks, axes, flags
 
 
-def _classify_pseudo_null(p, trace, tol) -> ClassificationReport:
-    from .hyperbolic import pseudohyperbolic_block
+def _pseudo_null_checks(p, trace, tol, oracle) -> tuple[dict, list, list]:
+    """Condition results for k = 0..3, validated axes and axis flags.
 
+    The k = 3 verdict is the oracle's; its reported residual is the
+    advisory closed form, since sigma_min is already in the oracle block.
+    """
     flags, axes = [], []
-    oracle = {k: oracle_detect(trace, k, tol) for k in range(4)}
-    r0 = psn_type0_check(p, trace, tol, oracle=oracle[0])
     r1 = psn_type1_check(p, tol)
     r2 = psn_type2_check(p, tol, type1=r1)
     r3 = psn_type3_check(p, trace, tol, oracle=oracle[3])
+    checks = {0: psn_type0_check(p, trace, tol, oracle=oracle[0]), 1: r1,
+              2: r2,
+              3: replace(r3, residual=r3.extras.get("closed_form_residual"))}
 
     if r1.verdict is Verdict.YES:
         axis1 = psn_type1_axis(p, trace, tol)
@@ -737,34 +657,4 @@ def _classify_pseudo_null(p, trace, tol) -> ClassificationReport:
         else:
             axis2 = psn_type1_axis(p, trace, tol, k=2)
         axes.extend(_validated(trace, [axis2], tol, flags, "2-type"))
-
-    raw = {0: r0.verdict, 1: r1.verdict, 2: r2.verdict, 3: r3.verdict}
-    closed, notes, inconsistencies = psn_implication_closure(raw)
-    flags.extend(f"closure-inconsistency: {msg}" for msg in inconsistencies)
-    for res in (r0, r1, r2, r3):
-        flags.extend(res.flags)
-
-    agreement = {k: oracle[k].verdict is closed[k] for k in range(4)}
-    for k, ok in agreement.items():
-        if not ok:
-            flags.append(f"oracle-condition-disagreement: k{k} condition "
-                         f"{closed[k].value}, oracle {oracle[k].verdict.value}")
-
-    constants = {}
-    for res in (r1, r2):
-        constants.update(res.constants)
-
-    hyp = pseudohyperbolic_block(p, trace, tol, type1=r1)
-    if hyp.get("is_h3_family") and r1.verdict is Verdict.YES:
-        flags.append("internal-inconsistency: constant-ratio curve "
-                     "classified 1-type")
-
-    return ClassificationReport(
-        label=p.label, kind=p.kind,
-        verdicts=closed, raw_verdicts=raw,
-        condition_residuals={0: r0.residual, 1: r1.residual, 2: r2.residual,
-                             3: r3.extras.get("closed_form_residual")},
-        constants=constants, axes=axes, oracle=oracle, agreement=agreement,
-        closure_notes=notes, flags=flags,
-        max_gram_residual=trace.max_gram_residual,
-        pseudohyperbolic=hyp)
+    return checks, axes, flags

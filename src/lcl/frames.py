@@ -123,25 +123,31 @@ def gram_residual(frame: Frame, kind: FrameKind) -> GramResidual:
     return GramResidual(*(dev[i, j] for i, j in PAIR_INDICES))
 
 
-def frenet_matrix(kappa: float, tau: float, sigma: float,
-                  kind: FrameKind) -> np.ndarray:
-    """Coefficient matrix A with (T,N,B1,B2)' = A (T,N,B1,B2)."""
-    k, t, sg = float(kappa), float(tau), float(sigma)
+def frenet_matrix(kappa, tau, sigma, kind: FrameKind) -> np.ndarray:
+    """Coefficient matrix A with (T,N,B1,B2)' = A (T,N,B1,B2).
+
+    Broadcasts over array curvatures, returning (..., 4, 4); scalar
+    curvatures give one 4 x 4 matrix.
+    """
+    if kind not in (FrameKind.PARTIALLY_NULL, FrameKind.PSEUDO_NULL):
+        raise ValueError(f"unknown frame kind {kind!r}")
+    k, t, sg = np.broadcast_arrays(*(np.asarray(x, dtype=float)
+                                     for x in (kappa, tau, sigma)))
+    m = np.zeros(k.shape + (4, 4))
+    m[..., 0, 1] = k
     if kind is FrameKind.PARTIALLY_NULL:
-        return np.array([
-            [0.0, k, 0.0, 0.0],
-            [-k, 0.0, t, 0.0],
-            [0.0, 0.0, sg, 0.0],
-            [0.0, -t, 0.0, -sg],
-        ])
-    if kind is FrameKind.PSEUDO_NULL:
-        return np.array([
-            [0.0, k, 0.0, 0.0],
-            [0.0, 0.0, t, 0.0],
-            [0.0, sg, 0.0, -t],
-            [-k, 0.0, -sg, 0.0],
-        ])
-    raise ValueError(f"unknown frame kind {kind!r}")
+        m[..., 1, 0] = -k
+        m[..., 1, 2] = t
+        m[..., 2, 2] = sg
+        m[..., 3, 1] = -t
+        m[..., 3, 3] = -sg
+    else:
+        m[..., 1, 2] = t
+        m[..., 2, 1] = sg
+        m[..., 2, 3] = -t
+        m[..., 3, 0] = -k
+        m[..., 3, 2] = -sg
+    return m
 
 
 def frenet_rhs(frame: Frame, kappa: float, tau: float, sigma: float,

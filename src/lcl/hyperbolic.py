@@ -21,12 +21,12 @@ from typing import Optional
 import numpy as np
 
 from .calculus import grid_derivative, pointwise_derivative
-from .classifier import (CheckResult, FittedConstant, Tolerances, Verdict,
-                         _constant_fit, _damped_lstsq, _jsonable, _rms)
 from .errors import ProfileError
+from .fits import (CheckResult, FittedConstant, Tolerances, Verdict,
+                   _constant_fit, _damped_lstsq, _guard_nonzero, _jsonable)
 from .frames import FrameKind
 from .integrator import CurveTrace
-from .minkowski import Vec4, pairing
+from .minkowski import SIGNS, Vec4, pairing
 from .profiles import CurvatureProfile
 
 log = logging.getLogger("lcl.hyperbolic")
@@ -40,9 +40,7 @@ def h3_ratio_check(p: CurvatureProfile,
                            "profiles only")
     grid = p.grid(tol.grid_points)
     _, tau, sigma = p.evaluate_arrays(grid)
-    scale = 1.0 + float(np.max(np.abs(tau)))
-    if np.min(np.abs(tau)) < 1e-12 * scale:
-        raise ProfileError("tau vanishes at a sample point")
+    _guard_nonzero(tau, "tau")
     constant, mean, residual = _constant_fit(sigma / tau, tol.eps_cond)
     negative = mean < -tol.eps_cond
     flags = []
@@ -90,7 +88,6 @@ def fit_pseudohyperbolic(trace: CurveTrace, max_iter: int = 50) -> SphereFit:
     iteration settles in a couple of steps when a sphere exists at all.
     """
     pts = trace.positions
-    signs = np.array([-1.0, 1.0, 1.0, 1.0])
     x0 = pts.mean(axis=0)
     diff = pts - x0
     rho = float(np.mean(-pairing(diff, diff)))
@@ -101,7 +98,7 @@ def fit_pseudohyperbolic(trace: CurveTrace, max_iter: int = 50) -> SphereFit:
     for iterations in range(1, max_iter + 1):
         diff = pts - x0
         f_res = pairing(diff, diff) + rho
-        jac = np.hstack([-2.0 * diff * signs, np.ones((pts.shape[0], 1))])
+        jac = np.hstack([-2.0 * diff * SIGNS, np.ones((pts.shape[0], 1))])
         step, *_ = np.linalg.lstsq(jac, -f_res, rcond=None)
         x0 = x0 + step[:4]
         rho = rho + float(step[4])

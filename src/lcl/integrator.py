@@ -29,7 +29,7 @@ import numpy as np
 from .calculus import grid_derivative
 from .errors import ConfigError, FrameError, IntegrationError
 from .frames import (Frame, FrameKind, PAIR_INDICES, canonical_frame,
-                     gram_matrix, gram_residual, gram_targets)
+                     frenet_matrix, gram_matrix, gram_residual, gram_targets)
 from .minkowski import SIGNS, Vec4, pairing
 from .profiles import CurvatureProfile
 
@@ -164,7 +164,7 @@ def integrate_frame(profile: CurvatureProfile,
     # curvatures on the half-step lattice, then frenet matrices
     s_half = profile.s_min + (h / 2.0) * np.arange(2 * steps + 1)
     kappa, tau, sigma = profile.evaluate_arrays(s_half)
-    mats = _frenet_matrices(kappa, tau, sigma, profile.kind)
+    mats = frenet_matrix(kappa, tau, sigma, profile.kind)
 
     positions = np.empty((n, 4))
     frames = np.empty((n, 4, 4))
@@ -244,25 +244,6 @@ def _rk4_increments(mats: np.ndarray, h: float
     d += k2
     d *= h / 6.0
     return d, q
-
-
-def _frenet_matrices(kappa, tau, sigma, kind: FrameKind) -> np.ndarray:
-    m = np.zeros(kappa.shape + (4, 4))
-    if kind is FrameKind.PARTIALLY_NULL:
-        m[..., 0, 1] = kappa
-        m[..., 1, 0] = -kappa
-        m[..., 1, 2] = tau
-        m[..., 2, 2] = sigma
-        m[..., 3, 1] = -tau
-        m[..., 3, 3] = -sigma
-    else:
-        m[..., 0, 1] = kappa
-        m[..., 1, 2] = tau
-        m[..., 2, 1] = sigma
-        m[..., 2, 3] = -tau
-        m[..., 3, 0] = -kappa
-        m[..., 3, 2] = -sigma
-    return m
 
 
 def resample_curvatures(trace: CurveTrace

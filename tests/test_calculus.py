@@ -5,7 +5,6 @@ import pytest
 
 from lcl import (antiderivative, cumulative_integral, grid_derivative,
                  make_cumulative, pointwise_derivative)
-from lcl.calculus import derivative, second_derivative, third_derivative
 from lcl.errors import QuadratureError
 
 
@@ -50,18 +49,28 @@ def test_make_cumulative_interpolant_matches_integral_between_nodes():
 
 
 def test_derivative_orders_against_closed_forms():
-    s = 0.3
-    assert derivative(np.sin, s) == pytest.approx(np.cos(s), abs=1e-12)
-    assert second_derivative(np.sin, s) == pytest.approx(-np.sin(s), abs=1e-7)
-    assert third_derivative(np.sin, s) == pytest.approx(-np.cos(s), abs=1e-4)
+    s = np.array([0.3])
+    d1, d2, d3 = (pointwise_derivative(np.sin, s, order=k)[0]
+                  for k in (1, 2, 3))
+    assert d1 == pytest.approx(np.cos(0.3), abs=1e-12)
+    assert d2 == pytest.approx(-np.sin(0.3), abs=1e-7)
+    assert d3 == pytest.approx(-np.cos(0.3), abs=1e-4)
 
 
 def test_derivative_respects_domain_clipping_at_edges():
     # one-sided evaluation at the right edge of a tight domain
-    d = derivative(lambda s: s**3, 1.0, domain=(0.0, 1.0))
+    d = pointwise_derivative(lambda s: s**3, np.array([1.0]),
+                             domain=(0.0, 1.0))[0]
     assert d == pytest.approx(3.0, abs=1e-9)
-    d0 = derivative(lambda s: s**3, 0.0, domain=(0.0, 1.0))
+    d0 = pointwise_derivative(lambda s: s**3, np.array([0.0]),
+                              domain=(0.0, 1.0))[0]
     assert d0 == pytest.approx(0.0, abs=1e-9)
+
+
+def test_pointwise_derivative_rejects_bad_order():
+    for order in (0, 4):
+        with pytest.raises(ValueError, match="order must be 1, 2, or 3"):
+            pointwise_derivative(np.sin, np.array([0.3]), order=order)
 
 
 def test_pointwise_derivative_vectorizes_over_the_grid():

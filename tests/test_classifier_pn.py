@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from lcl import (CurvatureProfile, Tolerances, Verdict, classify_profile,
-                 integrate_frame, pairing, pn_implication_closure,
-                 pn_type0_axes, pn_type0_check, pn_type1_axis,
+from lcl import (PN_IMPLICATIONS, CurvatureProfile, Tolerances, Verdict,
+                 classify_profile, implication_closure, integrate_frame,
+                 pairing, pn_type0_axes, pn_type0_check, pn_type1_axis,
                  pn_type1_check, pn_type2_axis, pn_type3_check,
                  validate_axis)
 from lcl.errors import DegenerateAxisError, ProfileError
@@ -144,20 +144,20 @@ def test_3_type_reduces_to_0_type():
 
 
 def test_closure_propagates_0_type_to_everything():
-    closed, notes, inc = pn_implication_closure({0: Y})
+    closed, notes, inc = implication_closure({0: Y}, PN_IMPLICATIONS)
     assert {k: v for k, v in closed.items()} == {0: Y, 1: Y, 2: Y, 3: Y}
     assert not inc
 
 
 def test_closure_propagates_1_type_forward_only():
-    closed, _, inc = pn_implication_closure({0: N, 1: Y})
+    closed, _, inc = implication_closure({0: N, 1: Y}, PN_IMPLICATIONS)
     assert closed[2] is Y
     assert closed[3] is N  # 3 => 0 contrapositive
     assert not inc
 
 
 def test_closure_detects_contradiction():
-    closed, _, inc = pn_implication_closure({0: N, 3: Y})
+    closed, _, inc = implication_closure({0: N, 3: Y}, PN_IMPLICATIONS)
     assert inc and "k3=Yes implies k0=Yes" in inc[0]
     # forward propagation from k3 still happens for the other targets
     assert closed[1] is Y and closed[2] is Y

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from lcl import (CurvatureProfile, Verdict, classify_profile, integrate_frame,
-                 pairing, psn_implication_closure, psn_type0_check,
+from lcl import (PSN_IMPLICATIONS, CurvatureProfile, Verdict, classify_profile,
+                 implication_closure, integrate_frame, pairing, psn_type0_check,
                  psn_type1_axis, psn_type1_check, psn_type2_axis,
                  psn_type2_check, psn_type3_check, validate_axis)
 from lcl.errors import ProfileError
@@ -119,11 +119,11 @@ def test_3_type_follows_the_oracle(quad_psn_profile, quad_psn_trace):
 
 
 def test_closure_only_lifts_1_type_to_2_type():
-    closed, notes, inc = psn_implication_closure({1: Y})
+    closed, notes, inc = implication_closure({1: Y}, PSN_IMPLICATIONS)
     assert closed[2] is Y
     assert closed[0] is U and closed[3] is U
     assert not inc
-    closed2, _, inc2 = psn_implication_closure({1: Y, 2: N})
+    closed2, _, inc2 = implication_closure({1: Y, 2: N}, PSN_IMPLICATIONS)
     assert inc2
 
 

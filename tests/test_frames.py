@@ -86,6 +86,19 @@ def test_frenet_matrix_pseudo_null_layout():
 
 
 @pytest.mark.parametrize("kind", [PN, PSN])
+def test_frenet_matrix_broadcasts_over_arrays(kind):
+    rng = np.random.default_rng(7)
+    k, t, sg = rng.normal(size=(3, 2, 5))
+    a = frenet_matrix(k, t, sg, kind)
+    assert a.shape == (2, 5, 4, 4)
+    for i, j in np.ndindex(2, 5):
+        assert np.array_equal(a[i, j], frenet_matrix(k[i, j], t[i, j],
+                                                     sg[i, j], kind))
+    # a scalar sigma broadcasts against array kappa and tau
+    assert frenet_matrix(k, t, 0.0, kind).shape == (2, 5, 4, 4)
+
+
+@pytest.mark.parametrize("kind", [PN, PSN])
 def test_structure_equations_preserve_every_pairing(kind):
     # d/ds g(Vi, Vj) = g(Vi', Vj) + g(Vi, Vj') must vanish identically
     # whenever g(Vi, Vj) already sits at its target, for ANY curvatures.

@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from lcl import (CurvatureProfile, FrameKind, canonical_frame, gram_matrix,
-                 gram_targets, integrate_frame, pairing, resample_curvatures,
-                 write_trace_csv)
+from lcl import (CurvatureProfile, FrameKind, canonical_frame, frenet_matrix,
+                 gram_matrix, gram_targets, integrate_frame, pairing,
+                 resample_curvatures, write_trace_csv)
 from lcl.errors import ConfigError, FrameError, IntegrationError
-from lcl.integrator import (CSV_HEADER, _frenet_matrices, _project_matrix,
-                            project_frame)
+from lcl.integrator import CSV_HEADER, _project_matrix, project_frame
 
 PN = FrameKind.PARTIALLY_NULL
 
@@ -204,7 +203,7 @@ def _per_step_rk4(p, h, drift_mode):
     """Classical RK4, one stage at a time, as a reference for the sweep."""
     steps = int(np.floor(p.span / h + 1e-9))
     s_half = p.s_min + (h / 2.0) * np.arange(2 * steps + 1)
-    mats = _frenet_matrices(*p.evaluate_arrays(s_half), p.kind)
+    mats = frenet_matrix(*p.evaluate_arrays(s_half), p.kind)
     f = canonical_frame(p.kind).to_matrix()
     alpha = np.zeros(4)
     frames, positions = [f], [alpha]
