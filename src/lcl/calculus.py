@@ -151,6 +151,8 @@ def grid_derivative(values: np.ndarray, h: float, order: int = 1) -> np.ndarray:
     and second derivatives, 2nd order for third); the two points at each
     end fall back to shifted 5-point stencils of the same width.
     """
+    if order not in (1, 2, 3):
+        raise ValueError(f"order must be 1, 2, or 3, got {order}")
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
     if n < 5:

@@ -213,33 +213,25 @@ def pn_type2_axis(p: CurvatureProfile, trace: CurveTrace,
     c1, c2, c3 = (float(x) for x in c)
     grid = trace.s
     tau_fn = p.tau
-    theta_vals, theta_at = make_cumulative(p.kappa, grid)
-
-    def f_sin(t):
-        return tau_fn(t) * np.sin(theta_at(t))
-
-    def f_cos(t):
-        return tau_fn(t) * np.cos(theta_at(t))
-
-    i1_vals, i1_at = make_cumulative(f_sin, grid)
-    i2_vals, i2_at = make_cumulative(f_cos, grid)
-
-    def u2_at(t):
-        th = theta_at(t)
-        return -np.sin(th) * (c1 - i1_at(t)) + np.cos(th) * (c2 + i2_at(t))
-
-    u1 = np.cos(theta_vals) * (c1 - i1_vals) + np.sin(theta_vals) * (c2 + i2_vals)
-    u2 = -np.sin(theta_vals) * (c1 - i1_vals) + np.cos(theta_vals) * (c2 + i2_vals)
-    u3 = c3 - cumulative_integral(lambda t: tau_fn(t) * u2_at(t), grid)
+    theta, theta_at = make_cumulative(p.kappa, grid)
+    i1 = cumulative_integral(lambda t: tau_fn(t) * np.sin(theta_at(t)), grid)
+    i2 = cumulative_integral(lambda t: tau_fn(t) * np.cos(theta_at(t)), grid)
+    u1 = np.cos(theta) * (c1 - i1) + np.sin(theta) * (c2 + i2)
+    u2 = -np.sin(theta) * (c1 - i1) + np.cos(theta) * (c2 + i2)
+    # tau u2 = (-c1 I1 + c2 I2 + (I1^2 + I2^2) / 2)', so Int tau u2 is exact
+    u3 = c3 + c1 * i1 - c2 * i2 - 0.5 * (i1**2 + i2**2)
     return assemble_axis(trace, 2, "oscillator-solution", u1, u2, u3, 1.0)
 
 
-def pn_type3_check(p: CurvatureProfile,
-                   tol: Tolerances = Tolerances()) -> CheckResult:
-    """3-type coincides with 0-type for partially null curves."""
-    res = pn_type0_check(p, tol)
-    res.extras["equivalent_to"] = "k0"
-    return res
+def pn_type3_check(p: CurvatureProfile, tol: Tolerances = Tolerances(),
+                   type0: Optional[CheckResult] = None) -> CheckResult:
+    """3-type coincides with 0-type for partially null curves.
+
+    Pass the k = 0 result as `type0` to reuse it; it is not modified.
+    """
+    if type0 is None:
+        type0 = pn_type0_check(p, tol)
+    return replace(type0, extras={**type0.extras, "equivalent_to": "k0"})
 
 
 PN_IMPLICATIONS = ((0, 1), (0, 2), (0, 3), (1, 2), (3, 0), (3, 1), (3, 2))
@@ -505,10 +497,11 @@ def classify_profile(p: CurvatureProfile,
     A family step returns the condition result for each k, its validated
     axes and their flags; everything after that is shared.
     """
-    p.validate()
     if trace is None:
         trace = integrate_frame(p, h=h, drift_mode=drift_mode,
                                 eps_gram=tol.eps_gram)
+    else:
+        p.validate()
     oracle = {k: oracle_detect(trace, k, tol) for k in range(4)}
     if p.kind is FrameKind.PARTIALLY_NULL:
         checks, axes, flags = _partially_null_checks(p, trace, tol)
@@ -612,20 +605,21 @@ def _partially_null_checks(p, trace, tol) -> tuple[dict, list, list]:
         flags.append("internal-inconsistency: universal 2-type axis failed "
                      f"validation (max_dU {val2.max_du:.3g})")
     axes = [(axis2, val2)]
-    checks = {0: pn_type0_check(p, tol), 1: pn_type1_check(p, tol),
+    r0, r1 = pn_type0_check(p, tol), pn_type1_check(p, tol)
+    checks = {0: r0, 1: r1,
               2: CheckResult(Verdict.of(val2.passed), val2.max_du),
-              3: pn_type3_check(p, tol)}
+              3: pn_type3_check(p, tol, type0=r0)}
 
-    if checks[0].verdict is Verdict.YES:
+    degenerate1 = r1.verdict is Verdict.YES and r1.extras.get("degenerate")
+    if r0.verdict is Verdict.YES or degenerate1:
         ratio_axes = pn_type0_axes(p, trace, tol)
+    if r0.verdict is Verdict.YES:
         axes.extend(_validated(trace, ratio_axes, tol, flags, "constant-ratio"))
         axes.extend(_validated(trace, [replace(ratio_axes[0], k=3)],
                                tol, flags, "constant-ratio"))
-    r1 = checks[1]
     if r1.verdict is Verdict.YES:
-        if r1.extras.get("degenerate"):
-            ratio_axis = pn_type0_axes(p, trace, tol)[0]
-            axes.extend(_validated(trace, [replace(ratio_axis, k=1)],
+        if degenerate1:
+            axes.extend(_validated(trace, [replace(ratio_axes[0], k=1)],
                                    tol, flags, "degenerate affine"))
         else:
             axis1 = pn_type1_axis(p, trace, r1.constants["C"].value,

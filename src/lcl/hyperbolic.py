@@ -80,38 +80,30 @@ class SphereFit:
         }
 
 
-def fit_pseudohyperbolic(trace: CurveTrace, max_iter: int = 50) -> SphereFit:
-    """Gauss-Newton fit of center and squared radius to the positions.
+def fit_pseudohyperbolic(trace: CurveTrace) -> SphereFit:
+    """Least-squares fit of center and squared radius to the positions.
 
-    Residuals F_i = g(x_i - x0, x_i - x0) + rho with rho = r^2. Centroid
-    start; the residual is linear in a lifted parametrization, so the
-    iteration settles in a couple of steps when a sphere exists at all.
+    Residuals F_i = g(x_i - x0, x_i - x0) + rho with rho = r^2. Written as
+    g(x_i, x_i) - 2 g(x_i, x0) + c with c = g(x0, x0) + rho they are linear
+    in (x0, c), and (x0, rho) <-> (x0, c) is a bijection, so one linear
+    solve gives the nonlinear minimizer. The solve runs on positions minus
+    their centroid for conditioning; `converged` is always True and
+    `iterations` always 1.
     """
     pts = trace.positions
-    x0 = pts.mean(axis=0)
-    diff = pts - x0
-    rho = float(np.mean(-pairing(diff, diff)))
-    if not math.isfinite(rho) or rho <= 0.0:
-        rho = 1.0
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        diff = pts - x0
-        f_res = pairing(diff, diff) + rho
-        jac = np.hstack([-2.0 * diff * SIGNS, np.ones((pts.shape[0], 1))])
-        step, *_ = np.linalg.lstsq(jac, -f_res, rcond=None)
-        x0 = x0 + step[:4]
-        rho = rho + float(step[4])
-        if np.max(np.abs(step)) < 1e-13 * (1.0 + np.linalg.norm(x0) + abs(rho)):
-            converged = True
-            break
+    mean = pts.mean(axis=0)
+    y = pts - mean
+    design = np.hstack([-2.0 * y * SIGNS, np.ones((pts.shape[0], 1))])
+    sol, *_ = np.linalg.lstsq(design, -pairing(y, y), rcond=None)
+    rho = float(sol[4] - pairing(sol[:4], sol[:4]))
+    x0 = mean + sol[:4]
     diff = pts - x0
     f_res = pairing(diff, diff) + rho
     max_dev = float(np.max(np.abs(f_res)))
     rel = max_dev / max(abs(rho), 1e-300)
     radius = math.sqrt(rho) if rho > 0.0 else float("nan")
     return SphereFit(Vec4.from_array(x0), radius, rho, max_dev, rel,
-                     converged, iterations)
+                     True, 1)
 
 
 def closed_form_center(trace: CurveTrace, c: float) -> tuple[Vec4, float]:
@@ -286,7 +278,7 @@ def pseudohyperbolic_block(p: CurvatureProfile, trace: CurveTrace,
         "closed_center": None,
     }
     if not is_family:
-        if fit is not None and fit.converged and fit.rel_deviation < tol.eps_cond:
+        if fit is not None and fit.rel_deviation < tol.eps_cond:
             notes.append("internal-inconsistency: sphere fit succeeded but "
                          "the ratio test rejects the family")
         return block
@@ -301,7 +293,7 @@ def pseudohyperbolic_block(p: CurvatureProfile, trace: CurveTrace,
         "membership_deviation": _jsonable(h3_membership(trace, center,
                                                         expected_r)),
     }
-    if fit is not None and fit.converged:
+    if fit is not None:
         if fit.rel_deviation > tol.eps_cond * 100:
             notes.append("internal-inconsistency: family member but sphere "
                          f"fit deviates ({fit.rel_deviation:.3g})")

@@ -112,6 +112,12 @@ def test_grid_derivative_rejects_bad_step():
         grid_derivative(np.zeros(3), 0.1)
 
 
+def test_grid_derivative_rejects_bad_order():
+    for order in (0, 4):
+        with pytest.raises(ValueError, match="order must be 1, 2, or 3"):
+            grid_derivative(np.zeros(8), 0.1, order=order)
+
+
 def test_quadrature_error_on_non_finite_integrand():
     with pytest.raises(QuadratureError):
         antiderivative(lambda s: np.where(s > 0.5, np.nan, 1.0), 0.0, 1.0)

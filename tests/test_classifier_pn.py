@@ -8,6 +8,7 @@ from lcl import (PN_IMPLICATIONS, CurvatureProfile, Tolerances, Verdict,
                  pairing, pn_type0_axes, pn_type0_check, pn_type1_axis,
                  pn_type1_check, pn_type2_axis, pn_type3_check,
                  validate_axis)
+from lcl.calculus import cumulative_integral, make_cumulative
 from lcl.errors import DegenerateAxisError, ProfileError
 
 Y, N, U = Verdict.YES, Verdict.NO, Verdict.UNDETERMINED
@@ -131,6 +132,44 @@ def test_2_type_axis_for_linear_torsion_closed_form():
     assert val.max_du < 1e-9
 
 
+def _nested_oscillator_coeffs(p, grid, c):
+    """Reference coefficients with u3 = c3 - Int tau u2 as a third
+    quadrature of nested interpolants (no closed-form antiderivative)."""
+    c1, c2, c3 = c
+    theta_vals, theta_at = make_cumulative(p.kappa, grid)
+    i1_vals, i1_at = make_cumulative(
+        lambda t: p.tau(t) * np.sin(theta_at(t)), grid)
+    i2_vals, i2_at = make_cumulative(
+        lambda t: p.tau(t) * np.cos(theta_at(t)), grid)
+
+    def u2_at(t):
+        th = theta_at(t)
+        return -np.sin(th) * (c1 - i1_at(t)) + np.cos(th) * (c2 + i2_at(t))
+
+    u1 = (np.cos(theta_vals) * (c1 - i1_vals)
+          + np.sin(theta_vals) * (c2 + i2_vals))
+    u2 = u2_at(grid)
+    u3 = c3 - cumulative_integral(lambda t: p.tau(t) * u2_at(t), grid)
+    return np.column_stack([u1, u2, u3, np.ones_like(grid)])
+
+
+@pytest.mark.parametrize("kappa,tau,domain", [
+    ("1", "1", (0.0, 2.0)), ("2", "6", (0.0, 1.5)),
+    ("1 + s^2", "3*(1 + s^2)", (0.0, 1.0)),
+    ("1", "s", (0.1, 1.0)), ("2 + sin(s)", "1", (0.0, 2.0))])
+def test_2_type_axis_matches_the_nested_integral_reference(kappa, tau,
+                                                          domain):
+    p = CurvatureProfile.create("partially_null", kappa=kappa, tau=tau,
+                                domain=domain)
+    tr = integrate_frame(p)
+    for c in [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 2.0, 3.0),
+              (0.0, 0.0, 0.0), (-1.0, 1.0, 0.0)]:
+        ref = _nested_oscillator_coeffs(p, tr.s, c)
+        got = pn_type2_axis(p, tr, c).coeffs
+        bound = 1e-12 * (1.0 + np.max(np.abs(ref)))
+        assert np.max(np.abs(got - ref)) < bound, c
+
+
 def test_3_type_reduces_to_0_type():
     p = CurvatureProfile.create("partially_null", kappa="2", tau="6",
                                 domain=(0.0, 1.0))
@@ -141,6 +180,19 @@ def test_3_type_reduces_to_0_type():
     q = CurvatureProfile.create("partially_null", kappa="1", tau="s",
                                 domain=(0.1, 1.0))
     assert pn_type3_check(q).verdict is N
+
+
+def test_3_type_reuses_a_given_0_type_result():
+    p = CurvatureProfile.create("partially_null", kappa="1", tau="s",
+                                domain=(0.1, 1.0))
+    r0 = pn_type0_check(p)
+    extras = dict(r0.extras)
+    r3 = pn_type3_check(p, Tolerances(), type0=r0)
+    assert r3.verdict is r0.verdict is N
+    assert r3.residual == r0.residual
+    assert r3.constants == r0.constants
+    assert r3.extras["equivalent_to"] == "k0"
+    assert r0.extras == extras
 
 
 def test_closure_propagates_0_type_to_everything():

@@ -6,9 +6,12 @@ import pytest
 from lcl import (CurvatureProfile, Vec4, Verdict, classify_profile,
                  closed_form_center, fit_pseudohyperbolic, h3_membership,
                  h3_ratio_check, h3_type1_nonexistence, h3_type2_tau_form,
-                 h3_type3_residual, integrate_frame, psn_type1_check)
+                 h3_type3_residual, integrate_frame, pairing,
+                 psn_type1_check)
 from lcl.errors import ProfileError
 from lcl.hyperbolic import TauForm, make_h3_type2_profile
+from lcl.minkowski import SIGNS
+from lcl.suite import default_suite
 
 Y, N = Verdict.YES, Verdict.NO
 
@@ -80,6 +83,26 @@ def test_sphere_fit_diverges_gracefully_off_family(quad_psn_trace):
     # no pseudosphere carries this short arc exactly; the best fit still
     # deviates by orders of magnitude more than a true member does
     assert (not fit.converged) or fit.rel_deviation > 1e-8
+
+
+def test_sphere_fit_converges_in_one_solve_on_a_large_trace():
+    fx = next(f for f in default_suite() if f.profile.label == "psn-generic-1")
+    fit = fit_pseudohyperbolic(integrate_frame(fx.profile))
+    assert fit.converged
+    assert fit.iterations == 1
+
+
+def test_sphere_fit_is_a_stationary_point_of_the_nonlinear_problem(
+        quad_psn_trace):
+    fit = fit_pseudohyperbolic(quad_psn_trace)
+    diff = quad_psn_trace.positions - fit.center.to_array()
+    f_res = pairing(diff, diff) + fit.radius_sq
+    jac = np.hstack([-2.0 * diff * SIGNS, np.ones((diff.shape[0], 1))])
+    grad = jac.T @ f_res
+    scale = np.linalg.norm(jac) * np.linalg.norm(f_res)
+    # each F_i carries roundoff eps * r^2, far above eps * |F| on a close
+    # fit, so the floor is ~2e-11; shifting x0 by 1e-10 gives ~5e-5
+    assert np.linalg.norm(grad) < 1e-9 * scale
 
 
 def test_closed_form_center_matches_the_fit(h3_trace):
