@@ -30,8 +30,8 @@ from .hyperbolic import (SphereFit, TauForm, closed_form_center,
                          fit_pseudohyperbolic, h3_membership, h3_ratio_check,
                          h3_type1_nonexistence, h3_type2_tau_form,
                          h3_type3_residual, make_h3_type2_profile)
-from .integrator import (CurveTrace, integrate_frame, project_frame,
-                         resample_curvatures, write_trace_csv)
+from .integrator import (CurveTrace, integrate_frame, resample_curvatures,
+                         write_trace_csv)
 from .minkowski import (CausalCharacter, Vec4, causal_character,
                         lorentz_norm, metric, nullspace_min_singular, pairing)
 from .profiles import CurvatureProfile, SampleTable, load_profile, save_profile
@@ -64,7 +64,7 @@ __all__ = [
     "oracle_detect", "pairing", "parse_expression", "PN_IMPLICATIONS",
     "pn_type0_axes", "pn_type0_check", "pn_type1_axis", "pn_type1_check",
     "pn_type2_axis", "pn_type3_check", "pointwise_derivative",
-    "project_frame", "PSN_IMPLICATIONS", "psn_type0_check",
+    "PSN_IMPLICATIONS", "psn_type0_check",
     "psn_type1_axis", "psn_type1_check", "psn_type2_axis", "psn_type2_check",
     "psn_type3_check", "render_table", "resample_curvatures",
     "run_theorem_suite", "save_profile", "validate_axis", "write_trace_csv",

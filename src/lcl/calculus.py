@@ -14,6 +14,7 @@ Design notes:
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
@@ -93,19 +94,20 @@ def make_cumulative(f: Callable, grid: np.ndarray):
     return values, at
 
 
-def _stencil_weights(offsets, order: int) -> np.ndarray:
-    """Weights w with sum_j w_j f(s + o_j h) ~= h^order f^(order)(s)."""
-    offsets = np.asarray(offsets, dtype=float)
-    n = offsets.shape[0]
-    a = np.vander(offsets, n, increasing=True).T
-    rhs = np.zeros(n)
+@functools.cache
+def _stencil_weights(order: int, shift: int) -> np.ndarray:
+    """Weights w with sum_j w_j f(s + o_j h) ~= h^order f^(order)(s).
+
+    The offsets are o = (-2, -1, 0, 1, 2) + shift. Each (order, shift) pair
+    is solved once and the shared result is read-only.
+    """
+    offsets = np.arange(-2, 3, dtype=float) + shift
+    a = np.vander(offsets, 5, increasing=True).T
+    rhs = np.zeros(5)
     rhs[order] = math.factorial(order)
-    return np.linalg.solve(a, rhs)
-
-
-# central 5-point weights, precomputed
-_CENTRAL = {order: _stencil_weights(np.arange(-2, 3), order)
-            for order in (1, 2, 3)}
+    weights = np.linalg.solve(a, rhs)
+    weights.flags.writeable = False
+    return weights
 
 
 def pointwise_derivative(f: Callable, s: np.ndarray, order: int = 1,
@@ -137,7 +139,7 @@ def pointwise_derivative(f: Callable, s: np.ndarray, order: int = 1,
     for shift in np.unique(shifts):
         mask = shifts == shift
         offsets = np.arange(-2, 3, dtype=float) + shift
-        weights = _CENTRAL[order] if shift == 0 else _stencil_weights(offsets, order)
+        weights = _stencil_weights(order, int(shift))
         pts = s[mask][None, :] + offsets[:, None] * h[mask][None, :]
         vals = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
         out[mask] = (weights @ vals) / h[mask]**order
@@ -160,11 +162,10 @@ def grid_derivative(values: np.ndarray, h: float, order: int = 1) -> np.ndarray:
     if not (np.isfinite(h) and h > 0.0):
         raise ValueError(f"grid step must be positive and finite, got {h!r}")
     out = np.zeros_like(values)
-    center = _CENTRAL[order]
-    for j, w in enumerate(center):
+    for j, w in enumerate(_stencil_weights(order, 0)):
         out[2:n - 2] += w * values[j:n - 4 + j]
-    for i, shift in ((0, 2.0), (1, 1.0), (n - 2, -1.0), (n - 1, -2.0)):
-        w = _stencil_weights(np.arange(-2, 3, dtype=float) + shift, order)
-        lo = i + int(shift) - 2
+    for i, shift in ((0, 2), (1, 1), (n - 2, -1), (n - 1, -2)):
+        w = _stencil_weights(order, shift)
+        lo = i + shift - 2
         out[i] = np.tensordot(w, values[lo:lo + 5], axes=(0, 0))
     return out / h**order

@@ -489,7 +489,6 @@ class ClassificationReport:
 
 def classify_profile(p: CurvatureProfile,
                      h: Optional[float] = None,
-                     drift_mode: str = "monitor",
                      tol: Tolerances = Tolerances(),
                      trace: Optional[CurveTrace] = None) -> ClassificationReport:
     """Full classification: checks, axes, oracle, closure, and flags.
@@ -498,8 +497,7 @@ def classify_profile(p: CurvatureProfile,
     axes and their flags; everything after that is shared.
     """
     if trace is None:
-        trace = integrate_frame(p, h=h, drift_mode=drift_mode,
-                                eps_gram=tol.eps_gram)
+        trace = integrate_frame(p, h=h, eps_gram=tol.eps_gram)
     else:
         p.validate()
     oracle = {k: oracle_detect(trace, k, tol) for k in range(4)}

@@ -62,13 +62,9 @@ def _tolerances(args) -> Tolerances:
     return Tolerances(**kw)
 
 
-def _add_common(sub, drift: bool = True, tols: bool = True) -> None:
+def _add_common(sub, tols: bool = True) -> None:
     sub.add_argument("--h", type=float, default=None,
                      help="integration step (default: span/1000)")
-    if drift:
-        sub.add_argument("--drift", choices=("monitor", "project"),
-                         default="monitor",
-                         help="frame drift handling during integration")
     if tols:
         sub.add_argument("--tol-cond", type=float, default=None,
                          help="relative residual tolerance for checks")
@@ -123,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--pretty", action="store_true",
                      help="indented JSON (implies --json)")
     ver.add_argument("-o", "--output", default=None)
-    _add_common(ver, drift=False)
+    _add_common(ver)
 
     orc = sub.add_parser("oracle", help="nullspace axis detection only")
     _add_profile_arg(orc)
@@ -138,14 +134,14 @@ def _build_parser() -> argparse.ArgumentParser:
     swp = sub.add_parser("sweep", help="classify a parameter grid to CSV")
     swp.add_argument("spec", help="sweep specification JSON file")
     swp.add_argument("-o", "--output", required=True, help="output CSV")
-    _add_common(swp, drift=False)
+    _add_common(swp)
     return ap
 
 
 def cmd_synth(args) -> int:
     path = _profile_path(args)
     profile = load_profile(path)
-    trace = integrate_frame(profile, h=args.h, drift_mode=args.drift)
+    trace = integrate_frame(profile, h=args.h)
     out = args.output
     if out is None:
         stem, _ = os.path.splitext(path)
@@ -177,8 +173,7 @@ def _gnuplot_script(csv_name: str) -> str:
 
 def cmd_classify(args) -> int:
     profile = load_profile(_profile_path(args))
-    report = classify_profile(profile, h=args.h, drift_mode=args.drift,
-                              tol=_tolerances(args))
+    report = classify_profile(profile, h=args.h, tol=_tolerances(args))
     if args.pretty and not args.as_json:
         _emit(_render_report(report), args.output)
     else:
@@ -243,7 +238,7 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     profile = load_profile(_profile_path(args))
-    trace = integrate_frame(profile, h=args.h, drift_mode=args.drift)
+    trace = integrate_frame(profile, h=args.h)
     ks = [args.k] if args.k is not None else [0, 1, 2, 3]
     tol = _tolerances(args)
     results = {k: oracle_detect(trace, k, tol) for k in ks}

@@ -8,12 +8,10 @@ the Frenet matrices on the half-step lattice. Only the sweep of 4x4
 products stays a Python loop; the increment form F + D_i F (not P_i F with
 P_i = I + D_i) keeps the roundoff of the classical per-stage scheme.
 
-In "monitor" mode Gram drift is only recorded; in "project" mode a single
-Newton step pulls the frame back onto the Gram constraint set after each
-step of the sweep. Drift and positions are computed for the whole grid
-once the sweep is done, and the run then aborts, naming the first step
-whose residual passed 1000 * eps_gram, since results are meaningless past
-that.
+Gram drift is not corrected. It and the positions are computed for the
+whole grid once the sweep is done, and the run then aborts, naming the
+first step whose residual passed 1000 * eps_gram, since results are
+meaningless past that.
 """
 
 from __future__ import annotations
@@ -21,16 +19,16 @@ from __future__ import annotations
 import logging
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .calculus import grid_derivative
 from .errors import ConfigError, FrameError, IntegrationError
-from .frames import (Frame, FrameKind, PAIR_INDICES, canonical_frame,
-                     frenet_matrix, gram_matrix, gram_residual, gram_targets)
-from .minkowski import SIGNS, Vec4, pairing
+from .frames import (Frame, FrameKind, canonical_frame, frenet_matrix,
+                     gram_matrix, gram_residual, gram_targets)
+from .minkowski import Vec4, pairing
 from .profiles import CurvatureProfile
 
 log = logging.getLogger("lcl.integrator")
@@ -38,8 +36,6 @@ log = logging.getLogger("lcl.integrator")
 DEFAULT_EPS_GRAM = 1e-6
 DEFAULT_STEP_FRACTION = 1e-3
 ABORT_FACTOR = 1e3
-
-DRIFT_MODES = ("monitor", "project")
 
 
 @dataclass
@@ -53,7 +49,6 @@ class CurveTrace:
     gram_res: np.ndarray          # (n,) max abs Gram deviation per point
     h: float
     profile: Optional[CurvatureProfile] = None
-    projection_warnings: int = 0
 
     @property
     def n(self) -> int:
@@ -63,62 +58,15 @@ class CurveTrace:
     def max_gram_residual(self) -> float:
         return float(np.max(self.gram_res))
 
-    def frame(self, i: int) -> Frame:
-        return Frame.from_matrix(self.frames[i])
-
-    def position(self, i: int) -> Vec4:
-        return Vec4.from_array(self.positions[i])
-
     def frame_component(self, row: int) -> np.ndarray:
         """All samples of one frame vector; row 0..3 is T, N, B1, B2."""
         return self.frames[:, row, :]
-
-
-def _project_matrix(f: np.ndarray, kind: FrameKind) -> tuple[np.ndarray, bool]:
-    """One Newton step onto the ten Gram constraints.
-
-    Works on the flattened 16 coordinates; the least-squares solve picks
-    the minimal-Euclidean-norm correction. Returns (frame, singular_flag);
-    a rank-deficient constraint Jacobian, or a frame that has overflowed,
-    leaves the frame untouched.
-    """
-    target = gram_targets(kind)
-    gram = gram_matrix(f)
-    resid = np.array([gram[i, j] - target[i, j] for i, j in PAIR_INDICES])
-    jac = np.zeros((10, 16))
-    mf = f * SIGNS  # row i is M V_i
-    for row, (i, j) in enumerate(PAIR_INDICES):
-        jac[row, 4 * i:4 * i + 4] += mf[j]
-        jac[row, 4 * j:4 * j + 4] += mf[i]
-    try:
-        delta, _, rank, _ = np.linalg.lstsq(jac, -resid, rcond=None)
-    except np.linalg.LinAlgError:  # a non-finite frame; the sweep aborts
-        return f, True
-    if rank < 10:
-        return f, True
-    return f + delta.reshape(4, 4), False
-
-
-def project_frame(frame: Frame, kind: FrameKind) -> tuple[Frame, bool]:
-    """Public single-frame projection; see _project_matrix.
-
-    Requires every Gram residual entry below 0.1; Newton far from the
-    constraint set does more harm than good.
-    """
-    res = gram_residual(frame, kind)
-    if res.max_entry() >= 0.1:
-        raise FrameError(
-            f"frame too far from Gram constraints to project "
-            f"(max residual {res.max_entry():.3g})")
-    f, singular = _project_matrix(frame.to_matrix(), kind)
-    return Frame.from_matrix(f), singular
 
 
 def integrate_frame(profile: CurvatureProfile,
                     initial: Optional[Frame] = None,
                     alpha0: Optional[Vec4] = None,
                     h: Optional[float] = None,
-                    drift_mode: str = "monitor",
                     validate: bool = True,
                     eps_gram: float = DEFAULT_EPS_GRAM) -> CurveTrace:
     """Integrate the frame equations over the profile domain.
@@ -128,9 +76,6 @@ def integrate_frame(profile: CurvatureProfile,
     1000 * eps_gram, ConfigError for a bad step, FrameError for a bad
     initial frame.
     """
-    if drift_mode not in DRIFT_MODES:
-        raise ConfigError(f"drift_mode must be one of {DRIFT_MODES}, "
-                          f"got {drift_mode!r}")
     if validate:
         profile.validate()
     elif profile.kind is FrameKind.PSEUDO_NULL:
@@ -173,17 +118,12 @@ def integrate_frame(profile: CurvatureProfile,
 
     d, q = _rk4_increments(mats, h)
     del mats  # lowers peak memory; only d and q are read from here on
-    project = drift_mode == "project"
-    warn_count = 0
     f = frames[0]
     # a blown-up run sweeps on past its first bad step; the abort below
     # reports it, so overflow warnings from the later steps are noise
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(steps):
             f = f + d[i] @ f
-            if project:
-                f, singular = _project_matrix(f, profile.kind)
-                warn_count += singular
             frames[i + 1] = f
 
         # positions: alpha_{i+1} = alpha_i + q_i F_i, summed in step order
@@ -203,14 +143,11 @@ def integrate_frame(profile: CurvatureProfile,
             f"Gram drift {gram_res[i]:.3g} exceeded {abort_at:.3g} at step "
             f"{i} (s = {s[i]:.6g}); reduce h or check the profile")
 
-    if warn_count:
-        log.warning("projection Jacobian was singular at %d steps", warn_count)
     log.debug("integrated %s profile over [%g, %g], %d steps, max drift %.3g",
               profile.kind.value, profile.s_min, profile.s_max, steps,
               float(np.max(gram_res)))
     return CurveTrace(kind=profile.kind, s=s, positions=positions,
-                      frames=frames, gram_res=gram_res, h=h, profile=profile,
-                      projection_warnings=warn_count)
+                      frames=frames, gram_res=gram_res, h=h, profile=profile)
 
 
 def _rk4_increments(mats: np.ndarray, h: float

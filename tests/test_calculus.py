@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from lcl import (antiderivative, cumulative_integral, grid_derivative,
-                 make_cumulative, pointwise_derivative)
+                 make_cumulative, pointwise_derivative, run_theorem_suite)
+from lcl.calculus import _stencil_weights
 from lcl.errors import QuadratureError
 
 
@@ -116,6 +117,21 @@ def test_grid_derivative_rejects_bad_order():
     for order in (0, 4):
         with pytest.raises(ValueError, match="order must be 1, 2, or 3"):
             grid_derivative(np.zeros(8), 0.1, order=order)
+
+
+def test_each_stencil_is_solved_once_over_the_suite():
+    _stencil_weights.cache_clear()
+    run_theorem_suite()
+    # three orders times the five shifts -2..2 bound the distinct stencils
+    assert _stencil_weights.cache_info().misses <= 15
+    powers = np.arange(5)[:, None]
+    for order in (1, 2, 3):
+        for shift in range(-2, 3):
+            offsets = np.arange(-2.0, 3.0) + shift
+            rhs = np.zeros(5)
+            rhs[order] = np.prod(np.arange(1.0, order + 1))
+            fresh = np.linalg.solve(offsets[None, :] ** powers, rhs)
+            assert np.array_equal(_stencil_weights(order, shift), fresh)
 
 
 def test_quadrature_error_on_non_finite_integrand():

@@ -128,6 +128,15 @@ def test_zero_step_is_a_validation_error(circle_file, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("cmd", ["synth", "classify", "oracle"])
+def test_drift_option_is_rejected(cmd, circle_file, capsys):
+    # RK4 with the Gram-drift abort is the only integration mode
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, circle_file, "--drift", "monitor"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --drift" in capsys.readouterr().err
+
+
 def test_oracle_all_rows(circle_file, capsys):
     rc = main(["oracle", circle_file, "--json"])
     assert rc == 0

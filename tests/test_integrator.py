@@ -1,4 +1,4 @@
-"""Frame integration: accuracy, drift control, resampling, CSV output."""
+"""Frame integration: accuracy, the Gram-drift abort, resampling, CSV output."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from lcl import (CurvatureProfile, FrameKind, canonical_frame, frenet_matrix,
                  gram_matrix, gram_targets, integrate_frame, pairing,
                  resample_curvatures, write_trace_csv)
 from lcl.errors import ConfigError, FrameError, IntegrationError
-from lcl.integrator import CSV_HEADER, _project_matrix, project_frame
+from lcl.integrator import CSV_HEADER
 
 PN = FrameKind.PARTIALLY_NULL
 
@@ -106,45 +106,20 @@ def test_integration_aborts_when_drift_passes_the_hard_limit():
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
-@pytest.mark.parametrize("drift_mode", ["monitor", "project"])
-def test_overflowing_frames_abort_at_the_first_step(drift_mode):
+def test_overflowing_frames_abort_at_the_first_step():
     p = CurvatureProfile.create("partially_null", kappa="1e60", tau="1",
                                 domain=(0.0, 1.0))
     with pytest.raises(IntegrationError, match=r"at step 1 \(s = 0\.1\)"):
-        integrate_frame(p, h=0.1, drift_mode=drift_mode)
+        integrate_frame(p, h=0.1)
 
 
-def test_project_mode_reduces_long_run_drift():
-    p = CurvatureProfile.create("partially_null", kappa="1", tau="1",
-                                domain=(0.0, 12.0))
-    monitor = integrate_frame(p, h=1e-3, drift_mode="monitor")
-    project = integrate_frame(p, h=1e-3, drift_mode="project")
-    assert project.max_gram_residual < monitor.max_gram_residual
-
-
-def test_unknown_drift_mode_is_a_config_error():
-    p = CurvatureProfile.create("partially_null", kappa="1", tau="1",
-                                domain=(0.0, 1.0))
-    with pytest.raises(ConfigError):
-        integrate_frame(p, drift_mode="abort")
-
-
-def test_project_frame_restores_the_targets():
-    f = canonical_frame(PN)
-    noisy = f.to_matrix() + 1e-8 * np.arange(16.0).reshape(4, 4)
-    from lcl.frames import Frame
-    fixed, singular = project_frame(Frame.from_matrix(noisy), PN)
-    assert not singular
-    # one Newton step contracts the 4e-7 residual quadratically
-    res = np.max(np.abs(gram_matrix(fixed.to_matrix()) - gram_targets(PN)))
-    assert res < 1e-12
-
-
-def test_project_frame_refuses_distant_frames():
-    from lcl.frames import Frame
-    far = canonical_frame(PN).to_matrix() + 0.5
-    with pytest.raises(FrameError):
-        project_frame(Frame.from_matrix(far), PN)
+def test_unvalidated_pseudo_null_run_warns_about_kappa():
+    p = CurvatureProfile.create("pseudo_null", kappa="1.5", tau="2",
+                                sigma="s", domain=(0.0, 1.0))
+    with pytest.warns(UserWarning, match="kappa != 1"):
+        tr = integrate_frame(p, h=0.01, validate=False)
+    assert tr.n == 101
+    assert np.all(np.isfinite(tr.frames))
 
 
 def test_position_derivative_matches_tangent(circle_trace):
@@ -199,7 +174,7 @@ def test_pseudo_null_integration_respects_its_targets(quad_psn_trace):
     assert np.allclose(f0, canonical_frame(FrameKind.PSEUDO_NULL).to_matrix())
 
 
-def _per_step_rk4(p, h, drift_mode):
+def _per_step_rk4(p, h):
     """Classical RK4, one stage at a time, as a reference for the sweep."""
     steps = int(np.floor(p.span / h + 1e-9))
     s_half = p.s_min + (h / 2.0) * np.arange(2 * steps + 1)
@@ -218,8 +193,6 @@ def _per_step_rk4(p, h, drift_mode):
         k4 = a1 @ g3
         alpha = alpha + (h / 6.0) * (f[0] + 2.0 * g1[0] + 2.0 * g2[0] + g3[0])
         f = f + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if drift_mode == "project":
-            f, _ = _project_matrix(f, p.kind)
         frames.append(f)
         positions.append(alpha)
     frames = np.array(frames)
@@ -227,15 +200,14 @@ def _per_step_rk4(p, h, drift_mode):
     return frames, np.array(positions), gram_res.reshape(-1, 16).max(axis=1)
 
 
-@pytest.mark.parametrize("drift_mode", ["monitor", "project"])
 @pytest.mark.parametrize("family,curvatures", [
     ("partially_null", {"kappa": "2 + sin(s)", "tau": "1 + s^2/4"}),
     ("pseudo_null", {"tau": "2", "sigma": "-s^2 + s"}),
 ])
-def test_batched_sweep_matches_per_step_rk4(family, curvatures, drift_mode):
+def test_batched_sweep_matches_per_step_rk4(family, curvatures):
     p = CurvatureProfile.create(family, domain=(0.0, 1.0), **curvatures)
-    tr = integrate_frame(p, h=2e-3, drift_mode=drift_mode)
-    frames, positions, gram_res = _per_step_rk4(p, 2e-3, drift_mode)
+    tr = integrate_frame(p, h=2e-3)
+    frames, positions, gram_res = _per_step_rk4(p, 2e-3)
     f_scale = np.max(np.abs(frames))
     assert np.max(np.abs(tr.frames - frames)) <= 1e-12 * f_scale
     assert (np.max(np.abs(tr.positions - positions))
