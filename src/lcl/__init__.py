@@ -24,8 +24,8 @@ from .errors import (ConfigError, DegenerateAxisError, EvaluationError,
                      ProfileError, QuadratureError)
 from .expr import parse_expression
 from .fits import CheckResult, FittedConstant, Tolerances, Verdict
-from .frames import (Frame, FrameKind, canonical_frame, frenet_matrix,
-                     frenet_rhs, gram_matrix, gram_residual, gram_targets)
+from .frames import (FrameKind, canonical_frame, frenet_matrix, gram_matrix,
+                     gram_residual, gram_targets)
 from .hyperbolic import (SphereFit, TauForm, closed_form_center,
                          fit_pseudohyperbolic, h3_membership, h3_ratio_check,
                          h3_type1_nonexistence, h3_type2_tau_form,
@@ -46,7 +46,7 @@ __all__ = [
     "AxisCandidate", "AxisValidation", "CausalCharacter", "CheckResult",
     "ClassificationReport", "ConfigError", "CurvatureProfile", "CurveTrace",
     "DEFAULT_SEED", "DegenerateAxisError", "EvaluationError",
-    "ExpressionError", "Fixture", "FittedConstant", "Frame", "FrameError",
+    "ExpressionError", "Fixture", "FittedConstant", "FrameError",
     "FrameKind", "GridMismatchError", "IntegrationError", "LclError",
     "OracleResult", "OutOfDomainError", "ProfileError", "QuadratureError",
     "SampleTable", "SphereFit", "SuiteSummary", "FixtureResult", "TauForm",
@@ -55,7 +55,7 @@ __all__ = [
     "canonical_frame", "causal_character", "classify_profile",
     "closed_form_center", "cumulative_integral", "default_suite",
     "fit_pseudohyperbolic", "fixtures_from_json",
-    "frenet_matrix", "frenet_rhs", "gram_matrix", "gram_residual",
+    "frenet_matrix", "gram_matrix", "gram_residual",
     "gram_targets", "grid_derivative", "h3_membership", "h3_ratio_check",
     "h3_type1_nonexistence", "h3_type2_tau_form", "h3_type3_residual",
     "implication_closure", "integrate_frame", "load_profile", "load_suite",

@@ -111,12 +111,11 @@ def _stencil_weights(order: int, shift: int) -> np.ndarray:
 
 
 def pointwise_derivative(f: Callable, s: np.ndarray, order: int = 1,
-                         step: float | None = None,
                          domain: tuple[float, float] | None = None
                          ) -> np.ndarray:
     """Vectorized stencil derivative of a callable at many points.
 
-    Default step is 1e-4 * (1 + |s|). With `domain` given, the 5-point
+    The step is 1e-4 * (1 + |s|). With `domain` given, the 5-point
     stencil shifts to stay inside [domain[0], domain[1]], and a domain
     narrower than four steps shrinks the step to a quarter of its width.
     Points sharing the same stencil shift are evaluated in one batch, so f
@@ -125,8 +124,7 @@ def pointwise_derivative(f: Callable, s: np.ndarray, order: int = 1,
     if order not in (1, 2, 3):
         raise ValueError(f"order must be 1, 2, or 3, got {order}")
     s = np.asarray(s, dtype=float)
-    h = step if step is not None else DEFAULT_FD_SCALE * (1.0 + np.abs(s))
-    h = np.broadcast_to(np.asarray(h, dtype=float), s.shape).copy()
+    h = np.array(DEFAULT_FD_SCALE * (1.0 + np.abs(s)))
     shifts = np.zeros(s.shape)
     if domain is not None:
         lo, hi = domain

@@ -126,8 +126,8 @@ def pn_type0_check(p: CurvatureProfile,
                        constants={"ratio": FittedConstant(mean, residual)})
 
 
-def pn_type0_axes(p: CurvatureProfile, trace: CurveTrace,
-                  tol: Tolerances = Tolerances()) -> list[AxisCandidate]:
+def pn_type0_axes(p: CurvatureProfile,
+                  trace: CurveTrace) -> list[AxisCandidate]:
     """Axes for a constant-ratio curve.
 
     Primary candidate (tau/kappa) T + B1 + B2; the B1-free variant
@@ -175,7 +175,7 @@ def pn_type1_check(p: CurvatureProfile,
 
 
 def pn_type1_axis(p: CurvatureProfile, trace: CurveTrace, c_lin: float,
-                  c0: float, tol: Tolerances = Tolerances()) -> AxisCandidate:
+                  c0: float) -> AxisCandidate:
     """Axis (c0 + K) T + N - (Int tau) B1 + (1/C) B2 for the affine family.
 
     The B2 coefficient carries the 1/C factor: with g(N, U) normalized to
@@ -194,8 +194,8 @@ def pn_type1_axis(p: CurvatureProfile, trace: CurveTrace, c_lin: float,
 
 
 def pn_type2_axis(p: CurvatureProfile, trace: CurveTrace,
-                  c: tuple[float, float, float] = (1.0, 0.0, 0.0),
-                  tol: Tolerances = Tolerances()) -> AxisCandidate:
+                  c: tuple[float, float, float] = (1.0, 0.0, 0.0)
+                  ) -> AxisCandidate:
     """Universal 2-type axis for partially null curves.
 
     With theta the anchored integral of kappa, the N coefficient solves
@@ -282,7 +282,6 @@ def psn_type1_check(p: CurvatureProfile,
 
 
 def psn_type1_axis(p: CurvatureProfile, trace: CurveTrace,
-                   tol: Tolerances = Tolerances(),
                    k: int = 1) -> AxisCandidate:
     """Axis -(sigma/tau)' T + (sigma/tau) N + B2 for the quadratic family.
 
@@ -353,8 +352,8 @@ def psn_type2_check(p: CurvatureProfile, tol: Tolerances = Tolerances(),
                        flags=flags, extras={"branch": branch})
 
 
-def psn_type2_axis(p: CurvatureProfile, trace: CurveTrace, c_int: float,
-                   tol: Tolerances = Tolerances()) -> AxisCandidate:
+def psn_type2_axis(p: CurvatureProfile, trace: CurveTrace,
+                   c_int: float) -> AxisCandidate:
     """Axis for the torsion-integral branch, unit B1 pairing.
 
     U = -[sigma + ((sigma/tau) I)'] T + (sigma/tau) I N + B1 + I B2 with
@@ -489,17 +488,13 @@ class ClassificationReport:
 
 def classify_profile(p: CurvatureProfile,
                      h: Optional[float] = None,
-                     tol: Tolerances = Tolerances(),
-                     trace: Optional[CurveTrace] = None) -> ClassificationReport:
+                     tol: Tolerances = Tolerances()) -> ClassificationReport:
     """Full classification: checks, axes, oracle, closure, and flags.
 
     A family step returns the condition result for each k, its validated
     axes and their flags; everything after that is shared.
     """
-    if trace is None:
-        trace = integrate_frame(p, h=h, eps_gram=tol.eps_gram)
-    else:
-        p.validate()
+    trace = integrate_frame(p, h=h, eps_gram=tol.eps_gram)
     oracle = {k: oracle_detect(trace, k, tol) for k in range(4)}
     if p.kind is FrameKind.PARTIALLY_NULL:
         checks, axes, flags = _partially_null_checks(p, trace, tol)
@@ -597,7 +592,7 @@ def _partially_null_checks(p, trace, tol) -> tuple[dict, list, list]:
     flags = []
     # 2-type axis exists for every admissible profile; verdict is its
     # validation, and a failure there is an internal inconsistency.
-    axis2 = pn_type2_axis(p, trace, (1.0, 0.0, 0.0), tol)
+    axis2 = pn_type2_axis(p, trace, (1.0, 0.0, 0.0))
     val2 = validate_axis(trace, axis2, tol.eps_axis)
     if not val2.passed:
         flags.append("internal-inconsistency: universal 2-type axis failed "
@@ -610,7 +605,7 @@ def _partially_null_checks(p, trace, tol) -> tuple[dict, list, list]:
 
     degenerate1 = r1.verdict is Verdict.YES and r1.extras.get("degenerate")
     if r0.verdict is Verdict.YES or degenerate1:
-        ratio_axes = pn_type0_axes(p, trace, tol)
+        ratio_axes = pn_type0_axes(p, trace)
     if r0.verdict is Verdict.YES:
         axes.extend(_validated(trace, ratio_axes, tol, flags, "constant-ratio"))
         axes.extend(_validated(trace, [replace(ratio_axes[0], k=3)],
@@ -621,7 +616,7 @@ def _partially_null_checks(p, trace, tol) -> tuple[dict, list, list]:
                                    tol, flags, "degenerate affine"))
         else:
             axis1 = pn_type1_axis(p, trace, r1.constants["C"].value,
-                                  r1.constants["c0"].value, tol)
+                                  r1.constants["c0"].value)
             axes.extend(_validated(trace, [axis1], tol, flags, "affine"))
     return checks, axes, flags
 
@@ -641,12 +636,12 @@ def _pseudo_null_checks(p, trace, tol, oracle) -> tuple[dict, list, list]:
               3: replace(r3, residual=r3.extras.get("closed_form_residual"))}
 
     if r1.verdict is Verdict.YES:
-        axis1 = psn_type1_axis(p, trace, tol)
+        axis1 = psn_type1_axis(p, trace)
         axes.extend(_validated(trace, [axis1], tol, flags, "quadratic-ratio"))
     if r2.verdict is Verdict.YES:
         if r2.extras.get("branch") == "torsion-integral":
-            axis2 = psn_type2_axis(p, trace, r2.constants["c_int"].value, tol)
+            axis2 = psn_type2_axis(p, trace, r2.constants["c_int"].value)
         else:
-            axis2 = psn_type1_axis(p, trace, tol, k=2)
+            axis2 = psn_type1_axis(p, trace, k=2)
         axes.extend(_validated(trace, [axis2], tol, flags, "2-type"))
     return checks, axes, flags

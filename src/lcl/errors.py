@@ -58,7 +58,7 @@ class IntegrationError(LclError):
 
 
 class FrameError(LclError):
-    """Frame fails a precondition (Gram residual too large to start)."""
+    """Initial frame rejected: not a finite 4 x 4 array, or off its Gram targets."""
 
 
 class GridMismatchError(LclError):

@@ -26,8 +26,7 @@ import numpy as np
 
 from .calculus import grid_derivative
 from .errors import ConfigError, FrameError, IntegrationError
-from .frames import (Frame, FrameKind, canonical_frame, frenet_matrix,
-                     gram_matrix, gram_residual, gram_targets)
+from .frames import FrameKind, canonical_frame, frenet_matrix, gram_residual
 from .minkowski import Vec4, pairing
 from .profiles import CurvatureProfile
 
@@ -58,13 +57,9 @@ class CurveTrace:
     def max_gram_residual(self) -> float:
         return float(np.max(self.gram_res))
 
-    def frame_component(self, row: int) -> np.ndarray:
-        """All samples of one frame vector; row 0..3 is T, N, B1, B2."""
-        return self.frames[:, row, :]
-
 
 def integrate_frame(profile: CurvatureProfile,
-                    initial: Optional[Frame] = None,
+                    initial: Optional[np.ndarray] = None,
                     alpha0: Optional[Vec4] = None,
                     h: Optional[float] = None,
                     validate: bool = True,
@@ -72,9 +67,12 @@ def integrate_frame(profile: CurvatureProfile,
     """Integrate the frame equations over the profile domain.
 
     Grid: s_i = s_min + i*h for i = 0..floor(span/h). Default h is
-    1e-3 * span. Raises IntegrationError if Gram drift passes
-    1000 * eps_gram, ConfigError for a bad step, FrameError for a bad
-    initial frame.
+    1e-3 * span. `initial` is a 4 x 4 frame, rows T, N, B1, B2 (default
+    canonical_frame); `alpha0` is the starting position (default the
+    origin). Raises IntegrationError if Gram drift passes
+    1000 * eps_gram, ConfigError for a bad step, FrameError for an
+    initial frame of the wrong shape, with a non-finite entry, or off
+    its Gram targets by more than eps_gram.
     """
     if validate:
         profile.validate()
@@ -95,11 +93,18 @@ def integrate_frame(profile: CurvatureProfile,
         raise ConfigError(f"step h = {h} too large for domain span {span}")
 
     frame0 = canonical_frame(profile.kind) if initial is None else initial
+    try:
+        frame0 = np.asarray(frame0, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise FrameError(f"initial frame is not a numeric array: {exc}") from exc
+    if frame0.shape != (4, 4):
+        raise FrameError(f"initial frame must be 4 x 4, got shape {frame0.shape}")
+    if not np.all(np.isfinite(frame0)):
+        raise FrameError("initial frame has a non-finite entry")
     res0 = gram_residual(frame0, profile.kind)
-    if res0.max_entry() > eps_gram:
-        raise FrameError(
-            f"initial frame Gram residual {res0.max_entry():.3g} exceeds "
-            f"eps_gram = {eps_gram:.3g}")
+    if res0 > eps_gram:
+        raise FrameError(f"initial frame Gram residual {res0:.3g} exceeds "
+                         f"eps_gram = {eps_gram:.3g}")
     pos0 = Vec4(0.0, 0.0, 0.0, 0.0) if alpha0 is None else alpha0
 
     steps = int(math.floor(span / h + 1e-9))
@@ -114,7 +119,7 @@ def integrate_frame(profile: CurvatureProfile,
     positions = np.empty((n, 4))
     frames = np.empty((n, 4, 4))
     positions[0] = pos0.to_array()
-    frames[0] = frame0.to_matrix()
+    frames[0] = frame0
 
     d, q = _rk4_increments(mats, h)
     del mats  # lowers peak memory; only d and q are read from here on
@@ -130,10 +135,7 @@ def integrate_frame(profile: CurvatureProfile,
         np.matmul(q[:, None, :], frames[:-1], out=positions[1:, None, :])
         np.cumsum(positions, axis=0, out=positions)
 
-        dev = gram_matrix(frames)
-        dev -= gram_targets(profile.kind)
-        np.abs(dev, out=dev)
-        gram_res = dev.reshape(n, 16).max(axis=1)
+        gram_res = gram_residual(frames, profile.kind)
 
     abort_at = ABORT_FACTOR * eps_gram
     past = np.flatnonzero(~(gram_res <= abort_at))
@@ -200,9 +202,7 @@ def resample_curvatures(trace: CurveTrace
         raise ValueError("trace too short to resample curvatures")
     d = grid_derivative(trace.frames, trace.h, order=1)
     t_p, n_p, b1_p = d[:, 0, :], d[:, 1, :], d[:, 2, :]
-    nvec = trace.frame_component(1)
-    b1 = trace.frame_component(2)
-    b2 = trace.frame_component(3)
+    nvec, b1, b2 = trace.frames[:, 1], trace.frames[:, 2], trace.frames[:, 3]
     if trace.kind is FrameKind.PARTIALLY_NULL:
         return pairing(t_p, nvec), pairing(n_p, b2), pairing(b1_p, b2)
     return pairing(t_p, b2), pairing(n_p, b1), pairing(b1_p, b2)

@@ -8,8 +8,8 @@ is what keeps long integrations on the constraint manifold.
 import numpy as np
 import pytest
 
-from lcl import (FrameKind, canonical_frame, frenet_matrix, frenet_rhs,
-                 gram_matrix, gram_residual, gram_targets)
+from lcl import (FrameKind, canonical_frame, frenet_matrix, gram_matrix,
+                 gram_residual, gram_targets)
 
 PN = FrameKind.PARTIALLY_NULL
 PSN = FrameKind.PSEUDO_NULL
@@ -35,11 +35,11 @@ def test_gram_targets_pseudo_null():
 def test_canonical_frame_meets_targets_exactly(kind):
     f = canonical_frame(kind)
     res = gram_residual(f, kind)
-    assert res.max_entry() < 1e-15
+    assert res < 1e-15
 
 
 def test_canonical_partially_null_rows():
-    f = canonical_frame(PN).to_matrix()
+    f = canonical_frame(PN)
     r = 1.0 / np.sqrt(2.0)
     assert np.allclose(f[0], [0, 1, 0, 0])
     assert np.allclose(f[1], [0, 0, 1, 0])
@@ -48,7 +48,7 @@ def test_canonical_partially_null_rows():
 
 
 def test_canonical_pseudo_null_rows():
-    f = canonical_frame(PSN).to_matrix()
+    f = canonical_frame(PSN)
     assert np.allclose(f[0], [0, 0, 1, 0])
     assert np.allclose(f[1], [1, 1, 0, 0])
     assert np.allclose(f[2], [0, 0, 0, 1])
@@ -57,7 +57,7 @@ def test_canonical_pseudo_null_rows():
 
 def test_gram_matrix_of_canonical_frames():
     for kind in (PN, PSN):
-        m = canonical_frame(kind).to_matrix()
+        m = canonical_frame(kind)
         assert np.allclose(gram_matrix(m), gram_targets(kind), atol=1e-15)
 
 
@@ -111,20 +111,12 @@ def test_structure_equations_preserve_every_pairing(kind):
         assert np.max(np.abs(drift)) < 1e-12
 
 
-def test_frenet_rhs_matches_matrix_action():
-    f = canonical_frame(PN)
-    k, t, sg = 2.0, 5.0, 0.0
-    out = frenet_rhs(f, k, t, sg, PN).to_matrix()
-    assert np.allclose(out, frenet_matrix(k, t, sg, PN) @ f.to_matrix(),
-                       atol=1e-15)
-
-
 def test_partially_null_rhs_component_form():
     # T' = k N, N' = -k T + t B1, B1' = s B1, B2' = -t N - s B2
     f = canonical_frame(PN)
-    T, N, B1, B2 = f.to_matrix()
+    T, N, B1, B2 = f
     k, t, sg = 1.5, -2.0, 0.7
-    out = frenet_rhs(f, k, t, sg, PN).to_matrix()
+    out = frenet_matrix(k, t, sg, PN) @ f
     assert np.allclose(out[0], k * N)
     assert np.allclose(out[1], -k * T + t * B1)
     assert np.allclose(out[2], sg * B1)
@@ -134,9 +126,9 @@ def test_partially_null_rhs_component_form():
 def test_pseudo_null_rhs_component_form():
     # T' = k N, N' = t B1, B1' = s N - t B2, B2' = -k T - s B1
     f = canonical_frame(PSN)
-    T, N, B1, B2 = f.to_matrix()
+    T, N, B1, B2 = f
     k, t, sg = 1.0, 0.9, -1.2
-    out = frenet_rhs(f, k, t, sg, PSN).to_matrix()
+    out = frenet_matrix(k, t, sg, PSN) @ f
     assert np.allclose(out[0], k * N)
     assert np.allclose(out[1], t * B1)
     assert np.allclose(out[2], sg * N - t * B2)

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from lcl import (CurvatureProfile, FrameKind, canonical_frame, frenet_matrix,
-                 gram_matrix, gram_targets, integrate_frame, pairing,
-                 resample_curvatures, write_trace_csv)
+from lcl import (CurvatureProfile, FrameKind, Vec4, canonical_frame,
+                 frenet_matrix, gram_matrix, gram_targets, integrate_frame,
+                 pairing, resample_curvatures, write_trace_csv)
 from lcl.errors import ConfigError, FrameError, IntegrationError
 from lcl.integrator import CSV_HEADER
 
@@ -32,7 +32,7 @@ def test_gram_residual_stays_tiny_over_a_full_period(circle_trace):
 
 def test_initial_frame_is_canonical(circle_trace):
     assert np.allclose(circle_trace.frames[0],
-                       canonical_frame(PN).to_matrix(), atol=1e-15)
+                       canonical_frame(PN), atol=1e-15)
     assert np.allclose(circle_trace.positions[0], 0.0)
 
 
@@ -96,6 +96,64 @@ def test_initial_frame_must_satisfy_the_gram_targets():
                                 domain=(0.0, 2.0))
     with pytest.raises(FrameError):
         integrate_frame(p, eps_gram=1e-18)  # canonical frame cannot pass
+
+
+FAMILIES = [
+    ("partially_null", {"kappa": "2 + sin(s)", "tau": "1 + s^2/4"}),
+    ("pseudo_null", {"tau": "2", "sigma": "-s^2 + s"}),
+]
+
+
+def _boost_x1x2(rapidity):
+    """Lorentz boost mixing x1 (timelike) and x2."""
+    lam = np.eye(4)
+    c, s = np.cosh(rapidity), np.sinh(rapidity)
+    lam[:2, :2] = [[c, s], [s, c]]
+    return lam
+
+
+@pytest.mark.parametrize("family,curvatures", FAMILIES)
+def test_boosted_initial_frame_boosts_the_whole_run(family, curvatures):
+    # F' = A F and alpha' = T are linear and act on rows, so starting from
+    # F0 L^T gives F(s) L^T and alpha(s) L^T, up to roundoff
+    p = CurvatureProfile.create(family, domain=(0.0, 1.0), **curvatures)
+    lam = _boost_x1x2(1.0)
+    eta = np.diag([-1.0, 1.0, 1.0, 1.0])
+    assert np.allclose(lam.T @ eta @ lam, eta, rtol=0.0, atol=1e-14)
+    base = integrate_frame(p, h=2e-3)
+    boosted = integrate_frame(p, h=2e-3,
+                              initial=canonical_frame(p.kind) @ lam.T)
+    frames, positions = base.frames @ lam.T, base.positions @ lam.T
+    # measured about 2e-15 on both families
+    assert (np.max(np.abs(boosted.frames - frames))
+            <= 1e-13 * np.max(np.abs(frames)))
+    assert (np.max(np.abs(boosted.positions - positions))
+            <= 1e-13 * np.max(np.abs(positions)))
+
+
+@pytest.mark.parametrize("family,curvatures", FAMILIES)
+def test_alpha0_shifts_the_positions(family, curvatures):
+    p = CurvatureProfile.create(family, domain=(0.0, 1.0), **curvatures)
+    alpha0 = Vec4(1.5, -2.0, 0.25, 3.0)
+    base = integrate_frame(p, h=2e-3)
+    shifted = integrate_frame(p, h=2e-3, alpha0=alpha0)
+    assert np.array_equal(shifted.frames, base.frames)
+    assert np.array_equal(shifted.positions[0], alpha0.to_array())
+    assert np.allclose(shifted.positions, base.positions + alpha0.to_array(),
+                       rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("initial,match", [
+    (np.eye(3), r"must be 4 x 4, got shape \(3, 3\)"),
+    ([[1.0, 0.0], [0.0]], "not a numeric array"),
+    (np.full((4, 4), np.nan), "non-finite"),
+    (2.0 * canonical_frame(PN), "Gram residual 3 exceeds"),
+], ids=["wrong-shape", "ragged", "nan", "off-gram"])
+def test_bad_initial_frames_are_rejected(initial, match):
+    p = CurvatureProfile.create("partially_null", kappa="1", tau="1",
+                                domain=(0.0, 2.0))
+    with pytest.raises(FrameError, match=match):
+        integrate_frame(p, initial=initial)
 
 
 def test_integration_aborts_when_drift_passes_the_hard_limit():
@@ -171,7 +229,7 @@ def test_csv_floats_round_trip_exactly(circle_trace, tmp_path):
 def test_pseudo_null_integration_respects_its_targets(quad_psn_trace):
     assert quad_psn_trace.max_gram_residual < 1e-12
     f0 = quad_psn_trace.frames[0]
-    assert np.allclose(f0, canonical_frame(FrameKind.PSEUDO_NULL).to_matrix())
+    assert np.allclose(f0, canonical_frame(FrameKind.PSEUDO_NULL))
 
 
 def _per_step_rk4(p, h):
@@ -179,7 +237,7 @@ def _per_step_rk4(p, h):
     steps = int(np.floor(p.span / h + 1e-9))
     s_half = p.s_min + (h / 2.0) * np.arange(2 * steps + 1)
     mats = frenet_matrix(*p.evaluate_arrays(s_half), p.kind)
-    f = canonical_frame(p.kind).to_matrix()
+    f = canonical_frame(p.kind)
     alpha = np.zeros(4)
     frames, positions = [f], [alpha]
     for i in range(steps):
