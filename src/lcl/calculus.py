@@ -53,7 +53,9 @@ def antiderivative(f: Callable, s0: float, s1: float,
 def gauss_segments(f: Callable, a, b) -> np.ndarray:
     """Vectorized 5-point Gauss integral of f over each [a_i, b_i].
 
-    f must accept ndarray input. a and b broadcast elementwise.
+    f must accept a 1-d ndarray of points. It returns one value per
+    point, or several integrands stacked on a leading axis, which then
+    leads the result too. a and b broadcast elementwise.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -61,17 +63,22 @@ def gauss_segments(f: Callable, a, b) -> np.ndarray:
     half = 0.5 * (b - a)
     pts = mid[None, ...] + half[None, ...] * _GL_NODES.reshape(
         (-1,) + (1,) * a.ndim)
-    vals = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
-    return half * np.tensordot(_GL_WEIGHTS, vals, axes=(0, 0))
+    vals = np.asarray(f(pts.ravel()), dtype=float)
+    vals = vals.reshape(vals.shape[:-1] + pts.shape)
+    return half * np.tensordot(_GL_WEIGHTS, vals,
+                               axes=(0, vals.ndim - pts.ndim))
 
 
 def cumulative_integral(f: Callable, grid: np.ndarray) -> np.ndarray:
-    """F[i] = integral of f from grid[0] to grid[i]; F[0] = 0."""
+    """F[i] = integral of f from grid[0] to grid[i]; F[0] = 0.
+
+    For an f that stacks several integrands (see gauss_segments), F[j, i]
+    is the integral of the j-th one.
+    """
     grid = np.asarray(grid, dtype=float)
     seg = gauss_segments(f, grid[:-1], grid[1:])
-    out = np.empty(grid.shape[0])
-    out[0] = 0.0
-    np.cumsum(seg, out=out[1:])
+    out = np.zeros(seg.shape[:-1] + grid.shape)
+    np.cumsum(seg, axis=-1, out=out[..., 1:])
     return out
 
 

@@ -212,10 +212,14 @@ def pn_type2_axis(p: CurvatureProfile, trace: CurveTrace,
     """
     c1, c2, c3 = (float(x) for x in c)
     grid = trace.s
-    tau_fn = p.tau
     theta, theta_at = make_cumulative(p.kappa, grid)
-    i1 = cumulative_integral(lambda t: tau_fn(t) * np.sin(theta_at(t)), grid)
-    i2 = cumulative_integral(lambda t: tau_fn(t) * np.cos(theta_at(t)), grid)
+
+    def integrands(t):
+        # tau and theta once per Gauss node, shared by I1 and I2
+        tau, th = p.tau(t), theta_at(t)
+        return np.stack([tau * np.sin(th), tau * np.cos(th)])
+
+    i1, i2 = cumulative_integral(integrands, grid)
     u1 = np.cos(theta) * (c1 - i1) + np.sin(theta) * (c2 + i2)
     u2 = -np.sin(theta) * (c1 - i1) + np.cos(theta) * (c2 + i2)
     # tau u2 = (-c1 I1 + c2 I2 + (I1^2 + I2^2) / 2)', so Int tau u2 is exact

@@ -4,14 +4,20 @@ The state is (alpha, T, N, B1, B2) in R^20. The frame block satisfies the
 linear system F' = A(s) F with A from frames.frenet_matrix, and alpha' = T.
 Because the system is linear, one RK4 step is F <- F + D_i F and
 alpha <- alpha + q_i F, with D_i and q_i built for every step at once from
-the Frenet matrices on the half-step lattice. Only the sweep of 4x4
-products stays a Python loop; the increment form F + D_i F (not P_i F with
-P_i = I + D_i) keeps the roundoff of the classical per-stage scheme.
+the Frenet matrices on the half-step lattice. Every frame is then the
+initial one times a prefix product of the propagators I + D_i, which an
+inclusive scan computes in ceil(log2(steps)) rounds of batched 4x4
+products, with no loop over the steps. The scan carries increments,
+F_{j+1} = F_0 + E_j F_0 with I + E_j the product of the first j + 1
+propagators, so, like F + D_i F (and unlike a scan of I + D_i), it never
+adds the identity to the small entries and keeps the roundoff of the
+classical per-stage scheme.
 
 Gram drift is not corrected. It and the positions are computed for the
-whole grid once the sweep is done, and the run then aborts, naming the
+whole grid once the frames are, and the run then aborts, naming the
 first step whose residual passed 1000 * eps_gram, since results are
-meaningless past that.
+meaningless past that. The scan is causal (E_j depends on steps 0..j
+only), so steps before a blow-up keep their values.
 """
 
 from __future__ import annotations
@@ -123,13 +129,12 @@ def integrate_frame(profile: CurvatureProfile,
 
     d, q = _rk4_increments(mats, h)
     del mats  # lowers peak memory; only d and q are read from here on
-    f = frames[0]
-    # a blown-up run sweeps on past its first bad step; the abort below
+    # a blown-up run scans on past its first bad step; the abort below
     # reports it, so overflow warnings from the later steps are noise
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(steps):
-            f = f + d[i] @ f
-            frames[i + 1] = f
+        e = _prefix_increments(d)
+        np.matmul(e, frame0, out=frames[1:])
+        frames[1:] += frame0
 
         # positions: alpha_{i+1} = alpha_i + q_i F_i, summed in step order
         np.matmul(q[:, None, :], frames[:-1], out=positions[1:, None, :])
@@ -183,6 +188,27 @@ def _rk4_increments(mats: np.ndarray, h: float
     d += k2
     d *= h / 6.0
     return d, q
+
+
+def _prefix_increments(d: np.ndarray) -> np.ndarray:
+    """Cumulative propagators I + E_j = (I + D_j) ... (I + D_0), in place.
+
+    An inclusive Hillis-Steele scan: in the round of stride k = 1, 2, 4,
+    ... every E_j with j >= k absorbs the stride-k block before it,
+    (I + E_j)(I + E_{j-k}) = I + E_j + (E_{j-k} + E_j E_{j-k}), so the
+    product takes ceil(log2(steps)) batched matmuls. Only increments are
+    stored and multiplied, never I + E: the identity would swamp the
+    small entries and lose their roundoff, as (I + D_i) F does against
+    F + D_i F. E_j reads only D_0 .. D_j, so a step that overflows
+    spoils no earlier one.
+    """
+    e, k = d, 1
+    while k < e.shape[0]:
+        carry = np.matmul(e[k:], e[:-k])
+        carry += e[:-k]
+        e[k:] += carry
+        k *= 2
+    return e
 
 
 def resample_curvatures(trace: CurveTrace

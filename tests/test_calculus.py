@@ -41,6 +41,22 @@ def test_cumulative_integral_endpoint_and_monotone_grid():
     assert np.all(np.diff(cum) > 0)
 
 
+def test_stacked_integrands_integrate_like_separate_ones():
+    # one call evaluates the shared factor once per Gauss node
+    grid = np.linspace(0.0, 2.0, 1001)
+
+    def pair(t):
+        e = np.exp(t)
+        return np.stack([e * np.sin(t), e * np.cos(t)])
+
+    stacked = cumulative_integral(pair, grid)
+    assert stacked.shape == (2, 1001)
+    for row, f in zip(stacked, (lambda t: np.exp(t) * np.sin(t),
+                                lambda t: np.exp(t) * np.cos(t))):
+        alone = cumulative_integral(f, grid)
+        assert np.max(np.abs(row - alone)) <= 1e-15 * np.max(np.abs(alone))
+
+
 def test_make_cumulative_interpolant_matches_integral_between_nodes():
     grid = np.linspace(0.0, 2.0, 101)
     values, at = make_cumulative(np.exp, grid)

@@ -1,5 +1,7 @@
 """Frame integration: accuracy, the Gram-drift abort, resampling, CSV output."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -286,3 +288,47 @@ def test_csv_bytes_match_per_value_formatting(tmp_path):
                tr.gram_res[i]]
         expected.append(",".join(f"{v:.17g}" for v in row))
     assert out.read_bytes() == ("\n".join(expected) + "\n").encode()
+
+
+# the prefix scan runs ceil(log2(steps)) rounds, so step counts on both
+# sides of a power of two exercise a partial last round; psn-generic-1 of
+# the default suite, at its default 1000 steps, has frames up to 9.3e4
+SCAN_CASES = [(family, curvatures, (0.0, 1.0), steps)
+              for family, curvatures in FAMILIES
+              for steps in (10, 16, 17, 1023, 1025)]
+SCAN_CASES.append(("pseudo_null", {"tau": "2", "sigma": "2*(s + 3)"},
+                   (0.0, 2.0), 1000))
+
+
+@pytest.mark.parametrize("family,curvatures,domain,steps", SCAN_CASES,
+                         ids=[f"{c[0]}-{c[3]}" for c in SCAN_CASES[:-1]]
+                         + ["psn-generic-1"])
+def test_prefix_scan_matches_per_step_rk4_at_any_step_count(
+        family, curvatures, domain, steps):
+    p = CurvatureProfile.create(family, domain=domain, **curvatures)
+    h = p.span / steps
+    tr = integrate_frame(p, h=h)
+    assert tr.n == steps + 1
+    frames, positions, gram_res = _per_step_rk4(p, h)
+    f_scale = np.max(np.abs(frames))
+    assert np.max(np.abs(tr.frames - frames)) <= 1e-12 * f_scale
+    assert (np.max(np.abs(tr.positions - positions))
+            <= 1e-12 * np.max(np.abs(positions)))
+    assert np.max(np.abs(tr.gram_res - gram_res)) <= 1e-12 * f_scale ** 2
+
+
+def test_mid_run_abort_names_the_first_step_past_the_limit():
+    # kappa = s^2 outgrows the step, so RK4's Gram drift (truncation, not
+    # roundoff: the frames stay near unit size) passes 1000 * eps_gram
+    # partway through a 1500-step run; the scan must not let the later
+    # steps move the first index past the limit
+    p = CurvatureProfile.create("partially_null", kappa="s^2", tau="1",
+                                domain=(0.5, 10.0))
+    steps = 1500
+    h = p.span / steps
+    _, _, gram_res = _per_step_rk4(p, h)
+    first = int(np.flatnonzero(gram_res > 1000 * 1e-6)[0])
+    assert steps // 2 < first < steps
+    where = f"at step {first} (s = {p.s_min + first * h:.6g})"
+    with pytest.raises(IntegrationError, match=re.escape(where)):
+        integrate_frame(p, h=h, eps_gram=1e-6)
