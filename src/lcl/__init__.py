@@ -10,7 +10,7 @@ about the closed forms.
 from .axis import (AxisCandidate, AxisValidation, ambient_axis,
                     assemble_axis, validate_axis)
 from .calculus import (antiderivative, cumulative_integral, grid_derivative,
-                       make_cumulative, pointwise_derivative)
+                       make_cumulative)
 from .classifier import (PN_IMPLICATIONS, PSN_IMPLICATIONS,
                          ClassificationReport, OracleResult, classify_profile,
                          implication_closure, oracle_detect, pn_type0_check,
@@ -63,8 +63,7 @@ __all__ = [
     "make_h3_type2_profile", "metric", "nullspace_min_singular",
     "oracle_detect", "pairing", "parse_expression", "PN_IMPLICATIONS",
     "pn_type0_axes", "pn_type0_check", "pn_type1_axis", "pn_type1_check",
-    "pn_type2_axis", "pn_type3_check", "pointwise_derivative",
-    "PSN_IMPLICATIONS", "psn_type0_check",
+    "pn_type2_axis", "pn_type3_check", "PSN_IMPLICATIONS", "psn_type0_check",
     "psn_type1_axis", "psn_type1_check", "psn_type2_axis", "psn_type2_check",
     "psn_type3_check", "render_table", "resample_curvatures",
     "run_theorem_suite", "save_profile", "validate_axis", "write_trace_csv",

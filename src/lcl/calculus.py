@@ -7,9 +7,11 @@ Design notes:
   vanish.
 * Derivatives of curvature data are taken numerically even when closed
   forms exist, so expression-based and sampled profiles share one code
-  path. First and second derivatives use 4th-order stencils, third
-  derivatives a 2nd-order stencil; near a domain edge the stencil shifts
-  inside.
+  path: the callers sample the profile once on a uniform grid and
+  grid_derivative differentiates the samples with 5-point stencils. First
+  and second derivatives are 4th order, third derivatives 2nd order; the
+  two points at each end of the grid use shifted stencils of the same
+  width, so no value outside the grid is ever needed.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .errors import QuadratureError
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
 
 DEFAULT_ABS_TOL = 1e-10
-DEFAULT_FD_SCALE = 1e-4
 
 
 def antiderivative(f: Callable, s0: float, s1: float,
@@ -115,40 +116,6 @@ def _stencil_weights(order: int, shift: int) -> np.ndarray:
     weights = np.linalg.solve(a, rhs)
     weights.flags.writeable = False
     return weights
-
-
-def pointwise_derivative(f: Callable, s: np.ndarray, order: int = 1,
-                         domain: tuple[float, float] | None = None
-                         ) -> np.ndarray:
-    """Vectorized stencil derivative of a callable at many points.
-
-    The step is 1e-4 * (1 + |s|). With `domain` given, the 5-point
-    stencil shifts to stay inside [domain[0], domain[1]], and a domain
-    narrower than four steps shrinks the step to a quarter of its width.
-    Points sharing the same stencil shift are evaluated in one batch, so f
-    only needs a handful of array calls.
-    """
-    if order not in (1, 2, 3):
-        raise ValueError(f"order must be 1, 2, or 3, got {order}")
-    s = np.asarray(s, dtype=float)
-    h = np.array(DEFAULT_FD_SCALE * (1.0 + np.abs(s)))
-    shifts = np.zeros(s.shape)
-    if domain is not None:
-        lo, hi = domain
-        tight = (hi - lo) < 4.0 * h
-        h[tight] = (hi - lo) / 4.0
-        up = np.ceil((lo - (s - 2.0 * h)) / h)
-        down = np.floor((hi - (s + 2.0 * h)) / h)
-        shifts = np.where(up > 0, up, np.minimum(down, 0.0))
-    out = np.empty(s.shape)
-    for shift in np.unique(shifts):
-        mask = shifts == shift
-        offsets = np.arange(-2, 3, dtype=float) + shift
-        weights = _stencil_weights(order, int(shift))
-        pts = s[mask][None, :] + offsets[:, None] * h[mask][None, :]
-        vals = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
-        out[mask] = (weights @ vals) / h[mask]**order
-    return out
 
 
 def grid_derivative(values: np.ndarray, h: float, order: int = 1) -> np.ndarray:

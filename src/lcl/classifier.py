@@ -28,8 +28,7 @@ import numpy as np
 
 from . import hyperbolic
 from .axis import AxisCandidate, assemble_axis, validate_axis
-from .calculus import (cumulative_integral, grid_derivative, make_cumulative,
-                       pointwise_derivative)
+from .calculus import cumulative_integral, grid_derivative, make_cumulative
 from .errors import DegenerateAxisError, ProfileError
 from .fits import (CheckResult, FittedConstant, Tolerances, Verdict,
                    _constant_fit, _damped_lstsq, _guard_nonzero, _jsonable,
@@ -118,7 +117,7 @@ def pn_type0_check(p: CurvatureProfile,
                    tol: Tolerances = Tolerances()) -> CheckResult:
     """0-type (general helix) iff tau/kappa is constant."""
     _require_kind(p, FrameKind.PARTIALLY_NULL)
-    grid = p.grid(tol.grid_points)
+    grid = p.grid()
     kappa, tau, _ = p.evaluate_arrays(grid)
     _guard_nonzero(kappa, "kappa")
     ok, mean, residual = _constant_fit(tau / kappa, tol.eps_cond)
@@ -153,7 +152,7 @@ def pn_type1_check(p: CurvatureProfile,
     with both the product C*c0 and the raw coefficients reported.
     """
     _require_kind(p, FrameKind.PARTIALLY_NULL)
-    grid = p.grid(tol.grid_points)
+    grid = p.grid()
     kappa, tau, _ = p.evaluate_arrays(grid)
     _guard_nonzero(kappa, "kappa")
     ratio = tau / kappa
@@ -269,7 +268,7 @@ def psn_type1_check(p: CurvatureProfile,
                     tol: Tolerances = Tolerances()) -> CheckResult:
     """1-type iff sigma/tau = -s^2/2 + a s + b; fits (a, b)."""
     _require_kind(p, FrameKind.PSEUDO_NULL)
-    grid = p.grid(tol.grid_points)
+    grid = p.grid()
     _, tau, sigma = p.evaluate_arrays(grid)
     _guard_nonzero(tau, "tau")
     q = sigma / tau
@@ -289,19 +288,16 @@ def psn_type1_axis(p: CurvatureProfile, trace: CurveTrace,
                    k: int = 1) -> AxisCandidate:
     """Axis -(sigma/tau)' T + (sigma/tau) N + B2 for the quadratic family.
 
-    The ratio derivative is taken numerically (stencils shift inside the
-    domain near the edges). g(N, U) = 1 and g(B1, U) = 0, so the same
+    The ratio is sampled on the trace grid and differentiated there with
+    grid_derivative; its 5-point stencils are exact on the quadratic
+    ratios of this family. g(N, U) = 1 and g(B1, U) = 0, so the same
     vector certifies k = 2 with a vanishing pairing constant; pass k = 2
     to relabel it for that use.
     """
-    sigma_fn, tau_fn = p.sigma, p.tau
-
-    def q_fn(t):
-        return sigma_fn(t) / tau_fn(t)
-
-    q_vals = q_fn(trace.s)
-    qp = pointwise_derivative(q_fn, trace.s, order=1, domain=p.domain)
-    return assemble_axis(trace, k, "ratio-derivative", -qp, q_vals, 0.0, 1.0)
+    _, tau, sigma = p.evaluate_arrays(trace.s)
+    q = sigma / tau
+    qp = grid_derivative(q, trace.h)
+    return assemble_axis(trace, k, "ratio-derivative", -qp, q, 0.0, 1.0)
 
 
 def psn_type2_check(p: CurvatureProfile, tol: Tolerances = Tolerances(),
@@ -317,7 +313,7 @@ def psn_type2_check(p: CurvatureProfile, tol: Tolerances = Tolerances(),
     1-type condition holds. The identity residual is always reported.
     """
     _require_kind(p, FrameKind.PSEUDO_NULL)
-    grid = p.grid(tol.grid_points)
+    grid = p.grid()
     step = grid[1] - grid[0]
     _, tau, sigma = p.evaluate_arrays(grid)
     _guard_nonzero(tau, "tau")
@@ -386,7 +382,7 @@ def psn_type3_check(p: CurvatureProfile, trace: CurveTrace,
     _require_kind(p, FrameKind.PSEUDO_NULL)
     if oracle is None:
         oracle = oracle_detect(trace, 3, tol)
-    residual, note = _binormal_closed_form_residual(p, tol)
+    residual, note = _binormal_closed_form_residual(p)
     if residual is None:
         log.info("closed-form 3-type residual unavailable (%s)", note)
     else:
@@ -403,8 +399,8 @@ def psn_type3_check(p: CurvatureProfile, trace: CurveTrace,
                                "closed_form_note": note})
 
 
-def _binormal_closed_form_residual(p: CurvatureProfile, tol: Tolerances
-                                   ) -> tuple[Optional[float], str]:
+def _binormal_closed_form_residual(
+        p: CurvatureProfile) -> tuple[Optional[float], str]:
     """Advisory residual of the published second-binormal condition.
 
     phi = tau / sqrt(1 + sigma^2) + d/ds [ sqrt(1 + sigma^2)
@@ -416,12 +412,12 @@ def _binormal_closed_form_residual(p: CurvatureProfile, tol: Tolerances
     must never crash a classification.
     """
     try:
-        grid = p.grid(tol.grid_points)
+        grid = p.grid()
         step = grid[1] - grid[0]
         _, tau, sigma = p.evaluate_arrays(grid)
-        taup = pointwise_derivative(p.tau, grid, order=1, domain=p.domain)
-        sigp = pointwise_derivative(p.sigma, grid, order=1, domain=p.domain)
-        sigpp = pointwise_derivative(p.sigma, grid, order=2, domain=p.domain)
+        taup = grid_derivative(tau, step)
+        sigp = grid_derivative(sigma, step)
+        sigpp = grid_derivative(sigma, step, order=2)
         one = 1.0 + sigma**2
         numer = np.sqrt(one) * (sigma * taup * one + tau * sigp * (2.0 - sigma**2))
         denom = tau * one**2 - 3.0 * tau * taup**2 + sigpp * one

@@ -312,13 +312,20 @@ def cmd_sweep(args) -> int:
 
     with open(args.spec, encoding="utf-8") as fh:
         spec = json.load(fh)
+    if not isinstance(spec, dict):
+        raise ConfigError("sweep spec must be a JSON object")
     family = spec.get("family")
     if family not in _SWEEP_FAMILIES:
         raise ConfigError(f"sweep spec needs a family in {_SWEEP_FAMILIES}")
     domain = spec.get("domain")
-    if (not isinstance(domain, (list, tuple)) or len(domain) != 2
-            or not domain[0] < domain[1]):
-        raise ConfigError("sweep spec needs a domain [s_min, s_max]")
+    try:
+        lo, hi = (float(x) for x in domain)
+        ok = lo < hi
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ConfigError("sweep spec needs a domain [s_min, s_max], "
+                          f"got {domain!r}")
     raw_params = spec.get("parameters")
     if not isinstance(raw_params, dict) or not raw_params:
         raise ConfigError("sweep spec needs a non-empty parameters object")
@@ -337,7 +344,11 @@ def cmd_sweep(args) -> int:
                               "null families")
         if not isinstance(pert, dict) or "expr" not in pert:
             raise ConfigError("sigma_perturbation needs an expr")
-        scales = [float(s) for s in pert.get("scales", [1.0])]
+        try:
+            scales = [float(s) for s in pert.get("scales", [1.0])]
+        except (TypeError, ValueError):
+            raise ConfigError("sigma_perturbation scales must be a list of "
+                              "numbers") from None
 
     tol = _tolerances(args)
     header = (["family"] + names + ["perturbation_scale", "status",
@@ -356,7 +367,7 @@ def cmd_sweep(args) -> int:
                 scale_out = scale
             row = [family] + [_fmt(v) for v in combo] + [_fmt(scale_out)]
             try:
-                profile = _sweep_profile(family, params, domain, extra)
+                profile = _sweep_profile(family, params, (lo, hi), extra)
                 report = classify_profile(profile, h=args.h, tol=tol)
             except Exception as exc:
                 row += [f"error: {exc}"] + [""] * (len(header) - len(row) - 1)

@@ -7,12 +7,12 @@ results from these; this module imports neither of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
 
-from .errors import ProfileError
+from .errors import ConfigError, ProfileError
 
 
 class Verdict(Enum):
@@ -27,14 +27,28 @@ class Verdict(Enum):
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Knobs shared by the checks; defaults match the acceptance suite."""
+    """Knobs shared by the checks; defaults match the acceptance suite.
+
+    Every eps_* must be finite and positive and damping finite and
+    non-negative; anything else raises ConfigError, since a zero, negative
+    or NaN threshold turns every verdict No and an infinite one every
+    verdict Yes.
+    """
 
     eps_gram: float = 1e-6
     eps_cond: float = 1e-6          # relative residual for condition checks
     eps_axis: float = 1e-6          # axis validation scale
     eps_oracle_coeff: float = 1e-7  # oracle threshold is this * sqrt(rows)
     damping: float = 1e-12          # Tikhonov damping for the small fits
-    grid_points: int = 1001
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            low_ok = value >= 0.0 if f.name == "damping" else value > 0.0
+            if not (math.isfinite(value) and low_ok):
+                bound = "non-negative" if f.name == "damping" else "positive"
+                raise ConfigError(f"tolerance {f.name} must be finite and "
+                                  f"{bound}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .calculus import grid_derivative, pointwise_derivative
+from .calculus import grid_derivative
 from .errors import ProfileError
 from .fits import (CheckResult, FittedConstant, Tolerances, Verdict,
                    _constant_fit, _damped_lstsq, _guard_nonzero, _jsonable)
@@ -38,7 +38,7 @@ def h3_ratio_check(p: CurvatureProfile,
     if p.kind is not FrameKind.PSEUDO_NULL:
         raise ProfileError("pseudohyperbolic checks apply to pseudo null "
                            "profiles only")
-    grid = p.grid(tol.grid_points)
+    grid = p.grid()
     _, tau, sigma = p.evaluate_arrays(grid)
     _guard_nonzero(tau, "tau")
     constant, mean, residual = _constant_fit(sigma / tau, tol.eps_cond)
@@ -176,7 +176,7 @@ def h3_type2_tau_form(p: CurvatureProfile, c: float,
     """
     if c >= 0.0:
         raise ProfileError("the ratio constant c must be negative")
-    grid = p.grid(tol.grid_points)
+    grid = p.grid()
     tau_vals = p.tau(grid)
     w = math.sqrt(-2.0 * c)
     design = np.column_stack([np.exp(grid / w), np.exp(-grid / w)])
@@ -215,8 +215,7 @@ def h3_type1_nonexistence(type1: CheckResult) -> CheckResult:
                        extras={"meaning": "1-type ruled out"})
 
 
-def h3_type3_residual(p: CurvatureProfile, c: float,
-                      tol: Tolerances = Tolerances()) -> Optional[float]:
+def h3_type3_residual(p: CurvatureProfile, c: float) -> Optional[float]:
     """Advisory third-order residual for 3-type family members.
 
     Scores max |L - R| with
@@ -226,15 +225,16 @@ def h3_type3_residual(p: CurvatureProfile, c: float,
             + c^2 tau^5 (2 + c^2 tau^2) + tau^3 (1 - 15 c^3 tau'^2),
 
     normalized by the magnitudes of both sides. Diagnostic only: the
-    third derivative comes from low-order stencils and the condition
-    itself is advisory. Returns None when evaluation fails.
+    third derivative is the 2nd-order grid stencil on the check grid and
+    the condition itself is advisory. Returns None when evaluation fails.
     """
     try:
-        grid = p.grid(tol.grid_points)
+        grid = p.grid()
+        step = grid[1] - grid[0]
         tau = p.tau(grid)
-        tau1 = pointwise_derivative(p.tau, grid, order=1, domain=p.domain)
-        tau2 = pointwise_derivative(p.tau, grid, order=2, domain=p.domain)
-        tau3 = pointwise_derivative(p.tau, grid, order=3, domain=p.domain)
+        tau1 = grid_derivative(tau, step)
+        tau2 = grid_derivative(tau, step, order=2)
+        tau3 = grid_derivative(tau, step, order=3)
         lhs = 2.0 * c * c * tau * tau1 * tau3
         rhs = (c * tau2 * (5.0 * tau**2 * (1.0 + c * c * tau**2)
                            + c * (3.0 * tau1**2 + 4.0 * tau * tau2))
@@ -315,6 +315,6 @@ def pseudohyperbolic_block(p: CurvatureProfile, trace: CurveTrace,
         "lam": tau_form.constants["lam"].to_json_dict(),
         "mu": tau_form.constants["mu"].to_json_dict(),
     }
-    block["type3_residual"] = _jsonable(h3_type3_residual(p, c, tol))
+    block["type3_residual"] = _jsonable(h3_type3_residual(p, c))
     block["notes"] = notes
     return block

@@ -64,8 +64,12 @@ class SampleTable:
     """
 
     def __init__(self, s, values):
-        s = np.asarray(s, dtype=float)
-        values = np.asarray(values, dtype=float)
+        try:
+            s = np.asarray(s, dtype=float)
+            values = np.asarray(values, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ProfileError(
+                f"sample table entries must be numbers: {exc}") from None
         if s.ndim != 1 or s.shape != values.shape:
             raise ProfileError("sample table needs matching 1-d s and values")
         if s.shape[0] < 2:
@@ -149,7 +153,10 @@ class CurvatureProfile:
     def create(cls, kind, kappa=None, tau=None, sigma=None,
                domain=(0.0, 1.0), label="") -> "CurvatureProfile":
         kind = FrameKind(kind) if not isinstance(kind, FrameKind) else kind
-        s_min, s_max = float(domain[0]), float(domain[1])
+        try:
+            s_min, s_max = float(domain[0]), float(domain[1])
+        except (TypeError, ValueError) as exc:
+            raise ProfileError(f"bad domain {domain!r}: {exc}") from None
         if not (np.isfinite(s_min) and np.isfinite(s_max)) or s_min >= s_max:
             raise ProfileError(f"bad domain [{s_min}, {s_max}]")
         kappa_default = "1" if kind is FrameKind.PSEUDO_NULL else None

@@ -191,9 +191,13 @@ def fixtures_from_json(obj) -> list[Fixture]:
         if not isinstance(entry, dict) or "profile" not in entry:
             raise ProfileError(f"suite entry {i} needs a profile object")
         profile = CurvatureProfile.from_json_dict(entry["profile"])
+        given = entry.get("expected", {})
+        if not isinstance(given, dict):
+            raise ProfileError(f"suite entry {i}: expected must be an object "
+                               f"keyed k0..k3, got {given!r}")
         expected = {}
         for k in range(4):
-            raw = entry.get("expected", {}).get(f"k{k}", "oracle")
+            raw = given.get(f"k{k}", "oracle")
             if raw not in ("Y", "N", "oracle"):
                 raise ProfileError(
                     f"suite entry {i}: expected k{k} must be Y, N, or "

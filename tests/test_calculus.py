@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lcl import (antiderivative, cumulative_integral, grid_derivative,
-                 make_cumulative, pointwise_derivative, run_theorem_suite)
+                 make_cumulative, run_theorem_suite)
 from lcl.calculus import _stencil_weights
 from lcl.errors import QuadratureError
 
@@ -65,44 +65,6 @@ def test_make_cumulative_interpolant_matches_integral_between_nodes():
         assert at(s) == pytest.approx(np.exp(s) - 1.0, abs=1e-9)
 
 
-def test_derivative_orders_against_closed_forms():
-    s = np.array([0.3])
-    d1, d2, d3 = (pointwise_derivative(np.sin, s, order=k)[0]
-                  for k in (1, 2, 3))
-    assert d1 == pytest.approx(np.cos(0.3), abs=1e-12)
-    assert d2 == pytest.approx(-np.sin(0.3), abs=1e-7)
-    assert d3 == pytest.approx(-np.cos(0.3), abs=1e-4)
-
-
-def test_derivative_respects_domain_clipping_at_edges():
-    # one-sided evaluation at the right edge of a tight domain
-    d = pointwise_derivative(lambda s: s**3, np.array([1.0]),
-                             domain=(0.0, 1.0))[0]
-    assert d == pytest.approx(3.0, abs=1e-9)
-    d0 = pointwise_derivative(lambda s: s**3, np.array([0.0]),
-                              domain=(0.0, 1.0))[0]
-    assert d0 == pytest.approx(0.0, abs=1e-9)
-
-
-def test_pointwise_derivative_rejects_bad_order():
-    for order in (0, 4):
-        with pytest.raises(ValueError, match="order must be 1, 2, or 3"):
-            pointwise_derivative(np.sin, np.array([0.3]), order=order)
-
-
-def test_pointwise_derivative_vectorizes_over_the_grid():
-    grid = np.linspace(0.0, 1.0, 1001)
-    out = pointwise_derivative(np.sin, grid, order=1, domain=(0.0, 1.0))
-    assert out.shape == grid.shape
-    assert np.max(np.abs(out - np.cos(grid))) < 1e-10
-
-
-def test_pointwise_second_derivative():
-    grid = np.linspace(0.0, 1.0, 201)
-    out = pointwise_derivative(np.exp, grid, order=2, domain=(0.0, 1.0))
-    assert np.max(np.abs(out - np.exp(grid))) < 1e-5
-
-
 def test_grid_derivative_first_and_second_order():
     grid = np.linspace(0.0, 1.0, 1001)
     h = grid[1] - grid[0]
@@ -120,6 +82,15 @@ def test_grid_derivative_is_exact_on_low_degree_polynomials():
     assert np.max(np.abs(d1 - (4.0 * grid - 3.0))) < 1e-12
     d2 = grid_derivative(vals, h, order=2)
     assert np.max(np.abs(d2 - 4.0)) < 1e-11
+
+
+def test_grid_third_derivative_of_a_quartic_on_every_row():
+    # five points fit a quartic exactly, so every stencil, the shifted ones
+    # on the two edge rows at each end included, is exact up to roundoff
+    grid = np.linspace(-1.0, 1.0, 41)
+    h = grid[1] - grid[0]
+    d3 = grid_derivative(grid**4 - 2.0 * grid**3 + grid, h, order=3)
+    assert np.max(np.abs(d3 - (24.0 * grid - 12.0))) < 1e-9
 
 
 def test_grid_derivative_rejects_bad_step():

@@ -9,7 +9,7 @@ from lcl import (PN_IMPLICATIONS, CurvatureProfile, Tolerances, Verdict,
                  pn_type1_check, pn_type2_axis, pn_type3_check,
                  validate_axis)
 from lcl.calculus import cumulative_integral, make_cumulative
-from lcl.errors import DegenerateAxisError, ProfileError
+from lcl.errors import ConfigError, DegenerateAxisError, ProfileError
 
 Y, N, U = Verdict.YES, Verdict.NO, Verdict.UNDETERMINED
 
@@ -260,3 +260,18 @@ def test_tolerances_are_immutable_defaults():
     assert tol.eps_axis == 1e-6
     with pytest.raises(Exception):
         tol.eps_cond = 1.0
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("name", ["eps_gram", "eps_cond", "eps_axis",
+                                  "eps_oracle_coeff"])
+def test_tolerances_reject_meaningless_thresholds(name, value):
+    with pytest.raises(ConfigError, match=name):
+        Tolerances(**{name: value})
+
+
+def test_damping_may_be_zero_but_not_negative_or_non_finite():
+    assert Tolerances(damping=0.0).damping == 0.0
+    for value in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="damping"):
+            Tolerances(damping=value)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from lcl import (PSN_IMPLICATIONS, CurvatureProfile, Verdict, classify_profile,
-                 implication_closure, integrate_frame, pairing, psn_type0_check,
-                 psn_type1_axis, psn_type1_check, psn_type2_axis,
-                 psn_type2_check, psn_type3_check, validate_axis)
+                 default_suite, implication_closure, integrate_frame, pairing,
+                 psn_type0_check, psn_type1_axis, psn_type1_check,
+                 psn_type2_axis, psn_type2_check, psn_type3_check,
+                 validate_axis)
 from lcl.errors import ProfileError
 from lcl.hyperbolic import make_h3_type2_profile
 
@@ -66,6 +67,17 @@ def test_1_type_axis_relabels_for_the_binormal_claim(quad_psn_profile,
     assert cand.k == 2
     val = validate_axis(quad_psn_trace, cand)
     assert val.passed
+
+
+def test_1_type_axis_is_constant_to_roundoff_on_the_suite_quadratics():
+    # sigma/tau is quadratic, which the 5-point stencil differentiates
+    # exactly, so only integration and roundoff error remain in dU/ds
+    fixtures = [f for f in default_suite() if f.label.startswith("psn-quad-")]
+    assert len(fixtures) == 8
+    for fx in fixtures:
+        tr = integrate_frame(fx.profile)
+        val = validate_axis(tr, psn_type1_axis(fx.profile, tr))
+        assert val.max_du <= 1e-9 * (1.0 + val.scale), fx.label
 
 
 def test_2_type_identity_route_on_the_exponential_family(h3_profile):

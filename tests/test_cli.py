@@ -128,6 +128,40 @@ def test_zero_step_is_a_validation_error(circle_file, capsys):
     assert rc == 2
 
 
+def test_meaningless_tolerance_is_a_validation_error(circle_file, capsys):
+    assert main(["classify", circle_file, "--tol-cond", "-1"]) == 2
+    assert "error: tolerance eps_cond" in capsys.readouterr().err
+    assert main(["classify", circle_file, "--tol-cond", "1e-3"]) == 0
+
+
+_PROFILE = {"kind": "partially_null", "kappa": "1", "tau": "1",
+            "domain": [0.0, 1.0]}
+_SWEEP = {"family": "pn-constant", "domain": [0.0, 1.0],
+          "parameters": {"kappa": [1.0], "tau": [1.0]}}
+
+
+@pytest.mark.parametrize("cmd, payload", [
+    ("classify", dict(_PROFILE, domain=["a", 1])),
+    ("classify", dict(_PROFILE, tau={"s": [0.0, 1.0], "values": "ab"})),
+    ("verify", [{"profile": _PROFILE, "expected": "Y"}]),
+    ("sweep", [_SWEEP]),
+    ("sweep", dict(_SWEEP, domain=["a", 1])),
+    ("sweep", {"family": "psn-quadratic", "domain": [0.0, 1.0],
+               "parameters": {"a": [0.3], "b": [0.1]},
+               "sigma_perturbation": {"expr": "s", "scales": "ab"}}),
+], ids=["profile-domain", "table-values", "suite-expected", "sweep-array",
+        "sweep-domain", "sweep-scales"])
+def test_malformed_input_file_is_a_validation_error(cmd, payload, tmp_path,
+                                                    capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    argv = {"classify": ["classify", str(path)],
+            "verify": ["verify", "--suite", str(path)],
+            "sweep": ["sweep", str(path), "-o", str(tmp_path / "x.csv")]}
+    assert main(argv[cmd]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.mark.parametrize("cmd", ["synth", "classify", "oracle"])
 def test_drift_option_is_rejected(cmd, circle_file, capsys):
     # RK4 with the Gram-drift abort is the only integration mode
