@@ -7,8 +7,7 @@ cross-examines every verdict with a nullspace oracle that knows nothing
 about the closed forms.
 """
 
-from .axis import (AxisCandidate, AxisValidation, ambient_axis,
-                    assemble_axis, validate_axis)
+from .axis import AxisCandidate, AxisValidation, assemble_axis, validate_axis
 from .calculus import (antiderivative, cumulative_integral, grid_derivative,
                        make_cumulative)
 from .classifier import (PN_IMPLICATIONS, PSN_IMPLICATIONS,
@@ -32,9 +31,10 @@ from .hyperbolic import (SphereFit, TauForm, closed_form_center,
                          h3_type3_residual, make_h3_type2_profile)
 from .integrator import (CurveTrace, integrate_frame, resample_curvatures,
                          write_trace_csv)
-from .minkowski import (CausalCharacter, Vec4, causal_character,
-                        lorentz_norm, metric, nullspace_min_singular, pairing)
-from .profiles import CurvatureProfile, SampleTable, load_profile, save_profile
+from .minkowski import (CausalCharacter, Vec4, causal_character, lorentz_norm,
+                        metric, nullspace_min_singular, pairing, row_norm)
+from .profiles import (CurvatureProfile, Samples, SampleTable, load_profile,
+                       save_profile)
 from .suite import (DEFAULT_SEED, Fixture, default_suite, fixtures_from_json,
                     load_suite)
 from .verifier import (FixtureResult, SuiteSummary, render_table,
@@ -49,8 +49,8 @@ __all__ = [
     "ExpressionError", "Fixture", "FittedConstant", "FrameError",
     "FrameKind", "GridMismatchError", "IntegrationError", "LclError",
     "OracleResult", "OutOfDomainError", "ProfileError", "QuadratureError",
-    "SampleTable", "SphereFit", "SuiteSummary", "FixtureResult", "TauForm",
-    "Tolerances", "Vec4", "Verdict", "ambient_axis", "antiderivative",
+    "Samples", "SampleTable", "SphereFit", "SuiteSummary", "FixtureResult", "TauForm",
+    "Tolerances", "Vec4", "Verdict", "antiderivative",
     "assemble_axis",
     "canonical_frame", "causal_character", "classify_profile",
     "closed_form_center", "cumulative_integral", "default_suite",
@@ -66,5 +66,5 @@ __all__ = [
     "pn_type2_axis", "pn_type3_check", "PSN_IMPLICATIONS", "psn_type0_check",
     "psn_type1_axis", "psn_type1_check", "psn_type2_axis", "psn_type2_check",
     "psn_type3_check", "render_table", "resample_curvatures",
-    "run_theorem_suite", "save_profile", "validate_axis", "write_trace_csv",
+    "row_norm", "run_theorem_suite", "save_profile", "validate_axis", "write_trace_csv",
 ]

@@ -16,7 +16,7 @@ import numpy as np
 from .calculus import grid_derivative
 from .errors import GridMismatchError
 from .integrator import CurveTrace
-from .minkowski import pairing
+from .minkowski import pairing, row_norm
 
 DEFAULT_EPS_AXIS = 1e-6
 
@@ -55,14 +55,6 @@ def assemble_axis(trace: CurveTrace, k: int, source: str,
                          coeffs=coeffs, U=u_ambient)
 
 
-def ambient_axis(trace: CurveTrace, k: int, source: str, u) -> AxisCandidate:
-    """Wrap one fixed ambient vector as a candidate on the trace grid."""
-    u = np.asarray(u, dtype=float).reshape(4)
-    big = np.broadcast_to(u, (trace.n, 4)).copy()
-    return AxisCandidate(k=int(k), source=source, s=trace.s,
-                         coeffs=np.full((trace.n, 4), np.nan), U=big)
-
-
 @dataclass
 class AxisValidation:
     k: int
@@ -99,11 +91,11 @@ def validate_axis(trace: CurveTrace, candidate: AxisCandidate,
     if trace.n < 7:
         raise GridMismatchError("trace too short to validate an axis")
     du = grid_derivative(candidate.U, trace.h, order=1)
-    max_du = float(np.max(np.linalg.norm(du[2:-2], axis=1)))
+    max_du = float(np.max(row_norm(du[2:-2])))
     g_vals = pairing(trace.frames[:, candidate.k, :], candidate.U)
     g_mean = float(np.mean(g_vals))
     g_var = float(np.var(g_vals))
-    scale = float(np.max(np.linalg.norm(candidate.U, axis=1)))
+    scale = float(np.max(row_norm(candidate.U)))
     passed = (max_du < eps_axis * (1.0 + scale)) and (g_var < eps_axis**2)
     return AxisValidation(k=candidate.k, source=candidate.source,
                           max_du=max_du, g_mean=g_mean, g_variance=g_var,

@@ -7,11 +7,12 @@ Design notes:
   vanish.
 * Derivatives of curvature data are taken numerically even when closed
   forms exist, so expression-based and sampled profiles share one code
-  path: the callers sample the profile once on a uniform grid and
-  grid_derivative differentiates the samples with 5-point stencils. First
-  and second derivatives are 4th order, third derivatives 2nd order; the
-  two points at each end of the grid use shifted stencils of the same
-  width, so no value outside the grid is ever needed.
+  path: a classification samples the profile once per grid (the check
+  grid and the trace grid) and grid_derivative differentiates those
+  samples with 5-point stencils. First and second derivatives are 4th
+  order, third derivatives 2nd order; the two points at each end of the
+  grid use shifted stencils of the same width, so no value outside the
+  grid is ever needed.
 """
 
 from __future__ import annotations
@@ -136,8 +137,10 @@ def grid_derivative(values: np.ndarray, h: float, order: int = 1) -> np.ndarray:
     out = np.zeros_like(values)
     for j, w in enumerate(_stencil_weights(order, 0)):
         out[2:n - 2] += w * values[j:n - 4 + j]
+    # edge rows: the (1, 5) x (5, rest) product tensordot would make
+    flat = values.reshape(n, -1)
     for i, shift in ((0, 2), (1, 1), (n - 2, -1), (n - 1, -2)):
         w = _stencil_weights(order, shift)
         lo = i + shift - 2
-        out[i] = np.tensordot(w, values[lo:lo + 5], axes=(0, 0))
+        out[i] = np.dot(w[None, :], flat[lo:lo + 5]).reshape(values.shape[1:])
     return out / h**order

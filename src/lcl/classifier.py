@@ -7,6 +7,11 @@ condition here is paired with an independent nullspace oracle on the
 integrated trace so the two routes can disagree loudly instead of
 silently.
 
+One classification samples each grid once. The checks read one Samples
+bundle on the check grid (profile.sample()); the axis builders read the
+curvatures the trace carries on its own grid; the oracle decides all
+four k from one stacked SVD of the trace.
+
 Partially null curves are classified with sigma identically 0; the frame
 freedom that makes other sigma choices equivalent is not modeled here.
 The trivial axis B1 (which pairs constantly with everything) is excluded
@@ -35,8 +40,8 @@ from .fits import (CheckResult, FittedConstant, Tolerances, Verdict,
                    _rms)
 from .frames import FrameKind
 from .integrator import CurveTrace, integrate_frame
-from .minkowski import SIGNS, Vec4, nullspace_min_singular, pairing
-from .profiles import CurvatureProfile
+from .minkowski import SIGNS, Vec4, nullspace_min_singular, pairing, row_norm
+from .profiles import CurvatureProfile, Samples
 
 log = logging.getLogger("lcl.classifier")
 
@@ -66,82 +71,84 @@ class OracleResult:
 # ---------------------------------------------------------------------------
 # oracle
 
-def oracle_detect(trace: CurveTrace, k: int,
-                  tol: Tolerances = Tolerances()) -> OracleResult:
-    """Decide k-type numerically from the trace alone.
+def oracle_detect(trace: CurveTrace,
+                  tol: Tolerances = Tolerances()) -> dict:
+    """Decide k-type numerically from the trace alone, for k = 0..3.
 
     Rows M (V(s_i) - V(s_0)) with M = diag(-1,1,1,1) annihilate exactly
     the vectors whose pairing with V stays constant, so the smallest
     singular value measures how far the curve is from k-type. For
     partially null traces a unit B1 row is appended, which removes the
     trivial axis from the nullspace; the recovered vector is then the
-    Euclidean projection of any true axis away from B1.
+    Euclidean projection of any true axis away from B1. The rows of all
+    four k stack to (4, m, 4) for one SVD call; a row that never moves
+    ("indicatrix constant") is its own axis and skips the SVD's answer.
     """
-    if k not in (0, 1, 2, 3):
-        raise ValueError(f"k must be in 0..3, got {k}")
-    v = trace.frames[:, k, :]
-    rows = (v[1:] - v[0]) * SIGNS
-    scale = 1.0 + float(np.max(np.linalg.norm(v, axis=1)))
-    max_row = float(np.max(np.linalg.norm(rows, axis=1)))
-    threshold = tol.eps_oracle_coeff * math.sqrt(rows.shape[0])
-    if max_row < 1e-9 * scale:
-        u = v[0] * SIGNS
-        u = u / np.linalg.norm(u)
-        g_vals = pairing(v, u)
-        return OracleResult(Verdict.YES, Vec4.from_array(u), max_row,
-                            threshold, note="indicatrix constant",
-                            g_mean=float(np.mean(g_vals)),
-                            g_variance=float(np.var(g_vals)))
+    v = trace.frames.transpose(1, 0, 2)          # v[k]: row k of each frame
+    rows = (v[:, 1:] - v[:, :1]) * SIGNS
+    max_row = np.max(row_norm(rows), axis=1)
+    constant = max_row < 1e-9 * (1.0 + np.max(row_norm(v), axis=1))
+    constant_threshold = tol.eps_oracle_coeff * math.sqrt(rows.shape[1])
     note = ""
     if trace.kind is FrameKind.PARTIALLY_NULL:
         b1 = trace.frames[0, 2]
-        rows = np.vstack([rows, b1 / np.linalg.norm(b1)])
+        unit = np.broadcast_to(b1 / np.linalg.norm(b1), (4, 1, 4))
+        rows = np.concatenate([rows, unit], axis=1)
         note = "trivial B1 direction excluded"
-        threshold = tol.eps_oracle_coeff * math.sqrt(rows.shape[0])
+    threshold = tol.eps_oracle_coeff * math.sqrt(rows.shape[1])
     cand = nullspace_min_singular(rows)
-    g_vals = pairing(v, cand.vector.to_array())
-    g_var = float(np.var(g_vals))
-    verdict = Verdict.of(cand.sigma_min < threshold)
-    if verdict is Verdict.YES and g_var >= tol.eps_axis:
-        verdict = Verdict.NO
-        note = (note + "; " if note else "") + "candidate failed pairing validation"
-    return OracleResult(verdict, cand.vector, cand.sigma_min, threshold,
-                        note=note, g_mean=float(np.mean(g_vals)),
-                        g_variance=g_var)
+    results = {}
+    for k in range(4):
+        if constant[k]:
+            u = v[k, 0] * SIGNS
+            u = u / np.linalg.norm(u)
+        else:
+            u = cand.vector[k]
+        g_vals = pairing(v[k], u)
+        g_mean, g_var = float(np.mean(g_vals)), float(np.var(g_vals))
+        if constant[k]:
+            results[k] = OracleResult(
+                Verdict.YES, Vec4.from_array(u), float(max_row[k]),
+                constant_threshold, "indicatrix constant", g_mean, g_var)
+            continue
+        sigma_min = float(cand.sigma_min[k])
+        verdict, k_note = Verdict.of(sigma_min < threshold), note
+        if verdict is Verdict.YES and g_var >= tol.eps_axis:
+            verdict = Verdict.NO
+            k_note = (note + "; " if note else "") + "candidate failed pairing validation"
+        results[k] = OracleResult(verdict, Vec4.from_array(u), sigma_min,
+                                  threshold, k_note, g_mean, g_var)
+    return results
 
 
 # ---------------------------------------------------------------------------
 # partially null family (sigma identically 0)
 
-def pn_type0_check(p: CurvatureProfile,
+def pn_type0_check(smp: Samples,
                    tol: Tolerances = Tolerances()) -> CheckResult:
     """0-type (general helix) iff tau/kappa is constant."""
-    _require_kind(p, FrameKind.PARTIALLY_NULL)
-    grid = p.grid()
-    kappa, tau, _ = p.evaluate_arrays(grid)
-    _guard_nonzero(kappa, "kappa")
-    ok, mean, residual = _constant_fit(tau / kappa, tol.eps_cond)
+    _require_kind(smp, FrameKind.PARTIALLY_NULL)
+    _guard_nonzero(smp.kappa, "kappa")
+    ok, mean, residual = _constant_fit(smp.tau / smp.kappa, tol.eps_cond)
     return CheckResult(Verdict.of(ok), residual,
                        constants={"ratio": FittedConstant(mean, residual)})
 
 
-def pn_type0_axes(p: CurvatureProfile,
-                  trace: CurveTrace) -> list[AxisCandidate]:
+def pn_type0_axes(trace: CurveTrace) -> list[AxisCandidate]:
     """Axes for a constant-ratio curve.
 
     Primary candidate (tau/kappa) T + B1 + B2; the B1-free variant
     (tau/kappa) T + B2 is emitted second. Both are constant whenever the
     ratio is, and both also certify k = 3 (their B2 pairing is constant).
     """
-    kappa, tau, _ = p.evaluate_arrays(trace.s)
-    ratio = tau / kappa
+    ratio = trace.tau / trace.kappa
     return [
         assemble_axis(trace, 0, "helix-ratio", ratio, 0.0, 1.0, 1.0),
         assemble_axis(trace, 0, "helix-ratio-tangent", ratio, 0.0, 0.0, 1.0),
     ]
 
 
-def pn_type1_check(p: CurvatureProfile,
+def pn_type1_check(smp: Samples,
                    tol: Tolerances = Tolerances()) -> CheckResult:
     """1-type iff tau/kappa is affine in the anchored integral of kappa.
 
@@ -151,12 +158,10 @@ def pn_type1_check(p: CurvatureProfile,
     constant-ratio axes pair constantly with N as well) and is flagged,
     with both the product C*c0 and the raw coefficients reported.
     """
-    _require_kind(p, FrameKind.PARTIALLY_NULL)
-    grid = p.grid()
-    kappa, tau, _ = p.evaluate_arrays(grid)
-    _guard_nonzero(kappa, "kappa")
-    ratio = tau / kappa
-    kint = cumulative_integral(p.kappa, grid)
+    _require_kind(smp, FrameKind.PARTIALLY_NULL)
+    _guard_nonzero(smp.kappa, "kappa")
+    ratio = smp.tau / smp.kappa
+    kint = cumulative_integral(smp.profile.kappa, smp.s)
     design = np.column_stack([np.ones_like(kint), kint])
     a0, c_lin = _damped_lstsq(design, ratio, tol.damping)
     residual = _rms(ratio - design @ (a0, c_lin)) / (1.0 + _rms(ratio))
@@ -173,7 +178,7 @@ def pn_type1_check(p: CurvatureProfile,
                        extras={"degenerate": degenerate})
 
 
-def pn_type1_axis(p: CurvatureProfile, trace: CurveTrace, c_lin: float,
+def pn_type1_axis(trace: CurveTrace, c_lin: float,
                   c0: float) -> AxisCandidate:
     """Axis (c0 + K) T + N - (Int tau) B1 + (1/C) B2 for the affine family.
 
@@ -186,13 +191,14 @@ def pn_type1_axis(p: CurvatureProfile, trace: CurveTrace, c_lin: float,
         raise DegenerateAxisError(
             "affine axis undefined: fitted linear coefficient is zero "
             "(constant ratio); use the constant-ratio axes instead")
+    p = trace.profile
     kint = cumulative_integral(p.kappa, trace.s)
     tint = cumulative_integral(p.tau, trace.s)
     return assemble_axis(trace, 1, "curvature-integral",
                          c0 + kint, 1.0, -tint, 1.0 / c_lin)
 
 
-def pn_type2_axis(p: CurvatureProfile, trace: CurveTrace,
+def pn_type2_axis(trace: CurveTrace,
                   c: tuple[float, float, float] = (1.0, 0.0, 0.0)
                   ) -> AxisCandidate:
     """Universal 2-type axis for partially null curves.
@@ -210,7 +216,7 @@ def pn_type2_axis(p: CurvatureProfile, trace: CurveTrace,
     yes by construction (checked against the oracle anyway).
     """
     c1, c2, c3 = (float(x) for x in c)
-    grid = trace.s
+    grid, p = trace.s, trace.profile
     theta, theta_at = make_cumulative(p.kappa, grid)
 
     def integrands(t):
@@ -226,14 +232,11 @@ def pn_type2_axis(p: CurvatureProfile, trace: CurveTrace,
     return assemble_axis(trace, 2, "oscillator-solution", u1, u2, u3, 1.0)
 
 
-def pn_type3_check(p: CurvatureProfile, tol: Tolerances = Tolerances(),
-                   type0: Optional[CheckResult] = None) -> CheckResult:
+def pn_type3_check(type0: CheckResult) -> CheckResult:
     """3-type coincides with 0-type for partially null curves.
 
-    Pass the k = 0 result as `type0` to reuse it; it is not modified.
+    Returns the k = 0 result `type0`, marked as such; it is not modified.
     """
-    if type0 is None:
-        type0 = pn_type0_check(p, tol)
     return replace(type0, extras={**type0.extras, "equivalent_to": "k0"})
 
 
@@ -243,18 +246,13 @@ PN_IMPLICATIONS = ((0, 1), (0, 2), (0, 3), (1, 2), (3, 0), (3, 1), (3, 2))
 # ---------------------------------------------------------------------------
 # pseudo null family (kappa = 1)
 
-def psn_type0_check(p: CurvatureProfile, trace: CurveTrace,
-                    tol: Tolerances = Tolerances(),
-                    oracle: Optional[OracleResult] = None) -> CheckResult:
+def psn_type0_check(oracle: OracleResult) -> CheckResult:
     """No pseudo null curve is a general helix; assert the oracle agrees.
 
-    The verdict is always No. The oracle margin (sigma_min over its
+    The verdict is always No. The k = 0 oracle margin (sigma_min over its
     threshold) is reported, and an oracle Yes is flagged as an internal
     inconsistency rather than believed.
     """
-    _require_kind(p, FrameKind.PSEUDO_NULL)
-    if oracle is None:
-        oracle = oracle_detect(trace, 0, tol)
     flags = []
     if oracle.verdict is Verdict.YES:
         flags.append("internal-inconsistency: oracle found a tangent axis "
@@ -264,14 +262,13 @@ def psn_type0_check(p: CurvatureProfile, trace: CurveTrace,
                        extras={"margin": margin, "oracle": oracle})
 
 
-def psn_type1_check(p: CurvatureProfile,
+def psn_type1_check(smp: Samples,
                     tol: Tolerances = Tolerances()) -> CheckResult:
     """1-type iff sigma/tau = -s^2/2 + a s + b; fits (a, b)."""
-    _require_kind(p, FrameKind.PSEUDO_NULL)
-    grid = p.grid()
-    _, tau, sigma = p.evaluate_arrays(grid)
-    _guard_nonzero(tau, "tau")
-    q = sigma / tau
+    _require_kind(smp, FrameKind.PSEUDO_NULL)
+    grid = smp.s
+    _guard_nonzero(smp.tau, "tau")
+    q = smp.sigma / smp.tau
     target = q + 0.5 * grid**2
     design = np.column_stack([grid, np.ones_like(grid)])
     a_fit, b_fit = _damped_lstsq(design, target, tol.damping)
@@ -284,8 +281,7 @@ def psn_type1_check(p: CurvatureProfile,
     })
 
 
-def psn_type1_axis(p: CurvatureProfile, trace: CurveTrace,
-                   k: int = 1) -> AxisCandidate:
+def psn_type1_axis(trace: CurveTrace, k: int = 1) -> AxisCandidate:
     """Axis -(sigma/tau)' T + (sigma/tau) N + B2 for the quadratic family.
 
     The ratio is sampled on the trace grid and differentiated there with
@@ -294,13 +290,12 @@ def psn_type1_axis(p: CurvatureProfile, trace: CurveTrace,
     vector certifies k = 2 with a vanishing pairing constant; pass k = 2
     to relabel it for that use.
     """
-    _, tau, sigma = p.evaluate_arrays(trace.s)
-    q = sigma / tau
+    q = trace.sigma / trace.tau
     qp = grid_derivative(q, trace.h)
     return assemble_axis(trace, k, "ratio-derivative", -qp, q, 0.0, 1.0)
 
 
-def psn_type2_check(p: CurvatureProfile, tol: Tolerances = Tolerances(),
+def psn_type2_check(smp: Samples, tol: Tolerances = Tolerances(),
                     type1: Optional[CheckResult] = None) -> CheckResult:
     """2-type via the torsion-integral identity, with its blind spot covered.
 
@@ -312,13 +307,11 @@ def psn_type2_check(p: CurvatureProfile, tol: Tolerances = Tolerances(),
     identity, so the verdict is the disjunction: identity holds, or the
     1-type condition holds. The identity residual is always reported.
     """
-    _require_kind(p, FrameKind.PSEUDO_NULL)
-    grid = p.grid()
-    step = grid[1] - grid[0]
-    _, tau, sigma = p.evaluate_arrays(grid)
-    _guard_nonzero(tau, "tau")
-    q = sigma / tau
-    tint = cumulative_integral(p.tau, grid)
+    _require_kind(smp, FrameKind.PSEUDO_NULL)
+    step, sigma = smp.h, smp.sigma
+    _guard_nonzero(smp.tau, "tau")
+    q = sigma / smp.tau
+    tint = cumulative_integral(smp.profile.tau, smp.s)
     # R(c_int) = R0 + c_int * R1, linear because differentiation is
     inner0 = grid_derivative(q * tint, step)
     inner1 = grid_derivative(q, step)
@@ -337,7 +330,7 @@ def psn_type2_check(p: CurvatureProfile, tol: Tolerances = Tolerances(),
     identity_ok = residual < tol.eps_cond
 
     if type1 is None:
-        type1 = psn_type1_check(p, tol)
+        type1 = psn_type1_check(smp, tol)
     branch = None
     if identity_ok:
         branch = "torsion-integral"
@@ -352,37 +345,31 @@ def psn_type2_check(p: CurvatureProfile, tol: Tolerances = Tolerances(),
                        flags=flags, extras={"branch": branch})
 
 
-def psn_type2_axis(p: CurvatureProfile, trace: CurveTrace,
-                   c_int: float) -> AxisCandidate:
+def psn_type2_axis(trace: CurveTrace, c_int: float) -> AxisCandidate:
     """Axis for the torsion-integral branch, unit B1 pairing.
 
     U = -[sigma + ((sigma/tau) I)'] T + (sigma/tau) I N + B1 + I B2 with
     I = c_int + Int tau. Only valid when the identity residual is small;
     callers gate on psn_type2_check.
     """
-    grid = trace.s
-    _, tau, sigma = p.evaluate_arrays(grid)
-    q = sigma / tau
-    i_vals = c_int + cumulative_integral(p.tau, grid)
+    q = trace.sigma / trace.tau
+    i_vals = c_int + cumulative_integral(trace.profile.tau, trace.s)
     w = q * i_vals
     wp = grid_derivative(w, trace.h)
     return assemble_axis(trace, 2, "torsion-integral",
-                         -(sigma + wp), w, 1.0, i_vals)
+                         -(trace.sigma + wp), w, 1.0, i_vals)
 
 
-def psn_type3_check(p: CurvatureProfile, trace: CurveTrace,
-                    tol: Tolerances = Tolerances(),
-                    oracle: Optional[OracleResult] = None) -> CheckResult:
-    """3-type is decided by the oracle; the closed form is advisory only.
+def psn_type3_check(smp: Samples, oracle: OracleResult,
+                    tol: Tolerances = Tolerances()) -> CheckResult:
+    """3-type is decided by the k = 3 oracle; the closed form is advisory.
 
     The published closed-form condition for this case is internally
     inconsistent, so its residual is evaluated and logged but never
     decides. A disagreement between the two is flagged.
     """
-    _require_kind(p, FrameKind.PSEUDO_NULL)
-    if oracle is None:
-        oracle = oracle_detect(trace, 3, tol)
-    residual, note = _binormal_closed_form_residual(p)
+    _require_kind(smp, FrameKind.PSEUDO_NULL)
+    residual, note = _binormal_closed_form_residual(smp)
     if residual is None:
         log.info("closed-form 3-type residual unavailable (%s)", note)
     else:
@@ -400,7 +387,7 @@ def psn_type3_check(p: CurvatureProfile, trace: CurveTrace,
 
 
 def _binormal_closed_form_residual(
-        p: CurvatureProfile) -> tuple[Optional[float], str]:
+        smp: Samples) -> tuple[Optional[float], str]:
     """Advisory residual of the published second-binormal condition.
 
     phi = tau / sqrt(1 + sigma^2) + d/ds [ sqrt(1 + sigma^2)
@@ -412,9 +399,7 @@ def _binormal_closed_form_residual(
     must never crash a classification.
     """
     try:
-        grid = p.grid()
-        step = grid[1] - grid[0]
-        _, tau, sigma = p.evaluate_arrays(grid)
+        step, tau, sigma = smp.h, smp.tau, smp.sigma
         taup = grid_derivative(tau, step)
         sigp = grid_derivative(sigma, step)
         sigpp = grid_derivative(sigma, step, order=2)
@@ -434,10 +419,10 @@ def _binormal_closed_form_residual(
 PSN_IMPLICATIONS = ((1, 2),)
 
 
-def _require_kind(p: CurvatureProfile, kind: FrameKind) -> None:
-    if p.kind is not kind:
+def _require_kind(smp: Samples, kind: FrameKind) -> None:
+    if smp.kind is not kind:
         raise ProfileError(f"check requires a {kind.value} profile, "
-                           f"got {p.kind.value}")
+                           f"got {smp.kind.value}")
 
 
 # ---------------------------------------------------------------------------
@@ -495,12 +480,13 @@ def classify_profile(p: CurvatureProfile,
     axes and their flags; everything after that is shared.
     """
     trace = integrate_frame(p, h=h, eps_gram=tol.eps_gram)
-    oracle = {k: oracle_detect(trace, k, tol) for k in range(4)}
+    smp = p.sample()
+    oracle = oracle_detect(trace, tol)
     if p.kind is FrameKind.PARTIALLY_NULL:
-        checks, axes, flags = _partially_null_checks(p, trace, tol)
+        checks, axes, flags = _partially_null_checks(smp, trace, tol)
         implications = PN_IMPLICATIONS
     else:
-        checks, axes, flags = _pseudo_null_checks(p, trace, tol, oracle)
+        checks, axes, flags = _pseudo_null_checks(smp, trace, tol, oracle)
         implications = PSN_IMPLICATIONS
 
     raw = {k: res.verdict for k, res in checks.items()}
@@ -527,7 +513,7 @@ def classify_profile(p: CurvatureProfile,
                          for k in range(4)},
         }
     else:
-        hyp = hyperbolic.pseudohyperbolic_block(p, trace, tol, type1=checks[1])
+        hyp = hyperbolic.pseudohyperbolic_block(smp, trace, tol, type1=checks[1])
         if hyp.get("is_h3_family") and checks[1].verdict is Verdict.YES:
             flags.append("internal-inconsistency: constant-ratio curve "
                          "classified 1-type")
@@ -583,29 +569,28 @@ def _validated(trace, candidates, tol, flags, context):
     return out
 
 
-def _partially_null_checks(p, trace, tol) -> tuple[dict, list, list]:
+def _partially_null_checks(smp, trace, tol) -> tuple[dict, list, list]:
     """Condition results for k = 0..3, validated axes and axis flags."""
-    sigma_vals = p.evaluate_arrays(p.grid(65))[2]
-    if np.max(np.abs(sigma_vals)) > 1e-12:
+    if np.max(np.abs(smp.sigma)) > 1e-12:
         raise ProfileError("classification requires sigma = 0 for "
                            "partially null profiles")
     flags = []
     # 2-type axis exists for every admissible profile; verdict is its
     # validation, and a failure there is an internal inconsistency.
-    axis2 = pn_type2_axis(p, trace, (1.0, 0.0, 0.0))
+    axis2 = pn_type2_axis(trace)
     val2 = validate_axis(trace, axis2, tol.eps_axis)
     if not val2.passed:
         flags.append("internal-inconsistency: universal 2-type axis failed "
                      f"validation (max_dU {val2.max_du:.3g})")
     axes = [(axis2, val2)]
-    r0, r1 = pn_type0_check(p, tol), pn_type1_check(p, tol)
+    r0, r1 = pn_type0_check(smp, tol), pn_type1_check(smp, tol)
     checks = {0: r0, 1: r1,
               2: CheckResult(Verdict.of(val2.passed), val2.max_du),
-              3: pn_type3_check(p, tol, type0=r0)}
+              3: pn_type3_check(r0)}
 
     degenerate1 = r1.verdict is Verdict.YES and r1.extras.get("degenerate")
     if r0.verdict is Verdict.YES or degenerate1:
-        ratio_axes = pn_type0_axes(p, trace)
+        ratio_axes = pn_type0_axes(trace)
     if r0.verdict is Verdict.YES:
         axes.extend(_validated(trace, ratio_axes, tol, flags, "constant-ratio"))
         axes.extend(_validated(trace, [replace(ratio_axes[0], k=3)],
@@ -615,33 +600,33 @@ def _partially_null_checks(p, trace, tol) -> tuple[dict, list, list]:
             axes.extend(_validated(trace, [replace(ratio_axes[0], k=1)],
                                    tol, flags, "degenerate affine"))
         else:
-            axis1 = pn_type1_axis(p, trace, r1.constants["C"].value,
+            axis1 = pn_type1_axis(trace, r1.constants["C"].value,
                                   r1.constants["c0"].value)
             axes.extend(_validated(trace, [axis1], tol, flags, "affine"))
     return checks, axes, flags
 
 
-def _pseudo_null_checks(p, trace, tol, oracle) -> tuple[dict, list, list]:
+def _pseudo_null_checks(smp, trace, tol, oracle) -> tuple[dict, list, list]:
     """Condition results for k = 0..3, validated axes and axis flags.
 
     The k = 3 verdict is the oracle's; its reported residual is the
     advisory closed form, since sigma_min is already in the oracle block.
     """
     flags, axes = [], []
-    r1 = psn_type1_check(p, tol)
-    r2 = psn_type2_check(p, tol, type1=r1)
-    r3 = psn_type3_check(p, trace, tol, oracle=oracle[3])
-    checks = {0: psn_type0_check(p, trace, tol, oracle=oracle[0]), 1: r1,
+    r1 = psn_type1_check(smp, tol)
+    r2 = psn_type2_check(smp, tol, type1=r1)
+    r3 = psn_type3_check(smp, oracle[3], tol)
+    checks = {0: psn_type0_check(oracle[0]), 1: r1,
               2: r2,
               3: replace(r3, residual=r3.extras.get("closed_form_residual"))}
 
     if r1.verdict is Verdict.YES:
-        axis1 = psn_type1_axis(p, trace)
+        axis1 = psn_type1_axis(trace)
         axes.extend(_validated(trace, [axis1], tol, flags, "quadratic-ratio"))
     if r2.verdict is Verdict.YES:
         if r2.extras.get("branch") == "torsion-integral":
-            axis2 = psn_type2_axis(p, trace, r2.constants["c_int"].value)
+            axis2 = psn_type2_axis(trace, r2.constants["c_int"].value)
         else:
-            axis2 = psn_type1_axis(p, trace, k=2)
+            axis2 = psn_type1_axis(trace, k=2)
         axes.extend(_validated(trace, [axis2], tol, flags, "2-type"))
     return checks, axes, flags

@@ -62,12 +62,13 @@ def _tolerances(args) -> Tolerances:
     return Tolerances(**kw)
 
 
-def _add_common(sub, tols: bool = True) -> None:
+def _add_common(sub, tols: tuple = ("cond", "axis")) -> None:
     sub.add_argument("--h", type=float, default=None,
                      help="integration step (default: span/1000)")
-    if tols:
+    if "cond" in tols:
         sub.add_argument("--tol-cond", type=float, default=None,
                          help="relative residual tolerance for checks")
+    if "axis" in tols:
         sub.add_argument("--tol-axis", type=float, default=None,
                          help="axis constancy tolerance")
 
@@ -100,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="output CSV (default: <profile>_trace.csv)")
     synth.add_argument("--emit-gnuplot", action="store_true",
                        help="also write a gnuplot script next to the CSV")
-    _add_common(synth, tols=False)
+    _add_common(synth, tols=())
 
     cls = sub.add_parser("classify", help="classify one profile")
     _add_profile_arg(cls)
@@ -114,7 +115,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run the regression suite")
     ver.add_argument("--suite", default=None,
                      help="suite JSON file (default: bundled fixtures)")
-    ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    ver.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                     help="non-negative seed of the bundled suite")
     ver.add_argument("--json", action="store_true", dest="as_json")
     ver.add_argument("--pretty", action="store_true",
                      help="indented JSON (implies --json)")
@@ -129,7 +131,8 @@ def _build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--pretty", action="store_true",
                      help="indented JSON (implies --json)")
     orc.add_argument("-o", "--output", default=None)
-    _add_common(orc)
+    # the oracle reads no condition residual, so it takes no --tol-cond
+    _add_common(orc, tols=("axis",))
 
     swp = sub.add_parser("sweep", help="classify a parameter grid to CSV")
     swp.add_argument("spec", help="sweep specification JSON file")
@@ -219,6 +222,8 @@ def _render_report(report) -> str:
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     fixtures = None
     if args.suite is not None:
         fixtures = load_suite(args.suite)
@@ -239,9 +244,9 @@ def cmd_verify(args) -> int:
 def cmd_oracle(args) -> int:
     profile = load_profile(_profile_path(args))
     trace = integrate_frame(profile, h=args.h)
-    ks = [args.k] if args.k is not None else [0, 1, 2, 3]
-    tol = _tolerances(args)
-    results = {k: oracle_detect(trace, k, tol) for k in ks}
+    results = oracle_detect(trace, _tolerances(args))
+    if args.k is not None:
+        results = {args.k: results[args.k]}
     if args.as_json or args.pretty:
         payload = {f"k{k}": r.to_json_dict() for k, r in results.items()}
         _emit(_dumps(payload, args.pretty), args.output)

@@ -26,22 +26,20 @@ from .fits import (CheckResult, FittedConstant, Tolerances, Verdict,
                    _constant_fit, _damped_lstsq, _guard_nonzero, _jsonable)
 from .frames import FrameKind
 from .integrator import CurveTrace
-from .minkowski import SIGNS, Vec4, pairing
-from .profiles import CurvatureProfile
+from .minkowski import SIGNS, Vec4, pairing, row_norm
+from .profiles import CurvatureProfile, Samples
 
 log = logging.getLogger("lcl.hyperbolic")
 
 
-def h3_ratio_check(p: CurvatureProfile,
+def h3_ratio_check(smp: Samples,
                    tol: Tolerances = Tolerances()) -> CheckResult:
     """Family test: sigma/tau constant and negative."""
-    if p.kind is not FrameKind.PSEUDO_NULL:
+    if smp.kind is not FrameKind.PSEUDO_NULL:
         raise ProfileError("pseudohyperbolic checks apply to pseudo null "
                            "profiles only")
-    grid = p.grid()
-    _, tau, sigma = p.evaluate_arrays(grid)
-    _guard_nonzero(tau, "tau")
-    constant, mean, residual = _constant_fit(sigma / tau, tol.eps_cond)
+    _guard_nonzero(smp.tau, "tau")
+    constant, mean, residual = _constant_fit(smp.sigma / smp.tau, tol.eps_cond)
     negative = mean < -tol.eps_cond
     flags = []
     if constant and not negative:
@@ -116,7 +114,7 @@ def closed_form_center(trace: CurveTrace, c: float) -> tuple[Vec4, float]:
     centers = (trace.positions + c * trace.frames[:, 1, :]
                + trace.frames[:, 3, :])
     mean = centers.mean(axis=0)
-    spread = float(np.max(np.linalg.norm(centers - mean, axis=1)))
+    spread = float(np.max(row_norm(centers - mean)))
     return Vec4.from_array(mean), spread / (1.0 + float(np.linalg.norm(mean)))
 
 
@@ -165,7 +163,7 @@ def make_h3_type2_profile(c: float, lam: float, mu: float,
                                    label=label or f"h3-type2(c={c:g})")
 
 
-def h3_type2_tau_form(p: CurvatureProfile, c: float,
+def h3_type2_tau_form(smp: Samples, c: float,
                       tol: Tolerances = Tolerances()) -> CheckResult:
     """2-type within the family iff tau is the exponential form for c.
 
@@ -176,16 +174,14 @@ def h3_type2_tau_form(p: CurvatureProfile, c: float,
     """
     if c >= 0.0:
         raise ProfileError("the ratio constant c must be negative")
-    grid = p.grid()
-    tau_vals = p.tau(grid)
+    grid, tau_vals = smp.s, smp.tau
     w = math.sqrt(-2.0 * c)
     design = np.column_stack([np.exp(grid / w), np.exp(-grid / w)])
     lam, mu = _damped_lstsq(design, tau_vals, tol.damping)
     form = TauForm(c, float(lam), float(mu))
     scale = 1.0 + float(np.max(np.abs(tau_vals)))
     ode_residual = float(np.max(np.abs(2.0 * c * form.second(grid) + tau_vals))) / scale
-    step = grid[1] - grid[0]
-    fd_second = grid_derivative(tau_vals, step, order=2)
+    fd_second = grid_derivative(tau_vals, smp.h, order=2)
     fd_residual = float(np.max(np.abs(2.0 * c * fd_second[2:-2]
                                       + tau_vals[2:-2]))) / scale
     verdict = Verdict.of(ode_residual < tol.eps_cond)
@@ -215,7 +211,7 @@ def h3_type1_nonexistence(type1: CheckResult) -> CheckResult:
                        extras={"meaning": "1-type ruled out"})
 
 
-def h3_type3_residual(p: CurvatureProfile, c: float) -> Optional[float]:
+def h3_type3_residual(smp: Samples, c: float) -> Optional[float]:
     """Advisory third-order residual for 3-type family members.
 
     Scores max |L - R| with
@@ -229,9 +225,7 @@ def h3_type3_residual(p: CurvatureProfile, c: float) -> Optional[float]:
     the condition itself is advisory. Returns None when evaluation fails.
     """
     try:
-        grid = p.grid()
-        step = grid[1] - grid[0]
-        tau = p.tau(grid)
+        step, tau = smp.h, smp.tau
         tau1 = grid_derivative(tau, step)
         tau2 = grid_derivative(tau, step, order=2)
         tau3 = grid_derivative(tau, step, order=3)
@@ -249,11 +243,11 @@ def h3_type3_residual(p: CurvatureProfile, c: float) -> Optional[float]:
         return None
 
 
-def pseudohyperbolic_block(p: CurvatureProfile, trace: CurveTrace,
+def pseudohyperbolic_block(smp: Samples, trace: CurveTrace,
                            tol: Tolerances = Tolerances(),
                            type1: Optional[CheckResult] = None) -> dict:
     """Report block assembled by the classifier for pseudo null curves."""
-    ratio = h3_ratio_check(p, tol)
+    ratio = h3_ratio_check(smp, tol)
     notes = list(ratio.flags)
     is_family = ratio.verdict is Verdict.YES
     c_val = ratio.constants["c"].value if ratio.extras["constant"] else None
@@ -307,7 +301,7 @@ def pseudohyperbolic_block(p: CurvatureProfile, trace: CurveTrace,
         notes.extend(non1.flags)
         block["type1_nonexistence"] = non1.verdict.value
 
-    tau_form = h3_type2_tau_form(p, c, tol)
+    tau_form = h3_type2_tau_form(smp, c, tol)
     block["type2_tau"] = {
         "verdict": tau_form.verdict.value,
         "ode_residual": _jsonable(tau_form.residual),
@@ -315,6 +309,6 @@ def pseudohyperbolic_block(p: CurvatureProfile, trace: CurveTrace,
         "lam": tau_form.constants["lam"].to_json_dict(),
         "mu": tau_form.constants["mu"].to_json_dict(),
     }
-    block["type3_residual"] = _jsonable(h3_type3_residual(p, c))
+    block["type3_residual"] = _jsonable(h3_type3_residual(smp, c))
     block["notes"] = notes
     return block

@@ -34,7 +34,7 @@ from .calculus import grid_derivative
 from .errors import ConfigError, FrameError, IntegrationError
 from .frames import FrameKind, canonical_frame, frenet_matrix, gram_residual
 from .minkowski import Vec4, pairing
-from .profiles import CurvatureProfile
+from .profiles import CurvatureProfile, Samples
 
 log = logging.getLogger("lcl.integrator")
 
@@ -44,16 +44,15 @@ ABORT_FACTOR = 1e3
 
 
 @dataclass
-class CurveTrace:
-    """Sampled curve: positions and frames on a uniform grid."""
+class CurveTrace(Samples):
+    """Sampled curve: the profile's samples on the integration grid s,
+    with positions and frames there. The curvatures are views of the
+    half-step lattice the integration evaluated (s is its even points).
+    """
 
-    kind: FrameKind
-    s: np.ndarray                 # (n,)
     positions: np.ndarray         # (n, 4)
     frames: np.ndarray            # (n, 4, 4), rows T, N, B1, B2
     gram_res: np.ndarray          # (n,) max abs Gram deviation per point
-    h: float
-    profile: Optional[CurvatureProfile] = None
 
     @property
     def n(self) -> int:
@@ -153,8 +152,9 @@ def integrate_frame(profile: CurvatureProfile,
     log.debug("integrated %s profile over [%g, %g], %d steps, max drift %.3g",
               profile.kind.value, profile.s_min, profile.s_max, steps,
               float(np.max(gram_res)))
-    return CurveTrace(kind=profile.kind, s=s, positions=positions,
-                      frames=frames, gram_res=gram_res, h=h, profile=profile)
+    return CurveTrace(profile=profile, s=s, h=h, kappa=kappa[::2],
+                      tau=tau[::2], sigma=sigma[::2], positions=positions,
+                      frames=frames, gram_res=gram_res)
 
 
 def _rk4_increments(mats: np.ndarray, h: float

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
-from typing import Callable, Union
+from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
@@ -178,6 +178,11 @@ class CurvatureProfile:
     def grid(self, n: int = 1001) -> np.ndarray:
         return np.linspace(self.s_min, self.s_max, n)
 
+    def sample(self, n: int = 1001) -> "Samples":
+        """(kappa, tau, sigma) evaluated once on grid(n)."""
+        s = self.grid(n)
+        return Samples(self, s, s[1] - s[0], *self.evaluate_arrays(s))
+
     def _check_domain(self, s):
         slack = 1e-12 * (1.0 + self.span)
         s = np.asarray(s, dtype=float)
@@ -251,6 +256,26 @@ class CurvatureProfile:
                           sigma=obj.get("sigma"),
                           domain=domain,
                           label=obj.get("label", ""))
+
+
+@dataclass
+class Samples:
+    """A profile's curvatures on a uniform grid s of step h.
+
+    A classification reads one such bundle per grid instead of evaluating
+    the profile again; only the quadratures call the profile itself.
+    """
+
+    profile: CurvatureProfile
+    s: np.ndarray                 # (n,)
+    h: float
+    kappa: np.ndarray             # (n,)
+    tau: np.ndarray               # (n,)
+    sigma: np.ndarray             # (n,)
+
+    @property
+    def kind(self) -> FrameKind:
+        return self.profile.kind
 
 
 def load_profile(path) -> CurvatureProfile:

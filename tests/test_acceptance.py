@@ -85,12 +85,12 @@ def test_criterion_1_explicit_helix_reproduction():
 def test_criterion_2_constant_ratio_round_trip():
     p = CurvatureProfile.create("partially_null", kappa="1 + s^2",
                                 tau="3*(1 + s^2)", domain=(0.0, 1.0))
-    res = pn_type0_check(p)
+    res = pn_type0_check(p.sample())
     ratio = res.constants["ratio"].value
     tr = integrate_frame(p)
-    axes = pn_type0_axes(p, tr)
+    axes = pn_type0_axes(tr)
     val = validate_axis(tr, axes[0])
-    oracle = oracle_detect(tr, 0)
+    oracle = oracle_detect(tr)[0]
 
     # oracle folds out the trivial B1 direction, so compare against the
     # axis with its Euclidean B1 component removed
@@ -113,11 +113,11 @@ def test_criterion_2_constant_ratio_round_trip():
 def test_criterion_3_affine_ratio_round_trip():
     p = CurvatureProfile.create("partially_null", kappa="1", tau="s",
                                 domain=(0.1, 1.0))
-    res = pn_type1_check(p)
+    res = pn_type1_check(p.sample())
     c_lin = res.constants["C"].value
     c0 = res.constants["c0"].value
     tr = integrate_frame(p)
-    cand = pn_type1_axis(p, tr, c_lin, c0)
+    cand = pn_type1_axis(tr, c_lin, c0)
     val = validate_axis(tr, cand)
     g_n = pairing(tr.frames[:, 1, :], cand.U[0])
     g_dev = float(np.max(np.abs(g_n - 1.0)))
@@ -146,7 +146,7 @@ def test_criterion_4_oscillator_axis_construction():
                                     domain=domain)
         tr = integrate_frame(p)
         for c in triples:
-            cand = pn_type2_axis(p, tr, c)
+            cand = pn_type2_axis(tr, c)
             val = validate_axis(tr, cand, eps_axis=1e-5)
             g_b1 = pairing(tr.frames[:, 2, :], cand.U[0])
             spread = float(np.ptp(g_b1))
@@ -174,7 +174,7 @@ def test_criterion_5_pseudo_null_0_type_nonexistence():
         p = CurvatureProfile.create(
             "pseudo_null", tau=tau_shapes[i % 5].format(a=a, b=b),
             sigma=sigma_shapes[i % 4].format(c=c), domain=(0.0, 1.5))
-        res = oracle_detect(integrate_frame(p), 0)
+        res = oracle_detect(integrate_frame(p))[0]
         margins.append(res.sigma_min)
         verdicts.append(res.verdict)
 
@@ -189,18 +189,18 @@ def test_criterion_6_quadratic_ratio_round_trip():
     p = CurvatureProfile.create("pseudo_null", tau="1",
                                 sigma="-s^2/2 + 0.3*s + 0.1",
                                 domain=(0.0, 2.0))
-    res = psn_type1_check(p)
+    res = psn_type1_check(p.sample())
     a = res.constants["a"].value
     b = res.constants["b"].value
     tr = integrate_frame(p)
-    cand = psn_type1_axis(p, tr)
+    cand = psn_type1_axis(tr)
     val = validate_axis(tr, cand)
     g_n = pairing(tr.frames[:, 1, :], cand.U[0])
     g_b1 = pairing(tr.frames[:, 2, :], cand.U[0])
     n_dev = float(np.max(np.abs(g_n - 1.0)))
     b1_dev = float(np.max(np.abs(g_b1)))
     rep = classify_profile(p)
-    r2 = psn_type2_check(p)
+    r2 = psn_type2_check(p.sample())
 
     _verdict(6, "quadratic ratio round trip", [
         ("verdict", res.verdict is Y, res.verdict.value),
@@ -220,11 +220,12 @@ def test_criterion_7_exponential_family():
     checks = []
     for c, lam, mu in cases:
         p = make_h3_type2_profile(c, lam, mu, (0.0, 1.5))
-        form = h3_type2_tau_form(p, c)
-        r2 = psn_type2_check(p)
-        r1 = psn_type1_check(p)
+        smp = p.sample()
+        form = h3_type2_tau_form(smp, c)
+        r2 = psn_type2_check(smp)
+        r1 = psn_type1_check(smp)
         tr = integrate_frame(p)
-        cand = psn_type2_axis(p, tr, r2.constants["c_int"].value)
+        cand = psn_type2_axis(tr, r2.constants["c_int"].value)
         val = validate_axis(tr, cand, eps_axis=1e-5)
         tag = f"({c},{lam},{mu})"
         checks.extend([

@@ -93,6 +93,26 @@ def test_grid_third_derivative_of_a_quartic_on_every_row():
     assert np.max(np.abs(d3 - (24.0 * grid - 12.0))) < 1e-9
 
 
+@pytest.mark.parametrize("shape", [(41,), (1001,), (1001, 4), (57, 4, 4)])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_grid_derivative_edge_rows_are_bit_identical_to_tensordot(shape,
+                                                                   order):
+    rng = np.random.default_rng([order, *shape])
+    n = shape[0]
+    for _ in range(25):
+        vals = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3)
+        h = float(rng.uniform(1e-3, 1.0))
+        got = grid_derivative(vals, h, order=order)
+        ref = np.zeros_like(vals)
+        for j, w in enumerate(_stencil_weights(order, 0)):
+            ref[2:n - 2] += w * vals[j:n - 4 + j]
+        for i, shift in ((0, 2), (1, 1), (n - 2, -1), (n - 1, -2)):
+            lo = i + shift - 2
+            ref[i] = np.tensordot(_stencil_weights(order, shift),
+                                  vals[lo:lo + 5], axes=(0, 0))
+        assert np.array_equal(got, ref / h**order)
+
+
 def test_grid_derivative_rejects_bad_step():
     with pytest.raises(ValueError):
         grid_derivative(np.zeros(8), 0.0)

@@ -17,7 +17,7 @@ Y, N, U = Verdict.YES, Verdict.NO, Verdict.UNDETERMINED
 def test_constant_ratio_is_0_type():
     p = CurvatureProfile.create("partially_null", kappa="2", tau="6",
                                 domain=(0.0, 1.0))
-    res = pn_type0_check(p)
+    res = pn_type0_check(p.sample())
     assert res.verdict is Y
     assert res.constants["ratio"].value == pytest.approx(3.0, abs=1e-12)
     assert res.residual < 1e-12
@@ -26,7 +26,7 @@ def test_constant_ratio_is_0_type():
 def test_growing_ratio_is_not_0_type():
     p = CurvatureProfile.create("partially_null", kappa="1", tau="s",
                                 domain=(0.1, 1.0))
-    res = pn_type0_check(p)
+    res = pn_type0_check(p.sample())
     assert res.verdict is N
     assert res.residual > 1e-2
 
@@ -35,7 +35,7 @@ def test_0_type_axes_validate_and_pair_with_the_tangent():
     p = CurvatureProfile.create("partially_null", kappa="2", tau="6",
                                 domain=(0.0, 1.0))
     tr = integrate_frame(p)
-    axes = pn_type0_axes(p, tr)
+    axes = pn_type0_axes(tr)
     assert [a.source for a in axes] == ["helix-ratio", "helix-ratio-tangent"]
     for cand in axes:
         val = validate_axis(tr, cand)
@@ -51,7 +51,7 @@ def test_affine_ratio_is_1_type_with_recovered_constants():
     # tau/kappa = 0.1 + s = C (c0 + K) with kappa = 1, C = 1, c0 = 0.1
     p = CurvatureProfile.create("partially_null", kappa="1", tau="0.1 + s",
                                 domain=(0.0, 1.0))
-    res = pn_type1_check(p)
+    res = pn_type1_check(p.sample())
     assert res.verdict is Y
     assert res.constants["C"].value == pytest.approx(1.0, abs=1e-9)
     assert res.constants["c0"].value == pytest.approx(0.1, abs=1e-9)
@@ -62,7 +62,7 @@ def test_scaled_affine_ratio_recovers_both_constants():
     # kappa = 2 gives K = 2s, and tau = kappa * C (c0 + K)
     p = CurvatureProfile.create("partially_null", kappa="2",
                                 tau="2*0.7*(0.4 + 2*s)", domain=(0.0, 1.0))
-    res = pn_type1_check(p)
+    res = pn_type1_check(p.sample())
     assert res.verdict is Y
     assert res.constants["C"].value == pytest.approx(0.7, abs=1e-9)
     assert res.constants["c0"].value == pytest.approx(0.4, abs=1e-9)
@@ -71,7 +71,7 @@ def test_scaled_affine_ratio_recovers_both_constants():
 def test_quadratic_ratio_is_not_1_type():
     p = CurvatureProfile.create("partially_null", kappa="1", tau="1 + s^2",
                                 domain=(0.0, 1.0))
-    res = pn_type1_check(p)
+    res = pn_type1_check(p.sample())
     assert res.verdict is N
     assert res.residual > 1e-3
 
@@ -81,7 +81,7 @@ def test_constant_ratio_degenerates_the_affine_fit():
     # verdict stays Yes but the flag and nan c0 mark the degeneracy
     p = CurvatureProfile.create("partially_null", kappa="1", tau="1",
                                 domain=(0.0, 2.0))
-    res = pn_type1_check(p)
+    res = pn_type1_check(p.sample())
     assert res.verdict is Y
     assert "degenerate-linear-coefficient" in res.flags
     assert res.constants["C"].value == pytest.approx(0.0, abs=1e-12)
@@ -92,8 +92,8 @@ def test_1_type_axis_validates_and_pairs_with_the_normal():
     p = CurvatureProfile.create("partially_null", kappa="1", tau="0.1 + s",
                                 domain=(0.0, 1.0))
     tr = integrate_frame(p)
-    res = pn_type1_check(p)
-    cand = pn_type1_axis(p, tr, res.constants["C"].value,
+    res = pn_type1_check(p.sample())
+    cand = pn_type1_axis(tr, res.constants["C"].value,
                          res.constants["c0"].value)
     assert cand.source == "curvature-integral"
     val = validate_axis(tr, cand)
@@ -109,12 +109,12 @@ def test_1_type_axis_requires_a_nonzero_linear_coefficient():
                                 domain=(0.0, 2.0))
     tr = integrate_frame(p)
     with pytest.raises(DegenerateAxisError):
-        pn_type1_axis(p, tr, 0.0, 1.0)
+        pn_type1_axis(tr, 0.0, 1.0)
 
 
 def test_2_type_axis_from_the_oscillator_solution(circle_profile,
                                                   circle_trace):
-    cand = pn_type2_axis(circle_profile, circle_trace)
+    cand = pn_type2_axis(circle_trace)
     assert cand.source == "oscillator-solution"
     val = validate_axis(circle_trace, cand)
     assert val.passed
@@ -126,7 +126,7 @@ def test_2_type_axis_for_linear_torsion_closed_form():
     p = CurvatureProfile.create("partially_null", kappa="1", tau="s",
                                 domain=(0.0, 1.0))
     tr = integrate_frame(p, validate=False)
-    cand = pn_type2_axis(p, tr)
+    cand = pn_type2_axis(tr)
     val = validate_axis(tr, cand)
     assert val.passed
     assert val.max_du < 1e-9
@@ -165,7 +165,7 @@ def test_2_type_axis_matches_the_nested_integral_reference(kappa, tau,
     for c in [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 2.0, 3.0),
               (0.0, 0.0, 0.0), (-1.0, 1.0, 0.0)]:
         ref = _nested_oscillator_coeffs(p, tr.s, c)
-        got = pn_type2_axis(p, tr, c).coeffs
+        got = pn_type2_axis(tr, c).coeffs
         bound = 1e-12 * (1.0 + np.max(np.abs(ref)))
         assert np.max(np.abs(got - ref)) < bound, c
 
@@ -173,21 +173,21 @@ def test_2_type_axis_matches_the_nested_integral_reference(kappa, tau,
 def test_3_type_reduces_to_0_type():
     p = CurvatureProfile.create("partially_null", kappa="2", tau="6",
                                 domain=(0.0, 1.0))
-    r3 = pn_type3_check(p)
-    r0 = pn_type0_check(p)
+    r0 = pn_type0_check(p.sample())
+    r3 = pn_type3_check(r0)
     assert r3.verdict is r0.verdict is Y
     assert r3.extras.get("equivalent_to") == "k0"
     q = CurvatureProfile.create("partially_null", kappa="1", tau="s",
                                 domain=(0.1, 1.0))
-    assert pn_type3_check(q).verdict is N
+    assert pn_type3_check(pn_type0_check(q.sample())).verdict is N
 
 
 def test_3_type_reuses_a_given_0_type_result():
     p = CurvatureProfile.create("partially_null", kappa="1", tau="s",
                                 domain=(0.1, 1.0))
-    r0 = pn_type0_check(p)
+    r0 = pn_type0_check(p.sample())
     extras = dict(r0.extras)
-    r3 = pn_type3_check(p, Tolerances(), type0=r0)
+    r3 = pn_type3_check(r0)
     assert r3.verdict is r0.verdict is N
     assert r3.residual == r0.residual
     assert r3.constants == r0.constants
@@ -275,3 +275,14 @@ def test_damping_may_be_zero_but_not_negative_or_non_finite():
     for value in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ConfigError, match="damping"):
             Tolerances(damping=value)
+
+
+def test_sigma_probe_reads_the_whole_check_grid():
+    # nonzero sigma that vanishes on all 65 points of grid(65), the old
+    # probe; the check grid's 1001 points see it
+    p = CurvatureProfile.create("partially_null", kappa="1", tau="1",
+                                sigma="1e-3*sin(32*pi*(s - 0.5))",
+                                domain=(0.5, 2.5))
+    assert np.max(np.abs(p.evaluate_arrays(p.grid(65))[2])) <= 1e-12
+    with pytest.raises(ProfileError, match="sigma = 0"):
+        classify_profile(p)

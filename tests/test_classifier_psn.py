@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from lcl import (PSN_IMPLICATIONS, CurvatureProfile, Verdict, classify_profile,
-                 default_suite, implication_closure, integrate_frame, pairing,
-                 psn_type0_check, psn_type1_axis, psn_type1_check,
-                 psn_type2_axis, psn_type2_check, psn_type3_check,
-                 validate_axis)
+                 default_suite, implication_closure, integrate_frame,
+                 oracle_detect, pairing, psn_type0_check, psn_type1_axis,
+                 psn_type1_check, psn_type2_axis, psn_type2_check,
+                 psn_type3_check, validate_axis)
 from lcl.errors import ProfileError
 from lcl.hyperbolic import make_h3_type2_profile
 
@@ -17,7 +17,7 @@ Y, N, U = Verdict.YES, Verdict.NO, Verdict.UNDETERMINED
 def test_quadratic_ratio_is_1_type_with_recovered_coefficients(
         quad_psn_profile):
     # sigma/tau = -s^2/2 + 0.5 s, so a = 0.5 and b = 0
-    res = psn_type1_check(quad_psn_profile)
+    res = psn_type1_check(quad_psn_profile.sample())
     assert res.verdict is Y
     assert res.constants["a"].value == pytest.approx(0.5, abs=1e-9)
     assert res.constants["b"].value == pytest.approx(0.0, abs=1e-9)
@@ -28,7 +28,7 @@ def test_shifted_quadratic_recovers_both_coefficients():
     p = CurvatureProfile.create("pseudo_null", tau="1",
                                 sigma="-s^2/2 + 0.3*s + 0.1",
                                 domain=(0.0, 2.0))
-    res = psn_type1_check(p)
+    res = psn_type1_check(p.sample())
     assert res.verdict is Y
     assert res.constants["a"].value == pytest.approx(0.3, abs=1e-9)
     assert res.constants["b"].value == pytest.approx(0.1, abs=1e-9)
@@ -38,7 +38,7 @@ def test_wrong_quadratic_coefficient_is_rejected():
     # leading coefficient -1 instead of -1/2 breaks the required shape
     p = CurvatureProfile.create("pseudo_null", tau="1", sigma="-s^2 + s",
                                 domain=(0.0, 1.0))
-    res = psn_type1_check(p)
+    res = psn_type1_check(p.sample())
     assert res.verdict is N
     assert res.residual > 1e-3
 
@@ -46,12 +46,12 @@ def test_wrong_quadratic_coefficient_is_rejected():
 def test_generic_ratio_is_not_1_type():
     p = CurvatureProfile.create("pseudo_null", tau="1", sigma="exp(s)",
                                 domain=(0.0, 1.5))
-    assert psn_type1_check(p).verdict is N
+    assert psn_type1_check(p.sample()).verdict is N
 
 
 def test_1_type_axis_has_unit_normal_pairing(quad_psn_profile,
                                              quad_psn_trace):
-    cand = psn_type1_axis(quad_psn_profile, quad_psn_trace)
+    cand = psn_type1_axis(quad_psn_trace)
     assert cand.source == "ratio-derivative"
     val = validate_axis(quad_psn_trace, cand)
     assert val.passed
@@ -63,7 +63,7 @@ def test_1_type_axis_has_unit_normal_pairing(quad_psn_profile,
 
 def test_1_type_axis_relabels_for_the_binormal_claim(quad_psn_profile,
                                                      quad_psn_trace):
-    cand = psn_type1_axis(quad_psn_profile, quad_psn_trace, k=2)
+    cand = psn_type1_axis(quad_psn_trace, k=2)
     assert cand.k == 2
     val = validate_axis(quad_psn_trace, cand)
     assert val.passed
@@ -76,12 +76,12 @@ def test_1_type_axis_is_constant_to_roundoff_on_the_suite_quadratics():
     assert len(fixtures) == 8
     for fx in fixtures:
         tr = integrate_frame(fx.profile)
-        val = validate_axis(tr, psn_type1_axis(fx.profile, tr))
+        val = validate_axis(tr, psn_type1_axis(tr))
         assert val.max_du <= 1e-9 * (1.0 + val.scale), fx.label
 
 
 def test_2_type_identity_route_on_the_exponential_family(h3_profile):
-    res = psn_type2_check(h3_profile)
+    res = psn_type2_check(h3_profile.sample())
     assert res.verdict is Y
     assert res.extras["branch"] == "torsion-integral"
     assert res.residual < 1e-6
@@ -89,7 +89,7 @@ def test_2_type_identity_route_on_the_exponential_family(h3_profile):
 
 
 def test_2_type_quadratic_route_when_the_identity_fails(quad_psn_profile):
-    res = psn_type2_check(quad_psn_profile)
+    res = psn_type2_check(quad_psn_profile.sample())
     assert res.verdict is Y
     assert res.extras["branch"] == "ratio-quadratic"
     # the identity residual itself stays large on this family
@@ -100,14 +100,14 @@ def test_2_type_quadratic_route_when_the_identity_fails(quad_psn_profile):
 def test_2_type_fails_when_neither_route_holds():
     p = CurvatureProfile.create("pseudo_null", tau="1", sigma="exp(s)",
                                 domain=(0.0, 1.5))
-    res = psn_type2_check(p)
+    res = psn_type2_check(p.sample())
     assert res.verdict is N
     assert res.extras["branch"] is None
 
 
 def test_2_type_axis_on_the_identity_route(h3_profile, h3_trace):
-    res = psn_type2_check(h3_profile)
-    cand = psn_type2_axis(h3_profile, h3_trace, res.constants["c_int"].value)
+    res = psn_type2_check(h3_profile.sample())
+    cand = psn_type2_axis(h3_trace, res.constants["c_int"].value)
     assert cand.source == "torsion-integral"
     val = validate_axis(h3_trace, cand)
     assert val.passed
@@ -119,13 +119,14 @@ def test_2_type_axis_on_the_identity_route(h3_profile, h3_trace):
 
 def test_0_type_is_always_refuted_by_the_oracle(quad_psn_trace,
                                                 quad_psn_profile):
-    res = psn_type0_check(quad_psn_profile, quad_psn_trace)
+    res = psn_type0_check(oracle_detect(quad_psn_trace)[0])
     assert res.verdict is N
     assert res.residual > 1e-3  # oracle margin, not a fitted residual
 
 
 def test_3_type_follows_the_oracle(quad_psn_profile, quad_psn_trace):
-    res = psn_type3_check(quad_psn_profile, quad_psn_trace)
+    res = psn_type3_check(quad_psn_profile.sample(),
+                          oracle_detect(quad_psn_trace)[3])
     assert res.verdict is N
     assert "closed_form_residual" in res.extras
 
@@ -141,7 +142,7 @@ def test_closure_only_lifts_1_type_to_2_type():
 
 def test_checks_reject_wrong_frame_kind(circle_profile):
     with pytest.raises(ProfileError):
-        psn_type1_check(circle_profile)
+        psn_type1_check(circle_profile.sample())
 
 
 def test_classify_quadratic_report(quad_psn_profile):

@@ -187,6 +187,34 @@ def test_oracle_single_row_human_output(circle_file, capsys):
     assert "indicatrix constant" in out
 
 
+def test_oracle_takes_no_condition_tolerance(circle_file, capsys):
+    # the oracle reads no condition residual, so --tol-cond is refused
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", circle_file, "--tol-cond", "1e-3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol-cond" in capsys.readouterr().err
+
+
+def test_oracle_accepts_the_axis_tolerance(circle_file, capsys):
+    assert main(["oracle", circle_file, "--tol-axis", "1e-3", "--json"]) == 0
+    assert set(json.loads(capsys.readouterr().out)) == {"k0", "k1", "k2", "k3"}
+
+
+def test_oracle_single_row_is_the_batched_row(quad_file, capsys):
+    assert main(["oracle", quad_file, "--json"]) == 0
+    every = json.loads(capsys.readouterr().out)
+    for k in range(4):
+        assert main(["oracle", quad_file, "--json", "--k", str(k)]) == 0
+        assert json.loads(capsys.readouterr().out) == {f"k{k}": every[f"k{k}"]}
+
+
+def test_verify_negative_seed_is_a_validation_error(capsys):
+    assert main(["verify", "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--seed" in err
+    assert "Traceback" not in err
+
+
 def test_verify_small_suite_pass_and_fail(tmp_path, capsys):
     suite = [{"label": "good",
               "profile": {"kind": "partially_null", "kappa": "2", "tau": "6",

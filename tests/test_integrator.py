@@ -202,6 +202,26 @@ def test_resample_curvatures_recovers_the_profile():
     assert np.max(np.abs(sig[interior])) < 1e-8
 
 
+@pytest.mark.parametrize("tabulated", [False, True])
+@pytest.mark.parametrize("divisions", [1000, 5000, 777])
+def test_trace_curvatures_are_the_profile_on_its_grid(tabulated, divisions):
+    # the trace reads them off the half-step lattice it integrated on;
+    # they must be what evaluating the profile on trace.s gives, bit for bit
+    domain = (0.3, 2.1)
+    sigma = "-s^2/2 + 0.4*s + 0.2"
+    if tabulated:
+        knots = np.linspace(*domain, 101)
+        sigma = {"s": knots.tolist(),
+                 "values": (-knots**2 / 2 + 0.4 * knots + 0.2).tolist()}
+    p = CurvatureProfile.create("pseudo_null", tau="1 + 0.3*sin(2*s)",
+                                sigma=sigma, domain=domain)
+    tr = integrate_frame(p, h=(domain[1] - domain[0]) / divisions)
+    for got, want in zip((tr.kappa, tr.tau, tr.sigma),
+                         p.evaluate_arrays(tr.s)):
+        assert got.shape == tr.s.shape
+        assert np.array_equal(got, want)
+
+
 def test_csv_layout_and_first_row(circle_trace, tmp_path):
     out = tmp_path / "trace.csv"
     write_trace_csv(circle_trace, out)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lcl import (CausalCharacter, Vec4, causal_character, lorentz_norm,
-                 metric, nullspace_min_singular, pairing)
+                 metric, nullspace_min_singular, pairing, row_norm)
 
 
 def test_metric_signature_on_basis_vectors():
@@ -23,7 +23,7 @@ def test_metric_is_symmetric_and_bilinear():
         a, b, c = (Vec4(*rng.normal(size=4)) for _ in range(3))
         lam = float(rng.normal())
         assert metric(a, b) == pytest.approx(metric(b, a), abs=1e-15)
-        left = metric(a + b * lam, c)
+        left = metric(Vec4(*(a.to_array() + b.to_array() * lam)), c)
         assert left == pytest.approx(metric(a, c) + lam * metric(b, c),
                                      rel=1e-12, abs=1e-12)
 
@@ -42,6 +42,40 @@ def test_pairing_broadcasts_over_sample_rows():
     out = pairing(rows, u)
     expected = -rows[:, 0] + 2.0 * rows[:, 3]
     assert np.allclose(out, expected)
+
+
+@pytest.mark.parametrize("shape_a, shape_b", [
+    ((1001, 4), (1001, 4)), ((1001, 4, 4), (1001, 4, 4)), ((1001, 4), (4,)),
+    ((4,), (4,))])
+def test_pairing_and_row_norm_are_bit_identical_to_numpy(shape_a, shape_b):
+    # both sum the four components left to right, as numpy's reductions
+    # over a trailing axis of length 4 do
+    signs = np.array([-1.0, 1.0, 1.0, 1.0])
+    rng = np.random.default_rng(len(shape_a) + len(shape_b))
+    for _ in range(50):
+        a = rng.standard_normal(shape_a) * 10.0 ** rng.uniform(-6, 6, shape_a)
+        b = rng.standard_normal(shape_b) * 10.0 ** rng.uniform(-6, 6, shape_b)
+        assert np.array_equal(pairing(a, b), np.sum(a * signs * b, axis=-1))
+        assert np.array_equal(row_norm(a), np.linalg.norm(a, axis=-1))
+    frames = rng.standard_normal((1001, 4, 4))
+    assert np.array_equal(row_norm(frames[:, 2, :]),
+                          np.linalg.norm(frames[:, 2, :], axis=1))
+
+
+def test_nullspace_of_a_stack_is_each_matrix_on_its_own():
+    rng = np.random.default_rng(29)
+    stack = rng.normal(size=(3, 50, 4))
+    d = np.array([1.0, 0.0, 2.0, 0.0])
+    stack[1] -= np.outer(stack[1] @ d, d) / (d @ d)
+    stack[2] = 0.0
+    res = nullspace_min_singular(stack)
+    assert res.vector.shape == (3, 4) and res.sigma_min.shape == (3,)
+    for i in range(3):
+        one = nullspace_min_singular(stack[i])
+        assert np.array_equal(res.vector[i], one.vector)
+        assert res.sigma_min[i] == one.sigma_min
+        assert res.degenerate[i] == one.degenerate
+    assert list(res.degenerate) == [False, False, True]
 
 
 def test_lorentz_norm_of_null_vector_is_zero():
@@ -80,7 +114,7 @@ def test_nullspace_of_rank_deficient_matrix():
     m -= np.outer(m @ d, d) / (d @ d)
     res = nullspace_min_singular(m)
     assert res.sigma_min < 1e-12
-    got = res.vector.to_array()
+    got = res.vector
     cos = abs(got @ d) / (np.linalg.norm(got) * np.linalg.norm(d))
     assert cos == pytest.approx(1.0, abs=1e-10)
 
@@ -100,7 +134,7 @@ def test_nullspace_scale_of_rows_does_not_change_direction():
     m -= np.outer(m @ d, d) / (d @ d)
     r1 = nullspace_min_singular(m)
     r2 = nullspace_min_singular(1e6 * m)
-    v1, v2 = r1.vector.to_array(), r2.vector.to_array()
+    v1, v2 = r1.vector, r2.vector
     cos = abs(v1 @ v2) / (np.linalg.norm(v1) * np.linalg.norm(v2))
     assert cos == pytest.approx(1.0, abs=1e-10)
 
@@ -110,10 +144,10 @@ def test_nullspace_sign_is_fixed_by_the_first_significant_component():
     m = rng.normal(size=(50, 4))
     d = np.array([-1.0, 0.3, 0.0, 2.0])
     m -= np.outer(m @ d, d) / (d @ d)
-    base = nullspace_min_singular(m).vector.to_array()
+    base = nullspace_min_singular(m).vector
     assert base[0] > 0.0
     for other in (-m, m[rng.permutation(len(m))]):
-        got = nullspace_min_singular(other).vector.to_array()
+        got = nullspace_min_singular(other).vector
         assert np.allclose(got, base, rtol=0.0, atol=1e-12)
 
 
@@ -124,7 +158,7 @@ def test_nullspace_sign_skips_negligible_leading_components():
     m = rng.normal(size=(40, 4))
     m -= np.outer(m @ d, d) / (d @ d)
     for sign in (1.0, -1.0):
-        got = nullspace_min_singular(sign * m).vector.to_array()
+        got = nullspace_min_singular(sign * m).vector
         assert got[1] > 0.0
 
 
@@ -133,7 +167,7 @@ def test_nullspace_of_short_matrices_is_exact(rows):
     rng = np.random.default_rng(23 + rows)
     a = rng.normal(size=(rows, 4))
     res = nullspace_min_singular(a)
-    v = res.vector.to_array()
+    v = res.vector
     assert res.sigma_min == 0.0
     assert not res.degenerate
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)

@@ -3,22 +3,21 @@
 import numpy as np
 import pytest
 
-from lcl import (CurvatureProfile, Tolerances, Verdict, integrate_frame,
-                 oracle_detect, pairing)
+from lcl import (CurvatureProfile, FrameKind, Tolerances, Verdict,
+                 integrate_frame, oracle_detect, pairing)
 
 Y, N = Verdict.YES, Verdict.NO
 
 
 def test_circle_has_an_axis_for_every_row(circle_trace):
-    for k in range(4):
-        res = oracle_detect(circle_trace, k)
+    for k, res in oracle_detect(circle_trace).items():
         assert res.verdict is Y, f"k{k}"
         assert res.vector is not None
         assert res.sigma_min < res.threshold
 
 
 def test_circle_tangent_axis_direction(circle_trace):
-    res = oracle_detect(circle_trace, 0)
+    res = oracle_detect(circle_trace)[0]
     u = res.vector.to_array()
     expected = np.array([0.5, -1.0 / np.sqrt(2.0), 0.0, -0.5])
     cos = abs(u @ expected) / (np.linalg.norm(u) * np.linalg.norm(expected))
@@ -28,7 +27,7 @@ def test_circle_tangent_axis_direction(circle_trace):
 def test_constant_frame_row_returns_the_degenerate_note(circle_trace):
     # B1' = 0 for partially null frames with sigma = 0, so the indicatrix
     # degenerates to a point and any vector would do; the row itself wins
-    res = oracle_detect(circle_trace, 2)
+    res = oracle_detect(circle_trace)[2]
     assert res.verdict is Y
     assert res.note == "indicatrix constant"
     r = 1.0 / np.sqrt(2.0)
@@ -40,7 +39,7 @@ def test_generic_profile_keeps_only_the_2_type_axis():
     p = CurvatureProfile.create("partially_null", kappa="1", tau="exp(s)",
                                 domain=(0.0, 1.0))
     tr = integrate_frame(p)
-    verdicts = {k: oracle_detect(tr, k).verdict for k in range(4)}
+    verdicts = {k: r.verdict for k, r in oracle_detect(tr).items()}
     assert verdicts[0] is N
     assert verdicts[1] is N
     assert verdicts[2] is Y  # trivial B1 row is excluded, but the 2-type
@@ -48,7 +47,7 @@ def test_generic_profile_keeps_only_the_2_type_axis():
 
 
 def test_pairing_constancy_across_samples(circle_trace):
-    res = oracle_detect(circle_trace, 0)
+    res = oracle_detect(circle_trace)[0]
     rows = circle_trace.frames[:, 0, :]
     g = pairing(rows, res.vector.to_array())
     assert np.ptp(g) < 1e-9
@@ -63,20 +62,20 @@ def test_oracle_rejects_near_miss_profiles():
                                 sigma="-s^2 + s + 0.05*sin(5*s)",
                                 domain=(0.0, 1.0))
     tr = integrate_frame(p)
-    res = oracle_detect(tr, 1)
+    res = oracle_detect(tr)[1]
     assert res.verdict is N
 
 
 def test_quadratic_family_normal_axis(quad_psn_trace):
-    res1 = oracle_detect(quad_psn_trace, 1)
+    res1 = oracle_detect(quad_psn_trace)[1]
     assert res1.verdict is Y
-    res0 = oracle_detect(quad_psn_trace, 0)
+    res0 = oracle_detect(quad_psn_trace)[0]
     assert res0.verdict is N
 
 
 def test_threshold_scales_with_row_count(circle_trace):
     tol = Tolerances()
-    res = oracle_detect(circle_trace, 0)
+    res = oracle_detect(circle_trace)[0]
     # n-1 difference rows plus the appended row for the trivial direction
     rows = len(circle_trace.s) - 1 + 1
     assert res.threshold == pytest.approx(
@@ -84,7 +83,7 @@ def test_threshold_scales_with_row_count(circle_trace):
 
 
 def test_oracle_json_payload(circle_trace):
-    res = oracle_detect(circle_trace, 0)
+    res = oracle_detect(circle_trace)[0]
     obj = res.to_json_dict()
     assert obj["verdict"] == "Yes"
     assert isinstance(obj["U"], list) and len(obj["U"]) == 4
@@ -100,6 +99,68 @@ def test_failed_pairing_validation_note():
     p = CurvatureProfile.create("partially_null", kappa="1", tau="1 + s",
                                 domain=(0.0, 0.5))
     tr = integrate_frame(p, h=0.05)
-    res = oracle_detect(tr, 1)
+    res = oracle_detect(tr)[1]
     assert isinstance(res.note, str)
     assert res.verdict in (Y, N)
+
+
+def _oracle_one_row(trace, k, tol=Tolerances()):
+    """The k-th oracle verdict from its own SVD: the per-row reference."""
+    signs = np.array([-1.0, 1.0, 1.0, 1.0])
+    v = trace.frames[:, k, :]
+    rows = (v[1:] - v[0]) * signs
+    max_row = np.max(np.linalg.norm(rows, axis=1))
+    if max_row < 1e-9 * (1.0 + np.max(np.linalg.norm(v, axis=1))):
+        u = v[0] * signs / np.linalg.norm(v[0] * signs)
+        return (Y, u, max_row, tol.eps_oracle_coeff * np.sqrt(len(rows)),
+                "indicatrix constant")
+    note = ""
+    if trace.kind is FrameKind.PARTIALLY_NULL:
+        b1 = trace.frames[0, 2]
+        rows = np.vstack([rows, b1 / np.linalg.norm(b1)])
+        note = "trivial B1 direction excluded"
+    threshold = tol.eps_oracle_coeff * np.sqrt(len(rows))
+    _, sv, vt = np.linalg.svd(rows, full_matrices=False)
+    u = vt[-1]
+    lead = u[np.flatnonzero(np.abs(u) > 1e-6 * np.max(np.abs(u)))[0]]
+    u = -u if lead < 0 else u
+    verdict = Y if sv[-1] < threshold else N
+    if verdict is Y and np.var(np.sum(v * signs * u, axis=-1)) >= tol.eps_axis:
+        verdict = N
+        note = ((note + "; " if note else "")
+                + "candidate failed pairing validation")
+    return verdict, u, sv[-1], threshold, note
+
+
+def _short_pn_trace():
+    p = CurvatureProfile.create("partially_null", kappa="1", tau="1 + s",
+                                domain=(0.0, 0.5))
+    return integrate_frame(p, h=0.05)
+
+
+@pytest.mark.parametrize("name", ["circle_trace", "quad_psn_trace",
+                                  "affine_trace", "short"])
+def test_batched_oracle_matches_one_svd_per_row(name, request):
+    trace = _short_pn_trace() if name == "short" else \
+        request.getfixturevalue(name)
+    batched = oracle_detect(trace)
+    assert sorted(batched) == [0, 1, 2, 3]
+    for k, res in batched.items():
+        verdict, u, sigma_min, threshold, note = _oracle_one_row(trace, k)
+        assert res.verdict is verdict, k
+        assert res.sigma_min == sigma_min, k
+        assert res.threshold == threshold, k
+        assert res.note == note, k
+        assert np.array_equal(res.vector.to_array(), u), k
+
+
+def test_batched_oracle_keeps_the_constant_row_branch(circle_trace):
+    # partially null B1 never moves: k2 takes the indicatrix branch, with
+    # the threshold of the rows before the B1 row is appended
+    res = oracle_detect(circle_trace)
+    assert res[2].note == "indicatrix constant"
+    assert res[2].threshold == pytest.approx(
+        Tolerances().eps_oracle_coeff * np.sqrt(len(circle_trace.s) - 1),
+        rel=1e-15)
+    assert all(res[k].note == "trivial B1 direction excluded"
+               for k in (0, 1, 3))
