@@ -7,7 +7,8 @@ cross-examines every verdict with a nullspace oracle that knows nothing
 about the closed forms.
 """
 
-from .axis import AxisCandidate, AxisValidation, assemble_axis, validate_axis
+from .axis import (AxisCandidate, AxisValidation, ambient_axis,
+                    assemble_axis, validate_axis)
 from .calculus import (antiderivative, cumulative_integral, grid_derivative,
                        make_cumulative)
 from .classifier import (PN_IMPLICATIONS, PSN_IMPLICATIONS,
@@ -50,7 +51,7 @@ __all__ = [
     "FrameKind", "GridMismatchError", "IntegrationError", "LclError",
     "OracleResult", "OutOfDomainError", "ProfileError", "QuadratureError",
     "Samples", "SampleTable", "SphereFit", "SuiteSummary", "FixtureResult", "TauForm",
-    "Tolerances", "Vec4", "Verdict", "antiderivative",
+    "Tolerances", "Vec4", "Verdict", "ambient_axis", "antiderivative",
     "assemble_axis",
     "canonical_frame", "causal_character", "classify_profile",
     "closed_form_center", "cumulative_integral", "default_suite",

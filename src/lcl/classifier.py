@@ -295,8 +295,8 @@ def psn_type1_axis(trace: CurveTrace, k: int = 1) -> AxisCandidate:
     return assemble_axis(trace, k, "ratio-derivative", -qp, q, 0.0, 1.0)
 
 
-def psn_type2_check(smp: Samples, tol: Tolerances = Tolerances(),
-                    type1: Optional[CheckResult] = None) -> CheckResult:
+def psn_type2_check(smp: Samples, type1: CheckResult,
+                    tol: Tolerances = Tolerances()) -> CheckResult:
     """2-type via the torsion-integral identity, with its blind spot covered.
 
     Identity route: with I = c_int + Int tau, require
@@ -305,7 +305,8 @@ def psn_type2_check(smp: Samples, tol: Tolerances = Tolerances(),
     NONZERO constant. Quadratic-ratio curves (the 1-type family) carry a
     2-type axis whose B1 pairing constant is zero and genuinely fail the
     identity, so the verdict is the disjunction: identity holds, or the
-    1-type condition holds. The identity residual is always reported.
+    1-type condition holds (`type1`, the k = 1 result on the same
+    samples). The identity residual is always reported.
     """
     _require_kind(smp, FrameKind.PSEUDO_NULL)
     step, sigma = smp.h, smp.sigma
@@ -329,8 +330,6 @@ def psn_type2_check(smp: Samples, tol: Tolerances = Tolerances(),
     residual = _rms(r_min) / scale
     identity_ok = residual < tol.eps_cond
 
-    if type1 is None:
-        type1 = psn_type1_check(smp, tol)
     branch = None
     if identity_ok:
         branch = "torsion-integral"
@@ -614,7 +613,7 @@ def _pseudo_null_checks(smp, trace, tol, oracle) -> tuple[dict, list, list]:
     """
     flags, axes = [], []
     r1 = psn_type1_check(smp, tol)
-    r2 = psn_type2_check(smp, tol, type1=r1)
+    r2 = psn_type2_check(smp, r1, tol)
     r3 = psn_type3_check(smp, oracle[3], tol)
     checks = {0: psn_type0_check(oracle[0]), 1: r1,
               2: r2,

@@ -62,13 +62,12 @@ def _tolerances(args) -> Tolerances:
     return Tolerances(**kw)
 
 
-def _add_common(sub, tols: tuple = ("cond", "axis")) -> None:
+def _add_common(sub, tols: bool = True) -> None:
     sub.add_argument("--h", type=float, default=None,
                      help="integration step (default: span/1000)")
-    if "cond" in tols:
+    if tols:
         sub.add_argument("--tol-cond", type=float, default=None,
                          help="relative residual tolerance for checks")
-    if "axis" in tols:
         sub.add_argument("--tol-axis", type=float, default=None,
                          help="axis constancy tolerance")
 
@@ -101,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="output CSV (default: <profile>_trace.csv)")
     synth.add_argument("--emit-gnuplot", action="store_true",
                        help="also write a gnuplot script next to the CSV")
-    _add_common(synth, tols=())
+    _add_common(synth, tols=False)
 
     cls = sub.add_parser("classify", help="classify one profile")
     _add_profile_arg(cls)
@@ -132,7 +131,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="indented JSON (implies --json)")
     orc.add_argument("-o", "--output", default=None)
     # the oracle reads no condition residual, so it takes no --tol-cond
-    _add_common(orc, tols=("axis",))
+    _add_common(orc, tols=False)
+    orc.add_argument("--tol-axis", type=float, default=None,
+                     help="axis constancy tolerance")
 
     swp = sub.add_parser("sweep", help="classify a parameter grid to CSV")
     swp.add_argument("spec", help="sweep specification JSON file")

@@ -55,6 +55,26 @@ class Vec4:
     def to_array(self) -> np.ndarray:
         return np.array([self.x1, self.x2, self.x3, self.x4])
 
+    def __add__(self, other: "Vec4") -> "Vec4":
+        return Vec4(self.x1 + other.x1, self.x2 + other.x2,
+                    self.x3 + other.x3, self.x4 + other.x4)
+
+    def __sub__(self, other: "Vec4") -> "Vec4":
+        return Vec4(self.x1 - other.x1, self.x2 - other.x2,
+                    self.x3 - other.x3, self.x4 - other.x4)
+
+    def __neg__(self) -> "Vec4":
+        return Vec4(-self.x1, -self.x2, -self.x3, -self.x4)
+
+    def __mul__(self, c) -> "Vec4":
+        c = float(c)
+        return Vec4(c * self.x1, c * self.x2, c * self.x3, c * self.x4)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, c) -> "Vec4":
+        return self * (1.0 / float(c))
+
     def euclid_norm(self) -> float:
         return math.sqrt(self.x1**2 + self.x2**2 + self.x3**2 + self.x4**2)
 

@@ -178,9 +178,9 @@ class CurvatureProfile:
     def grid(self, n: int = 1001) -> np.ndarray:
         return np.linspace(self.s_min, self.s_max, n)
 
-    def sample(self, n: int = 1001) -> "Samples":
-        """(kappa, tau, sigma) evaluated once on grid(n)."""
-        s = self.grid(n)
+    def sample(self) -> "Samples":
+        """(kappa, tau, sigma) evaluated once on the check grid, grid()."""
+        s = self.grid()
         return Samples(self, s, s[1] - s[0], *self.evaluate_arrays(s))
 
     def _check_domain(self, s):

@@ -200,7 +200,7 @@ def test_criterion_6_quadratic_ratio_round_trip():
     n_dev = float(np.max(np.abs(g_n - 1.0)))
     b1_dev = float(np.max(np.abs(g_b1)))
     rep = classify_profile(p)
-    r2 = psn_type2_check(p.sample())
+    r2 = psn_type2_check(p.sample(), res)
 
     _verdict(6, "quadratic ratio round trip", [
         ("verdict", res.verdict is Y, res.verdict.value),
@@ -222,8 +222,8 @@ def test_criterion_7_exponential_family():
         p = make_h3_type2_profile(c, lam, mu, (0.0, 1.5))
         smp = p.sample()
         form = h3_type2_tau_form(smp, c)
-        r2 = psn_type2_check(smp)
         r1 = psn_type1_check(smp)
+        r2 = psn_type2_check(smp, r1)
         tr = integrate_frame(p)
         cand = psn_type2_axis(tr, r2.constants["c_int"].value)
         val = validate_axis(tr, cand, eps_axis=1e-5)

@@ -3,15 +3,8 @@
 import numpy as np
 import pytest
 
-from lcl import (AxisCandidate, CurvatureProfile, assemble_axis,
+from lcl import (CurvatureProfile, ambient_axis, assemble_axis,
                  integrate_frame, pairing, validate_axis)
-
-
-def ambient_axis(trace, k, source, u):
-    """One fixed ambient vector as a candidate on the trace grid."""
-    u = np.broadcast_to(np.asarray(u, dtype=float).reshape(4), (trace.n, 4))
-    return AxisCandidate(k=int(k), source=source, s=trace.s,
-                         coeffs=np.full((trace.n, 4), np.nan), U=u.copy())
 
 
 def test_constant_coefficients_reproduce_an_ambient_vector(circle_trace):

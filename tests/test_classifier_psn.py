@@ -81,7 +81,8 @@ def test_1_type_axis_is_constant_to_roundoff_on_the_suite_quadratics():
 
 
 def test_2_type_identity_route_on_the_exponential_family(h3_profile):
-    res = psn_type2_check(h3_profile.sample())
+    smp = h3_profile.sample()
+    res = psn_type2_check(smp, psn_type1_check(smp))
     assert res.verdict is Y
     assert res.extras["branch"] == "torsion-integral"
     assert res.residual < 1e-6
@@ -89,7 +90,8 @@ def test_2_type_identity_route_on_the_exponential_family(h3_profile):
 
 
 def test_2_type_quadratic_route_when_the_identity_fails(quad_psn_profile):
-    res = psn_type2_check(quad_psn_profile.sample())
+    smp = quad_psn_profile.sample()
+    res = psn_type2_check(smp, psn_type1_check(smp))
     assert res.verdict is Y
     assert res.extras["branch"] == "ratio-quadratic"
     # the identity residual itself stays large on this family
@@ -100,13 +102,15 @@ def test_2_type_quadratic_route_when_the_identity_fails(quad_psn_profile):
 def test_2_type_fails_when_neither_route_holds():
     p = CurvatureProfile.create("pseudo_null", tau="1", sigma="exp(s)",
                                 domain=(0.0, 1.5))
-    res = psn_type2_check(p.sample())
+    smp = p.sample()
+    res = psn_type2_check(smp, psn_type1_check(smp))
     assert res.verdict is N
     assert res.extras["branch"] is None
 
 
 def test_2_type_axis_on_the_identity_route(h3_profile, h3_trace):
-    res = psn_type2_check(h3_profile.sample())
+    smp = h3_profile.sample()
+    res = psn_type2_check(smp, psn_type1_check(smp))
     cand = psn_type2_axis(h3_trace, res.constants["c_int"].value)
     assert cand.source == "torsion-integral"
     val = validate_axis(h3_trace, cand)

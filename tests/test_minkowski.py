@@ -23,7 +23,7 @@ def test_metric_is_symmetric_and_bilinear():
         a, b, c = (Vec4(*rng.normal(size=4)) for _ in range(3))
         lam = float(rng.normal())
         assert metric(a, b) == pytest.approx(metric(b, a), abs=1e-15)
-        left = metric(Vec4(*(a.to_array() + b.to_array() * lam)), c)
+        left = metric(a + b * lam, c)
         assert left == pytest.approx(metric(a, c) + lam * metric(b, c),
                                      rel=1e-12, abs=1e-12)
 
