@@ -7,10 +7,8 @@ cross-examines every verdict with a nullspace oracle that knows nothing
 about the closed forms.
 """
 
-from .axis import (AxisCandidate, AxisValidation, ambient_axis,
-                    assemble_axis, validate_axis)
-from .calculus import (antiderivative, cumulative_integral, grid_derivative,
-                       make_cumulative)
+from .axis import AxisCandidate, AxisValidation, assemble_axis, validate_axis
+from .calculus import cumulative_integral, grid_derivative, make_cumulative
 from .classifier import (PN_IMPLICATIONS, PSN_IMPLICATIONS,
                          ClassificationReport, OracleResult, classify_profile,
                          implication_closure, oracle_detect, pn_type0_check,
@@ -21,7 +19,7 @@ from .classifier import (PN_IMPLICATIONS, PSN_IMPLICATIONS,
 from .errors import (ConfigError, DegenerateAxisError, EvaluationError,
                      ExpressionError, FrameError, GridMismatchError,
                      IntegrationError, LclError, OutOfDomainError,
-                     ProfileError, QuadratureError)
+                     ProfileError)
 from .expr import parse_expression
 from .fits import CheckResult, FittedConstant, Tolerances, Verdict
 from .frames import (FrameKind, canonical_frame, frenet_matrix, gram_matrix,
@@ -32,8 +30,7 @@ from .hyperbolic import (SphereFit, TauForm, closed_form_center,
                          h3_type3_residual, make_h3_type2_profile)
 from .integrator import (CurveTrace, integrate_frame, resample_curvatures,
                          write_trace_csv)
-from .minkowski import (CausalCharacter, Vec4, causal_character, lorentz_norm,
-                        metric, nullspace_min_singular, pairing, row_norm)
+from .minkowski import nullspace_min_singular, pairing, row_norm
 from .profiles import (CurvatureProfile, Samples, SampleTable, load_profile,
                        save_profile)
 from .suite import (DEFAULT_SEED, Fixture, default_suite, fixtures_from_json,
@@ -44,24 +41,23 @@ from .verifier import (FixtureResult, SuiteSummary, render_table,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AxisCandidate", "AxisValidation", "CausalCharacter", "CheckResult",
+    "AxisCandidate", "AxisValidation", "CheckResult",
     "ClassificationReport", "ConfigError", "CurvatureProfile", "CurveTrace",
     "DEFAULT_SEED", "DegenerateAxisError", "EvaluationError",
     "ExpressionError", "Fixture", "FittedConstant", "FrameError",
     "FrameKind", "GridMismatchError", "IntegrationError", "LclError",
-    "OracleResult", "OutOfDomainError", "ProfileError", "QuadratureError",
+    "OracleResult", "OutOfDomainError", "ProfileError",
     "Samples", "SampleTable", "SphereFit", "SuiteSummary", "FixtureResult", "TauForm",
-    "Tolerances", "Vec4", "Verdict", "ambient_axis", "antiderivative",
-    "assemble_axis",
-    "canonical_frame", "causal_character", "classify_profile",
+    "Tolerances", "Verdict", "assemble_axis",
+    "canonical_frame", "classify_profile",
     "closed_form_center", "cumulative_integral", "default_suite",
     "fit_pseudohyperbolic", "fixtures_from_json",
     "frenet_matrix", "gram_matrix", "gram_residual",
     "gram_targets", "grid_derivative", "h3_membership", "h3_ratio_check",
     "h3_type1_nonexistence", "h3_type2_tau_form", "h3_type3_residual",
     "implication_closure", "integrate_frame", "load_profile", "load_suite",
-    "lorentz_norm", "make_cumulative",
-    "make_h3_type2_profile", "metric", "nullspace_min_singular",
+    "make_cumulative",
+    "make_h3_type2_profile", "nullspace_min_singular",
     "oracle_detect", "pairing", "parse_expression", "PN_IMPLICATIONS",
     "pn_type0_axes", "pn_type0_check", "pn_type1_axis", "pn_type1_check",
     "pn_type2_axis", "pn_type3_check", "PSN_IMPLICATIONS", "psn_type0_check",

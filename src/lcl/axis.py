@@ -55,14 +55,6 @@ def assemble_axis(trace: CurveTrace, k: int, source: str,
                          coeffs=coeffs, U=u_ambient)
 
 
-def ambient_axis(trace: CurveTrace, k: int, source: str, u) -> AxisCandidate:
-    """Wrap one fixed ambient vector as a candidate on the trace grid."""
-    u = np.asarray(u, dtype=float).reshape(4)
-    big = np.broadcast_to(u, (trace.n, 4)).copy()
-    return AxisCandidate(k=int(k), source=source, s=trace.s,
-                         coeffs=np.full((trace.n, 4), np.nan), U=big)
-
-
 @dataclass
 class AxisValidation:
     k: int

@@ -23,33 +23,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import QuadratureError
-
 # 5-point Gauss-Legendre rule on [-1, 1]; degree-9 exactness per cell is
 # far below roundoff for the step sizes used here.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
-
-DEFAULT_ABS_TOL = 1e-10
-
-
-def antiderivative(f: Callable, s0: float, s1: float,
-                   abs_tol: float = DEFAULT_ABS_TOL) -> float:
-    """Adaptive integral of f from s0 to s1; antisymmetric in the limits.
-
-    Raises QuadratureError (carrying the best estimate) when the adaptive
-    scheme reports non-convergence or the estimate is not finite.
-    scipy is imported here, on first call, so `import lcl` does not load it.
-    """
-    from scipy.integrate import quad
-
-    res = quad(f, s0, s1, epsabs=abs_tol, epsrel=1e-12,
-               limit=200, full_output=1)
-    value = res[0]
-    if len(res) > 3 or not np.isfinite(value):
-        detail = res[3].strip() if len(res) > 3 else "non-finite estimate"
-        raise QuadratureError(f"quadrature did not converge: {detail}",
-                              best_estimate=value)
-    return float(value)
 
 
 def gauss_segments(f: Callable, a, b) -> np.ndarray:

@@ -40,7 +40,7 @@ from .fits import (CheckResult, FittedConstant, Tolerances, Verdict,
                    _rms)
 from .frames import FrameKind
 from .integrator import CurveTrace, integrate_frame
-from .minkowski import SIGNS, Vec4, nullspace_min_singular, pairing, row_norm
+from .minkowski import SIGNS, nullspace_min_singular, pairing, row_norm
 from .profiles import CurvatureProfile, Samples
 
 log = logging.getLogger("lcl.classifier")
@@ -49,7 +49,7 @@ log = logging.getLogger("lcl.classifier")
 @dataclass
 class OracleResult:
     verdict: Verdict
-    vector: Optional[Vec4]
+    vector: Optional[np.ndarray]
     sigma_min: float
     threshold: float
     note: str = ""
@@ -59,7 +59,7 @@ class OracleResult:
     def to_json_dict(self) -> dict:
         return {
             "verdict": self.verdict.value,
-            "U": list(self.vector.to_array()) if self.vector else None,
+            "U": list(self.vector) if self.vector is not None else None,
             "sigma_min": _jsonable(self.sigma_min),
             "threshold": _jsonable(self.threshold),
             "note": self.note,
@@ -108,7 +108,7 @@ def oracle_detect(trace: CurveTrace,
         g_mean, g_var = float(np.mean(g_vals)), float(np.var(g_vals))
         if constant[k]:
             results[k] = OracleResult(
-                Verdict.YES, Vec4.from_array(u), float(max_row[k]),
+                Verdict.YES, u, float(max_row[k]),
                 constant_threshold, "indicatrix constant", g_mean, g_var)
             continue
         sigma_min = float(cand.sigma_min[k])
@@ -116,7 +116,7 @@ def oracle_detect(trace: CurveTrace,
         if verdict is Verdict.YES and g_var >= tol.eps_axis:
             verdict = Verdict.NO
             k_note = (note + "; " if note else "") + "candidate failed pairing validation"
-        results[k] = OracleResult(verdict, Vec4.from_array(u), sigma_min,
+        results[k] = OracleResult(verdict, u, sigma_min,
                                   threshold, k_note, g_mean, g_var)
     return results
 

@@ -6,7 +6,7 @@ detection only), sweep (parameter grids to CSV). JSON output is
 deterministic: sorted keys, no timestamps, shortest round-trip floats.
 
 Exit codes: 0 success, 1 fixture failures from verify, 2 input or
-configuration validation errors, 3 integration or quadrature failures.
+configuration validation errors, 3 numerical failures.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Optional
 from .classifier import Tolerances, classify_profile, oracle_detect
 from .errors import (ConfigError, DegenerateAxisError, ExpressionError,
                      FrameError, GridMismatchError, IntegrationError,
-                     OutOfDomainError, ProfileError, QuadratureError)
+                     OutOfDomainError, ProfileError)
 from .frames import FrameKind
 from .hyperbolic import make_h3_type2_profile
 from .integrator import integrate_frame, write_trace_csv
@@ -36,7 +36,7 @@ _VALIDATION_ERRORS = (ProfileError, ExpressionError, ConfigError,
                       OutOfDomainError, DegenerateAxisError,
                       GridMismatchError, FileNotFoundError,
                       IsADirectoryError, json.JSONDecodeError)
-_NUMERIC_ERRORS = (IntegrationError, FrameError, QuadratureError)
+_NUMERIC_ERRORS = (IntegrationError, FrameError)
 
 
 def _dumps(obj, pretty: bool) -> str:
@@ -50,7 +50,13 @@ def _emit(text: str, out: Optional[str]) -> None:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # the reader closed the pipe (`lcl ... | head`); point stdout
+            # at devnull so the flush at exit does not raise again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
 
 
 def _tolerances(args) -> Tolerances:
@@ -151,13 +157,13 @@ def cmd_synth(args) -> int:
         stem, _ = os.path.splitext(path)
         out = stem + "_trace.csv"
     write_trace_csv(trace, out)
-    print(f"wrote {trace.n} samples to {out} "
-          f"(max Gram residual {trace.max_gram_residual:.3e})")
+    _emit(f"wrote {trace.n} samples to {out} "
+          f"(max Gram residual {trace.max_gram_residual:.3e})", None)
     if args.emit_gnuplot:
         gp = os.path.splitext(out)[0] + ".gp"
         with open(gp, "w", encoding="utf-8") as fh:
             fh.write(_gnuplot_script(os.path.basename(out)))
-        print(f"wrote {gp}")
+        _emit(f"wrote {gp}", None)
     return 0
 
 
@@ -254,8 +260,8 @@ def cmd_oracle(args) -> int:
     else:
         lines = []
         for k, r in results.items():
-            u = (", ".join(f"{x:.6g}" for x in r.vector.to_array())
-                 if r.vector else "none")
+            u = (", ".join(f"{x:.6g}" for x in r.vector)
+                 if r.vector is not None else "none")
             note = f" [{r.note}]" if r.note else ""
             lines.append(f"k{k}: {r.verdict.value:<3} sigma_min "
                          f"{r.sigma_min:.3e} threshold {r.threshold:.3e} "
@@ -392,7 +398,7 @@ def cmd_sweep(args) -> int:
         writer = _csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-    print(f"wrote {len(rows)} rows to {args.output}")
+    _emit(f"wrote {len(rows)} rows to {args.output}", None)
     return 0
 
 

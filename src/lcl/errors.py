@@ -45,14 +45,6 @@ class ConfigError(LclError):
     """Bad run parameter (step size, tolerance, malformed sweep spec)."""
 
 
-class QuadratureError(LclError):
-    """Adaptive quadrature did not converge. Carries the best estimate."""
-
-    def __init__(self, message, best_estimate=float("nan")):
-        super().__init__(message)
-        self.best_estimate = best_estimate
-
-
 class IntegrationError(LclError):
     """Frame integration aborted; the message carries the diagnostic."""
 

@@ -26,7 +26,7 @@ from .fits import (CheckResult, FittedConstant, Tolerances, Verdict,
                    _constant_fit, _damped_lstsq, _guard_nonzero, _jsonable)
 from .frames import FrameKind
 from .integrator import CurveTrace
-from .minkowski import SIGNS, Vec4, pairing, row_norm
+from .minkowski import SIGNS, pairing, row_norm
 from .profiles import CurvatureProfile, Samples
 
 log = logging.getLogger("lcl.hyperbolic")
@@ -50,16 +50,17 @@ def h3_ratio_check(smp: Samples,
                        flags=flags, extras={"constant": constant})
 
 
-def h3_membership(trace: CurveTrace, center: Vec4, radius: float) -> float:
+def h3_membership(trace: CurveTrace, center: np.ndarray,
+                  radius: float) -> float:
     """Relative deviation of the trace from the sphere g = -r^2."""
-    diff = trace.positions - center.to_array()
+    diff = trace.positions - center
     g_vals = pairing(diff, diff)
     return float(np.max(np.abs(g_vals + radius * radius)) / (radius * radius))
 
 
 @dataclass
 class SphereFit:
-    center: Vec4
+    center: np.ndarray
     radius: float
     radius_sq: float
     max_deviation: float       # max |g(x - x0) + r^2|
@@ -69,7 +70,7 @@ class SphereFit:
 
     def to_json_dict(self) -> dict:
         return {
-            "center": [_jsonable(v) for v in self.center.to_array()],
+            "center": [_jsonable(v) for v in self.center],
             "radius": _jsonable(self.radius),
             "max_deviation": _jsonable(self.max_deviation),
             "rel_deviation": _jsonable(self.rel_deviation),
@@ -100,11 +101,11 @@ def fit_pseudohyperbolic(trace: CurveTrace) -> SphereFit:
     max_dev = float(np.max(np.abs(f_res)))
     rel = max_dev / max(abs(rho), 1e-300)
     radius = math.sqrt(rho) if rho > 0.0 else float("nan")
-    return SphereFit(Vec4.from_array(x0), radius, rho, max_dev, rel,
-                     True, 1)
+    return SphereFit(x0, radius, rho, max_dev, rel, True, 1)
 
 
-def closed_form_center(trace: CurveTrace, c: float) -> tuple[Vec4, float]:
+def closed_form_center(trace: CurveTrace,
+                       c: float) -> tuple[np.ndarray, float]:
     """Center x + c N + B2 of the sphere through a family member.
 
     Returns (mean center, relative spread of the pointwise centers); the
@@ -115,7 +116,7 @@ def closed_form_center(trace: CurveTrace, c: float) -> tuple[Vec4, float]:
                + trace.frames[:, 3, :])
     mean = centers.mean(axis=0)
     spread = float(np.max(row_norm(centers - mean)))
-    return Vec4.from_array(mean), spread / (1.0 + float(np.linalg.norm(mean)))
+    return mean, spread / (1.0 + float(np.linalg.norm(mean)))
 
 
 @dataclass(frozen=True)
@@ -281,7 +282,7 @@ def pseudohyperbolic_block(smp: Samples, trace: CurveTrace,
     center, center_spread = closed_form_center(trace, c)
     expected_r = math.sqrt(-2.0 * c)
     block["closed_center"] = {
-        "center": [_jsonable(v) for v in center.to_array()],
+        "center": [_jsonable(v) for v in center],
         "spread": _jsonable(center_spread),
         "radius": _jsonable(expected_r),
         "membership_deviation": _jsonable(h3_membership(trace, center,

@@ -33,7 +33,7 @@ import numpy as np
 from .calculus import grid_derivative
 from .errors import ConfigError, FrameError, IntegrationError
 from .frames import FrameKind, canonical_frame, frenet_matrix, gram_residual
-from .minkowski import Vec4, pairing
+from .minkowski import pairing
 from .profiles import CurvatureProfile, Samples
 
 log = logging.getLogger("lcl.integrator")
@@ -63,9 +63,22 @@ class CurveTrace(Samples):
         return float(np.max(self.gram_res))
 
 
+def _finite_array(value, what: str, shape: tuple, dims: str) -> np.ndarray:
+    """`value` as a finite float array of `shape`, else FrameError."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise FrameError(f"{what} is not a numeric array: {exc}") from exc
+    if arr.shape != shape:
+        raise FrameError(f"{what} must be {dims}, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise FrameError(f"{what} has a non-finite entry")
+    return arr
+
+
 def integrate_frame(profile: CurvatureProfile,
                     initial: Optional[np.ndarray] = None,
-                    alpha0: Optional[Vec4] = None,
+                    alpha0: Optional[np.ndarray] = None,
                     h: Optional[float] = None,
                     validate: bool = True,
                     eps_gram: float = DEFAULT_EPS_GRAM) -> CurveTrace:
@@ -73,11 +86,11 @@ def integrate_frame(profile: CurvatureProfile,
 
     Grid: s_i = s_min + i*h for i = 0..floor(span/h). Default h is
     1e-3 * span. `initial` is a 4 x 4 frame, rows T, N, B1, B2 (default
-    canonical_frame); `alpha0` is the starting position (default the
-    origin). Raises IntegrationError if Gram drift passes
-    1000 * eps_gram, ConfigError for a bad step, FrameError for an
-    initial frame of the wrong shape, with a non-finite entry, or off
-    its Gram targets by more than eps_gram.
+    canonical_frame); `alpha0` is the starting position, a length-4 array
+    (default the origin). Raises IntegrationError if Gram drift passes
+    1000 * eps_gram, ConfigError for a bad step, and FrameError for an
+    initial frame or alpha0 that is not a finite numeric array of its
+    shape, or an initial frame off its Gram targets by more than eps_gram.
     """
     if validate:
         profile.validate()
@@ -97,20 +110,15 @@ def integrate_frame(profile: CurvatureProfile,
     if h > span / 10.0:
         raise ConfigError(f"step h = {h} too large for domain span {span}")
 
-    frame0 = canonical_frame(profile.kind) if initial is None else initial
-    try:
-        frame0 = np.asarray(frame0, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise FrameError(f"initial frame is not a numeric array: {exc}") from exc
-    if frame0.shape != (4, 4):
-        raise FrameError(f"initial frame must be 4 x 4, got shape {frame0.shape}")
-    if not np.all(np.isfinite(frame0)):
-        raise FrameError("initial frame has a non-finite entry")
+    frame0 = _finite_array(
+        canonical_frame(profile.kind) if initial is None else initial,
+        "initial frame", (4, 4), "4 x 4")
     res0 = gram_residual(frame0, profile.kind)
     if res0 > eps_gram:
         raise FrameError(f"initial frame Gram residual {res0:.3g} exceeds "
                          f"eps_gram = {eps_gram:.3g}")
-    pos0 = Vec4(0.0, 0.0, 0.0, 0.0) if alpha0 is None else alpha0
+    pos0 = _finite_array(np.zeros(4) if alpha0 is None else alpha0,
+                         "alpha0", (4,), "length 4")
 
     steps = int(math.floor(span / h + 1e-9))
     n = steps + 1
@@ -123,7 +131,7 @@ def integrate_frame(profile: CurvatureProfile,
 
     positions = np.empty((n, 4))
     frames = np.empty((n, 4, 4))
-    positions[0] = pos0.to_array()
+    positions[0] = pos0
     frames[0] = frame0
 
     d, q = _rk4_increments(mats, h)

@@ -192,11 +192,6 @@ class CurvatureProfile:
             raise OutOfDomainError(
                 f"s = {first} outside domain [{self.s_min}, {self.s_max}]")
 
-    def evaluate(self, s: float) -> tuple[float, float, float]:
-        """(kappa, tau, sigma) at one in-domain parameter value."""
-        self._check_domain(s)
-        return (float(self.kappa(s)), float(self.tau(s)), float(self.sigma(s)))
-
     def evaluate_arrays(self, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         self._check_domain(s)
         s = np.asarray(s, dtype=float)

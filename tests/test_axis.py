@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from lcl import (CurvatureProfile, ambient_axis, assemble_axis,
+from lcl import (AxisCandidate, CurvatureProfile, assemble_axis,
                  integrate_frame, pairing, validate_axis)
+
+# A probe candidate repeats one fixed ambient vector on the trace grid; it
+# has no frame coefficients, so coeffs is NaN.
 
 
 def test_constant_coefficients_reproduce_an_ambient_vector(circle_trace):
@@ -22,7 +25,10 @@ def test_constant_coefficients_reproduce_an_ambient_vector(circle_trace):
 
 def test_validate_axis_accepts_a_true_axis(circle_trace):
     D = np.array([0.0, 1.0, 0.0, np.sqrt(2.0)])
-    val = validate_axis(circle_trace, ambient_axis(circle_trace, 0, "probe", D))
+    n = circle_trace.n
+    cand = AxisCandidate(0, "probe", circle_trace.s, np.full((n, 4), np.nan),
+                         np.tile(D, (n, 1)))
+    val = validate_axis(circle_trace, cand)
     assert val.passed
     assert val.max_du < 1e-9
     assert val.g_mean == pytest.approx(1.0, abs=1e-9)
@@ -31,9 +37,11 @@ def test_validate_axis_accepts_a_true_axis(circle_trace):
 
 def test_validate_axis_is_scale_invariant(circle_trace):
     D = np.array([0.0, 1.0, 0.0, np.sqrt(2.0)])
+    n = circle_trace.n
     outs = []
     for scale in (1.0, 7.0, 0.01):
-        cand = ambient_axis(circle_trace, 0, "probe", scale * D)
+        cand = AxisCandidate(0, "probe", circle_trace.s,
+                             np.full((n, 4), np.nan), np.tile(scale * D, (n, 1)))
         outs.append(validate_axis(circle_trace, cand))
     assert all(v.passed for v in outs)
     # the pairing mean scales linearly, the verdict must not change
@@ -42,7 +50,9 @@ def test_validate_axis_is_scale_invariant(circle_trace):
 
 def test_validate_axis_rejects_a_frame_row_snapshot(circle_trace):
     # N(s0) is not an axis: its pairing with N(s) oscillates
-    cand = ambient_axis(circle_trace, 1, "probe", circle_trace.frames[0][1])
+    n = circle_trace.n
+    cand = AxisCandidate(1, "probe", circle_trace.s, np.full((n, 4), np.nan),
+                         np.tile(circle_trace.frames[0][1], (n, 1)))
     val = validate_axis(circle_trace, cand)
     assert not val.passed
     assert val.g_variance > 1e-3
@@ -78,7 +88,10 @@ def test_closed_form_axis_for_linear_torsion():
 
 def test_axis_json_payload_keys(circle_trace):
     D = np.array([0.0, 1.0, 0.0, np.sqrt(2.0)])
-    val = validate_axis(circle_trace, ambient_axis(circle_trace, 0, "probe", D))
+    n = circle_trace.n
+    cand = AxisCandidate(0, "probe", circle_trace.s, np.full((n, 4), np.nan),
+                         np.tile(D, (n, 1)))
+    val = validate_axis(circle_trace, cand)
     payload = val.to_json_dict()
     assert set(payload) >= {"k", "source", "max_dU", "g_mean", "g_variance",
                             "validated"}
@@ -88,7 +101,8 @@ def test_axis_json_payload_keys(circle_trace):
 def test_ambient_axis_pairing_against_named_row(quad_psn_trace):
     # for pseudo null frames g(N, N) = 0, so pairing a candidate with the
     # N row measures the B2 component; B2(s0) itself pairs to 1
-    cand = ambient_axis(quad_psn_trace, 1, "probe",
-                        quad_psn_trace.frames[0][3])
+    n = quad_psn_trace.n
+    cand = AxisCandidate(1, "probe", quad_psn_trace.s, np.full((n, 4), np.nan),
+                         np.tile(quad_psn_trace.frames[0][3], (n, 1)))
     g0 = pairing(quad_psn_trace.frames[0][1], cand.U[0])
     assert g0 == pytest.approx(1.0, abs=1e-12)

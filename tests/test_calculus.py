@@ -3,33 +3,9 @@
 import numpy as np
 import pytest
 
-from lcl import (antiderivative, cumulative_integral, grid_derivative,
-                 make_cumulative, run_theorem_suite)
+from lcl import (cumulative_integral, grid_derivative, make_cumulative,
+                 run_theorem_suite)
 from lcl.calculus import _stencil_weights
-from lcl.errors import QuadratureError
-
-
-def test_antiderivative_exact_on_smooth_integrands():
-    assert antiderivative(np.sin, 0.0, np.pi) == pytest.approx(2.0, abs=1e-13)
-    assert antiderivative(np.exp, 0.0, 1.0) == pytest.approx(np.e - 1.0,
-                                                             abs=1e-13)
-
-
-def test_antiderivative_is_additive_over_subintervals():
-    f = lambda s: np.exp(np.sin(3.0 * s))
-    whole = antiderivative(f, 0.0, 2.0)
-    split = antiderivative(f, 0.0, 0.7) + antiderivative(f, 0.7, 2.0)
-    assert abs(whole - split) < 1e-12 * (1.0 + abs(whole))
-
-
-def test_antiderivative_reverses_sign_with_orientation():
-    f = lambda s: 1.0 + s**2
-    assert antiderivative(f, 2.0, 0.0) == pytest.approx(
-        -antiderivative(f, 0.0, 2.0), abs=1e-13)
-
-
-def test_antiderivative_zero_width_interval():
-    assert antiderivative(np.exp, 1.3, 1.3) == 0.0
 
 
 def test_cumulative_integral_endpoint_and_monotone_grid():
@@ -139,8 +115,3 @@ def test_each_stencil_is_solved_once_over_the_suite():
             rhs[order] = np.prod(np.arange(1.0, order + 1))
             fresh = np.linalg.solve(offsets[None, :] ** powers, rhs)
             assert np.array_equal(_stencil_weights(order, shift), fresh)
-
-
-def test_quadrature_error_on_non_finite_integrand():
-    with pytest.raises(QuadratureError):
-        antiderivative(lambda s: np.where(s > 0.5, np.nan, 1.0), 0.0, 1.0)

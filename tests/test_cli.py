@@ -215,6 +215,21 @@ def test_verify_negative_seed_is_a_validation_error(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("cmd", ["verify", "synth"])
+def test_a_closed_pipe_exits_quietly(cmd, circle_file, tmp_path):
+    # the reader is gone before any output, as in `lcl verify --json | head`
+    argv = (["verify", "--json"] if cmd == "verify"
+            else ["synth", circle_file, "-o", str(tmp_path / "t.csv")])
+    proc = subprocess.Popen([sys.executable, "-m", "lcl.cli"] + argv,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0, err
+    assert "Traceback" not in err
+
+
 def test_verify_small_suite_pass_and_fail(tmp_path, capsys):
     suite = [{"label": "good",
               "profile": {"kind": "partially_null", "kappa": "2", "tau": "6",
@@ -321,13 +336,10 @@ def test_classify_runs_without_importing_scipy(tmp_path):
     path.write_text(json.dumps(profile))
     script = textwrap.dedent("""
         import sys
-        import numpy as np
         import lcl, lcl.cli
         assert lcl.cli.main(["classify", sys.argv[1]]) == 0
         loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
         assert not loaded, loaded
-        assert abs(lcl.antiderivative(np.sin, 0.0, np.pi) - 2.0) < 1e-13
-        assert "scipy.integrate" in sys.modules
     """)
     proc = subprocess.run([sys.executable, "-c", script, str(path)],
                           capture_output=True, text=True)

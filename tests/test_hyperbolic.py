@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lcl import (CurvatureProfile, Vec4, Verdict, classify_profile,
+from lcl import (CurvatureProfile, Verdict, classify_profile,
                  closed_form_center, fit_pseudohyperbolic, h3_membership,
                  h3_ratio_check, h3_type1_nonexistence, h3_type2_tau_form,
                  h3_type3_residual, integrate_frame, pairing,
@@ -65,17 +65,17 @@ def test_sphere_fit_recovers_center_and_radius(h3_trace):
     fit = fit_pseudohyperbolic(h3_trace)
     assert fit.converged
     assert fit.iterations <= 10
-    assert np.allclose(fit.center.to_array(), [-2.5, -1.5, 0.0, 0.0],
+    assert np.allclose(fit.center, [-2.5, -1.5, 0.0, 0.0],
                        atol=1e-9)
     assert fit.radius == pytest.approx(2.0, abs=1e-9)
     assert fit.rel_deviation < 1e-12
 
 
 def test_membership_deviation_small_on_family_member(h3_trace):
-    center = Vec4(-2.5, -1.5, 0.0, 0.0)
+    center = np.array([-2.5, -1.5, 0.0, 0.0])
     assert h3_membership(h3_trace, center, 2.0) < 1e-12
     # wrong center produces an order-one deviation
-    assert h3_membership(h3_trace, Vec4(0.0, 0.0, 0.0, 0.0), 2.0) > 0.1
+    assert h3_membership(h3_trace, np.zeros(4), 2.0) > 0.1
 
 
 def test_sphere_fit_diverges_gracefully_off_family(quad_psn_trace):
@@ -95,7 +95,7 @@ def test_sphere_fit_converges_in_one_solve_on_a_large_trace():
 def test_sphere_fit_is_a_stationary_point_of_the_nonlinear_problem(
         quad_psn_trace):
     fit = fit_pseudohyperbolic(quad_psn_trace)
-    diff = quad_psn_trace.positions - fit.center.to_array()
+    diff = quad_psn_trace.positions - fit.center
     f_res = pairing(diff, diff) + fit.radius_sq
     jac = np.hstack([-2.0 * diff * SIGNS, np.ones((diff.shape[0], 1))])
     grad = jac.T @ f_res
@@ -108,7 +108,7 @@ def test_sphere_fit_is_a_stationary_point_of_the_nonlinear_problem(
 def test_closed_form_center_matches_the_fit(h3_trace):
     center, spread = closed_form_center(h3_trace, -2.0)
     assert spread < 1e-12
-    assert np.allclose(center.to_array(), [-2.5, -1.5, 0.0, 0.0], atol=1e-9)
+    assert np.allclose(center, [-2.5, -1.5, 0.0, 0.0], atol=1e-9)
 
 
 def test_tau_form_fit_recovers_lam_and_mu(h3_profile):

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from lcl import (CurvatureProfile, FrameKind, Vec4, canonical_frame,
+from lcl import (CurvatureProfile, FrameKind, canonical_frame,
                  frenet_matrix, gram_matrix, gram_targets, integrate_frame,
                  pairing, resample_curvatures, write_trace_csv)
 from lcl.errors import ConfigError, FrameError, IntegrationError
@@ -136,12 +136,12 @@ def test_boosted_initial_frame_boosts_the_whole_run(family, curvatures):
 @pytest.mark.parametrize("family,curvatures", FAMILIES)
 def test_alpha0_shifts_the_positions(family, curvatures):
     p = CurvatureProfile.create(family, domain=(0.0, 1.0), **curvatures)
-    alpha0 = Vec4(1.5, -2.0, 0.25, 3.0)
+    alpha0 = [1.5, -2.0, 0.25, 3.0]
     base = integrate_frame(p, h=2e-3)
     shifted = integrate_frame(p, h=2e-3, alpha0=alpha0)
     assert np.array_equal(shifted.frames, base.frames)
-    assert np.array_equal(shifted.positions[0], alpha0.to_array())
-    assert np.allclose(shifted.positions, base.positions + alpha0.to_array(),
+    assert np.array_equal(shifted.positions[0], alpha0)
+    assert np.allclose(shifted.positions, base.positions + alpha0,
                        rtol=0.0, atol=1e-13)
 
 
@@ -156,6 +156,19 @@ def test_bad_initial_frames_are_rejected(initial, match):
                                 domain=(0.0, 2.0))
     with pytest.raises(FrameError, match=match):
         integrate_frame(p, initial=initial)
+
+
+@pytest.mark.parametrize("alpha0,match", [
+    (np.zeros(3), r"alpha0 must be length 4, got shape \(3,\)"),
+    (np.zeros((1, 4)), r"alpha0 must be length 4, got shape \(1, 4\)"),
+    ([0.0, np.nan, 0.0, 0.0], "alpha0 has a non-finite entry"),
+    (["a", "b", "c", "d"], "alpha0 is not a numeric array"),
+], ids=["short", "row-matrix", "nan", "strings"])
+def test_bad_alpha0_is_rejected(alpha0, match):
+    p = CurvatureProfile.create("partially_null", kappa="1", tau="1",
+                                domain=(0.0, 2.0))
+    with pytest.raises(FrameError, match=match):
+        integrate_frame(p, alpha0=alpha0)
 
 
 def test_integration_aborts_when_drift_passes_the_hard_limit():

@@ -3,28 +3,28 @@
 import numpy as np
 import pytest
 
-from lcl import (CausalCharacter, Vec4, causal_character, lorentz_norm,
-                 metric, nullspace_min_singular, pairing, row_norm)
+from lcl import nullspace_min_singular, pairing, row_norm
 
 
 def test_metric_signature_on_basis_vectors():
-    e = [Vec4(1, 0, 0, 0), Vec4(0, 1, 0, 0), Vec4(0, 0, 1, 0),
-         Vec4(0, 0, 0, 1)]
+    e = np.eye(4)
     signs = [-1.0, 1.0, 1.0, 1.0]
     for i in range(4):
         for j in range(4):
             expected = signs[i] if i == j else 0.0
-            assert metric(e[i], e[j]) == expected
+            assert pairing(e[i], e[j]) == expected
+    assert np.array_equal(pairing(e[:, None, :], e[None, :, :]),
+                          np.diag(signs))
 
 
 def test_metric_is_symmetric_and_bilinear():
     rng = np.random.default_rng(7)
     for _ in range(20):
-        a, b, c = (Vec4(*rng.normal(size=4)) for _ in range(3))
+        a, b, c = rng.normal(size=(3, 4))
         lam = float(rng.normal())
-        assert metric(a, b) == pytest.approx(metric(b, a), abs=1e-15)
-        left = metric(a + b * lam, c)
-        assert left == pytest.approx(metric(a, c) + lam * metric(b, c),
+        assert pairing(a, b) == pytest.approx(pairing(b, a), abs=1e-15)
+        left = pairing(a + b * lam, c)
+        assert left == pytest.approx(pairing(a, c) + lam * pairing(b, c),
                                      rel=1e-12, abs=1e-12)
 
 
@@ -33,7 +33,6 @@ def test_pairing_on_arrays_matches_metric_on_vectors():
     b = np.array([0.5, -1.0, 2.0, 1.5])
     expected = -a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
     assert pairing(a, b) == pytest.approx(expected, rel=1e-15)
-    assert metric(Vec4(*a), Vec4(*b)) == pytest.approx(expected, rel=1e-15)
 
 
 def test_pairing_broadcasts_over_sample_rows():
@@ -76,34 +75,6 @@ def test_nullspace_of_a_stack_is_each_matrix_on_its_own():
         assert res.sigma_min[i] == one.sigma_min
         assert res.degenerate[i] == one.degenerate
     assert list(res.degenerate) == [False, False, True]
-
-
-def test_lorentz_norm_of_null_vector_is_zero():
-    n = Vec4(1.0, 1.0, 0.0, 0.0)
-    assert lorentz_norm(n) == 0.0
-    s = Vec4(0.0, 2.0, 0.0, 0.0)
-    assert lorentz_norm(s) == pytest.approx(2.0)
-
-
-def test_causal_character_cases():
-    assert causal_character(Vec4(0, 1, 0, 0)) is CausalCharacter.SPACELIKE
-    assert causal_character(Vec4(2, 1, 0, 0)) is CausalCharacter.TIMELIKE
-    assert causal_character(Vec4(1, 1, 0, 0)) is CausalCharacter.LIGHTLIKE
-    assert causal_character(Vec4(0, 0, 0, 0)) is CausalCharacter.ZERO
-
-
-def test_causal_character_scales_with_vector_magnitude():
-    # the classification threshold is relative, so rescaling cannot flip it
-    v = Vec4(1.0, 1.0 + 1e-12, 0.0, 0.0)
-    big = Vec4(1e8, (1.0 + 1e-12) * 1e8, 0.0, 0.0)
-    assert causal_character(v) is causal_character(big)
-
-
-def test_vec4_rejects_non_finite_components():
-    with pytest.raises(ValueError):
-        Vec4(np.nan, 0.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        Vec4(0.0, np.inf, 0.0, 0.0)
 
 
 def test_nullspace_of_rank_deficient_matrix():

@@ -1,10 +1,14 @@
 """Nullspace axis detection, independent of the symbolic conditions."""
 
+import json
+
 import numpy as np
 import pytest
 
-from lcl import (CurvatureProfile, FrameKind, Tolerances, Verdict,
-                 integrate_frame, oracle_detect, pairing)
+import lcl.cli
+from lcl import (CurvatureProfile, FrameKind, OracleResult, Tolerances,
+                 Verdict, closed_form_center, fit_pseudohyperbolic,
+                 integrate_frame, oracle_detect, pairing, save_profile)
 
 Y, N = Verdict.YES, Verdict.NO
 
@@ -18,7 +22,7 @@ def test_circle_has_an_axis_for_every_row(circle_trace):
 
 def test_circle_tangent_axis_direction(circle_trace):
     res = oracle_detect(circle_trace)[0]
-    u = res.vector.to_array()
+    u = res.vector
     expected = np.array([0.5, -1.0 / np.sqrt(2.0), 0.0, -0.5])
     cos = abs(u @ expected) / (np.linalg.norm(u) * np.linalg.norm(expected))
     assert cos == pytest.approx(1.0, abs=1e-9)
@@ -31,7 +35,7 @@ def test_constant_frame_row_returns_the_degenerate_note(circle_trace):
     assert res.verdict is Y
     assert res.note == "indicatrix constant"
     r = 1.0 / np.sqrt(2.0)
-    u = res.vector.to_array()
+    u = res.vector
     assert np.allclose(np.abs(u), [r, 0.0, 0.0, r], atol=1e-12)
 
 
@@ -49,7 +53,7 @@ def test_generic_profile_keeps_only_the_2_type_axis():
 def test_pairing_constancy_across_samples(circle_trace):
     res = oracle_detect(circle_trace)[0]
     rows = circle_trace.frames[:, 0, :]
-    g = pairing(rows, res.vector.to_array())
+    g = pairing(rows, res.vector)
     assert np.ptp(g) < 1e-9
     assert res.g_variance < 1e-12
     assert res.g_mean == pytest.approx(np.mean(g), abs=1e-12)
@@ -88,6 +92,27 @@ def test_oracle_json_payload(circle_trace):
     assert obj["verdict"] == "Yes"
     assert isinstance(obj["U"], list) and len(obj["U"]) == 4
     assert obj["sigma_min"] <= obj["threshold"]
+
+
+def test_vectors_are_arrays_and_a_missing_one_reads_none(
+        circle_profile, circle_trace, h3_trace, tmp_path, monkeypatch, capsys):
+    # 4-vectors are (4,) arrays, whose truth value is ambiguous, so a
+    # missing oracle vector must be told apart by `is None`
+    for res in oracle_detect(circle_trace).values():
+        assert isinstance(res.vector, np.ndarray) and res.vector.shape == (4,)
+    center, _ = closed_form_center(h3_trace, -2.0)
+    for v in (fit_pseudohyperbolic(h3_trace).center, center):
+        assert isinstance(v, np.ndarray) and v.shape == (4,)
+
+    empty = OracleResult(Verdict.NO, None, 1.0, 1e-6)
+    assert empty.to_json_dict()["U"] is None
+    monkeypatch.setattr(lcl.cli, "oracle_detect", lambda trace, tol: {0: empty})
+    path = tmp_path / "circle.json"
+    save_profile(circle_profile, path)
+    assert lcl.cli.main(["oracle", str(path)]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("U = (none)")
+    assert lcl.cli.main(["oracle", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["k0"]["U"] is None
 
 
 def test_failed_pairing_validation_note():
@@ -151,7 +176,7 @@ def test_batched_oracle_matches_one_svd_per_row(name, request):
         assert res.sigma_min == sigma_min, k
         assert res.threshold == threshold, k
         assert res.note == note, k
-        assert np.array_equal(res.vector.to_array(), u), k
+        assert np.array_equal(res.vector, u), k
 
 
 def test_batched_oracle_keeps_the_constant_row_branch(circle_trace):

@@ -12,15 +12,14 @@ from lcl.profiles import SampleTable
 
 def test_create_partially_null_defaults_sigma_to_zero():
     p = CurvatureProfile.create("partially_null", kappa="2", tau="1")
-    k, t, sg = p.evaluate(0.5)
-    assert (k, t, sg) == (2.0, 1.0, 0.0)
+    assert np.array_equal(p.evaluate_arrays(0.5), [2.0, 1.0, 0.0])
     assert p.kind is FrameKind.PARTIALLY_NULL
 
 
 def test_create_pseudo_null_defaults_kappa_to_one():
     p = CurvatureProfile.create("pseudo_null", tau="2", sigma="-s^2 + s",
                                 domain=(0.0, 1.0))
-    k, t, sg = p.evaluate(0.5)
+    k, t, sg = p.evaluate_arrays(0.5)
     assert k == 1.0
     assert t == 2.0
     assert sg == pytest.approx(0.25)
@@ -89,7 +88,7 @@ def test_evaluate_arrays_matches_scalar_evaluate():
     grid = np.linspace(0.0, 2.0, 17)
     ka, ta, sa = p.evaluate_arrays(grid)
     for i, s in enumerate(grid):
-        k, t, sg = p.evaluate(float(s))
+        k, t, sg = p.kappa(float(s)), p.tau(float(s)), p.sigma(float(s))
         assert ka[i] == pytest.approx(k, abs=1e-15)
         assert ta[i] == pytest.approx(t, abs=1e-15)
         assert sa[i] == pytest.approx(sg, abs=1e-15)
@@ -111,7 +110,7 @@ def test_json_round_trip_preserves_evaluation():
     assert q.kind is p.kind
     assert q.domain == p.domain
     for s in np.linspace(0.0, 1.5, 7):
-        assert q.evaluate(float(s)) == pytest.approx(p.evaluate(float(s)))
+        assert q.evaluate_arrays(s) == pytest.approx(p.evaluate_arrays(s))
 
 
 def test_save_and_load_profile(tmp_path):
@@ -121,7 +120,7 @@ def test_save_and_load_profile(tmp_path):
     save_profile(p, path)
     q = load_profile(path)
     assert q.label == "disk"
-    assert q.evaluate(0.3) == pytest.approx(p.evaluate(0.3))
+    assert q.evaluate_arrays(0.3) == pytest.approx(p.evaluate_arrays(0.3))
     # the file itself is plain JSON with the documented keys
     obj = json.loads(path.read_text())
     assert set(obj) >= {"kind", "domain", "kappa", "tau"}
@@ -197,9 +196,9 @@ def test_profile_with_sampled_component():
     p = CurvatureProfile.create(
         "partially_null", kappa=SampleTable(s, 2.0 + np.sin(s)), tau="1",
         domain=(0.0, 1.0))
-    k, _, _ = p.evaluate(0.5)
+    k = p.kappa(0.5)
     assert k == pytest.approx(2.0 + np.sin(0.5), abs=1e-6)
     # sampled components survive the JSON round-trip as tables
     q = CurvatureProfile.from_json_dict(p.to_json_dict())
-    k2, _, _ = q.evaluate(0.5)
+    k2 = q.kappa(0.5)
     assert k2 == pytest.approx(k, abs=1e-12)
