@@ -50,7 +50,7 @@ class IntegrationError(LclError):
 
 
 class FrameError(LclError):
-    """Initial frame rejected: not a finite 4 x 4 array, or off its Gram targets."""
+    """Bad initial frame or alpha0: wrong shape, non-finite, or off the Gram targets."""
 
 
 class GridMismatchError(LclError):
