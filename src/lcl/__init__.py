@@ -13,9 +13,8 @@ from .classifier import (PN_IMPLICATIONS, PSN_IMPLICATIONS,
                          ClassificationReport, OracleResult, classify_profile,
                          implication_closure, oracle_detect, pn_type0_check,
                          pn_type1_check, pn_type1_axis, pn_type2_axis,
-                         pn_type3_check, pn_type0_axes, psn_type0_check,
-                         psn_type1_axis, psn_type1_check, psn_type2_axis,
-                         psn_type2_check, psn_type3_check)
+                         pn_type0_axes, psn_type1_axis, psn_type1_check,
+                         psn_type2_axis, psn_type2_check, psn_type3_check)
 from .errors import (ConfigError, DegenerateAxisError, EvaluationError,
                      ExpressionError, FrameError, GridMismatchError,
                      IntegrationError, LclError, OutOfDomainError,
@@ -26,8 +25,8 @@ from .frames import (FrameKind, canonical_frame, frenet_matrix, gram_matrix,
                      gram_residual, gram_targets)
 from .hyperbolic import (SphereFit, TauForm, closed_form_center,
                          fit_pseudohyperbolic, h3_membership, h3_ratio_check,
-                         h3_type1_nonexistence, h3_type2_tau_form,
-                         h3_type3_residual, make_h3_type2_profile)
+                         h3_type2_tau_form, h3_type3_residual,
+                         make_h3_type2_profile)
 from .integrator import (CurveTrace, integrate_frame, resample_curvatures,
                          write_trace_csv)
 from .minkowski import nullspace_min_singular, pairing, row_norm
@@ -54,14 +53,14 @@ __all__ = [
     "fit_pseudohyperbolic", "fixtures_from_json",
     "frenet_matrix", "gram_matrix", "gram_residual",
     "gram_targets", "grid_derivative", "h3_membership", "h3_ratio_check",
-    "h3_type1_nonexistence", "h3_type2_tau_form", "h3_type3_residual",
+    "h3_type2_tau_form", "h3_type3_residual",
     "implication_closure", "integrate_frame", "load_profile", "load_suite",
     "make_cumulative",
     "make_h3_type2_profile", "nullspace_min_singular",
     "oracle_detect", "pairing", "parse_expression", "PN_IMPLICATIONS",
     "pn_type0_axes", "pn_type0_check", "pn_type1_axis", "pn_type1_check",
-    "pn_type2_axis", "pn_type3_check", "PSN_IMPLICATIONS", "psn_type0_check",
-    "psn_type1_axis", "psn_type1_check", "psn_type2_axis", "psn_type2_check",
-    "psn_type3_check", "render_table", "resample_curvatures",
+    "pn_type2_axis", "PSN_IMPLICATIONS", "psn_type1_axis", "psn_type1_check",
+    "psn_type2_axis", "psn_type2_check", "psn_type3_check", "render_table",
+    "resample_curvatures",
     "row_norm", "run_theorem_suite", "save_profile", "validate_axis", "write_trace_csv",
 ]

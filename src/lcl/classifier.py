@@ -35,7 +35,7 @@ from . import hyperbolic
 from .axis import AxisCandidate, assemble_axis, validate_axis
 from .calculus import cumulative_integral, grid_derivative, make_cumulative
 from .errors import DegenerateAxisError, ProfileError
-from .fits import (CheckResult, FittedConstant, Tolerances, Verdict,
+from .fits import (DAMPING, CheckResult, FittedConstant, Tolerances, Verdict,
                    _constant_fit, _damped_lstsq, _guard_nonzero, _jsonable,
                    _rms)
 from .frames import FrameKind
@@ -44,6 +44,9 @@ from .minkowski import SIGNS, nullspace_min_singular, pairing, row_norm
 from .profiles import CurvatureProfile, Samples
 
 log = logging.getLogger("lcl.classifier")
+
+# The oracle's threshold on sigma_min is this times sqrt(row count).
+EPS_ORACLE_COEFF = 1e-7
 
 
 @dataclass
@@ -88,14 +91,14 @@ def oracle_detect(trace: CurveTrace,
     rows = (v[:, 1:] - v[:, :1]) * SIGNS
     max_row = np.max(row_norm(rows), axis=1)
     constant = max_row < 1e-9 * (1.0 + np.max(row_norm(v), axis=1))
-    constant_threshold = tol.eps_oracle_coeff * math.sqrt(rows.shape[1])
+    constant_threshold = EPS_ORACLE_COEFF * math.sqrt(rows.shape[1])
     note = ""
     if trace.kind is FrameKind.PARTIALLY_NULL:
         b1 = trace.frames[0, 2]
         unit = np.broadcast_to(b1 / np.linalg.norm(b1), (4, 1, 4))
         rows = np.concatenate([rows, unit], axis=1)
         note = "trivial B1 direction excluded"
-    threshold = tol.eps_oracle_coeff * math.sqrt(rows.shape[1])
+    threshold = EPS_ORACLE_COEFF * math.sqrt(rows.shape[1])
     cand = nullspace_min_singular(rows)
     results = {}
     for k in range(4):
@@ -163,7 +166,7 @@ def pn_type1_check(smp: Samples,
     ratio = smp.tau / smp.kappa
     kint = cumulative_integral(smp.profile.kappa, smp.s)
     design = np.column_stack([np.ones_like(kint), kint])
-    a0, c_lin = _damped_lstsq(design, ratio, tol.damping)
+    a0, c_lin = _damped_lstsq(design, ratio)
     residual = _rms(ratio - design @ (a0, c_lin)) / (1.0 + _rms(ratio))
     verdict = Verdict.of(residual < tol.eps_cond)
     degenerate = abs(c_lin) * (kint.max() - kint.min()) < tol.eps_cond * (1.0 + abs(a0))
@@ -232,35 +235,11 @@ def pn_type2_axis(trace: CurveTrace,
     return assemble_axis(trace, 2, "oscillator-solution", u1, u2, u3, 1.0)
 
 
-def pn_type3_check(type0: CheckResult) -> CheckResult:
-    """3-type coincides with 0-type for partially null curves.
-
-    Returns the k = 0 result `type0`, marked as such; it is not modified.
-    """
-    return replace(type0, extras={**type0.extras, "equivalent_to": "k0"})
-
-
 PN_IMPLICATIONS = ((0, 1), (0, 2), (0, 3), (1, 2), (3, 0), (3, 1), (3, 2))
 
 
 # ---------------------------------------------------------------------------
 # pseudo null family (kappa = 1)
-
-def psn_type0_check(oracle: OracleResult) -> CheckResult:
-    """No pseudo null curve is a general helix; assert the oracle agrees.
-
-    The verdict is always No. The k = 0 oracle margin (sigma_min over its
-    threshold) is reported, and an oracle Yes is flagged as an internal
-    inconsistency rather than believed.
-    """
-    flags = []
-    if oracle.verdict is Verdict.YES:
-        flags.append("internal-inconsistency: oracle found a tangent axis "
-                     "for a pseudo null curve")
-    margin = oracle.sigma_min / oracle.threshold if oracle.threshold else float("inf")
-    return CheckResult(Verdict.NO, oracle.sigma_min, flags=flags,
-                       extras={"margin": margin, "oracle": oracle})
-
 
 def psn_type1_check(smp: Samples,
                     tol: Tolerances = Tolerances()) -> CheckResult:
@@ -271,7 +250,7 @@ def psn_type1_check(smp: Samples,
     q = smp.sigma / smp.tau
     target = q + 0.5 * grid**2
     design = np.column_stack([grid, np.ones_like(grid)])
-    a_fit, b_fit = _damped_lstsq(design, target, tol.damping)
+    a_fit, b_fit = _damped_lstsq(design, target)
     residual = _rms(target - design @ (a_fit, b_fit)) / (
         1.0 + _rms(q) + _rms(0.5 * grid**2))
     verdict = Verdict.of(residual < tol.eps_cond)
@@ -321,7 +300,7 @@ def psn_type2_check(smp: Samples, type1: CheckResult,
     r0 = tint + outer0
     r1 = 1.0 + outer1
     core = slice(4, -4)  # two stencil passes eat two points per end each
-    denom = float(r1[core] @ r1[core]) + tol.damping
+    denom = float(r1[core] @ r1[core]) + DAMPING
     c_int = float(-(r1[core] @ r0[core]) / denom)
     r_min = r0[core] + c_int * r1[core]
     i_vals = tint[core] + c_int
@@ -364,25 +343,21 @@ def psn_type3_check(smp: Samples, oracle: OracleResult,
     """3-type is decided by the k = 3 oracle; the closed form is advisory.
 
     The published closed-form condition for this case is internally
-    inconsistent, so its residual is evaluated and logged but never
-    decides. A disagreement between the two is flagged.
+    inconsistent: its residual is logged and is the result's residual
+    (None when it cannot be evaluated), but never decides. A disagreement
+    between the two is flagged.
     """
     _require_kind(smp, FrameKind.PSEUDO_NULL)
     residual, note = _binormal_closed_form_residual(smp)
+    flags = []
     if residual is None:
         log.info("closed-form 3-type residual unavailable (%s)", note)
     else:
         log.info("closed-form 3-type residual %.6e (advisory)", residual)
-    flags = []
-    if residual is not None:
-        closed_says_yes = residual < tol.eps_cond
-        if Verdict.of(closed_says_yes) is not oracle.verdict:
+        if Verdict.of(residual < tol.eps_cond) is not oracle.verdict:
             flags.append("closed-form 3-type residual disagrees with oracle "
                          f"(residual {residual:.3g}, oracle {oracle.verdict.value})")
-    return CheckResult(oracle.verdict, oracle.sigma_min, flags=flags,
-                       extras={"oracle": oracle,
-                               "closed_form_residual": residual,
-                               "closed_form_note": note})
+    return CheckResult(oracle.verdict, residual, flags=flags)
 
 
 def _binormal_closed_form_residual(
@@ -478,7 +453,7 @@ def classify_profile(p: CurvatureProfile,
     A family step returns the condition result for each k, its validated
     axes and their flags; everything after that is shared.
     """
-    trace = integrate_frame(p, h=h, eps_gram=tol.eps_gram)
+    trace = integrate_frame(p, h=h)
     smp = p.sample()
     oracle = oracle_detect(trace, tol)
     if p.kind is FrameKind.PARTIALLY_NULL:
@@ -491,16 +466,15 @@ def classify_profile(p: CurvatureProfile,
     raw = {k: res.verdict for k, res in checks.items()}
     closed, notes, inconsistencies = implication_closure(raw, implications)
     flags.extend(f"closure-inconsistency: {msg}" for msg in inconsistencies)
+    constants = {}
     for res in checks.values():
         flags.extend(res.flags)
+        constants.update(res.constants)
     agreement = {k: oracle[k].verdict is closed[k] for k in range(4)}
     for k, ok in agreement.items():
         if not ok:
             flags.append(f"oracle-condition-disagreement: k{k} condition "
                          f"{closed[k].value}, oracle {oracle[k].verdict.value}")
-    constants = {}
-    for res in checks.values():
-        constants.update(res.constants)
 
     trivial = hyp = None
     if p.kind is FrameKind.PARTIALLY_NULL:
@@ -512,7 +486,7 @@ def classify_profile(p: CurvatureProfile,
                          for k in range(4)},
         }
     else:
-        hyp = hyperbolic.pseudohyperbolic_block(smp, trace, tol, type1=checks[1])
+        hyp = hyperbolic.pseudohyperbolic_block(smp, trace, tol)
         if hyp.get("is_h3_family") and checks[1].verdict is Verdict.YES:
             flags.append("internal-inconsistency: constant-ratio curve "
                          "classified 1-type")
@@ -576,16 +550,12 @@ def _partially_null_checks(smp, trace, tol) -> tuple[dict, list, list]:
     flags = []
     # 2-type axis exists for every admissible profile; verdict is its
     # validation, and a failure there is an internal inconsistency.
-    axis2 = pn_type2_axis(trace)
-    val2 = validate_axis(trace, axis2, tol.eps_axis)
-    if not val2.passed:
-        flags.append("internal-inconsistency: universal 2-type axis failed "
-                     f"validation (max_dU {val2.max_du:.3g})")
-    axes = [(axis2, val2)]
+    axes = _validated(trace, [pn_type2_axis(trace)], tol, flags, "universal")
+    val2 = axes[0][1]
     r0, r1 = pn_type0_check(smp, tol), pn_type1_check(smp, tol)
+    # 3-type coincides with 0-type for partially null curves
     checks = {0: r0, 1: r1,
-              2: CheckResult(Verdict.of(val2.passed), val2.max_du),
-              3: pn_type3_check(r0)}
+              2: CheckResult(Verdict.of(val2.passed), val2.max_du), 3: r0}
 
     degenerate1 = r1.verdict is Verdict.YES and r1.extras.get("degenerate")
     if r0.verdict is Verdict.YES or degenerate1:
@@ -608,16 +578,14 @@ def _partially_null_checks(smp, trace, tol) -> tuple[dict, list, list]:
 def _pseudo_null_checks(smp, trace, tol, oracle) -> tuple[dict, list, list]:
     """Condition results for k = 0..3, validated axes and axis flags.
 
-    The k = 3 verdict is the oracle's; its reported residual is the
-    advisory closed form, since sigma_min is already in the oracle block.
+    No pseudo null curve is 0-type: k0 is No with the oracle's sigma_min
+    as its residual, and an oracle Yes shows as the k0 disagreement.
     """
     flags, axes = [], []
     r1 = psn_type1_check(smp, tol)
     r2 = psn_type2_check(smp, r1, tol)
-    r3 = psn_type3_check(smp, oracle[3], tol)
-    checks = {0: psn_type0_check(oracle[0]), 1: r1,
-              2: r2,
-              3: replace(r3, residual=r3.extras.get("closed_form_residual"))}
+    checks = {0: CheckResult(Verdict.NO, oracle[0].sigma_min), 1: r1, 2: r2,
+              3: psn_type3_check(smp, oracle[3], tol)}
 
     if r1.verdict is Verdict.YES:
         axis1 = psn_type1_axis(trace)

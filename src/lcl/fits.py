@@ -25,30 +25,28 @@ class Verdict(Enum):
         return cls.YES if flag else cls.NO
 
 
+# Tikhonov damping for the small fits; keeps a degenerate fit finite.
+DAMPING = 1e-12
+
+
 @dataclass(frozen=True)
 class Tolerances:
-    """Knobs shared by the checks; defaults match the acceptance suite.
+    """Thresholds the CLI exposes; defaults match the acceptance suite.
 
-    Every eps_* must be finite and positive and damping finite and
-    non-negative; anything else raises ConfigError, since a zero, negative
-    or NaN threshold turns every verdict No and an infinite one every
-    verdict Yes.
+    Each must be finite and positive; anything else raises ConfigError,
+    since a zero, negative or NaN threshold turns every verdict No and an
+    infinite one every verdict Yes.
     """
 
-    eps_gram: float = 1e-6
     eps_cond: float = 1e-6          # relative residual for condition checks
     eps_axis: float = 1e-6          # axis validation scale
-    eps_oracle_coeff: float = 1e-7  # oracle threshold is this * sqrt(rows)
-    damping: float = 1e-12          # Tikhonov damping for the small fits
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            low_ok = value >= 0.0 if f.name == "damping" else value > 0.0
-            if not (math.isfinite(value) and low_ok):
-                bound = "non-negative" if f.name == "damping" else "positive"
+            if not (math.isfinite(value) and value > 0.0):
                 raise ConfigError(f"tolerance {f.name} must be finite and "
-                                  f"{bound}, got {value!r}")
+                                  f"positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -84,13 +82,13 @@ def _rms(x: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.square(x))))
 
 
-def _damped_lstsq(a: np.ndarray, b: np.ndarray, damping: float) -> np.ndarray:
-    """Normal-equation least squares with Tikhonov damping.
+def _damped_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Normal-equation least squares with Tikhonov damping (DAMPING).
 
     The damping keeps degenerate fits finite instead of letting one
     coefficient wander off; callers still flag degeneracy explicitly.
     """
-    ata = a.T @ a + damping * np.eye(a.shape[1])
+    ata = a.T @ a + DAMPING * np.eye(a.shape[1])
     return np.linalg.solve(ata, a.T @ b)
 
 

@@ -178,7 +178,7 @@ def h3_type2_tau_form(smp: Samples, c: float,
     grid, tau_vals = smp.s, smp.tau
     w = math.sqrt(-2.0 * c)
     design = np.column_stack([np.exp(grid / w), np.exp(-grid / w)])
-    lam, mu = _damped_lstsq(design, tau_vals, tol.damping)
+    lam, mu = _damped_lstsq(design, tau_vals)
     form = TauForm(c, float(lam), float(mu))
     scale = 1.0 + float(np.max(np.abs(tau_vals)))
     ode_residual = float(np.max(np.abs(2.0 * c * form.second(grid) + tau_vals))) / scale
@@ -194,22 +194,7 @@ def h3_type2_tau_form(smp: Samples, c: float,
                        constants={"lam": FittedConstant(float(lam), ode_residual),
                                   "mu": FittedConstant(float(mu), ode_residual)},
                        flags=flags,
-                       extras={"fd_residual": fd_residual, "form": form})
-
-
-def h3_type1_nonexistence(type1: CheckResult) -> CheckResult:
-    """No family member is 1-type; cross-check against the global verdict.
-
-    The family forces a constant ratio, which is never the reference
-    quadratic, so this holds identically. A global 1-type Yes on a family
-    member is an internal inconsistency, reported here.
-    """
-    flags = []
-    if type1.verdict is Verdict.YES:
-        flags.append("internal-inconsistency: 1-type verdict Yes on a "
-                     "pseudohyperbolic family member")
-    return CheckResult(Verdict.YES, type1.residual, flags=flags,
-                       extras={"meaning": "1-type ruled out"})
+                       extras={"fd_residual": fd_residual})
 
 
 def h3_type3_residual(smp: Samples, c: float) -> Optional[float]:
@@ -245,9 +230,15 @@ def h3_type3_residual(smp: Samples, c: float) -> Optional[float]:
 
 
 def pseudohyperbolic_block(smp: Samples, trace: CurveTrace,
-                           tol: Tolerances = Tolerances(),
-                           type1: Optional[CheckResult] = None) -> dict:
-    """Report block assembled by the classifier for pseudo null curves."""
+                           tol: Tolerances = Tolerances()) -> dict:
+    """Report block assembled by the classifier for pseudo null curves.
+
+    `type1_nonexistence` is "Yes" for every family member: the family
+    forces a constant ratio, which is never the 1-type quadratic (the
+    classifier flags a 1-type Yes on a member). A sphere fit that passes
+    off the family is noted only with a finite radius: a constant positive
+    ratio puts the curve on a de Sitter pseudosphere (fitted r^2 < 0).
+    """
     ratio = h3_ratio_check(smp, tol)
     notes = list(ratio.flags)
     is_family = ratio.verdict is Verdict.YES
@@ -267,13 +258,14 @@ def pseudohyperbolic_block(smp: Samples, trace: CurveTrace,
         "ratio_residual": _jsonable(ratio.residual),
         "sphere_fit": fit_dict,
         "notes": notes,
-        "type1_nonexistence": None,
+        "type1_nonexistence": Verdict.YES.value if is_family else None,
         "type2_tau": None,
         "type3_residual": None,
         "closed_center": None,
     }
     if not is_family:
-        if fit is not None and fit.rel_deviation < tol.eps_cond:
+        if (fit is not None and math.isfinite(fit.radius)
+                and fit.rel_deviation < tol.eps_cond):
             notes.append("internal-inconsistency: sphere fit succeeded but "
                          "the ratio test rejects the family")
         return block
@@ -297,11 +289,6 @@ def pseudohyperbolic_block(smp: Samples, trace: CurveTrace,
             notes.append(f"fitted radius {fit.radius:.6g} differs from "
                          f"sqrt(-2c) = {expected_r:.6g}")
 
-    if type1 is not None:
-        non1 = h3_type1_nonexistence(type1)
-        notes.extend(non1.flags)
-        block["type1_nonexistence"] = non1.verdict.value
-
     tau_form = h3_type2_tau_form(smp, c, tol)
     block["type2_tau"] = {
         "verdict": tau_form.verdict.value,
@@ -311,5 +298,4 @@ def pseudohyperbolic_block(smp: Samples, trace: CurveTrace,
         "mu": tau_form.constants["mu"].to_json_dict(),
     }
     block["type3_residual"] = _jsonable(h3_type3_residual(smp, c))
-    block["notes"] = notes
     return block

@@ -245,12 +245,15 @@ class CurvatureProfile:
             raise ProfileError(f"bad profile JSON: {exc}") from None
         if not (isinstance(domain, (list, tuple)) and len(domain) == 2):
             raise ProfileError(f"bad profile domain {domain!r}")
+        label = obj.get("label", "")
+        if label is not None and not isinstance(label, str):
+            raise ProfileError(f"profile label must be a string, got {label!r}")
         return cls.create(kind,
                           kappa=obj.get("kappa"),
                           tau=obj.get("tau"),
                           sigma=obj.get("sigma"),
                           domain=domain,
-                          label=obj.get("label", ""))
+                          label=label)
 
 
 @dataclass

@@ -203,7 +203,11 @@ def fixtures_from_json(obj) -> list[Fixture]:
                     f"suite entry {i}: expected k{k} must be Y, N, or "
                     f"oracle, got {raw!r}")
             expected[k] = raw
-        label = entry.get("label") or profile.label or f"fixture-{i}"
+        label = entry.get("label")
+        if label is not None and not isinstance(label, str):
+            raise ProfileError(f"suite entry {i}: label must be a string, "
+                               f"got {label!r}")
+        label = label or profile.label or f"fixture-{i}"
         fixtures.append(Fixture(label, profile, expected))
     return fixtures
 

@@ -1,13 +1,14 @@
 """Partially null slant conditions, axes, and implication closure."""
 
+import re
+
 import numpy as np
 import pytest
 
 from lcl import (PN_IMPLICATIONS, CurvatureProfile, Tolerances, Verdict,
-                 classify_profile, implication_closure, integrate_frame,
-                 pairing, pn_type0_axes, pn_type0_check, pn_type1_axis,
-                 pn_type1_check, pn_type2_axis, pn_type3_check,
-                 validate_axis)
+                 assemble_axis, classify_profile, implication_closure,
+                 integrate_frame, pairing, pn_type0_axes, pn_type0_check,
+                 pn_type1_axis, pn_type1_check, pn_type2_axis, validate_axis)
 from lcl.calculus import cumulative_integral, make_cumulative
 from lcl.errors import ConfigError, DegenerateAxisError, ProfileError
 
@@ -173,26 +174,45 @@ def test_2_type_axis_matches_the_nested_integral_reference(kappa, tau,
 def test_3_type_reduces_to_0_type():
     p = CurvatureProfile.create("partially_null", kappa="2", tau="6",
                                 domain=(0.0, 1.0))
-    r0 = pn_type0_check(p.sample())
-    r3 = pn_type3_check(r0)
-    assert r3.verdict is r0.verdict is Y
-    assert r3.extras.get("equivalent_to") == "k0"
+    rep = classify_profile(p)
+    assert rep.raw_verdicts[3] is rep.raw_verdicts[0] is Y
     q = CurvatureProfile.create("partially_null", kappa="1", tau="s",
                                 domain=(0.1, 1.0))
-    assert pn_type3_check(pn_type0_check(q.sample())).verdict is N
+    rep = classify_profile(q)
+    assert rep.raw_verdicts[3] is rep.raw_verdicts[0] is N
 
 
 def test_3_type_reuses_a_given_0_type_result():
     p = CurvatureProfile.create("partially_null", kappa="1", tau="s",
                                 domain=(0.1, 1.0))
     r0 = pn_type0_check(p.sample())
-    extras = dict(r0.extras)
-    r3 = pn_type3_check(r0)
-    assert r3.verdict is r0.verdict is N
-    assert r3.residual == r0.residual
-    assert r3.constants == r0.constants
-    assert r3.extras["equivalent_to"] == "k0"
-    assert r0.extras == extras
+    rep = classify_profile(p)
+    assert rep.raw_verdicts[3] is rep.raw_verdicts[0] is r0.verdict is N
+    assert (rep.condition_residuals[3] == rep.condition_residuals[0]
+            == r0.residual)
+    assert rep.constants["ratio"] == r0.constants["ratio"]
+
+
+def test_a_failing_universal_axis_is_flagged_like_any_other(monkeypatch):
+    import lcl.classifier
+
+    p = CurvatureProfile.create("partially_null", kappa="1", tau="exp(s)",
+                                domain=(0.0, 1.0))
+
+    def drifting_axis(trace):
+        # a frame row is not a constant vector: T moves along the curve
+        return assemble_axis(trace, 2, "oscillator-solution", 1.0, 0.0, 0.0,
+                             0.0)
+
+    monkeypatch.setattr(lcl.classifier, "pn_type2_axis", drifting_axis)
+    rep = classify_profile(p)
+    assert rep.raw_verdicts[2] is N
+    assert rep.condition_residuals[2] > 1e-3
+    failed = [f for f in rep.flags if "failed validation" in f]
+    assert len(failed) == 1
+    assert re.fullmatch(r"internal-inconsistency: universal axis "
+                        r"'oscillator-solution' \(k=2\) failed validation "
+                        r"\(max_dU \S+\)", failed[0])
 
 
 def test_closure_propagates_0_type_to_everything():
@@ -263,18 +283,10 @@ def test_tolerances_are_immutable_defaults():
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
-@pytest.mark.parametrize("name", ["eps_gram", "eps_cond", "eps_axis",
-                                  "eps_oracle_coeff"])
+@pytest.mark.parametrize("name", ["eps_cond", "eps_axis"])
 def test_tolerances_reject_meaningless_thresholds(name, value):
     with pytest.raises(ConfigError, match=name):
         Tolerances(**{name: value})
-
-
-def test_damping_may_be_zero_but_not_negative_or_non_finite():
-    assert Tolerances(damping=0.0).damping == 0.0
-    for value in (-1.0, float("nan"), float("inf")):
-        with pytest.raises(ConfigError, match="damping"):
-            Tolerances(damping=value)
 
 
 def test_sigma_probe_reads_the_whole_check_grid():

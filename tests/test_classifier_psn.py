@@ -5,9 +5,10 @@ import pytest
 
 from lcl import (PSN_IMPLICATIONS, CurvatureProfile, Verdict, classify_profile,
                  default_suite, implication_closure, integrate_frame,
-                 oracle_detect, pairing, psn_type0_check, psn_type1_axis,
-                 psn_type1_check, psn_type2_axis, psn_type2_check,
-                 psn_type3_check, validate_axis)
+                 oracle_detect, pairing, psn_type1_axis, psn_type1_check,
+                 psn_type2_axis, psn_type2_check, psn_type3_check,
+                 validate_axis)
+from lcl.classifier import _binormal_closed_form_residual
 from lcl.errors import ProfileError
 from lcl.hyperbolic import make_h3_type2_profile
 
@@ -123,16 +124,29 @@ def test_2_type_axis_on_the_identity_route(h3_profile, h3_trace):
 
 def test_0_type_is_always_refuted_by_the_oracle(quad_psn_trace,
                                                 quad_psn_profile):
-    res = psn_type0_check(oracle_detect(quad_psn_trace)[0])
-    assert res.verdict is N
-    assert res.residual > 1e-3  # oracle margin, not a fitted residual
+    rep = classify_profile(quad_psn_profile)
+    assert rep.raw_verdicts[0] is N
+    # the oracle's k0 sigma_min, not a fitted residual
+    sigma_min = oracle_detect(quad_psn_trace)[0].sigma_min
+    assert rep.condition_residuals[0] == sigma_min
+    assert sigma_min > 1e-3
 
 
 def test_3_type_follows_the_oracle(quad_psn_profile, quad_psn_trace):
+    # the closed form's denominator vanishes here: no residual to report
     res = psn_type3_check(quad_psn_profile.sample(),
                           oracle_detect(quad_psn_trace)[3])
     assert res.verdict is N
-    assert "closed_form_residual" in res.extras
+    assert res.residual is None
+    assert classify_profile(quad_psn_profile).condition_residuals[3] is None
+    p = CurvatureProfile.create("pseudo_null", tau="1", sigma="exp(s)",
+                                domain=(0.0, 1.5))
+    closed_form, note = _binormal_closed_form_residual(p.sample())
+    assert closed_form is not None, note
+    rep = classify_profile(p)
+    assert rep.raw_verdicts[3] is rep.oracle[3].verdict is N
+    # the advisory closed form is the reported residual, never the verdict
+    assert rep.condition_residuals[3] == closed_form > 1e-6
 
 
 def test_closure_only_lifts_1_type_to_2_type():

@@ -144,13 +144,17 @@ _SWEEP = {"family": "pn-constant", "domain": [0.0, 1.0],
     ("classify", dict(_PROFILE, domain=["a", 1])),
     ("classify", dict(_PROFILE, tau={"s": [0.0, 1.0], "values": "ab"})),
     ("verify", [{"profile": _PROFILE, "expected": "Y"}]),
+    ("verify", [{"label": ["a"], "profile": _PROFILE}]),
+    ("verify", [{"profile": dict(_PROFILE, label={"x": 1})}]),
+    ("classify", dict(_PROFILE, label=3)),
     ("sweep", [_SWEEP]),
     ("sweep", dict(_SWEEP, domain=["a", 1])),
     ("sweep", {"family": "psn-quadratic", "domain": [0.0, 1.0],
                "parameters": {"a": [0.3], "b": [0.1]},
                "sigma_perturbation": {"expr": "s", "scales": "ab"}}),
-], ids=["profile-domain", "table-values", "suite-expected", "sweep-array",
-        "sweep-domain", "sweep-scales"])
+], ids=["profile-domain", "table-values", "suite-expected", "suite-label",
+        "suite-profile-label", "profile-label", "sweep-array", "sweep-domain",
+        "sweep-scales"])
 def test_malformed_input_file_is_a_validation_error(cmd, payload, tmp_path,
                                                     capsys):
     path = tmp_path / "input.json"
@@ -247,6 +251,18 @@ def test_verify_small_suite_pass_and_fail(tmp_path, capsys):
     assert rc == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
+
+
+def test_verify_missing_or_null_labels_keep_their_defaults(tmp_path, capsys):
+    profile = {"kind": "partially_null", "kappa": "2", "tau": "6",
+               "domain": [0.0, 1.0]}
+    suite = [{"label": None, "profile": dict(profile, label=None)},
+             {"profile": dict(profile, label="named")}]
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(suite))
+    assert main(["verify", "--suite", str(path), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [r["label"] for r in report["fixtures"]] == ["fixture-0", "named"]
 
 
 def test_verify_empty_suite_warns_and_exits_zero(tmp_path, capsys):

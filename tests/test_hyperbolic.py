@@ -5,9 +5,8 @@ import pytest
 
 from lcl import (CurvatureProfile, Verdict, classify_profile,
                  closed_form_center, fit_pseudohyperbolic, h3_membership,
-                 h3_ratio_check, h3_type1_nonexistence, h3_type2_tau_form,
-                 h3_type3_residual, integrate_frame, pairing,
-                 psn_type1_check)
+                 h3_ratio_check, h3_type2_tau_form, h3_type3_residual,
+                 integrate_frame, pairing)
 from lcl.errors import ProfileError
 from lcl.hyperbolic import TauForm, make_h3_type2_profile
 from lcl.minkowski import SIGNS
@@ -85,6 +84,21 @@ def test_sphere_fit_diverges_gracefully_off_family(quad_psn_trace):
     assert (not fit.converged) or fit.rel_deviation > 1e-8
 
 
+def test_constant_positive_ratio_is_off_family_without_a_false_note():
+    # sigma/tau = 2: g(x - x0, x - x0) = 2c = 4 > 0, a de Sitter
+    # pseudosphere; the fit finds it exactly, with r^2 = -4 and no radius
+    p = CurvatureProfile.create("pseudo_null", tau="1", sigma="2",
+                                domain=(0.0, 1.5))
+    fit = fit_pseudohyperbolic(integrate_frame(p))
+    assert fit.radius_sq == pytest.approx(-4.0, abs=1e-9)
+    assert np.isnan(fit.radius)
+    assert fit.rel_deviation < 1e-12
+    hyp = classify_profile(p).pseudohyperbolic
+    assert hyp["is_h3_family"] is False
+    assert any("not negative" in n for n in hyp["notes"])
+    assert not [n for n in hyp["notes"] if "internal-inconsistency" in n]
+
+
 def test_sphere_fit_converges_in_one_solve_on_a_large_trace():
     fx = next(f for f in default_suite() if f.profile.label == "psn-generic-1")
     fit = fit_pseudohyperbolic(integrate_frame(fx.profile))
@@ -132,9 +146,10 @@ def test_tau_form_fit_rejects_non_member():
 def test_type1_nonexistence_on_the_family():
     p = CurvatureProfile.create("pseudo_null", tau="1", sigma="-2",
                                 domain=(0.0, 1.5))
-    res = h3_type1_nonexistence(psn_type1_check(p.sample()))
-    assert res.verdict is Y
-    assert not res.flags
+    rep = classify_profile(p)
+    assert rep.pseudohyperbolic["type1_nonexistence"] == "Yes"
+    assert rep.raw_verdicts[1] is N
+    assert not [f for f in rep.flags if "1-type" in f]
 
 
 def test_type3_residual_is_advisory_and_positive_for_constant_tau():

@@ -9,6 +9,7 @@ import lcl.cli
 from lcl import (CurvatureProfile, FrameKind, OracleResult, Tolerances,
                  Verdict, closed_form_center, fit_pseudohyperbolic,
                  integrate_frame, oracle_detect, pairing, save_profile)
+from lcl.classifier import EPS_ORACLE_COEFF
 
 Y, N = Verdict.YES, Verdict.NO
 
@@ -78,12 +79,11 @@ def test_quadratic_family_normal_axis(quad_psn_trace):
 
 
 def test_threshold_scales_with_row_count(circle_trace):
-    tol = Tolerances()
     res = oracle_detect(circle_trace)[0]
     # n-1 difference rows plus the appended row for the trivial direction
     rows = len(circle_trace.s) - 1 + 1
     assert res.threshold == pytest.approx(
-        tol.eps_oracle_coeff * np.sqrt(rows), rel=1e-12)
+        EPS_ORACLE_COEFF * np.sqrt(rows), rel=1e-12)
 
 
 def test_oracle_json_payload(circle_trace):
@@ -137,14 +137,14 @@ def _oracle_one_row(trace, k, tol=Tolerances()):
     max_row = np.max(np.linalg.norm(rows, axis=1))
     if max_row < 1e-9 * (1.0 + np.max(np.linalg.norm(v, axis=1))):
         u = v[0] * signs / np.linalg.norm(v[0] * signs)
-        return (Y, u, max_row, tol.eps_oracle_coeff * np.sqrt(len(rows)),
+        return (Y, u, max_row, EPS_ORACLE_COEFF * np.sqrt(len(rows)),
                 "indicatrix constant")
     note = ""
     if trace.kind is FrameKind.PARTIALLY_NULL:
         b1 = trace.frames[0, 2]
         rows = np.vstack([rows, b1 / np.linalg.norm(b1)])
         note = "trivial B1 direction excluded"
-    threshold = tol.eps_oracle_coeff * np.sqrt(len(rows))
+    threshold = EPS_ORACLE_COEFF * np.sqrt(len(rows))
     _, sv, vt = np.linalg.svd(rows, full_matrices=False)
     u = vt[-1]
     lead = u[np.flatnonzero(np.abs(u) > 1e-6 * np.max(np.abs(u)))[0]]
@@ -185,7 +185,7 @@ def test_batched_oracle_keeps_the_constant_row_branch(circle_trace):
     res = oracle_detect(circle_trace)
     assert res[2].note == "indicatrix constant"
     assert res[2].threshold == pytest.approx(
-        Tolerances().eps_oracle_coeff * np.sqrt(len(circle_trace.s) - 1),
+        EPS_ORACLE_COEFF * np.sqrt(len(circle_trace.s) - 1),
         rel=1e-15)
     assert all(res[k].note == "trivial B1 direction excluded"
                for k in (0, 1, 3))
