@@ -15,10 +15,9 @@ import numpy as np
 
 from .calculus import grid_derivative
 from .errors import GridMismatchError
+from .fits import Tolerances
 from .integrator import CurveTrace
 from .minkowski import pairing, row_norm
-
-DEFAULT_EPS_AXIS = 1e-6
 
 
 @dataclass
@@ -77,7 +76,7 @@ class AxisValidation:
 
 
 def validate_axis(trace: CurveTrace, candidate: AxisCandidate,
-                  eps_axis: float = DEFAULT_EPS_AXIS) -> AxisValidation:
+                  eps_axis: float = Tolerances.eps_axis) -> AxisValidation:
     """Check that the candidate is constant and pairs constantly.
 
     Pass requires max ||dU/ds|| < eps_axis * (1 + max ||U||) over the

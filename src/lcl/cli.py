@@ -6,7 +6,8 @@ detection only), sweep (parameter grids to CSV). JSON output is
 deterministic: sorted keys, no timestamps, shortest round-trip floats.
 
 Exit codes: 0 success, 1 fixture failures from verify, 2 input or
-configuration validation errors, 3 numerical failures.
+configuration validation errors (unreadable files included), 3 numerical
+failures; each error class names its code as `exit_status`.
 """
 
 from __future__ import annotations
@@ -20,9 +21,7 @@ import sys
 from typing import Optional
 
 from .classifier import Tolerances, classify_profile, oracle_detect
-from .errors import (ConfigError, DegenerateAxisError, ExpressionError,
-                     FrameError, GridMismatchError, IntegrationError,
-                     OutOfDomainError, ProfileError)
+from .errors import ConfigError, LclError
 from .frames import FrameKind
 from .hyperbolic import make_h3_type2_profile
 from .integrator import integrate_frame, write_trace_csv
@@ -31,12 +30,6 @@ from .suite import DEFAULT_SEED, load_suite
 from .verifier import render_table, run_theorem_suite
 
 log = logging.getLogger("lcl.cli")
-
-_VALIDATION_ERRORS = (ProfileError, ExpressionError, ConfigError,
-                      OutOfDomainError, DegenerateAxisError,
-                      GridMismatchError, FileNotFoundError,
-                      IsADirectoryError, json.JSONDecodeError)
-_NUMERIC_ERRORS = (IntegrationError, FrameError)
 
 
 def _dumps(obj, pretty: bool) -> str:
@@ -419,12 +412,13 @@ def main(argv: Optional[list] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except _VALIDATION_ERRORS as exc:
+    except LclError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.exit_status
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        # input files and -o targets
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _NUMERIC_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

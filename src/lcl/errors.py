@@ -2,7 +2,10 @@
 
 
 class LclError(Exception):
-    """Base class for errors raised by this package."""
+    """Base class for errors raised by this package; `exit_status` is the
+    command line's exit code for it (2 bad input, 3 numerical failure)."""
+
+    exit_status = 2
 
 
 class ExpressionError(LclError):
@@ -48,9 +51,13 @@ class ConfigError(LclError):
 class IntegrationError(LclError):
     """Frame integration aborted; the message carries the diagnostic."""
 
+    exit_status = 3
+
 
 class FrameError(LclError):
     """Bad initial frame or alpha0: wrong shape, non-finite, or off the Gram targets."""
+
+    exit_status = 3
 
 
 class GridMismatchError(LclError):

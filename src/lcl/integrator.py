@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import logging
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -80,26 +79,19 @@ def integrate_frame(profile: CurvatureProfile,
                     initial: Optional[np.ndarray] = None,
                     alpha0: Optional[np.ndarray] = None,
                     h: Optional[float] = None,
-                    validate: bool = True,
                     eps_gram: float = DEFAULT_EPS_GRAM) -> CurveTrace:
     """Integrate the frame equations over the profile domain.
 
     Grid: s_i = s_min + i*h for i = 0..floor(span/h). Default h is
     1e-3 * span. `initial` is a 4 x 4 frame, rows T, N, B1, B2 (default
     canonical_frame); `alpha0` is the starting position, a length-4 array
-    (default the origin). Raises IntegrationError if Gram drift passes
-    1000 * eps_gram, ConfigError for a bad step, and FrameError for an
-    initial frame or alpha0 that is not a finite numeric array of its
-    shape, or an initial frame off its Gram targets by more than eps_gram.
+    (default the origin). The profile must pass profile.validate().
+    Raises IntegrationError if Gram drift passes 1000 * eps_gram,
+    ConfigError for a bad step or eps_gram, and FrameError for an initial
+    frame or alpha0 that is not a finite numeric array of its shape, or
+    an initial frame off its Gram targets by more than eps_gram.
     """
-    if validate:
-        profile.validate()
-    elif profile.kind is FrameKind.PSEUDO_NULL:
-        kappa_dev = np.max(np.abs(
-            profile.evaluate_arrays(profile.grid(65))[0] - 1.0))
-        if kappa_dev > 1e-9:
-            warnings.warn("integrating a pseudo null profile with kappa != 1 "
-                          f"(max deviation {kappa_dev:.3g})", stacklevel=2)
+    profile.validate()
 
     span = profile.span
     if h is None:
@@ -109,6 +101,9 @@ def integrate_frame(profile: CurvatureProfile,
         raise ConfigError(f"step h must be positive and finite, got {h}")
     if h > span / 10.0:
         raise ConfigError(f"step h = {h} too large for domain span {span}")
+    if not (eps_gram > 0.0) or not math.isfinite(eps_gram):
+        raise ConfigError("eps_gram must be positive and finite, "
+                          f"got {eps_gram}")
 
     frame0 = _finite_array(
         canonical_frame(profile.kind) if initial is None else initial,

@@ -70,19 +70,19 @@ def test_validate_axis_rejects_drifting_coefficients(circle_trace):
 
 def test_closed_form_axis_for_linear_torsion():
     # kappa = 1, tau = s: D = s T + N - (s^2/2) B1 + B2 stays constant.
-    # tau(0) = 0 fails profile validation, so integrate unvalidated; the
-    # axis identity itself has no 1/tau in it.
+    # The domain starts past s = 0, where tau = s would fail validation.
     p = CurvatureProfile.create("partially_null", kappa="1", tau="s",
-                                domain=(0.0, 1.0))
-    tr = integrate_frame(p, validate=False)
+                                domain=(0.1, 1.0))
+    tr = integrate_frame(p)
     s = tr.s
     cand = assemble_axis(tr, 2, "closed-form", s, np.ones_like(s),
                          -s**2 / 2.0, np.ones_like(s))
     val = validate_axis(tr, cand)
     assert val.passed
     assert val.max_du < 1e-9
-    # the combination reduces to N(0) + B2(0) at the start
-    expected = tr.frames[0][1] + tr.frames[0][3]
+    # the combination at the start, s0 = 0.1
+    t0, n0, b10, b20 = tr.frames[0]
+    expected = 0.1 * t0 + n0 - 0.005 * b10 + b20
     assert np.allclose(cand.u_at_start(), expected, atol=1e-12)
 
 

@@ -8,7 +8,9 @@ import textwrap
 import numpy as np
 import pytest
 
+from lcl import cli, errors
 from lcl.cli import main
+from lcl.errors import LclError
 
 CIRCLE = {"kind": "partially_null", "kappa": "1", "tau": "1",
           "domain": [0.0, 6.283185307179586], "label": "circle"}
@@ -152,18 +154,65 @@ _SWEEP = {"family": "pn-constant", "domain": [0.0, 1.0],
     ("sweep", {"family": "psn-quadratic", "domain": [0.0, 1.0],
                "parameters": {"a": [0.3], "b": [0.1]},
                "sigma_perturbation": {"expr": "s", "scales": "ab"}}),
+    ("classify", dict(_PROFILE, tau="log(s)")),
+    ("oracle", dict(_PROFILE, tau="log(s)")),
+    ("synth", dict(_PROFILE, tau="log(s)")),
+    ("classify", dict(_PROFILE, kappa=float("nan"))),
+    ("classify", b"\xff\xfe not utf-8"),
+    ("verify", b"\xff\xfe not utf-8"),
+    ("sweep", b"\xff\xfe not utf-8"),
 ], ids=["profile-domain", "table-values", "suite-expected", "suite-label",
         "suite-profile-label", "profile-label", "sweep-array", "sweep-domain",
-        "sweep-scales"])
+        "sweep-scales", "classify-log", "oracle-log", "synth-log",
+        "nan-kappa", "classify-bytes", "verify-bytes", "sweep-bytes"])
 def test_malformed_input_file_is_a_validation_error(cmd, payload, tmp_path,
                                                     capsys):
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(payload))
+    if isinstance(payload, bytes):
+        path.write_bytes(payload)
+    else:
+        path.write_text(json.dumps(payload))  # json writes nan as NaN
     argv = {"classify": ["classify", str(path)],
+            "oracle": ["oracle", str(path)],
+            "synth": ["synth", str(path), "-o", str(tmp_path / "x.csv")],
             "verify": ["verify", "--suite", str(path)],
             "sweep": ["sweep", str(path), "-o", str(tmp_path / "x.csv")]}
     assert main(argv[cmd]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+_ERROR_CLASSES = [obj for obj in vars(errors).values()
+                  if isinstance(obj, type) and issubclass(obj, LclError)]
+
+
+@pytest.mark.parametrize("cls", _ERROR_CLASSES,
+                         ids=[c.__name__ for c in _ERROR_CLASSES])
+def test_every_error_class_has_its_exit_status(cls, monkeypatch,
+                                               circle_file, capsys):
+    want = 3 if cls in (errors.IntegrationError, errors.FrameError) else 2
+    assert cls.exit_status == want
+
+    def fail(path):
+        raise cls("boom")
+
+    monkeypatch.setattr(cli, "load_profile", fail)
+    assert main(["classify", circle_file]) == want
+    assert capsys.readouterr().err == "error: boom\n"
+
+
+def test_output_into_a_missing_directory_is_a_validation_error(
+        circle_file, tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    assert main(["classify", circle_file, "-o", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_gram_drift_abort_is_a_numerical_failure(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(dict(_PROFILE, kappa="1e60")))
+    assert main(["synth", str(path), "--h", "0.1"]) == 3
+    assert capsys.readouterr().err.startswith("error: Gram drift")
 
 
 @pytest.mark.parametrize("cmd", ["synth", "classify", "oracle"])

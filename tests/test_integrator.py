@@ -8,7 +8,7 @@ import pytest
 from lcl import (CurvatureProfile, FrameKind, canonical_frame,
                  frenet_matrix, gram_matrix, gram_targets, integrate_frame,
                  pairing, resample_curvatures, write_trace_csv)
-from lcl.errors import ConfigError, FrameError, IntegrationError
+from lcl.errors import ConfigError, FrameError, IntegrationError, ProfileError
 from lcl.integrator import CSV_HEADER
 
 PN = FrameKind.PARTIALLY_NULL
@@ -186,13 +186,19 @@ def test_overflowing_frames_abort_at_the_first_step():
         integrate_frame(p, h=0.1)
 
 
-def test_unvalidated_pseudo_null_run_warns_about_kappa():
+def test_pseudo_null_run_rejects_kappa_other_than_one():
     p = CurvatureProfile.create("pseudo_null", kappa="1.5", tau="2",
                                 sigma="s", domain=(0.0, 1.0))
-    with pytest.warns(UserWarning, match="kappa != 1"):
-        tr = integrate_frame(p, h=0.01, validate=False)
-    assert tr.n == 101
-    assert np.all(np.isfinite(tr.frames))
+    with pytest.raises(ProfileError, match="requires kappa = 1"):
+        integrate_frame(p, h=0.01)
+
+
+@pytest.mark.parametrize("eps_gram", [float("nan"), float("inf"), 0.0, -1.0])
+def test_eps_gram_must_be_positive_and_finite(eps_gram):
+    p = CurvatureProfile.create("partially_null", kappa="1", tau="1",
+                                domain=(0.0, 2.0))
+    with pytest.raises(ConfigError, match="eps_gram"):
+        integrate_frame(p, eps_gram=eps_gram)
 
 
 def test_position_derivative_matches_tangent(circle_trace):
