@@ -25,7 +25,7 @@ from .errors import ConfigError, LclError
 from .frames import FrameKind
 from .hyperbolic import make_h3_type2_profile
 from .integrator import integrate_frame, write_trace_csv
-from .profiles import CurvatureProfile, load_profile
+from .profiles import CurvatureProfile, load_profile, read_json_file
 from .suite import DEFAULT_SEED, load_suite
 from .verifier import render_table, run_theorem_suite
 
@@ -315,8 +315,7 @@ def _fmt(x) -> str:
 def cmd_sweep(args) -> int:
     import csv as _csv
 
-    with open(args.spec, encoding="utf-8") as fh:
-        spec = json.load(fh)
+    spec = read_json_file(args.spec)
     if not isinstance(spec, dict):
         raise ConfigError("sweep spec must be a JSON object")
     family = spec.get("family")
@@ -415,7 +414,7 @@ def main(argv: Optional[list] = None) -> int:
     except LclError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_status
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         # input files and -o targets
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -45,7 +45,8 @@ class ProfileError(LclError):
 
 
 class ConfigError(LclError):
-    """Bad run parameter (step size, tolerance, malformed sweep spec)."""
+    """Bad run parameter (step size, tolerance, malformed sweep spec), or
+    an input file that is not UTF-8 JSON."""
 
 
 class IntegrationError(LclError):

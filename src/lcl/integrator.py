@@ -239,17 +239,24 @@ def resample_curvatures(trace: CurveTrace
 
 CSV_HEADER = ("s,x1,x2,x3,x4,T1,T2,T3,T4,N1,N2,N3,N4,"
               "B11,B12,B13,B14,B21,B22,B23,B24,gram_residual")
-_CSV_ROW = ",".join(["%.17g"] * 22) + "\n"
+# rows formatted at a time: the writer's working memory, about 170 bytes
+# per value, stays below the integration's own peak (tested)
+_CSV_BLOCK_ROWS = 512
 
 
 def write_trace_csv(trace: CurveTrace, path) -> None:
-    """Write the trace with 17 significant digits, one row per grid point."""
-    table = np.empty((trace.n, 22))
-    table[:, 0] = trace.s
-    table[:, 1:5] = trace.positions
-    table[:, 5:21] = trace.frames.reshape(trace.n, 16)
-    table[:, 21] = trace.gram_res
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for row in table:
-            fh.write(_CSV_ROW % tuple(row.tolist()))
+    """Write the trace with 17 significant digits, one row per grid point.
+
+    The bytes are those of `'%.17g' % v` for every value, formatted a
+    block of rows at a time by _format17g.
+    """
+    from ._format17g import format_rows  # only writers pay its import
+
+    frames = trace.frames.reshape(trace.n, 16)
+    with open(path, "wb") as fh:
+        fh.write(CSV_HEADER.encode() + b"\n")
+        for i in range(0, trace.n, _CSV_BLOCK_ROWS):
+            rows = slice(i, i + _CSV_BLOCK_ROWS)
+            fh.write(format_rows(np.concatenate(
+                [trace.s[rows, None], trace.positions[rows], frames[rows],
+                 trace.gram_res[rows, None]], axis=1)))

@@ -31,7 +31,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import OutOfDomainError, ProfileError
+from .errors import ConfigError, OutOfDomainError, ProfileError
 from .expr import Expr, Num, parse_expression
 from .frames import FrameKind
 
@@ -276,9 +276,19 @@ class Samples:
         return self.profile.kind
 
 
-def load_profile(path) -> CurvatureProfile:
+def read_json_file(path):
+    """The JSON document in the file at `path`. ConfigError, naming the
+    path, when the file is not UTF-8 text or not JSON; OSError as open
+    raises it."""
     with open(path, "r", encoding="utf-8") as fh:
-        return CurvatureProfile.from_json_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+
+
+def load_profile(path) -> CurvatureProfile:
+    return CurvatureProfile.from_json_dict(read_json_file(path))
 
 
 def save_profile(p: CurvatureProfile, path) -> None:

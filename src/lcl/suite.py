@@ -16,7 +16,7 @@ import numpy as np
 
 from .frames import FrameKind
 from .hyperbolic import make_h3_type2_profile
-from .profiles import CurvatureProfile
+from .profiles import CurvatureProfile, read_json_file
 
 DEFAULT_SEED = 20240817
 
@@ -181,8 +181,10 @@ def fixtures_from_json(obj) -> list[Fixture]:
 
     Expected verdicts are keyed "k0".."k3" with values "Y", "N", or
     "oracle"; omitted keys default to "oracle" (recorded, never failed).
+    Each profile must pass validate(); an entry that does not raises its
+    input error with the entry's index and label in the message.
     """
-    from .errors import ProfileError
+    from .errors import LclError, ProfileError
 
     if not isinstance(obj, list):
         raise ProfileError("suite file must be a JSON array of fixtures")
@@ -190,7 +192,16 @@ def fixtures_from_json(obj) -> list[Fixture]:
     for i, entry in enumerate(obj):
         if not isinstance(entry, dict) or "profile" not in entry:
             raise ProfileError(f"suite entry {i} needs a profile object")
-        profile = CurvatureProfile.from_json_dict(entry["profile"])
+        label = entry.get("label")
+        if label is not None and not isinstance(label, str):
+            raise ProfileError(f"suite entry {i}: label must be a string, "
+                               f"got {label!r}")
+        try:
+            profile = CurvatureProfile.from_json_dict(entry["profile"])
+            profile.validate()
+        except LclError as exc:
+            named = f"suite entry {i}" + (f" ({label!r})" if label else "")
+            raise type(exc)(f"{named}: {exc}") from exc
         given = entry.get("expected", {})
         if not isinstance(given, dict):
             raise ProfileError(f"suite entry {i}: expected must be an object "
@@ -203,17 +214,10 @@ def fixtures_from_json(obj) -> list[Fixture]:
                     f"suite entry {i}: expected k{k} must be Y, N, or "
                     f"oracle, got {raw!r}")
             expected[k] = raw
-        label = entry.get("label")
-        if label is not None and not isinstance(label, str):
-            raise ProfileError(f"suite entry {i}: label must be a string, "
-                               f"got {label!r}")
         label = label or profile.label or f"fixture-{i}"
         fixtures.append(Fixture(label, profile, expected))
     return fixtures
 
 
 def load_suite(path) -> list[Fixture]:
-    import json
-
-    with open(path, "r", encoding="utf-8") as fh:
-        return fixtures_from_json(json.load(fh))
+    return fixtures_from_json(read_json_file(path))

@@ -329,6 +329,40 @@ def test_verify_malformed_suite_is_a_validation_error(tmp_path):
     assert rc == 2
 
 
+def test_verify_suite_input_error_exits_2_naming_the_fixture(tmp_path,
+                                                           capsys):
+    # a fixture whose profile fails validation is an input error, not a
+    # fixture failure; a profile that integrates badly stays a crash
+    suite = [{"label": "good", "profile": _PROFILE},
+             {"label": "log-tau", "profile": dict(_PROFILE, tau="log(s)")}]
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(suite))
+    assert main(["verify", "--suite", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: suite entry 1 ('log-tau'): ")
+
+    path.write_text(json.dumps([{"label": "drift", "profile": dict(
+        _PROFILE, kappa="1e60")}]))
+    assert main(["verify", "--suite", str(path), "--h", "0.1"]) == 1
+    assert "! crash: IntegrationError" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("cmd", ["classify", "verify", "sweep"])
+def test_undecodable_input_file_error_names_the_file(cmd, tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff\xfe not utf-8")
+    argv = {"classify": ["classify", str(path)],
+            "verify": ["verify", "--suite", str(path)],
+            "sweep": ["sweep", str(path), "-o", str(tmp_path / "x.csv")]}
+    assert main(argv[cmd]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {path}: 'utf-8' codec can't decode")
+
+
 def test_sweep_writes_grid_csv(tmp_path):
     spec = {"family": "pn-constant", "domain": [0.0, 1.0],
             "parameters": {"kappa": [1.0, 2.0], "tau": [1.0, 3.0]}}

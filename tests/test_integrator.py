@@ -1,6 +1,7 @@
 """Frame integration: accuracy, the Gram-drift abort, resampling, CSV output."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -327,6 +328,24 @@ def test_csv_bytes_match_per_value_formatting(tmp_path):
                tr.gram_res[i]]
         expected.append(",".join(f"{v:.17g}" for v in row))
     assert out.read_bytes() == ("\n".join(expected) + "\n").encode()
+
+
+def test_csv_writer_peak_memory_stays_below_the_integration_peak(tmp_path):
+    # the writer formats a block of rows at a time; its block size must
+    # keep it from raising the peak that integration already sets
+    p = CurvatureProfile.create("partially_null", kappa="2 + sin(s)",
+                                tau="1 + s^2/4", domain=(0.0, 1.0))
+    tracemalloc.start()
+    try:
+        tr = integrate_frame(p, h=p.span / 5000)
+        _, integrate_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        held, _ = tracemalloc.get_traced_memory()
+        write_trace_csv(tr, tmp_path / "trace.csv")
+        _, write_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert write_peak - held < integrate_peak
 
 
 # the prefix scan runs ceil(log2(steps)) rounds, so step counts on both
