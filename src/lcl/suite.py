@@ -201,7 +201,8 @@ def fixtures_from_json(obj) -> list[Fixture]:
             profile.validate()
         except LclError as exc:
             named = f"suite entry {i}" + (f" ({label!r})" if label else "")
-            raise type(exc)(f"{named}: {exc}") from exc
+            exc.args = (f"{named}: {exc}",)
+            raise
         given = entry.get("expected", {})
         if not isinstance(given, dict):
             raise ProfileError(f"suite entry {i}: expected must be an object "
