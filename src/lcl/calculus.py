@@ -24,8 +24,14 @@ from typing import Callable
 import numpy as np
 
 # 5-point Gauss-Legendre rule on [-1, 1]; degree-9 exactness per cell is
-# far below roundoff for the step sizes used here.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
+# far below roundoff for the step sizes used here. The values are those of
+# numpy.polynomial.legendre.leggauss(5) to the last bit (tested), written
+# out so that importing lcl does not load numpy.polynomial.
+_GL_NODES = np.array([-0.906179845938664, -0.5384693101056831, 0.0,
+                      0.5384693101056831, 0.906179845938664])
+_GL_WEIGHTS = np.array([0.23692688505618928, 0.4786286704993663,
+                        0.5688888888888887, 0.4786286704993663,
+                        0.23692688505618928])
 
 
 def gauss_segments(f: Callable, a, b) -> np.ndarray:

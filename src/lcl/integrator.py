@@ -5,13 +5,14 @@ linear system F' = A(s) F with A from frames.frenet_matrix, and alpha' = T.
 Because the system is linear, one RK4 step is F <- F + D_i F and
 alpha <- alpha + q_i F, with D_i and q_i built for every step at once from
 the Frenet matrices on the half-step lattice. Every frame is then the
-initial one times a prefix product of the propagators I + D_i, which an
-inclusive scan computes in ceil(log2(steps)) rounds of batched 4x4
-products, with no loop over the steps. The scan carries increments,
-F_{j+1} = F_0 + E_j F_0 with I + E_j the product of the first j + 1
-propagators, so, like F + D_i F (and unlike a scan of I + D_i), it never
-adds the identity to the small entries and keeps the roundoff of the
-classical per-stage scheme.
+initial one times a prefix product of the propagators I + D_i, which a
+work-efficient scan computes with about 2 * steps batched 4x4 products
+in 2 ceil(log2(steps)) rounds, with no loop over the steps (see
+_prefix_increments). The scan carries increments, F_{j+1} = F_0 + E_j F_0
+with I + E_j the product of the first j + 1 propagators, so, like
+F + D_i F (and unlike a scan of I + D_i), it never adds the identity to
+the small entries and keeps the roundoff of the classical per-stage
+scheme.
 
 Gram drift is not corrected. It and the positions are computed for the
 whole grid once the frames are, and the run then aborts, naming the
@@ -196,22 +197,33 @@ def _rk4_increments(mats: np.ndarray, h: float
 def _prefix_increments(d: np.ndarray) -> np.ndarray:
     """Cumulative propagators I + E_j = (I + D_j) ... (I + D_0), in place.
 
-    An inclusive Hillis-Steele scan: in the round of stride k = 1, 2, 4,
-    ... every E_j with j >= k absorbs the stride-k block before it,
-    (I + E_j)(I + E_{j-k}) = I + E_j + (E_{j-k} + E_j E_{j-k}), so the
-    product takes ceil(log2(steps)) batched matmuls. Only increments are
-    stored and multiplied, never I + E: the identity would swamp the
-    small entries and lose their roundoff, as (I + D_i) F does against
-    F + D_i F. E_j reads only D_0 .. D_j, so a step that overflows
-    spoils no earlier one.
+    A work-efficient scan (Blelloch 1990) on strided views. A later
+    block absorbs the earlier one it follows as
+    (I + E_b)(I + E_a) = I + E_b + (E_a + E_b E_a). Each odd position
+    absorbs the even one before it, the odd positions are scanned the
+    same way, and each even position from 2 on absorbs the finished odd
+    one before it. That is about 2 * steps batched 4x4 products in
+    2 ceil(log2(steps)) rounds. Only increments are stored and
+    multiplied, never I + E: the identity would swamp the small entries
+    and lose their roundoff, as (I + D_i) F does against F + D_i F. E_j
+    reads only D_0 .. D_j, so a step that overflows spoils no earlier
+    one.
     """
-    e, k = d, 1
-    while k < e.shape[0]:
-        carry = np.matmul(e[k:], e[:-k])
-        carry += e[:-k]
-        e[k:] += carry
-        k *= 2
-    return e
+    if d.shape[0] < 2:
+        return d
+    even, odd = d[0::2], d[1::2]
+    _absorb(odd, even[:odd.shape[0]])
+    _prefix_increments(odd)
+    later = even[1:]
+    _absorb(later, odd[:later.shape[0]])
+    return d
+
+
+def _absorb(later: np.ndarray, earlier: np.ndarray) -> None:
+    """later <- later + (earlier + later @ earlier), batched, in place."""
+    carry = np.matmul(later, earlier)
+    carry += earlier
+    later += carry
 
 
 def resample_curvatures(trace: CurveTrace

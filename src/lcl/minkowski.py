@@ -52,7 +52,10 @@ def nullspace_min_singular(matrix) -> NullspaceResult:
     degenerate: the entire space is nullspace and e1 is returned. Fewer
     than 4 rows cannot have full column rank, so sigma_min is 0 and the
     candidate spans the exact nullspace; only there is the full SVD
-    needed, since the thin one returns fewer than 4 right vectors.
+    needed, since the thin one returns fewer than 4 right vectors. With
+    4 rows or more, the SVD is taken of the 4 x 4 R factor of a QR
+    decomposition, which has the matrix's singular values and right
+    vectors, so no m x 4 left vectors are formed.
 
     The SVD fixes the vector only up to sign, so the sign is chosen to
     make its first component above 1e-6 of its largest one positive.
@@ -61,7 +64,10 @@ def nullspace_min_singular(matrix) -> NullspaceResult:
     rows = a.shape[-2]
     if a.shape[-1] != 4 or rows < 1:
         raise ValueError(f"expected m x 4 matrices, m >= 1, got {a.shape}")
-    _, s, vt = np.linalg.svd(a, full_matrices=rows < 4)
+    if rows < 4:
+        _, s, vt = np.linalg.svd(a, full_matrices=True)
+    else:
+        _, s, vt = np.linalg.svd(np.linalg.qr(a, mode="r"))
     u = vt[..., -1, :]
     mag = np.abs(u)
     first = np.argmax(mag > 1e-6 * np.max(mag, axis=-1, keepdims=True),

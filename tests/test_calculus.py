@@ -1,11 +1,14 @@
 """Quadrature and differentiation helpers."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from lcl import (cumulative_integral, grid_derivative, make_cumulative,
                  run_theorem_suite)
-from lcl.calculus import _stencil_weights
+from lcl.calculus import _GL_NODES, _GL_WEIGHTS, _stencil_weights
 
 
 def test_cumulative_integral_endpoint_and_monotone_grid():
@@ -115,3 +118,19 @@ def test_each_stencil_is_solved_once_over_the_suite():
             rhs[order] = np.prod(np.arange(1.0, order + 1))
             fresh = np.linalg.solve(offsets[None, :] ** powers, rhs)
             assert np.array_equal(_stencil_weights(order, shift), fresh)
+
+
+def test_gauss_rule_literals_are_leggauss_to_the_last_bit():
+    nodes, weights = np.polynomial.legendre.leggauss(5)
+    assert _GL_NODES.tobytes() == nodes.tobytes()
+    assert _GL_WEIGHTS.tobytes() == weights.tobytes()
+
+
+def test_importing_the_cli_leaves_numpy_polynomial_unloaded():
+    script = ("import sys, lcl.cli; "
+              "print(sorted(m for m in sys.modules "
+              "if m.startswith('numpy.polynomial')))")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -10,7 +10,7 @@ from lcl import (CurvatureProfile, FrameKind, canonical_frame,
                  frenet_matrix, gram_matrix, gram_targets, integrate_frame,
                  pairing, resample_curvatures, write_trace_csv)
 from lcl.errors import ConfigError, FrameError, IntegrationError, ProfileError
-from lcl.integrator import CSV_HEADER
+from lcl.integrator import CSV_HEADER, _prefix_increments
 
 PN = FrameKind.PARTIALLY_NULL
 
@@ -348,9 +348,10 @@ def test_csv_writer_peak_memory_stays_below_the_integration_peak(tmp_path):
     assert write_peak - held < integrate_peak
 
 
-# the prefix scan runs ceil(log2(steps)) rounds, so step counts on both
-# sides of a power of two exercise a partial last round; psn-generic-1 of
-# the default suite, at its default 1000 steps, has frames up to 9.3e4
+# the prefix scan halves the step count at each level, so step counts on
+# both sides of a power of two meet odd lengths at different levels;
+# psn-generic-1 of the default suite, at its default 1000 steps, has
+# frames up to 9.3e4
 SCAN_CASES = [(family, curvatures, (0.0, 1.0), steps)
               for family, curvatures in FAMILIES
               for steps in (10, 16, 17, 1023, 1025)]
@@ -373,6 +374,42 @@ def test_prefix_scan_matches_per_step_rk4_at_any_step_count(
     assert (np.max(np.abs(tr.positions - positions))
             <= 1e-12 * np.max(np.abs(positions)))
     assert np.max(np.abs(tr.gram_res - gram_res)) <= 1e-12 * f_scale ** 2
+
+
+def _sequential_increments(d):
+    """E_j of (I + E_j) = (I + D_j) ... (I + D_0), one step at a time."""
+    e = np.empty_like(d)
+    e[0] = d[0]
+    for j in range(1, len(d)):
+        e[j] = d[j] + (e[j - 1] + d[j] @ e[j - 1])
+    return e
+
+
+def test_prefix_scan_matches_a_sequential_fold_at_every_short_length():
+    # integrate_frame takes at least 10 steps; the scan itself must also
+    # handle 1, 2 and 3, and every odd and even split below 40
+    rng = np.random.default_rng(16)
+    for n in range(1, 41):
+        d = 0.1 * rng.normal(size=(n, 4, 4))
+        expected = _sequential_increments(d)
+        got = _prefix_increments(d.copy())
+        assert np.max(np.abs(got - expected)) <= 1e-14 * max(
+            1.0, np.max(np.abs(expected))), n
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (17, 8), (17, 9), (40, 31),
+                                 (40, 32), (1025, 512)])
+def test_prefix_scan_is_causal(n, k):
+    # a step that blows up leaves every earlier cumulative product as it
+    # was, bit for bit, so the abort can name the first bad step
+    rng = np.random.default_rng(n + k)
+    d = 0.1 * rng.normal(size=(n, 4, 4))
+    clean = _prefix_increments(d.copy())
+    d[k] = np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        spoiled = _prefix_increments(d)
+    assert spoiled[:k].tobytes() == clean[:k].tobytes()
+    assert not np.all(np.isfinite(spoiled[k]))
 
 
 def test_mid_run_abort_names_the_first_step_past_the_limit():
