@@ -7,6 +7,10 @@ condition here is paired with an independent nullspace oracle on the
 integrated trace so the two routes can disagree loudly instead of
 silently.
 
+A family is its FAMILIES entry: rows (k, check, build), its implication
+graph and its report block; its frame data is frames.FAMILIES.
+classify_profile walks the entry with the same code for every family.
+
 One classification samples each grid once. The checks read one Samples
 bundle on the check grid (profile.sample()); the axis builders read the
 curvatures the trace carries on its own grid; the oracle decides all
@@ -26,8 +30,9 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -38,7 +43,7 @@ from .errors import DegenerateAxisError, ProfileError
 from .fits import (DAMPING, CheckResult, FittedConstant, Tolerances, Verdict,
                    _constant_fit, _damped_lstsq, _guard_nonzero, _jsonable,
                    _rms)
-from .frames import FrameKind
+from .frames import ROW_NAMES, FrameKind, frame_family
 from .integrator import CurveTrace, integrate_frame
 from .minkowski import SIGNS, nullspace_min_singular, pairing, row_norm
 from .profiles import CurvatureProfile, Samples
@@ -80,24 +85,26 @@ def oracle_detect(trace: CurveTrace,
 
     Rows M (V(s_i) - V(s_0)) with M = diag(-1,1,1,1) annihilate exactly
     the vectors whose pairing with V stays constant, so the smallest
-    singular value measures how far the curve is from k-type. For
-    partially null traces a unit B1 row is appended, which removes the
-    trivial axis from the nullspace; the recovered vector is then the
-    Euclidean projection of any true axis away from B1. The rows of all
-    four k stack to (4, m, 4) for one SVD call; a row that never moves
-    ("indicatrix constant") is its own axis and skips the SVD's answer.
+    singular value measures how far the curve is from k-type. A unit row
+    is appended for each of the family's trivial axes (FrameFamily.trivial:
+    B1 for partially null traces), which removes it from the nullspace;
+    the recovered vector is then the Euclidean projection of any true
+    axis away from it. The rows of all four k stack to (4, m, 4) for one
+    SVD call; a row that never moves ("indicatrix constant") is its own
+    axis and skips the SVD's answer.
     """
     v = trace.frames.transpose(1, 0, 2)          # v[k]: row k of each frame
     rows = (v[:, 1:] - v[:, :1]) * SIGNS
     max_row = np.max(row_norm(rows), axis=1)
     constant = max_row < 1e-9 * (1.0 + np.max(row_norm(v), axis=1))
     constant_threshold = EPS_ORACLE_COEFF * math.sqrt(rows.shape[1])
-    note = ""
-    if trace.kind is FrameKind.PARTIALLY_NULL:
-        b1 = trace.frames[0, 2]
-        unit = np.broadcast_to(b1 / np.linalg.norm(b1), (4, 1, 4))
-        rows = np.concatenate([rows, unit], axis=1)
-        note = "trivial B1 direction excluded"
+    trivial = frame_family(trace.kind).trivial
+    units = np.reshape([b / np.linalg.norm(b)
+                        for b in trace.frames[0, list(trivial)]], (-1, 4))
+    rows = np.concatenate([rows, np.broadcast_to(units, (4,) + units.shape)],
+                          axis=1)
+    note = "; ".join(f"trivial {ROW_NAMES[r]} direction excluded"
+                     for r in trivial)
     threshold = EPS_ORACLE_COEFF * math.sqrt(rows.shape[1])
     cand = nullspace_min_singular(rows)
     results = {}
@@ -450,21 +457,34 @@ def classify_profile(p: CurvatureProfile,
                      tol: Tolerances = Tolerances()) -> ClassificationReport:
     """Full classification: checks, axes, oracle, closure, and flags.
 
-    A family step returns the condition result for each k, its validated
-    axes and their flags; everything after that is shared.
+    Walks the family's FAMILIES entry: each row in turn decides its k and,
+    on a Yes, builds the axes behind it, which are validated here and
+    flagged if they fail. The verdicts close over the family's
+    implications, and the family's report block comes last.
     """
     trace = integrate_frame(p, h=h)
-    smp = p.sample()
-    oracle = oracle_detect(trace, tol)
-    if p.kind is FrameKind.PARTIALLY_NULL:
-        checks, axes, flags = _partially_null_checks(smp, trace, tol)
-        implications = PN_IMPLICATIONS
-    else:
-        checks, axes, flags = _pseudo_null_checks(smp, trace, tol, oracle)
-        implications = PSN_IMPLICATIONS
+    c = _Classification(p.sample(), trace, oracle_detect(trace, tol), tol)
+    family = FAMILIES[p.kind]
+    axes = []
+    for k, check, build in family.rows:
+        result = check(c)
+        yes = result is None or result.verdict is Verdict.YES
+        for cand, context in build(c, result) if yes else ():
+            val = validate_axis(trace, cand, tol.eps_axis)
+            if not val.passed:
+                c.flags.append(f"internal-inconsistency: {context} axis "
+                               f"'{cand.source}' (k={cand.k}) failed "
+                               f"validation (max_dU {val.max_du:.3g})")
+            axes.append((cand, val))
+        if result is None:  # its one axis decides
+            result = CheckResult(Verdict.of(val.passed), val.max_du)
+        c.checks[k] = result
 
+    checks = {k: c.checks[k] for k in range(4)}
+    flags, oracle = c.flags, c.oracle
     raw = {k: res.verdict for k, res in checks.items()}
-    closed, notes, inconsistencies = implication_closure(raw, implications)
+    closed, notes, inconsistencies = implication_closure(
+        raw, family.implications)
     flags.extend(f"closure-inconsistency: {msg}" for msg in inconsistencies)
     constants = {}
     for res in checks.values():
@@ -475,29 +495,13 @@ def classify_profile(p: CurvatureProfile,
         if not ok:
             flags.append(f"oracle-condition-disagreement: k{k} condition "
                          f"{closed[k].value}, oracle {oracle[k].verdict.value}")
-
-    trivial = hyp = None
-    if p.kind is FrameKind.PARTIALLY_NULL:
-        b1 = trace.frames[0, 2]
-        trivial = {
-            "note": "B1 pairs constantly with every frame vector and is "
-                    "excluded from oracle verdicts",
-            "g_values": {f"k{k}": _jsonable(pairing(trace.frames[0, k], b1))
-                         for k in range(4)},
-        }
-    else:
-        hyp = hyperbolic.pseudohyperbolic_block(smp, trace, tol)
-        if hyp.get("is_h3_family") and checks[1].verdict is Verdict.YES:
-            flags.append("internal-inconsistency: constant-ratio curve "
-                         "classified 1-type")
     return ClassificationReport(
         label=p.label, kind=p.kind,
         verdicts=closed, raw_verdicts=raw,
         condition_residuals={k: res.residual for k, res in checks.items()},
         constants=constants, axes=axes, oracle=oracle, agreement=agreement,
         closure_notes=notes, flags=flags,
-        max_gram_residual=trace.max_gram_residual, trivial_axis=trivial,
-        pseudohyperbolic=hyp)
+        max_gram_residual=trace.max_gram_residual, **family.report(c))
 
 
 def implication_closure(raw: dict, implications) -> tuple[dict, list, list]:
@@ -530,70 +534,93 @@ def implication_closure(raw: dict, implications) -> tuple[dict, list, list]:
     return closed, notes, inconsistencies
 
 
-def _validated(trace, candidates, tol, flags, context):
-    out = []
-    for cand in candidates:
-        val = validate_axis(trace, cand, tol.eps_axis)
-        if not val.passed:
-            flags.append(f"internal-inconsistency: {context} axis "
-                         f"'{cand.source}' (k={cand.k}) failed validation "
-                         f"(max_dU {val.max_du:.3g})")
-        out.append((cand, val))
-    return out
+# ---------------------------------------------------------------------------
+# family tables
+
+@dataclass
+class _Classification:
+    """One classification's inputs and the checks its rows have decided."""
+
+    smp: Samples
+    trace: CurveTrace
+    oracle: dict
+    tol: Tolerances
+    checks: dict = field(default_factory=dict)   # k -> CheckResult
+    flags: list = field(default_factory=list)
+
+    @cached_property
+    def ratio_axes(self) -> list:  # built once, for every row relabeling it
+        return pn_type0_axes(self.trace)
 
 
-def _partially_null_checks(smp, trace, tol) -> tuple[dict, list, list]:
-    """Condition results for k = 0..3, validated axes and axis flags."""
-    if np.max(np.abs(smp.sigma)) > 1e-12:
+def _pn_universal(c) -> None:
+    """k = 2 is left to the universal axis. The pn conditions assume sigma
+    = 0, so this first pn row checks it before any axis is built."""
+    if np.max(np.abs(c.smp.sigma)) > 1e-12:
         raise ProfileError("classification requires sigma = 0 for "
                            "partially null profiles")
-    flags = []
-    # 2-type axis exists for every admissible profile; verdict is its
-    # validation, and a failure there is an internal inconsistency.
-    axes = _validated(trace, [pn_type2_axis(trace)], tol, flags, "universal")
-    val2 = axes[0][1]
-    r0, r1 = pn_type0_check(smp, tol), pn_type1_check(smp, tol)
-    # 3-type coincides with 0-type for partially null curves
-    checks = {0: r0, 1: r1,
-              2: CheckResult(Verdict.of(val2.passed), val2.max_du), 3: r0}
-
-    degenerate1 = r1.verdict is Verdict.YES and r1.extras.get("degenerate")
-    if r0.verdict is Verdict.YES or degenerate1:
-        ratio_axes = pn_type0_axes(trace)
-    if r0.verdict is Verdict.YES:
-        axes.extend(_validated(trace, ratio_axes, tol, flags, "constant-ratio"))
-        axes.extend(_validated(trace, [replace(ratio_axes[0], k=3)],
-                               tol, flags, "constant-ratio"))
-    if r1.verdict is Verdict.YES:
-        if degenerate1:
-            axes.extend(_validated(trace, [replace(ratio_axes[0], k=1)],
-                                   tol, flags, "degenerate affine"))
-        else:
-            axis1 = pn_type1_axis(trace, r1.constants["C"].value,
-                                  r1.constants["c0"].value)
-            axes.extend(_validated(trace, [axis1], tol, flags, "affine"))
-    return checks, axes, flags
 
 
-def _pseudo_null_checks(smp, trace, tol, oracle) -> tuple[dict, list, list]:
-    """Condition results for k = 0..3, validated axes and axis flags.
+def _pn_affine_axes(c, r1) -> list:
+    """A degenerate (constant-ratio) fit relabels the constant-ratio axis."""
+    if r1.extras["degenerate"]:
+        return [(replace(c.ratio_axes[0], k=1), "degenerate affine")]
+    return [(pn_type1_axis(c.trace, r1.constants["C"].value,
+                           r1.constants["c0"].value), "affine")]
 
-    No pseudo null curve is 0-type: k0 is No with the oracle's sigma_min
-    as its residual, and an oracle Yes shows as the k0 disagreement.
-    """
-    flags, axes = [], []
-    r1 = psn_type1_check(smp, tol)
-    r2 = psn_type2_check(smp, r1, tol)
-    checks = {0: CheckResult(Verdict.NO, oracle[0].sigma_min), 1: r1, 2: r2,
-              3: psn_type3_check(smp, oracle[3], tol)}
 
-    if r1.verdict is Verdict.YES:
-        axis1 = psn_type1_axis(trace)
-        axes.extend(_validated(trace, [axis1], tol, flags, "quadratic-ratio"))
-    if r2.verdict is Verdict.YES:
-        if r2.extras.get("branch") == "torsion-integral":
-            axis2 = psn_type2_axis(trace, r2.constants["c_int"].value)
-        else:
-            axis2 = psn_type1_axis(trace, k=2)
-        axes.extend(_validated(trace, [axis2], tol, flags, "2-type"))
-    return checks, axes, flags
+def _pn_report(c) -> dict:
+    """The trivial axis, excluded from the oracle, is reported apart."""
+    (row,) = frame_family(c.trace.kind).trivial
+    f0 = c.trace.frames[0]
+    return {"trivial_axis": {
+        "note": f"{ROW_NAMES[row]} pairs constantly with every frame vector "
+                "and is excluded from oracle verdicts",
+        "g_values": {f"k{k}": _jsonable(pairing(f0[k], f0[row]))
+                     for k in range(4)}}}
+
+
+def _psn_report(c) -> dict:
+    hyp = hyperbolic.pseudohyperbolic_block(c.smp, c.trace, c.tol)
+    if hyp.get("is_h3_family") and c.checks[1].verdict is Verdict.YES:
+        c.flags.append("internal-inconsistency: constant-ratio curve "
+                       "classified 1-type")
+    return {"pseudohyperbolic": hyp}
+
+
+class Family(NamedTuple):
+    """Rows (k, check, build), in the order their axes are reported: check(c)
+    is the CheckResult for k, or None to let the validation of its one axis
+    decide; build(c, result) gives the (axis, context) pairs behind a Yes."""
+
+    rows: tuple
+    implications: tuple   # edges (a, b): k = a implies k = b
+    report: Callable      # classification -> the family's report fields
+
+
+FAMILIES = {
+    FrameKind.PARTIALLY_NULL: Family((
+        (2, _pn_universal,
+         lambda c, _: [(pn_type2_axis(c.trace), "universal")]),
+        (0, lambda c: pn_type0_check(c.smp, c.tol),
+         lambda c, _: [(cand, "constant-ratio") for cand in c.ratio_axes]),
+        # 3-type coincides with 0-type for partially null curves
+        (3, lambda c: c.checks[0],
+         lambda c, _: [(replace(c.ratio_axes[0], k=3), "constant-ratio")]),
+        (1, lambda c: pn_type1_check(c.smp, c.tol), _pn_affine_axes),
+    ), PN_IMPLICATIONS, _pn_report),
+    FrameKind.PSEUDO_NULL: Family((
+        (1, lambda c: psn_type1_check(c.smp, c.tol),
+         lambda c, _: [(psn_type1_axis(c.trace), "quadratic-ratio")]),
+        (2, lambda c: psn_type2_check(c.smp, c.checks[1], c.tol),
+         lambda c, r: [(psn_type2_axis(c.trace, r.constants["c_int"].value)
+                        if r.extras["branch"] == "torsion-integral"
+                        else psn_type1_axis(c.trace, k=2), "2-type")]),
+        # no pseudo null curve is 0-type: the oracle's sigma_min is the
+        # residual, and an oracle Yes shows as the k0 disagreement
+        (0, lambda c: CheckResult(Verdict.NO, c.oracle[0].sigma_min),
+         lambda c, _: []),
+        (3, lambda c: psn_type3_check(c.smp, c.oracle[3], c.tol),
+         lambda c, _: []),
+    ), PSN_IMPLICATIONS, _psn_report),
+}

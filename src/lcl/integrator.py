@@ -32,7 +32,7 @@ import numpy as np
 
 from .calculus import grid_derivative
 from .errors import ConfigError, FrameError, IntegrationError
-from .frames import FrameKind, canonical_frame, frenet_matrix, gram_residual
+from .frames import canonical_frame, frame_family, frenet_matrix, gram_residual
 from .minkowski import pairing
 from .profiles import CurvatureProfile, Samples
 
@@ -231,7 +231,8 @@ def resample_curvatures(trace: CurveTrace
     """Recover (kappa, tau, sigma) arrays from a trace.
 
     Frame derivatives come from grid stencils and are paired against the
-    frame vectors the family equations make dual to each coefficient:
+    family's FrameFamily.duals, the rows its equations make dual to each
+    coefficient:
 
         partially null: kappa = g(T', N),  tau = g(N', B2), sigma = g(B1', B2)
         pseudo null:    kappa = g(T', B2), tau = g(N', B1), sigma = g(B1', B2)
@@ -242,11 +243,9 @@ def resample_curvatures(trace: CurveTrace
     if trace.n < 5:
         raise ValueError("trace too short to resample curvatures")
     d = grid_derivative(trace.frames, trace.h, order=1)
-    t_p, n_p, b1_p = d[:, 0, :], d[:, 1, :], d[:, 2, :]
-    nvec, b1, b2 = trace.frames[:, 1], trace.frames[:, 2], trace.frames[:, 3]
-    if trace.kind is FrameKind.PARTIALLY_NULL:
-        return pairing(t_p, nvec), pairing(n_p, b2), pairing(b1_p, b2)
-    return pairing(t_p, b2), pairing(n_p, b1), pairing(b1_p, b2)
+    duals = frame_family(trace.kind).duals
+    return tuple(pairing(d[:, i], trace.frames[:, j])
+                 for i, j in enumerate(duals))
 
 
 CSV_HEADER = ("s,x1,x2,x3,x4,T1,T2,T3,T4,N1,N2,N3,N4,"

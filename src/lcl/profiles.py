@@ -9,7 +9,8 @@ every consumer treats them uniformly.
 Family rules enforced by validate():
 
     partially null: kappa != 0 and tau != 0 on the domain
-    pseudo null:    kappa identically 1, tau != 0 and sigma != 0
+    pseudo null:    kappa identically 1 and tau != 0; a sigma that
+                    vanishes somewhere only logs a warning
 
 JSON form:
 
@@ -18,8 +19,9 @@ JSON form:
      "kappa": "<expr>" | {"s": [...], "values": [...]},
      "tau": ..., "sigma": ..., "label": "..."}
 
-kappa defaults to "1" for pseudo null profiles and sigma defaults to "0"
-for partially null ones.
+The family's gauge component (frames.FrameFamily.gauge) may be omitted:
+kappa defaults to "1" for pseudo null profiles and sigma to "0" for
+partially null ones.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 
 from .errors import ConfigError, OutOfDomainError, ProfileError
 from .expr import Expr, Num, parse_expression
-from .frames import FrameKind
+from .frames import FrameKind, frame_family
 
 log = logging.getLogger("lcl.profiles")
 
@@ -159,12 +161,11 @@ class CurvatureProfile:
             raise ProfileError(f"bad domain {domain!r}: {exc}") from None
         if not (np.isfinite(s_min) and np.isfinite(s_max)) or s_min >= s_max:
             raise ProfileError(f"bad domain [{s_min}, {s_max}]")
-        kappa_default = "1" if kind is FrameKind.PSEUDO_NULL else None
-        sigma_default = "0" if kind is FrameKind.PARTIALLY_NULL else None
+        defaults = dict([frame_family(kind).gauge])  # {component: expr}
         return cls(kind=kind,
-                   kappa=_as_component(kappa, kappa_default),
+                   kappa=_as_component(kappa, defaults.get("kappa")),
                    tau=_as_component(tau),
-                   sigma=_as_component(sigma, sigma_default),
+                   sigma=_as_component(sigma, defaults.get("sigma")),
                    s_min=s_min, s_max=s_max, label=label)
 
     @property

@@ -180,7 +180,8 @@ def fixtures_from_json(obj) -> list[Fixture]:
     """Parse a suite file: a JSON array of {profile, expected} objects.
 
     Expected verdicts are keyed "k0".."k3" with values "Y", "N", or
-    "oracle"; omitted keys default to "oracle" (recorded, never failed).
+    "oracle"; omitted keys default to "oracle" (recorded, never failed),
+    and any other key is a ProfileError naming the entry and the key.
     Each profile must pass validate(); an entry that does not raises its
     input error with the entry's index and label in the message.
     """
@@ -207,14 +208,16 @@ def fixtures_from_json(obj) -> list[Fixture]:
         if not isinstance(given, dict):
             raise ProfileError(f"suite entry {i}: expected must be an object "
                                f"keyed k0..k3, got {given!r}")
-        expected = {}
-        for k in range(4):
-            raw = given.get(f"k{k}", "oracle")
+        expected = dict.fromkeys(range(4), "oracle")
+        for key, raw in given.items():
+            if key not in ("k0", "k1", "k2", "k3"):
+                raise ProfileError(f"suite entry {i}: unknown expected key "
+                                   f"{key!r}, not one of k0..k3")
             if raw not in ("Y", "N", "oracle"):
                 raise ProfileError(
-                    f"suite entry {i}: expected k{k} must be Y, N, or "
+                    f"suite entry {i}: expected {key} must be Y, N, or "
                     f"oracle, got {raw!r}")
-            expected[k] = raw
+            expected[int(key[1])] = raw
         label = label or profile.label or f"fixture-{i}"
         fixtures.append(Fixture(label, profile, expected))
     return fixtures

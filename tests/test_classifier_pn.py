@@ -9,6 +9,7 @@ from lcl import (PN_IMPLICATIONS, CurvatureProfile, Tolerances, Verdict,
                  assemble_axis, classify_profile, implication_closure,
                  integrate_frame, pairing, pn_type0_axes, pn_type0_check,
                  pn_type1_axis, pn_type1_check, pn_type2_axis, validate_axis)
+from lcl import classifier
 from lcl.calculus import cumulative_integral, make_cumulative
 from lcl.errors import ConfigError, DegenerateAxisError, ProfileError
 
@@ -290,12 +291,18 @@ def test_tolerances_reject_meaningless_thresholds(name, value):
         Tolerances(**{name: value})
 
 
-def test_sigma_probe_reads_the_whole_check_grid():
+def test_sigma_probe_reads_the_whole_check_grid(monkeypatch):
     # nonzero sigma that vanishes on all 65 points of grid(65), the old
-    # probe; the check grid's 1001 points see it
+    # probe; the check grid's 1001 points see it, before any axis is built
     p = CurvatureProfile.create("partially_null", kappa="1", tau="1",
                                 sigma="1e-3*sin(32*pi*(s - 0.5))",
                                 domain=(0.5, 2.5))
     assert np.max(np.abs(p.evaluate_arrays(p.grid(65))[2])) <= 1e-12
+
+    def no_axis(*args, **kwargs):
+        raise AssertionError("an axis was built for a sigma != 0 profile")
+
+    for name in ("pn_type0_axes", "pn_type1_axis", "pn_type2_axis"):
+        monkeypatch.setattr(classifier, name, no_axis)
     with pytest.raises(ProfileError, match="sigma = 0"):
         classify_profile(p)

@@ -190,6 +190,15 @@ def test_classify_generic_pseudo_null():
     assert all(rep.agreement[k] for k in range(4))
 
 
+def test_kappa_within_the_validation_tolerance_classifies():
+    # validate() accepts kappa within 1e-9 of 1; classification tests no
+    # pseudo null gauge again (only the partially null sigma = 0)
+    p = CurvatureProfile.create("pseudo_null", kappa="1 + 1e-10*s", tau="1",
+                                sigma="exp(s)", domain=(0.0, 1.5))
+    rep = classify_profile(p)
+    assert rep.verdicts == {0: N, 1: N, 2: N, 3: N}
+
+
 def test_missing_sigma_is_a_profile_error():
     with pytest.raises(ProfileError):
         CurvatureProfile.create("pseudo_null", tau="1", domain=(0.0, 1.0))

@@ -146,6 +146,8 @@ _SWEEP = {"family": "pn-constant", "domain": [0.0, 1.0],
     ("classify", dict(_PROFILE, domain=["a", 1])),
     ("classify", dict(_PROFILE, tau={"s": [0.0, 1.0], "values": "ab"})),
     ("verify", [{"profile": _PROFILE, "expected": "Y"}]),
+    ("verify", [{"profile": _PROFILE, "expected": {"k5": "Y"}}]),
+    ("verify", [{"profile": _PROFILE, "expected": {"1": "N"}}]),
     ("verify", [{"label": ["a"], "profile": _PROFILE}]),
     ("verify", [{"profile": dict(_PROFILE, label={"x": 1})}]),
     ("classify", dict(_PROFILE, label=3)),
@@ -161,7 +163,8 @@ _SWEEP = {"family": "pn-constant", "domain": [0.0, 1.0],
     ("classify", b"\xff\xfe not utf-8"),
     ("verify", b"\xff\xfe not utf-8"),
     ("sweep", b"\xff\xfe not utf-8"),
-], ids=["profile-domain", "table-values", "suite-expected", "suite-label",
+], ids=["profile-domain", "table-values", "suite-expected",
+        "suite-expected-k5", "suite-expected-1", "suite-label",
         "suite-profile-label", "profile-label", "sweep-array", "sweep-domain",
         "sweep-scales", "classify-log", "oracle-log", "synth-log",
         "nan-kappa", "classify-bytes", "verify-bytes", "sweep-bytes"])

@@ -8,8 +8,8 @@ is what keeps long integrations on the constraint manifold.
 import numpy as np
 import pytest
 
-from lcl import (FrameKind, canonical_frame, frenet_matrix, gram_matrix,
-                 gram_residual, gram_targets)
+from lcl import (CurvatureProfile, FrameKind, canonical_frame, frenet_matrix,
+                 gram_matrix, gram_residual, gram_targets, integrate_frame)
 
 PN = FrameKind.PARTIALLY_NULL
 PSN = FrameKind.PSEUDO_NULL
@@ -133,3 +133,32 @@ def test_pseudo_null_rhs_component_form():
     assert np.allclose(out[1], t * B1)
     assert np.allclose(out[2], sg * N - t * B2)
     assert np.allclose(out[3], -k * T - sg * B1)
+
+
+@pytest.mark.parametrize("lookup", [
+    gram_targets, canonical_frame,
+    lambda kind: frenet_matrix(1.0, 0.5, 0.0, kind),
+    lambda kind: gram_residual(np.eye(4), kind),
+], ids=["gram_targets", "canonical_frame", "frenet_matrix", "gram_residual"])
+@pytest.mark.parametrize("kind", ["partially_null", None, ["pseudo_null"]])
+def test_lookups_reject_anything_but_a_frame_kind(lookup, kind):
+    # the family table is keyed by FrameKind; a bare KeyError or TypeError
+    # from the dict would not say what was wrong
+    with pytest.raises(ValueError, match="unknown frame kind"):
+        lookup(kind)
+
+
+@pytest.mark.parametrize("kind, sigma", [(PN, "0"), (PSN, "0.5 + s")])
+def test_changing_a_looked_up_array_leaves_the_family_unchanged(kind, sigma):
+    p = CurvatureProfile.create(kind, kappa="1", tau="1 + s/2", sigma=sigma,
+                                domain=(0.0, 1.0))
+    before = integrate_frame(p)
+    for lookup in (canonical_frame, gram_targets):
+        want = lookup(kind).copy()
+        got = lookup(kind)
+        got[0, 0] = 7.0
+        got *= 2.0
+        assert np.array_equal(lookup(kind), want)
+    after = integrate_frame(p)
+    assert np.array_equal(after.frames, before.frames)
+    assert np.array_equal(after.gram_res, before.gram_res)

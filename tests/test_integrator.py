@@ -211,15 +211,17 @@ def test_position_derivative_matches_tangent(circle_trace):
     assert err < 1e-6
 
 
-def test_resample_curvatures_recovers_the_profile():
-    p = CurvatureProfile.create("partially_null", kappa="2 + sin(s)",
-                                tau="1 + s^2/4", domain=(0.0, 2.0))
+@pytest.mark.parametrize("kind, curvatures", [
+    ("partially_null", dict(kappa="2 + sin(s)", tau="1 + s^2/4")),
+    ("pseudo_null", dict(tau="1 + s/3", sigma="0.5 + s^2/4")),
+], ids=["partially_null", "pseudo_null"])
+def test_resample_curvatures_recovers_the_profile(kind, curvatures):
+    # each family pairs the frame derivatives against its own dual rows
+    p = CurvatureProfile.create(kind, domain=(0.0, 2.0), **curvatures)
     tr = integrate_frame(p)
-    kap, tau, sig = resample_curvatures(tr)
     interior = slice(4, -4)
-    assert np.max(np.abs(kap[interior] - p.kappa(tr.s)[interior])) < 1e-8
-    assert np.max(np.abs(tau[interior] - p.tau(tr.s)[interior])) < 1e-8
-    assert np.max(np.abs(sig[interior])) < 1e-8
+    for got, want in zip(resample_curvatures(tr), p.evaluate_arrays(tr.s)):
+        assert np.max(np.abs(got[interior] - want[interior])) < 1e-8
 
 
 @pytest.mark.parametrize("tabulated", [False, True])
