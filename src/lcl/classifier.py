@@ -12,9 +12,9 @@ graph and its report block; its frame data is frames.FAMILIES.
 classify_profile walks the entry with the same code for every family.
 
 One classification samples each grid once. The checks read one Samples
-bundle on the check grid (profile.sample()); the axis builders read the
-curvatures the trace carries on its own grid; the oracle decides all
-four k from one stacked SVD of the trace.
+bundle on the check grid, where profile.sample() has enforced the family
+rules; the axis builders read the curvatures the trace carries on its
+own grid; the oracle decides all four k from one stacked SVD of the trace.
 
 Partially null curves are classified with sigma identically 0; the frame
 freedom that makes other sigma choices equivalent is not modeled here.
@@ -41,8 +41,7 @@ from .axis import AxisCandidate, assemble_axis, validate_axis
 from .calculus import cumulative_integral, grid_derivative, make_cumulative
 from .errors import DegenerateAxisError, ProfileError
 from .fits import (DAMPING, CheckResult, FittedConstant, Tolerances, Verdict,
-                   _constant_fit, _damped_lstsq, _guard_nonzero, _jsonable,
-                   _rms)
+                   _constant_fit, _damped_lstsq, _jsonable, _rms)
 from .frames import ROW_NAMES, FrameKind, frame_family
 from .integrator import CurveTrace, integrate_frame
 from .minkowski import SIGNS, nullspace_min_singular, pairing, row_norm
@@ -138,7 +137,6 @@ def pn_type0_check(smp: Samples,
                    tol: Tolerances = Tolerances()) -> CheckResult:
     """0-type (general helix) iff tau/kappa is constant."""
     _require_kind(smp, FrameKind.PARTIALLY_NULL)
-    _guard_nonzero(smp.kappa, "kappa")
     ok, mean, residual = _constant_fit(smp.tau / smp.kappa, tol.eps_cond)
     return CheckResult(Verdict.of(ok), residual,
                        constants={"ratio": FittedConstant(mean, residual)})
@@ -169,7 +167,6 @@ def pn_type1_check(smp: Samples,
     with both the product C*c0 and the raw coefficients reported.
     """
     _require_kind(smp, FrameKind.PARTIALLY_NULL)
-    _guard_nonzero(smp.kappa, "kappa")
     ratio = smp.tau / smp.kappa
     kint = cumulative_integral(smp.profile.kappa, smp.s)
     design = np.column_stack([np.ones_like(kint), kint])
@@ -253,7 +250,6 @@ def psn_type1_check(smp: Samples,
     """1-type iff sigma/tau = -s^2/2 + a s + b; fits (a, b)."""
     _require_kind(smp, FrameKind.PSEUDO_NULL)
     grid = smp.s
-    _guard_nonzero(smp.tau, "tau")
     q = smp.sigma / smp.tau
     target = q + 0.5 * grid**2
     design = np.column_stack([grid, np.ones_like(grid)])
@@ -267,18 +263,18 @@ def psn_type1_check(smp: Samples,
     })
 
 
-def psn_type1_axis(trace: CurveTrace, k: int = 1) -> AxisCandidate:
+def psn_type1_axis(trace: CurveTrace) -> AxisCandidate:
     """Axis -(sigma/tau)' T + (sigma/tau) N + B2 for the quadratic family.
 
     The ratio is sampled on the trace grid and differentiated there with
     grid_derivative; its 5-point stencils are exact on the quadratic
     ratios of this family. g(N, U) = 1 and g(B1, U) = 0, so the same
-    vector certifies k = 2 with a vanishing pairing constant; pass k = 2
-    to relabel it for that use.
+    vector certifies k = 2 with a vanishing pairing constant, relabeled
+    with replace(axis, k=2).
     """
     q = trace.sigma / trace.tau
     qp = grid_derivative(q, trace.h)
-    return assemble_axis(trace, k, "ratio-derivative", -qp, q, 0.0, 1.0)
+    return assemble_axis(trace, 1, "ratio-derivative", -qp, q, 0.0, 1.0)
 
 
 def psn_type2_check(smp: Samples, type1: CheckResult,
@@ -296,7 +292,6 @@ def psn_type2_check(smp: Samples, type1: CheckResult,
     """
     _require_kind(smp, FrameKind.PSEUDO_NULL)
     step, sigma = smp.h, smp.sigma
-    _guard_nonzero(smp.tau, "tau")
     q = sigma / smp.tau
     tint = cumulative_integral(smp.profile.tau, smp.s)
     # R(c_int) = R0 + c_int * R1, linear because differentiation is
@@ -552,6 +547,10 @@ class _Classification:
     def ratio_axes(self) -> list:  # built once, for every row relabeling it
         return pn_type0_axes(self.trace)
 
+    @cached_property
+    def quadratic_axis(self) -> AxisCandidate:  # psn k1, relabeled for k2
+        return psn_type1_axis(self.trace)
+
 
 def _pn_universal(c) -> None:
     """k = 2 is left to the universal axis. The pn conditions assume sigma
@@ -611,11 +610,11 @@ FAMILIES = {
     ), PN_IMPLICATIONS, _pn_report),
     FrameKind.PSEUDO_NULL: Family((
         (1, lambda c: psn_type1_check(c.smp, c.tol),
-         lambda c, _: [(psn_type1_axis(c.trace), "quadratic-ratio")]),
+         lambda c, _: [(c.quadratic_axis, "quadratic-ratio")]),
         (2, lambda c: psn_type2_check(c.smp, c.checks[1], c.tol),
          lambda c, r: [(psn_type2_axis(c.trace, r.constants["c_int"].value)
                         if r.extras["branch"] == "torsion-integral"
-                        else psn_type1_axis(c.trace, k=2), "2-type")]),
+                        else replace(c.quadratic_axis, k=2), "2-type")]),
         # no pseudo null curve is 0-type: the oracle's sigma_min is the
         # residual, and an oracle Yes shows as the k0 disagreement
         (0, lambda c: CheckResult(Verdict.NO, c.oracle[0].sigma_min),

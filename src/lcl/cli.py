@@ -266,8 +266,11 @@ def cmd_oracle(args) -> int:
 # ---------------------------------------------------------------------------
 # sweep
 
-_SWEEP_FAMILIES = ("pn-constant", "pn-affine", "psn-quadratic",
-                   "h3-exponential")
+# family -> (required parameter names, optional ones)
+_SWEEP_FAMILIES = {"pn-constant": (("kappa", "tau"), ()),
+                   "pn-affine": (("kappa", "C", "c0"), ()),
+                   "psn-quadratic": (("a", "b"), ("tau",)),
+                   "h3-exponential": (("c", "lam", "mu"), ())}
 
 
 def _sweep_profile(family: str, params: dict, domain, sigma_extra) -> CurvatureProfile:
@@ -292,18 +295,15 @@ def _sweep_profile(family: str, params: dict, domain, sigma_extra) -> CurvatureP
             sigma = f"({sigma}) + {sigma_extra}"
         return CurvatureProfile.create(kind=FrameKind.PSEUDO_NULL, tau=tau,
                                        sigma=sigma, domain=(lo, hi))
-    if family == "h3-exponential":
-        p = make_h3_type2_profile(params["c"], params["lam"], params["mu"],
-                                  (lo, hi))
-        if sigma_extra:
-            base = p.to_json_dict()
-            sigma = f"({base['sigma']}) + {sigma_extra}"
-            return CurvatureProfile.create(kind=FrameKind.PSEUDO_NULL,
-                                           tau=base["tau"], sigma=sigma,
-                                           domain=(lo, hi))
+    # h3-exponential, the last family cmd_sweep accepts
+    p = make_h3_type2_profile(params["c"], params["lam"], params["mu"],
+                              (lo, hi))
+    if not sigma_extra:
         return p
-    raise ConfigError(f"unknown sweep family {family!r}; expected one of "
-                      + ", ".join(_SWEEP_FAMILIES))
+    base = p.to_json_dict()
+    return CurvatureProfile.create(kind=FrameKind.PSEUDO_NULL, tau=base["tau"],
+                                   sigma=f"({base['sigma']}) + {sigma_extra}",
+                                   domain=(lo, hi))
 
 
 def _fmt(x) -> str:
@@ -319,8 +319,8 @@ def cmd_sweep(args) -> int:
     if not isinstance(spec, dict):
         raise ConfigError("sweep spec must be a JSON object")
     family = spec.get("family")
-    if family not in _SWEEP_FAMILIES:
-        raise ConfigError(f"sweep spec needs a family in {_SWEEP_FAMILIES}")
+    if not isinstance(family, str) or family not in _SWEEP_FAMILIES:
+        raise ConfigError(f"sweep spec needs a family in {list(_SWEEP_FAMILIES)}")
     domain = spec.get("domain")
     try:
         lo, hi = (float(x) for x in domain)
@@ -333,6 +333,12 @@ def cmd_sweep(args) -> int:
     raw_params = spec.get("parameters")
     if not isinstance(raw_params, dict) or not raw_params:
         raise ConfigError("sweep spec needs a non-empty parameters object")
+    required, optional = _SWEEP_FAMILIES[family]
+    if not set(required) <= set(raw_params) <= set(required + optional):
+        raise ConfigError(
+            f"sweep family {family!r} takes parameters {list(required)}"
+            + (f" and optionally {list(optional)}" if optional else "")
+            + f", got {sorted(raw_params)}")
     names = sorted(raw_params)
     values = []
     for name in names:

@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, ProfileError
+from .errors import ConfigError
 
 
 class Verdict(Enum):
@@ -98,9 +98,3 @@ def _constant_fit(values: np.ndarray, eps: float) -> tuple[bool, float, float]:
     spread = float(np.max(values) - np.min(values))
     residual = spread / (1.0 + abs(mean))
     return residual < eps, mean, residual
-
-
-def _guard_nonzero(values: np.ndarray, name: str) -> None:
-    scale = 1.0 + float(np.max(np.abs(values)))
-    if np.min(np.abs(values)) < 1e-12 * scale:
-        raise ProfileError(f"{name} vanishes at a sample point")

@@ -23,7 +23,7 @@ import numpy as np
 from .calculus import grid_derivative
 from .errors import ProfileError
 from .fits import (CheckResult, FittedConstant, Tolerances, Verdict,
-                   _constant_fit, _damped_lstsq, _guard_nonzero, _jsonable)
+                   _constant_fit, _damped_lstsq, _jsonable)
 from .frames import FrameKind
 from .integrator import CurveTrace
 from .minkowski import SIGNS, pairing, row_norm
@@ -38,7 +38,6 @@ def h3_ratio_check(smp: Samples,
     if smp.kind is not FrameKind.PSEUDO_NULL:
         raise ProfileError("pseudohyperbolic checks apply to pseudo null "
                            "profiles only")
-    _guard_nonzero(smp.tau, "tau")
     constant, mean, residual = _constant_fit(smp.sigma / smp.tau, tol.eps_cond)
     negative = mean < -tol.eps_cond
     flags = []

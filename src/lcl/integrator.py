@@ -86,7 +86,7 @@ def integrate_frame(profile: CurvatureProfile,
     Grid: s_i = s_min + i*h for i = 0..floor(span/h). Default h is
     1e-3 * span. `initial` is a 4 x 4 frame, rows T, N, B1, B2 (default
     canonical_frame); `alpha0` is the starting position, a length-4 array
-    (default the origin). The profile must pass profile.validate().
+    (default the origin). Runs profile.validate() first (ProfileError).
     Raises IntegrationError if Gram drift passes 1000 * eps_gram,
     ConfigError for a bad step or eps_gram, and FrameError for an initial
     frame or alpha0 that is not a finite numeric array of its shape, or

@@ -6,11 +6,12 @@ strings in s or sample tables, interpolated by the in-package monotone
 cubic (PCHIP) of SampleTable; both are plain callables afterwards, so
 every consumer treats them uniformly.
 
-Family rules enforced by validate():
+Family rules, enforced on the check grid, grid(), by sample(): before
+any check reads the samples, and through validate() before integration:
 
     partially null: kappa != 0 and tau != 0 on the domain
     pseudo null:    kappa identically 1 and tau != 0; a sigma that
-                    vanishes somewhere only logs a warning
+                    vanishes somewhere only logs a warning (validate())
 
 JSON form:
 
@@ -39,7 +40,6 @@ from .frames import FrameKind, frame_family
 
 log = logging.getLogger("lcl.profiles")
 
-VALIDATION_SAMPLES = 257
 _ZERO_TOL = 1e-9
 
 
@@ -180,9 +180,20 @@ class CurvatureProfile:
         return np.linspace(self.s_min, self.s_max, n)
 
     def sample(self) -> "Samples":
-        """(kappa, tau, sigma) evaluated once on the check grid, grid()."""
+        """(kappa, tau, sigma) on the check grid, grid(); ProfileError unless
+        the family rules hold there, so the checks divide by them freely."""
         s = self.grid()
-        return Samples(self, s, s[1] - s[0], *self.evaluate_arrays(s))
+        smp = Samples(self, s, s[1] - s[0], *self.evaluate_arrays(s))
+        if self.kind is FrameKind.PARTIALLY_NULL:
+            _require_nonzero(smp.kappa, "kappa", self.label)
+        else:
+            dev = np.max(np.abs(smp.kappa - 1.0))
+            if dev > _ZERO_TOL:
+                raise ProfileError(
+                    f"pseudo null profile requires kappa = 1, max deviation {dev:.3g}"
+                    + (f" (profile {self.label!r})" if self.label else ""))
+        _require_nonzero(smp.tau, "tau", self.label)
+        return smp
 
     def _check_domain(self, s):
         slack = 1e-12 * (1.0 + self.span)
@@ -200,26 +211,16 @@ class CurvatureProfile:
                 np.broadcast_to(np.asarray(self.tau(s)), s.shape),
                 np.broadcast_to(np.asarray(self.sigma(s)), s.shape))
 
-    def validate(self, samples: int = VALIDATION_SAMPLES) -> None:
-        """Raise ProfileError when a family rule fails on a sample grid.
+    def validate(self) -> None:
+        """Raise ProfileError when a family rule of sample() fails.
 
         A sigma that vanishes somewhere only logs a warning: nothing in
         the checks divides by sigma, and useful reference profiles (the
         quadratic sigma/tau family on a wide interval, for one) cross
         zero harmlessly.
         """
-        s = self.grid(samples)
-        kappa, tau, sigma = self.evaluate_arrays(s)
-        if self.kind is FrameKind.PARTIALLY_NULL:
-            _require_nonzero(kappa, "kappa", self.label)
-            _require_nonzero(tau, "tau", self.label)
-        else:
-            dev = np.max(np.abs(kappa - 1.0))
-            if dev > _ZERO_TOL:
-                raise ProfileError(
-                    f"pseudo null profile requires kappa = 1, max deviation {dev:.3g}"
-                    + (f" (profile {self.label!r})" if self.label else ""))
-            _require_nonzero(tau, "tau", self.label)
+        sigma = self.sample().sigma
+        if self.kind is FrameKind.PSEUDO_NULL:
             scale = 1.0 + float(np.max(np.abs(sigma)))
             if np.min(np.abs(sigma)) < _ZERO_TOL * scale:
                 log.warning("sigma vanishes somewhere on the domain%s",

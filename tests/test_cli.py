@@ -8,9 +8,9 @@ import textwrap
 import numpy as np
 import pytest
 
-from lcl import cli, errors
+from lcl import CurvatureProfile, classify_profile, cli, errors
 from lcl.cli import main
-from lcl.errors import LclError
+from lcl.errors import LclError, ProfileError
 
 CIRCLE = {"kind": "partially_null", "kappa": "1", "tau": "1",
           "domain": [0.0, 6.283185307179586], "label": "circle"}
@@ -125,6 +125,31 @@ def test_vanishing_tau_is_a_validation_error(tmp_path, capsys):
     assert rc == 2
 
 
+_OFF_GRID = "0.5 + sin(256*pi*s)"
+_PSN_SIGMA = "-s^2/2 + 0.3*s - 0.5"
+
+
+@pytest.mark.parametrize("profile", [
+    {"kind": "partially_null", "kappa": _OFF_GRID, "tau": "1"},
+    {"kind": "partially_null", "kappa": "1", "tau": _OFF_GRID},
+    {"kind": "pseudo_null", "tau": _OFF_GRID, "sigma": _PSN_SIGMA},
+    {"kind": "pseudo_null", "kappa": "1 + 1e-3*sin(256*pi*s)", "tau": "1",
+     "sigma": _PSN_SIGMA},
+], ids=["pn-kappa-sign", "pn-tau-sign", "psn-tau-sign", "psn-kappa-off"])
+def test_a_rule_broken_between_coarse_samples_is_a_validation_error(
+        profile, tmp_path, capsys):
+    # each rule holds at s = i/256 and fails between those points, where
+    # the 1001-point check grid the checks read sees it
+    profile = dict(profile, domain=[0.0, 1.0])
+    with pytest.raises(ProfileError):
+        classify_profile(CurvatureProfile.from_json_dict(profile))
+    path = tmp_path / "off.json"
+    path.write_text(json.dumps(profile))
+    assert main(["classify", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_zero_step_is_a_validation_error(circle_file, capsys):
     rc = main(["classify", circle_file, "--h", "0"])
     assert rc == 2
@@ -153,6 +178,7 @@ _SWEEP = {"family": "pn-constant", "domain": [0.0, 1.0],
     ("classify", dict(_PROFILE, label=3)),
     ("sweep", [_SWEEP]),
     ("sweep", dict(_SWEEP, domain=["a", 1])),
+    ("sweep", dict(_SWEEP, parameters={"kappa": [1], "tua": [1]})),
     ("sweep", {"family": "psn-quadratic", "domain": [0.0, 1.0],
                "parameters": {"a": [0.3], "b": [0.1]},
                "sigma_perturbation": {"expr": "s", "scales": "ab"}}),
@@ -166,7 +192,7 @@ _SWEEP = {"family": "pn-constant", "domain": [0.0, 1.0],
 ], ids=["profile-domain", "table-values", "suite-expected",
         "suite-expected-k5", "suite-expected-1", "suite-label",
         "suite-profile-label", "profile-label", "sweep-array", "sweep-domain",
-        "sweep-scales", "classify-log", "oracle-log", "synth-log",
+        "sweep-param-name", "sweep-scales", "classify-log", "oracle-log", "synth-log",
         "nan-kappa", "classify-bytes", "verify-bytes", "sweep-bytes"])
 def test_malformed_input_file_is_a_validation_error(cmd, payload, tmp_path,
                                                     capsys):
@@ -402,6 +428,21 @@ def test_sweep_perturbation_scales_add_rows(tmp_path):
     k1_col = lines[0].split(",").index("k1")
     assert base[k1_col] == "Yes"
     assert bent[k1_col] == "No"  # the perturbation breaks the quadratic
+
+
+def test_sweep_h3_family_takes_a_perturbation(tmp_path):
+    spec = {"family": "h3-exponential", "domain": [0.0, 1.0],
+            "parameters": {"c": [-2.0], "lam": [1.0], "mu": [0.5]},
+            "sigma_perturbation": {"expr": "s^3", "scales": [0.0, 1e-3]}}
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps(spec))
+    out = tmp_path / "grid.csv"
+    assert main(["sweep", str(spec_path), "-o", str(out)]) == 0
+    header, base, bent = (line.split(",")
+                          for line in out.read_text().splitlines())
+    k2_col = header.index("k2")
+    assert base[k2_col] == "Yes"  # the exponential tau form is 2-type
+    assert bent[k2_col] == "No"
 
 
 def test_sweep_rejects_perturbation_for_partially_null(tmp_path, capsys):

@@ -7,9 +7,11 @@ import pytest
 
 import lcl.cli
 from lcl import (CurvatureProfile, FrameKind, OracleResult, Tolerances,
-                 Verdict, closed_form_center, fit_pseudohyperbolic,
-                 integrate_frame, oracle_detect, pairing, save_profile)
+                 Verdict, classify_profile, closed_form_center,
+                 default_suite, fit_pseudohyperbolic, integrate_frame,
+                 oracle_detect, pairing, save_profile)
 from lcl.classifier import EPS_ORACLE_COEFF
+from lcl.minkowski import SIGNS
 
 Y, N = Verdict.YES, Verdict.NO
 
@@ -189,3 +191,24 @@ def test_batched_oracle_keeps_the_constant_row_branch(circle_trace):
         rel=1e-15)
     assert all(res[k].note == "trivial B1 direction excluded"
                for k in (0, 1, 3))
+
+
+def test_validated_suite_axes_lie_in_the_oracle_nullspace():
+    # a closed-form axis that validates is a vector the oracle's rows
+    # (V_k(s_i) - V_k(s_0)) M annihilate: |R_k U| for its unit mean vector
+    # U sits far below the threshold an oracle Yes needs
+    checked = 0
+    for fx in default_suite():
+        v = integrate_frame(fx.profile).frames.transpose(1, 0, 2)
+        rows = (v[:, 1:] - v[:, :1]) * SIGNS
+        report = classify_profile(fx.profile)
+        for cand, val in report.axes:
+            if not val.passed:
+                continue
+            u = np.mean(cand.U, axis=0)
+            u /= np.linalg.norm(u)
+            ratio = (np.linalg.norm(rows[cand.k] @ u)
+                     / report.oracle[cand.k].threshold)
+            assert ratio <= 1e-3, (fx.label, cand.k, cand.source, ratio)
+            checked += 1
+    assert checked == 99  # every axis the suite builds validates
