@@ -8,7 +8,7 @@ about the closed forms.
 """
 
 from .axis import AxisCandidate, AxisValidation, assemble_axis, validate_axis
-from .calculus import cumulative_integral, grid_derivative, make_cumulative
+from .calculus import cumulative_integral, grid_derivative
 from .classifier import (PN_IMPLICATIONS, PSN_IMPLICATIONS,
                          ClassificationReport, OracleResult, classify_profile,
                          implication_closure, oracle_detect, pn_type0_check,
@@ -55,7 +55,6 @@ __all__ = [
     "gram_targets", "grid_derivative", "h3_membership", "h3_ratio_check",
     "h3_type2_tau_form", "h3_type3_residual",
     "implication_closure", "integrate_frame", "load_profile", "load_suite",
-    "make_cumulative",
     "make_h3_type2_profile", "nullspace_min_singular",
     "oracle_detect", "pairing", "parse_expression", "PN_IMPLICATIONS",
     "pn_type0_axes", "pn_type0_check", "pn_type1_axis", "pn_type1_check",

@@ -13,6 +13,9 @@ Design notes:
   order, third derivatives 2nd order; the two points at each end of the
   grid use shifted stencils of the same width, so no value outside the
   grid is ever needed.
+* Integrals read the integrand at the Gauss nodes of each grid cell only;
+  node_integrals also gives the antiderivative at those nodes, for an
+  integrand that holds an integral itself.
 """
 
 from __future__ import annotations
@@ -34,55 +37,57 @@ _GL_WEIGHTS = np.array([0.23692688505618928, 0.4786286704993663,
                         0.23692688505618928])
 
 
-def gauss_segments(f: Callable, a, b) -> np.ndarray:
-    """Vectorized 5-point Gauss integral of f over each [a_i, b_i].
+# [j, m]: integral from -1 to node j of the degree-4 Lagrange polynomial of
+# node m, i.e. the integrals of t^q, q = 0..4, times inverse Vandermonde x_m^q
+# (tested), written out: a LAPACK call at import would raise the peak RSS
+# of every process (by ~0.6 MB with OpenBLAS).
+_GL_ANTIDERIVATIVE = np.array([
+    [0.11846344252809458, -0.03914072871815205, 0.022508801637285938,
+     -0.011187587321624398, 0.003176225935732003],
+    [0.25630201134009056, 0.23931433524968332, -0.049184229239284324,
+     0.02063656134136667, -0.005537988797539162],
+    [0.22755257600844922, 0.5200093033612834, 0.2844444444444449,
+     -0.041380632861916705, 0.009374309047739884],
+    [0.24246487385372828, 0.45799210915800015, 0.6180731181281738,
+     0.23931433524968326, -0.019375126283901475],
+    [0.23375065912045706, 0.4898162578209912, 0.5463800872516034,
+     0.5177693992175187, 0.11846344252809454]])
 
-    f must accept a 1-d ndarray of points. It returns one value per
-    point, or several integrands stacked on a leading axis, which then
-    leads the result too. a and b broadcast elementwise.
+
+def gauss_nodes(grid: np.ndarray) -> np.ndarray:
+    """The 5 Gauss nodes of each cell [grid[i], grid[i+1]], shape (5, n - 1)."""
+    grid = np.asarray(grid, dtype=float)
+    a, b = grid[:-1], grid[1:]
+    return 0.5 * (a + b)[None, :] + 0.5 * (b - a)[None, :] * _GL_NODES[:, None]
+
+
+def node_integrals(values, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(F on grid, F at the nodes) for F, the integral of f from grid[0].
+
+    values is f at gauss_nodes(grid), shape (..., 5, n - 1); a leading axis
+    stacks integrands. F on the grid sums the 5-point Gauss rule of each
+    cell; F at a node adds to F(grid[i]) the integral up to the node of the
+    degree-4 interpolant through the cell's node values.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    pts = mid[None, ...] + half[None, ...] * _GL_NODES.reshape(
-        (-1,) + (1,) * a.ndim)
-    vals = np.asarray(f(pts.ravel()), dtype=float)
-    vals = vals.reshape(vals.shape[:-1] + pts.shape)
-    return half * np.tensordot(_GL_WEIGHTS, vals,
-                               axes=(0, vals.ndim - pts.ndim))
+    grid = np.asarray(grid, dtype=float)
+    values = np.asarray(values, dtype=float)
+    half = 0.5 * (grid[1:] - grid[:-1])
+    seg = half * np.tensordot(_GL_WEIGHTS, values, axes=(0, values.ndim - 2))
+    on_grid = np.zeros(seg.shape[:-1] + grid.shape)
+    np.cumsum(seg, axis=-1, out=on_grid[..., 1:])
+    at_nodes = on_grid[..., None, :-1] + half * (_GL_ANTIDERIVATIVE @ values)
+    return on_grid, at_nodes
 
 
 def cumulative_integral(f: Callable, grid: np.ndarray) -> np.ndarray:
     """F[i] = integral of f from grid[0] to grid[i]; F[0] = 0.
 
-    For an f that stacks several integrands (see gauss_segments), F[j, i]
-    is the integral of the j-th one.
+    f maps a 1-d array of points (gauss_nodes(grid)) to one value each, or
+    to integrands stacked on a leading axis; F[j, i] integrates the j-th.
     """
-    grid = np.asarray(grid, dtype=float)
-    seg = gauss_segments(f, grid[:-1], grid[1:])
-    out = np.zeros(seg.shape[:-1] + grid.shape)
-    np.cumsum(seg, axis=-1, out=out[..., 1:])
-    return out
-
-
-def make_cumulative(f: Callable, grid: np.ndarray):
-    """Return (values_on_grid, at) for the anchored antiderivative of f.
-
-    `at(x)` evaluates the same antiderivative at arbitrary points by
-    adding a Gauss segment from the nearest grid point below, so nested
-    integrands (integrals of integrals) stay cheap and accurate.
-    """
-    grid = np.asarray(grid, dtype=float)
-    values = cumulative_integral(f, grid)
-
-    def at(x):
-        x = np.asarray(x, dtype=float)
-        idx = np.clip(np.searchsorted(grid, x, side="right") - 1,
-                      0, grid.shape[0] - 2)
-        return values[idx] + gauss_segments(f, grid[idx], x)
-
-    return values, at
+    pts = gauss_nodes(grid)
+    vals = np.asarray(f(pts.ravel()), dtype=float)
+    return node_integrals(vals.reshape(vals.shape[:-1] + pts.shape), grid)[0]
 
 
 @functools.cache

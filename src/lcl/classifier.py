@@ -11,10 +11,12 @@ A family is its FAMILIES entry: rows (k, check, build), its implication
 graph and its report block; its frame data is frames.FAMILIES.
 classify_profile walks the entry with the same code for every family.
 
-One classification samples each grid once. The checks read one Samples
-bundle on the check grid, where profile.sample() has enforced the family
-rules; the axis builders read the curvatures the trace carries on its
-own grid; the oracle decides all four k from one stacked SVD of the trace.
+One classification samples each grid once. The checks read the Samples
+that integrate_frame's profile.validate() built on the check grid (the
+trace's checks); the axis builders read the trace's curvatures (the
+partially null ones also kappa and tau at its Gauss nodes, theta there
+included); the oracle decides all four k from one stacked SVD of the
+trace.
 
 Partially null curves are classified with sigma identically 0; the frame
 freedom that makes other sigma choices equivalent is not modeled here.
@@ -38,7 +40,7 @@ import numpy as np
 
 from . import hyperbolic
 from .axis import AxisCandidate, assemble_axis, validate_axis
-from .calculus import cumulative_integral, grid_derivative, make_cumulative
+from .calculus import cumulative_integral, grid_derivative, node_integrals
 from .errors import DegenerateAxisError, ProfileError
 from .fits import (DAMPING, CheckResult, FittedConstant, Tolerances, Verdict,
                    _constant_fit, _damped_lstsq, _jsonable, _rms)
@@ -198,9 +200,7 @@ def pn_type1_axis(trace: CurveTrace, c_lin: float,
         raise DegenerateAxisError(
             "affine axis undefined: fitted linear coefficient is zero "
             "(constant ratio); use the constant-ratio axes instead")
-    p = trace.profile
-    kint = cumulative_integral(p.kappa, trace.s)
-    tint = cumulative_integral(p.tau, trace.s)
+    (kint, tint), _, _ = trace.curvature_integrals
     return assemble_axis(trace, 1, "curvature-integral",
                          c0 + kint, 1.0, -tint, 1.0 / c_lin)
 
@@ -220,18 +220,14 @@ def pn_type2_axis(trace: CurveTrace,
     The axis is v1 T + (v1'/kappa) N + (c3 - Int tau (v1'/kappa) ds) B1
     + B2. Every choice of (c1, c2, c3) gives a constant vector with
     g(B1, U) = 1, which is why the 2-type verdict for this family is
-    yes by construction (checked against the oracle anyway).
+    yes by construction (checked against the oracle anyway). theta at the
+    Gauss nodes of I1 and I2 integrates kappa's interpolant through the
+    same nodes (calculus.node_integrals), so no other point is evaluated.
     """
     c1, c2, c3 = (float(x) for x in c)
-    grid, p = trace.s, trace.profile
-    theta, theta_at = make_cumulative(p.kappa, grid)
-
-    def integrands(t):
-        # tau and theta once per Gauss node, shared by I1 and I2
-        tau, th = p.tau(t), theta_at(t)
-        return np.stack([tau * np.sin(th), tau * np.cos(th)])
-
-    i1, i2 = cumulative_integral(integrands, grid)
+    (theta, _), th, tau = trace.curvature_integrals
+    (i1, i2), _ = node_integrals(
+        np.stack([tau * np.sin(th), tau * np.cos(th)]), trace.s)
     u1 = np.cos(theta) * (c1 - i1) + np.sin(theta) * (c2 + i2)
     u2 = -np.sin(theta) * (c1 - i1) + np.cos(theta) * (c2 + i2)
     # tau u2 = (-c1 I1 + c2 I2 + (I1^2 + I2^2) / 2)', so Int tau u2 is exact
@@ -458,7 +454,7 @@ def classify_profile(p: CurvatureProfile,
     implications, and the family's report block comes last.
     """
     trace = integrate_frame(p, h=h)
-    c = _Classification(p.sample(), trace, oracle_detect(trace, tol), tol)
+    c = _Classification(trace.checks, trace, oracle_detect(trace, tol), tol)
     family = FAMILIES[p.kind]
     axes = []
     for k, check, build in family.rows:

@@ -26,15 +26,16 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .calculus import grid_derivative
+from .calculus import gauss_nodes, grid_derivative, node_integrals
 from .errors import ConfigError, FrameError, IntegrationError
 from .frames import canonical_frame, frame_family, frenet_matrix, gram_residual
 from .minkowski import pairing
-from .profiles import CurvatureProfile, Samples
+from .profiles import CurvatureProfile, Samples, require_family_rules
 
 log = logging.getLogger("lcl.integrator")
 
@@ -53,6 +54,7 @@ class CurveTrace(Samples):
     positions: np.ndarray         # (n, 4)
     frames: np.ndarray            # (n, 4, 4), rows T, N, B1, B2
     gram_res: np.ndarray          # (n,) max abs Gram deviation per point
+    checks: Samples               # the check grid, from profile.validate()
 
     @property
     def n(self) -> int:
@@ -61,6 +63,16 @@ class CurveTrace(Samples):
     @property
     def max_gram_residual(self) -> float:
         return float(np.max(self.gram_res))
+
+    @cached_property
+    def curvature_integrals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(Int kappa, Int tau) on s, theta = Int kappa at gauss_nodes(s)
+        and tau there: what the partially null axes integrate, from one
+        evaluation of kappa and tau at the nodes."""
+        nodes = gauss_nodes(self.s)
+        vals = np.stack([self.profile.kappa(nodes), self.profile.tau(nodes)])
+        on_grid, at_nodes = node_integrals(vals, self.s)
+        return on_grid, at_nodes[0], vals[1]
 
 
 def _finite_array(value, what: str, shape: tuple, dims: str) -> np.ndarray:
@@ -86,13 +98,15 @@ def integrate_frame(profile: CurvatureProfile,
     Grid: s_i = s_min + i*h for i = 0..floor(span/h). Default h is
     1e-3 * span. `initial` is a 4 x 4 frame, rows T, N, B1, B2 (default
     canonical_frame); `alpha0` is the starting position, a length-4 array
-    (default the origin). Runs profile.validate() first (ProfileError).
+    (default the origin). Runs profile.validate() first (ProfileError),
+    keeping its Samples as the trace's checks, and the same family rules
+    on the lattice.
     Raises IntegrationError if Gram drift passes 1000 * eps_gram,
     ConfigError for a bad step or eps_gram, and FrameError for an initial
     frame or alpha0 that is not a finite numeric array of its shape, or
     an initial frame off its Gram targets by more than eps_gram.
     """
-    profile.validate()
+    checks = profile.validate()
 
     span = profile.span
     if h is None:
@@ -123,6 +137,7 @@ def integrate_frame(profile: CurvatureProfile,
     # curvatures on the half-step lattice, then frenet matrices
     s_half = profile.s_min + (h / 2.0) * np.arange(2 * steps + 1)
     kappa, tau, sigma = profile.evaluate_arrays(s_half)
+    require_family_rules(profile, kappa, tau)
     mats = frenet_matrix(kappa, tau, sigma, profile.kind)
 
     positions = np.empty((n, 4))
@@ -158,7 +173,7 @@ def integrate_frame(profile: CurvatureProfile,
               float(np.max(gram_res)))
     return CurveTrace(profile=profile, s=s, h=h, kappa=kappa[::2],
                       tau=tau[::2], sigma=sigma[::2], positions=positions,
-                      frames=frames, gram_res=gram_res)
+                      frames=frames, gram_res=gram_res, checks=checks)
 
 
 def _rk4_increments(mats: np.ndarray, h: float

@@ -6,8 +6,9 @@ strings in s or sample tables, interpolated by the in-package monotone
 cubic (PCHIP) of SampleTable; both are plain callables afterwards, so
 every consumer treats them uniformly.
 
-Family rules, enforced on the check grid, grid(), by sample(): before
-any check reads the samples, and through validate() before integration:
+Family rules, enforced on the check grid, grid(), by sample() (before
+any check reads the samples, and through validate() before integration)
+and by integrate_frame on the curvatures of its half-step lattice:
 
     partially null: kappa != 0 and tau != 0 on the domain
     pseudo null:    kappa identically 1 and tau != 0; a sigma that
@@ -184,15 +185,7 @@ class CurvatureProfile:
         the family rules hold there, so the checks divide by them freely."""
         s = self.grid()
         smp = Samples(self, s, s[1] - s[0], *self.evaluate_arrays(s))
-        if self.kind is FrameKind.PARTIALLY_NULL:
-            _require_nonzero(smp.kappa, "kappa", self.label)
-        else:
-            dev = np.max(np.abs(smp.kappa - 1.0))
-            if dev > _ZERO_TOL:
-                raise ProfileError(
-                    f"pseudo null profile requires kappa = 1, max deviation {dev:.3g}"
-                    + (f" (profile {self.label!r})" if self.label else ""))
-        _require_nonzero(smp.tau, "tau", self.label)
+        require_family_rules(self, smp.kappa, smp.tau)
         return smp
 
     def _check_domain(self, s):
@@ -211,20 +204,17 @@ class CurvatureProfile:
                 np.broadcast_to(np.asarray(self.tau(s)), s.shape),
                 np.broadcast_to(np.asarray(self.sigma(s)), s.shape))
 
-    def validate(self) -> None:
-        """Raise ProfileError when a family rule of sample() fails.
-
-        A sigma that vanishes somewhere only logs a warning: nothing in
-        the checks divides by sigma, and useful reference profiles (the
-        quadratic sigma/tau family on a wide interval, for one) cross
-        zero harmlessly.
-        """
-        sigma = self.sample().sigma
-        if self.kind is FrameKind.PSEUDO_NULL:
-            scale = 1.0 + float(np.max(np.abs(sigma)))
-            if np.min(np.abs(sigma)) < _ZERO_TOL * scale:
-                log.warning("sigma vanishes somewhere on the domain%s",
-                            f" (profile {self.label!r})" if self.label else "")
+    def validate(self) -> "Samples":
+        """sample(); a pseudo null sigma that vanishes only logs a warning,
+        since no check divides by sigma and useful reference profiles (the
+        quadratic sigma/tau family on a wide interval) cross zero."""
+        smp = self.sample()
+        sigma = np.abs(smp.sigma)
+        if (self.kind is FrameKind.PSEUDO_NULL
+                and np.min(sigma) < _ZERO_TOL * (1.0 + np.max(sigma))):
+            log.warning("sigma vanishes somewhere on the domain%s",
+                        f" (profile {self.label!r})" if self.label else "")
+        return smp
 
     def to_json_dict(self) -> dict:
         return {
@@ -299,10 +289,23 @@ def save_profile(p: CurvatureProfile, path) -> None:
         fh.write("\n")
 
 
-def _require_nonzero(values: np.ndarray, name: str, label: str) -> None:
-    scale = 1.0 + float(np.max(np.abs(values)))
-    suffix = f" (profile {label!r})" if label else ""
-    if np.min(np.abs(values)) < _ZERO_TOL * scale:
-        raise ProfileError(f"{name} vanishes on the domain{suffix}")
-    if np.any(values[1:] * values[:-1] < 0.0):
-        raise ProfileError(f"{name} changes sign on the domain{suffix}")
+def require_family_rules(p: CurvatureProfile, kappa: np.ndarray,
+                         tau: np.ndarray) -> None:
+    """ProfileError unless the family rules hold on these samples of p: a
+    pseudo null kappa stays within 1e-9 of 1, and tau and a partially null
+    kappa neither vanish nor change sign."""
+    suffix = f" (profile {p.label!r})" if p.label else ""
+    if p.kind is FrameKind.PARTIALLY_NULL:
+        nonzero = (("kappa", kappa), ("tau", tau))
+    elif (dev := np.max(np.abs(kappa - 1.0))) <= _ZERO_TOL:
+        nonzero = (("tau", tau),)
+    else:
+        raise ProfileError("pseudo null profile requires kappa = 1, "
+                           f"max deviation {dev:.3g}{suffix}")
+    for name, values in nonzero:
+        size = np.abs(values)
+        if size.min() < _ZERO_TOL * (1.0 + size.max()):
+            raise ProfileError(f"{name} vanishes on the domain{suffix}")
+        # no value is near 0, so both signs mean neighbours of opposite sign
+        if values.min() < 0.0 < values.max():
+            raise ProfileError(f"{name} changes sign on the domain{suffix}")

@@ -6,9 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from lcl import (cumulative_integral, grid_derivative, make_cumulative,
-                 run_theorem_suite)
-from lcl.calculus import _GL_NODES, _GL_WEIGHTS, _stencil_weights
+from lcl import cumulative_integral, grid_derivative, run_theorem_suite
+from lcl.calculus import (_GL_ANTIDERIVATIVE, _GL_NODES, _GL_WEIGHTS,
+                          _stencil_weights, gauss_nodes, node_integrals)
 
 
 def test_cumulative_integral_endpoint_and_monotone_grid():
@@ -36,12 +36,40 @@ def test_stacked_integrands_integrate_like_separate_ones():
         assert np.max(np.abs(row - alone)) <= 1e-15 * np.max(np.abs(alone))
 
 
-def test_make_cumulative_interpolant_matches_integral_between_nodes():
+def test_node_integrals_match_the_integral_on_the_grid_and_at_the_nodes():
     grid = np.linspace(0.0, 2.0, 101)
-    values, at = make_cumulative(np.exp, grid)
+    nodes = gauss_nodes(grid)
+    values, at_nodes = node_integrals(np.exp(nodes), grid)
     assert values[-1] == pytest.approx(np.exp(2.0) - 1.0, abs=1e-12)
-    for s in (0.013, 0.5, 1.0, 1.731):
-        assert at(s) == pytest.approx(np.exp(s) - 1.0, abs=1e-9)
+    assert np.max(np.abs(values - (np.exp(grid) - 1.0))) <= 1e-9
+    assert np.max(np.abs(at_nodes - (np.exp(nodes) - 1.0))) <= 1e-9
+
+
+def test_node_integrals_are_exact_for_a_quartic_and_match_nested_gauss():
+    # the interpolant through five nodes is the quartic itself; positive
+    # coefficients and prim(0) = 0 keep the exact values free of cancellation
+    grid = np.linspace(0.0, 2.0, 1001)
+    nodes = gauss_nodes(grid)
+    quartic = lambda s: 2.0 + s + 3.0 * s**2 + 0.5 * s**3 + s**4
+    prim = lambda s: 2.0 * s + s**2 / 2 + s**3 + s**4 / 8 + s**5 / 5
+    _, at_nodes = node_integrals(quartic(nodes), grid)
+    assert np.max(np.abs(at_nodes / prim(nodes) - 1.0)) <= 1e-14
+    # nested reference: a 5-point Gauss segment from the cell's left end
+    kappa = lambda s: 2.0 + np.sin(s)
+    values, at_nodes = node_integrals(kappa(nodes), grid)
+    a = np.broadcast_to(grid[:-1], nodes.shape)
+    mid, half = 0.5 * (a + nodes), 0.5 * (nodes - a)
+    seg = half * np.tensordot(
+        _GL_WEIGHTS, kappa(mid + half * _GL_NODES[:, None, None]), axes=1)
+    ref = values[:-1] + seg
+    assert np.max(np.abs(at_nodes - ref) / np.abs(ref)) <= 1e-13
+
+
+def test_cumulative_integral_is_node_integrals_of_the_node_values():
+    grid = np.linspace(0.0, 2.0, 1001)
+    got = cumulative_integral(np.sin, grid)
+    assert np.array_equal(got, node_integrals(np.sin(gauss_nodes(grid)),
+                                              grid)[0])
 
 
 def test_grid_derivative_first_and_second_order():
@@ -124,6 +152,13 @@ def test_gauss_rule_literals_are_leggauss_to_the_last_bit():
     nodes, weights = np.polynomial.legendre.leggauss(5)
     assert _GL_NODES.tobytes() == nodes.tobytes()
     assert _GL_WEIGHTS.tobytes() == weights.tobytes()
+
+
+def test_antiderivative_literal_integrates_the_lagrange_basis():
+    q1 = np.arange(1.0, 6.0)  # powers t^q, q = 0..4, integrate to t^(q+1)
+    ref = ((_GL_NODES[:, None] ** q1 - (-1.0) ** q1) / q1
+           @ np.linalg.inv(_GL_NODES[:, None] ** (q1 - 1.0)))
+    assert np.max(np.abs(_GL_ANTIDERIVATIVE - ref)) <= 1e-15
 
 
 def test_importing_the_cli_leaves_numpy_polynomial_unloaded():

@@ -10,7 +10,6 @@ from lcl import (PN_IMPLICATIONS, CurvatureProfile, Tolerances, Verdict,
                  integrate_frame, pairing, pn_type0_axes, pn_type0_check,
                  pn_type1_axis, pn_type1_check, pn_type2_axis, validate_axis)
 from lcl import classifier
-from lcl.calculus import cumulative_integral, make_cumulative
 from lcl.errors import ConfigError, DegenerateAxisError, ProfileError
 
 Y, N, U = Verdict.YES, Verdict.NO, Verdict.UNDETERMINED
@@ -135,14 +134,39 @@ def test_2_type_axis_for_linear_torsion_closed_form():
     assert val.max_du < 1e-9
 
 
+_LG_NODES, _LG_WEIGHTS = np.polynomial.legendre.leggauss(5)
+
+
+def _gauss_segment(f, a, b):
+    """5-point Gauss integral of f over each [a, b], elementwise."""
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    t = _LG_NODES.reshape((-1,) + (1,) * np.ndim(a))
+    return half * np.tensordot(_LG_WEIGHTS, f(mid + half * t), axes=(0, 0))
+
+
+def _nested_cumulative(f, grid):
+    """(values on grid, at) for the integral of f from grid[0]: at(x) adds a
+    Gauss segment of f from the grid point below x, so f may itself call
+    another at()."""
+    values = np.concatenate(
+        [[0.0], np.cumsum(_gauss_segment(f, grid[:-1], grid[1:]))])
+
+    def at(x):
+        idx = np.clip(np.searchsorted(grid, x, side="right") - 1,
+                      0, grid.shape[0] - 2)
+        return values[idx] + _gauss_segment(f, grid[idx], x)
+
+    return values, at
+
+
 def _nested_oscillator_coeffs(p, grid, c):
     """Reference coefficients with u3 = c3 - Int tau u2 as a third
     quadrature of nested interpolants (no closed-form antiderivative)."""
     c1, c2, c3 = c
-    theta_vals, theta_at = make_cumulative(p.kappa, grid)
-    i1_vals, i1_at = make_cumulative(
+    theta_vals, theta_at = _nested_cumulative(p.kappa, grid)
+    i1_vals, i1_at = _nested_cumulative(
         lambda t: p.tau(t) * np.sin(theta_at(t)), grid)
-    i2_vals, i2_at = make_cumulative(
+    i2_vals, i2_at = _nested_cumulative(
         lambda t: p.tau(t) * np.cos(theta_at(t)), grid)
 
     def u2_at(t):
@@ -152,7 +176,7 @@ def _nested_oscillator_coeffs(p, grid, c):
     u1 = (np.cos(theta_vals) * (c1 - i1_vals)
           + np.sin(theta_vals) * (c2 + i2_vals))
     u2 = u2_at(grid)
-    u3 = c3 - cumulative_integral(lambda t: p.tau(t) * u2_at(t), grid)
+    u3 = c3 - _nested_cumulative(lambda t: p.tau(t) * u2_at(t), grid)[0]
     return np.column_stack([u1, u2, u3, np.ones_like(grid)])
 
 

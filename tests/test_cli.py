@@ -126,28 +126,42 @@ def test_vanishing_tau_is_a_validation_error(tmp_path, capsys):
 
 
 _OFF_GRID = "0.5 + sin(256*pi*s)"
+_BETWEEN = "0.5 + sin(1000*pi*s)"
 _PSN_SIGMA = "-s^2/2 + 0.3*s - 0.5"
 
 
-@pytest.mark.parametrize("profile", [
-    {"kind": "partially_null", "kappa": _OFF_GRID, "tau": "1"},
-    {"kind": "partially_null", "kappa": "1", "tau": _OFF_GRID},
-    {"kind": "pseudo_null", "tau": _OFF_GRID, "sigma": _PSN_SIGMA},
-    {"kind": "pseudo_null", "kappa": "1 + 1e-3*sin(256*pi*s)", "tau": "1",
-     "sigma": _PSN_SIGMA},
-], ids=["pn-kappa-sign", "pn-tau-sign", "psn-tau-sign", "psn-kappa-off"])
+def _rule_breakers(wave, kappa_off):
+    return [{"kind": "partially_null", "kappa": wave, "tau": "1"},
+            {"kind": "partially_null", "kappa": "1", "tau": wave},
+            {"kind": "pseudo_null", "tau": wave, "sigma": _PSN_SIGMA},
+            {"kind": "pseudo_null", "kappa": kappa_off, "tau": "1",
+             "sigma": _PSN_SIGMA}]
+
+
+@pytest.mark.parametrize("profile, on_check_grid", [
+    *((p, True) for p in _rule_breakers(_OFF_GRID, "1 + 1e-3*sin(256*pi*s)")),
+    *((p, False) for p in _rule_breakers(_BETWEEN, "1 + 1e-3*sin(1000*pi*s)")),
+], ids=["pn-kappa-sign", "pn-tau-sign", "psn-tau-sign", "psn-kappa-off",
+        "pn-kappa-sign-lattice", "pn-tau-sign-lattice", "psn-tau-sign-lattice",
+        "psn-kappa-off-lattice"])
 def test_a_rule_broken_between_coarse_samples_is_a_validation_error(
-        profile, tmp_path, capsys):
+        profile, on_check_grid, tmp_path, capsys):
     # each rule holds at s = i/256 and fails between those points, where
-    # the 1001-point check grid the checks read sees it
+    # the 1001-point check grid the checks read sees it; or it holds at
+    # every check-grid point s = i/1000 and fails at the midpoints, which
+    # only the half-step integration lattice evaluates
     profile = dict(profile, domain=[0.0, 1.0])
+    p = CurvatureProfile.from_json_dict(profile)
+    if not on_check_grid:
+        p.validate()
     with pytest.raises(ProfileError):
-        classify_profile(CurvatureProfile.from_json_dict(profile))
+        classify_profile(p)
     path = tmp_path / "off.json"
     path.write_text(json.dumps(profile))
-    assert main(["classify", str(path)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
+    for cmd in ("classify", "synth"):
+        assert main([cmd, str(path), "-o", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), cmd
 
 
 def test_zero_step_is_a_validation_error(circle_file, capsys):

@@ -1,11 +1,14 @@
 """Fixture suite construction and the verifier harness."""
 
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
-from lcl import (Fixture, default_suite, fixtures_from_json, load_suite,
-                 render_table, run_theorem_suite)
+from lcl import (Fixture, FrameKind, classify_profile, default_suite,
+                 fixtures_from_json, load_suite, render_table,
+                 run_theorem_suite)
 from lcl.errors import ProfileError
 from lcl.suite import DEFAULT_SEED
 
@@ -160,3 +163,37 @@ def test_full_default_suite_posts_no_failures_or_disagreements():
     assert summary.passed, render_table(summary)
     assert summary.n_pass == 50
     assert summary.disagreement_count == 0
+
+
+class _Counting:
+    """A curvature component that records every argument it is called on."""
+
+    def __init__(self, component):
+        self.component, self.calls = component, []
+
+    def __call__(self, s):
+        self.calls.append(np.array(s, dtype=float))
+        return self.component(s)
+
+
+@pytest.mark.parametrize("kind,budget", [(FrameKind.PARTIALLY_NULL, 24_006),
+                                         (FrameKind.PSEUDO_NULL, 19_006)])
+def test_a_classification_evaluates_each_grid_once(kind, budget):
+    # at the default step: the 2001-point half-step lattice and the
+    # 1001-point check grid for each component, plus 5 Gauss nodes per
+    # cell for the integrals (partially null: kappa on the check grid,
+    # kappa and tau once on the trace grid; pseudo null: tau on each)
+    fixtures = [fx for fx in default_suite() if fx.profile.kind is kind]
+    assert fixtures
+    for fx in fixtures:
+        names = ("kappa", "tau", "sigma")
+        counted = {n: _Counting(getattr(fx.profile, n)) for n in names}
+        p = dataclasses.replace(fx.profile, **counted)
+        classify_profile(p)
+        calls = [a for c in counted.values() for a in c.calls]
+        assert sum(a.size for a in calls) <= budget, fx.label
+        check_grid = p.grid()
+        for n in names:
+            on_grid = [a for a in counted[n].calls
+                       if np.array_equal(a, check_grid)]
+            assert len(on_grid) == 1, (fx.label, n)
