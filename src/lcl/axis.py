@@ -9,7 +9,7 @@ checks exactly that, plus constancy of the defining pairing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,8 +20,7 @@ from .integrator import CurveTrace
 from .minkowski import pairing, row_norm
 
 
-@dataclass
-class AxisCandidate:
+class AxisCandidate(NamedTuple):
     """Candidate axis sampled on a trace grid.
 
     k is the slant-helix order (pairing partner is frame row k), source
@@ -54,8 +53,7 @@ def assemble_axis(trace: CurveTrace, k: int, source: str,
                          coeffs=coeffs, U=u_ambient)
 
 
-@dataclass
-class AxisValidation:
+class AxisValidation(NamedTuple):
     k: int
     source: str
     max_du: float          # max interior ||dU/ds||_euclid
@@ -76,7 +74,7 @@ class AxisValidation:
 
 
 def validate_axis(trace: CurveTrace, candidate: AxisCandidate,
-                  eps_axis: float = Tolerances.eps_axis) -> AxisValidation:
+                  eps_axis: float = Tolerances().eps_axis) -> AxisValidation:
     """Check that the candidate is constant and pairs constantly.
 
     Pass requires max ||dU/ds|| < eps_axis * (1 + max ||U||) over the

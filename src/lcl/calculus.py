@@ -13,9 +13,9 @@ Design notes:
   order, third derivatives 2nd order; the two points at each end of the
   grid use shifted stencils of the same width, so no value outside the
   grid is ever needed.
-* Integrals read the integrand at the Gauss nodes of each grid cell only;
-  node_integrals also gives the antiderivative at those nodes, for an
-  integrand that holds an integral itself.
+* Integrals read the integrand at the Gauss nodes of each grid cell only:
+  grid_integrals gives the antiderivative on the grid, and node_integrals
+  at those nodes, for an integrand that holds an integral itself.
 """
 
 from __future__ import annotations
@@ -61,13 +61,11 @@ def gauss_nodes(grid: np.ndarray) -> np.ndarray:
     return 0.5 * (a + b)[None, :] + 0.5 * (b - a)[None, :] * _GL_NODES[:, None]
 
 
-def node_integrals(values, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(F on grid, F at the nodes) for F, the integral of f from grid[0].
+def grid_integrals(values, grid: np.ndarray) -> np.ndarray:
+    """F on the grid for F, the integral of f from grid[0].
 
     values is f at gauss_nodes(grid), shape (..., 5, n - 1); a leading axis
-    stacks integrands. F on the grid sums the 5-point Gauss rule of each
-    cell; F at a node adds to F(grid[i]) the integral up to the node of the
-    degree-4 interpolant through the cell's node values.
+    stacks integrands. F sums the 5-point Gauss rule of each cell.
     """
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -75,8 +73,20 @@ def node_integrals(values, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     seg = half * np.tensordot(_GL_WEIGHTS, values, axes=(0, values.ndim - 2))
     on_grid = np.zeros(seg.shape[:-1] + grid.shape)
     np.cumsum(seg, axis=-1, out=on_grid[..., 1:])
-    at_nodes = on_grid[..., None, :-1] + half * (_GL_ANTIDERIVATIVE @ values)
-    return on_grid, at_nodes
+    return on_grid
+
+
+def node_integrals(values, grid: np.ndarray,
+                   on_grid: np.ndarray) -> np.ndarray:
+    """F at gauss_nodes(grid), given on_grid = grid_integrals(values, grid).
+
+    At a node it adds to F(grid[i]) the integral up to the node of the
+    degree-4 interpolant through the cell's node values (a fixed 5x5
+    matrix); the result has the shape of values.
+    """
+    grid = np.asarray(grid, dtype=float)
+    half = 0.5 * (grid[1:] - grid[:-1])
+    return on_grid[..., None, :-1] + half * (_GL_ANTIDERIVATIVE @ values)
 
 
 def cumulative_integral(f: Callable, grid: np.ndarray) -> np.ndarray:
@@ -87,7 +97,7 @@ def cumulative_integral(f: Callable, grid: np.ndarray) -> np.ndarray:
     """
     pts = gauss_nodes(grid)
     vals = np.asarray(f(pts.ravel()), dtype=float)
-    return node_integrals(vals.reshape(vals.shape[:-1] + pts.shape), grid)[0]
+    return grid_integrals(vals.reshape(vals.shape[:-1] + pts.shape), grid)
 
 
 @functools.cache

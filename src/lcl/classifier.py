@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
@@ -40,7 +39,7 @@ import numpy as np
 
 from . import hyperbolic
 from .axis import AxisCandidate, assemble_axis, validate_axis
-from .calculus import cumulative_integral, grid_derivative, node_integrals
+from .calculus import cumulative_integral, grid_derivative, grid_integrals
 from .errors import DegenerateAxisError, ProfileError
 from .fits import (DAMPING, CheckResult, FittedConstant, Tolerances, Verdict,
                    _constant_fit, _damped_lstsq, _jsonable, _rms)
@@ -55,8 +54,7 @@ log = logging.getLogger("lcl.classifier")
 EPS_ORACLE_COEFF = 1e-7
 
 
-@dataclass
-class OracleResult:
+class OracleResult(NamedTuple):
     verdict: Verdict
     vector: Optional[np.ndarray]
     sigma_min: float
@@ -226,7 +224,7 @@ def pn_type2_axis(trace: CurveTrace,
     """
     c1, c2, c3 = (float(x) for x in c)
     (theta, _), th, tau = trace.curvature_integrals
-    (i1, i2), _ = node_integrals(
+    i1, i2 = grid_integrals(
         np.stack([tau * np.sin(th), tau * np.cos(th)]), trace.s)
     u1 = np.cos(theta) * (c1 - i1) + np.sin(theta) * (c2 + i2)
     u2 = -np.sin(theta) * (c1 - i1) + np.cos(theta) * (c2 + i2)
@@ -266,7 +264,7 @@ def psn_type1_axis(trace: CurveTrace) -> AxisCandidate:
     grid_derivative; its 5-point stencils are exact on the quadratic
     ratios of this family. g(N, U) = 1 and g(B1, U) = 0, so the same
     vector certifies k = 2 with a vanishing pairing constant, relabeled
-    with replace(axis, k=2).
+    with axis._replace(k=2).
     """
     q = trace.sigma / trace.tau
     qp = grid_derivative(q, trace.h)
@@ -400,22 +398,32 @@ def _require_kind(smp: Samples, kind: FrameKind) -> None:
 # ---------------------------------------------------------------------------
 # report and pipeline
 
-@dataclass
 class ClassificationReport:
-    label: str
-    kind: FrameKind
-    verdicts: dict                    # k -> Verdict, after closure
-    raw_verdicts: dict                # k -> Verdict, before closure
-    condition_residuals: dict         # k -> float | None
-    constants: dict                   # name -> FittedConstant
-    axes: list                        # (AxisCandidate, AxisValidation) pairs
-    oracle: dict                      # k -> OracleResult
-    agreement: dict                   # k -> bool
-    closure_notes: list
-    flags: list
-    max_gram_residual: float
-    trivial_axis: Optional[dict] = None
-    pseudohyperbolic: Optional[dict] = None
+    __slots__ = ("label", "kind", "verdicts", "raw_verdicts",
+                 "condition_residuals", "constants", "axes", "oracle",
+                 "agreement", "closure_notes", "flags", "max_gram_residual",
+                 "trivial_axis", "pseudohyperbolic")
+
+    def __init__(self, label: str, kind: FrameKind, verdicts: dict,
+                 raw_verdicts: dict, condition_residuals: dict,
+                 constants: dict, axes: list, oracle: dict, agreement: dict,
+                 closure_notes: list, flags: list, max_gram_residual: float,
+                 trivial_axis: Optional[dict] = None,
+                 pseudohyperbolic: Optional[dict] = None):
+        self.label = label
+        self.kind = kind
+        self.verdicts = verdicts            # k -> Verdict, after closure
+        self.raw_verdicts = raw_verdicts    # k -> Verdict, before closure
+        self.condition_residuals = condition_residuals  # k -> float | None
+        self.constants = constants          # name -> FittedConstant
+        self.axes = axes                    # (AxisCandidate, AxisValidation)
+        self.oracle = oracle                # k -> OracleResult
+        self.agreement = agreement          # k -> bool
+        self.closure_notes = closure_notes
+        self.flags = flags
+        self.max_gram_residual = max_gram_residual
+        self.trivial_axis = trivial_axis
+        self.pseudohyperbolic = pseudohyperbolic
 
     def to_json_dict(self) -> dict:
         return {
@@ -528,16 +536,17 @@ def implication_closure(raw: dict, implications) -> tuple[dict, list, list]:
 # ---------------------------------------------------------------------------
 # family tables
 
-@dataclass
 class _Classification:
     """One classification's inputs and the checks its rows have decided."""
 
-    smp: Samples
-    trace: CurveTrace
-    oracle: dict
-    tol: Tolerances
-    checks: dict = field(default_factory=dict)   # k -> CheckResult
-    flags: list = field(default_factory=list)
+    def __init__(self, smp: Samples, trace: CurveTrace, oracle: dict,
+                 tol: Tolerances):
+        self.smp = smp
+        self.trace = trace
+        self.oracle = oracle
+        self.tol = tol
+        self.checks = {}   # k -> CheckResult
+        self.flags = []
 
     @cached_property
     def ratio_axes(self) -> list:  # built once, for every row relabeling it
@@ -559,7 +568,7 @@ def _pn_universal(c) -> None:
 def _pn_affine_axes(c, r1) -> list:
     """A degenerate (constant-ratio) fit relabels the constant-ratio axis."""
     if r1.extras["degenerate"]:
-        return [(replace(c.ratio_axes[0], k=1), "degenerate affine")]
+        return [(c.ratio_axes[0]._replace(k=1), "degenerate affine")]
     return [(pn_type1_axis(c.trace, r1.constants["C"].value,
                            r1.constants["c0"].value), "affine")]
 
@@ -601,7 +610,7 @@ FAMILIES = {
          lambda c, _: [(cand, "constant-ratio") for cand in c.ratio_axes]),
         # 3-type coincides with 0-type for partially null curves
         (3, lambda c: c.checks[0],
-         lambda c, _: [(replace(c.ratio_axes[0], k=3), "constant-ratio")]),
+         lambda c, _: [(c.ratio_axes[0]._replace(k=3), "constant-ratio")]),
         (1, lambda c: pn_type1_check(c.smp, c.tol), _pn_affine_axes),
     ), PN_IMPLICATIONS, _pn_report),
     FrameKind.PSEUDO_NULL: Family((
@@ -610,7 +619,7 @@ FAMILIES = {
         (2, lambda c: psn_type2_check(c.smp, c.checks[1], c.tol),
          lambda c, r: [(psn_type2_axis(c.trace, r.constants["c_int"].value)
                         if r.extras["branch"] == "torsion-integral"
-                        else replace(c.quadratic_axis, k=2), "2-type")]),
+                        else c.quadratic_axis._replace(k=2), "2-type")]),
         # no pseudo null curve is 0-type: the oracle's sigma_min is the
         # residual, and an oracle Yes shows as the k0 disagreement
         (0, lambda c: CheckResult(Verdict.NO, c.oracle[0].sigma_min),

@@ -18,7 +18,6 @@ canonical form that re-parses to an identical tree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +41,27 @@ _LVL_ADD, _LVL_MUL, _LVL_NEG, _LVL_POW, _LVL_ATOM = 1, 2, 3, 4, 5
 
 
 class Expr:
-    """Base class; subclasses are immutable dataclass nodes."""
+    """Base class of the parse-tree nodes. A node is never changed once
+    built; its fields are its __slots__, which equality, hashing and repr
+    read, so two parses of one text compare equal."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash((type(self), self._fields()))
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}"
+                         for name in self.__slots__)
+        return f"{type(self).__name__}({args})"
 
     def _eval(self, s):
         raise NotImplementedError
@@ -73,9 +92,11 @@ class Expr:
         return self.to_text()
 
 
-@dataclass(frozen=True)
 class Num(Expr):
-    value: float
+    __slots__ = ("value",)
+
+    def __init__(self, value: float):
+        self.value = value
 
     def _eval(self, s):
         return self.value
@@ -85,8 +106,9 @@ class Num(Expr):
         return str(int(v)) if v.is_integer() and abs(v) < 1e16 else repr(v)
 
 
-@dataclass(frozen=True)
 class Var(Expr):
+    __slots__ = ()
+
     def _eval(self, s):
         return s
 
@@ -94,9 +116,11 @@ class Var(Expr):
         return "s"
 
 
-@dataclass(frozen=True)
 class Const(Expr):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
     def _eval(self, s):
         return CONSTANTS[self.name]
@@ -105,9 +129,11 @@ class Const(Expr):
         return self.name
 
 
-@dataclass(frozen=True)
 class Neg(Expr):
-    operand: Expr
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: Expr):
+        self.operand = operand
 
     def _eval(self, s):
         return -self.operand._eval(s)
@@ -118,11 +144,13 @@ class Neg(Expr):
         return f"({text})" if level > _LVL_NEG else text
 
 
-@dataclass(frozen=True)
 class BinOp(Expr):
-    op: str  # one of + - * / ^
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr):
+        self.op = op  # one of + - * / ^
+        self.left = left
+        self.right = right
 
     def _eval(self, s):
         a = self.left._eval(s)
@@ -149,10 +177,12 @@ class BinOp(Expr):
         return f"({text})" if level > mine else text
 
 
-@dataclass(frozen=True)
 class Call(Expr):
-    func: str
-    arg: Expr
+    __slots__ = ("func", "arg")
+
+    def __init__(self, func: str, arg: Expr):
+        self.func = func
+        self.arg = arg
 
     def _eval(self, s):
         return FUNCTIONS[self.func](self.arg._eval(s))

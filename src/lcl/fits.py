@@ -7,8 +7,8 @@ results from these; this module imports neither of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
 from enum import Enum
+from typing import Optional
 
 import numpy as np
 
@@ -29,46 +29,61 @@ class Verdict(Enum):
 DAMPING = 1e-12
 
 
-@dataclass(frozen=True)
 class Tolerances:
     """Thresholds the CLI exposes; defaults match the acceptance suite.
 
-    Each must be finite and positive; anything else raises ConfigError,
-    since a zero, negative or NaN threshold turns every verdict No and an
-    infinite one every verdict Yes.
+    eps_cond is the relative residual for condition checks, eps_axis the
+    axis validation scale. Each must be finite and positive; anything else
+    raises ConfigError, since a zero, negative or NaN threshold turns every
+    verdict No and an infinite one every verdict Yes. Immutable once built.
     """
 
-    eps_cond: float = 1e-6          # relative residual for condition checks
-    eps_axis: float = 1e-6          # axis validation scale
+    __slots__ = ("eps_cond", "eps_axis")
 
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
+    def __init__(self, eps_cond: float = 1e-6, eps_axis: float = 1e-6):
+        for name, value in (("eps_cond", eps_cond), ("eps_axis", eps_axis)):
             if not (math.isfinite(value) and value > 0.0):
-                raise ConfigError(f"tolerance {f.name} must be finite and "
+                raise ConfigError(f"tolerance {name} must be finite and "
                                   f"positive, got {value!r}")
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Tolerances are immutable; cannot set {name}")
 
 
-@dataclass(frozen=True)
 class FittedConstant:
-    value: float
-    residual: float
+    """A fitted value and the residual of its fit; equal when both are."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", float(self.value))
-        object.__setattr__(self, "residual", float(self.residual))
+    __slots__ = ("value", "residual")
+
+    def __init__(self, value: float, residual: float):
+        self.value = float(value)
+        self.residual = float(residual)
+
+    def __eq__(self, other):
+        if type(other) is not FittedConstant:
+            return NotImplemented
+        return (self.value, self.residual) == (other.value, other.residual)
+
+    def __hash__(self):
+        return hash((self.value, self.residual))
 
     def to_json_dict(self) -> dict:
         return {"value": _jsonable(self.value), "residual": _jsonable(self.residual)}
 
 
-@dataclass
 class CheckResult:
-    verdict: Verdict
-    residual: float
-    constants: dict = field(default_factory=dict)
-    flags: list = field(default_factory=list)
-    extras: dict = field(default_factory=dict)
+    __slots__ = ("verdict", "residual", "constants", "flags", "extras")
+
+    def __init__(self, verdict: Verdict, residual: float,
+                 constants: Optional[dict] = None,
+                 flags: Optional[list] = None,
+                 extras: Optional[dict] = None):
+        self.verdict = verdict
+        self.residual = residual
+        self.constants = {} if constants is None else constants
+        self.flags = [] if flags is None else flags
+        self.extras = {} if extras is None else extras
 
 
 def _jsonable(x):

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -57,8 +56,7 @@ def h3_membership(trace: CurveTrace, center: np.ndarray,
     return float(np.max(np.abs(g_vals + radius * radius)) / (radius * radius))
 
 
-@dataclass
-class SphereFit:
+class SphereFit(NamedTuple):
     center: np.ndarray
     radius: float
     radius_sq: float
@@ -118,8 +116,7 @@ def closed_form_center(trace: CurveTrace,
     return mean, spread / (1.0 + float(np.linalg.norm(mean)))
 
 
-@dataclass(frozen=True)
-class TauForm:
+class TauForm(NamedTuple):
     """Exponential torsion lam e^{s/w} + mu e^{-s/w}, w = sqrt(-2c).
 
     Closed under two derivatives: the second derivative is tau / w^2

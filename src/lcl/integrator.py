@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .calculus import gauss_nodes, grid_derivative, node_integrals
+from .calculus import (gauss_nodes, grid_derivative, grid_integrals,
+                       node_integrals)
 from .errors import ConfigError, FrameError, IntegrationError
 from .frames import canonical_frame, frame_family, frenet_matrix, gram_residual
 from .minkowski import pairing
@@ -44,17 +44,21 @@ DEFAULT_STEP_FRACTION = 1e-3
 ABORT_FACTOR = 1e3
 
 
-@dataclass
 class CurveTrace(Samples):
     """Sampled curve: the profile's samples on the integration grid s,
     with positions and frames there. The curvatures are views of the
     half-step lattice the integration evaluated (s is its even points).
     """
 
-    positions: np.ndarray         # (n, 4)
-    frames: np.ndarray            # (n, 4, 4), rows T, N, B1, B2
-    gram_res: np.ndarray          # (n,) max abs Gram deviation per point
-    checks: Samples               # the check grid, from profile.validate()
+    def __init__(self, profile: CurvatureProfile, s: np.ndarray, h: float,
+                 kappa: np.ndarray, tau: np.ndarray, sigma: np.ndarray,
+                 positions: np.ndarray, frames: np.ndarray,
+                 gram_res: np.ndarray, checks: Samples):
+        super().__init__(profile, s, h, kappa, tau, sigma)
+        self.positions = positions    # (n, 4)
+        self.frames = frames          # (n, 4, 4), rows T, N, B1, B2
+        self.gram_res = gram_res      # (n,) max abs Gram deviation per point
+        self.checks = checks          # the check grid, from profile.validate()
 
     @property
     def n(self) -> int:
@@ -71,8 +75,9 @@ class CurveTrace(Samples):
         evaluation of kappa and tau at the nodes."""
         nodes = gauss_nodes(self.s)
         vals = np.stack([self.profile.kappa(nodes), self.profile.tau(nodes)])
-        on_grid, at_nodes = node_integrals(vals, self.s)
-        return on_grid, at_nodes[0], vals[1]
+        on_grid = grid_integrals(vals, self.s)
+        theta = node_integrals(vals[0], self.s, on_grid[0])
+        return on_grid, theta, vals[1]
 
 
 def _finite_array(value, what: str, shape: tuple, dims: str) -> np.ndarray:

@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -142,8 +141,7 @@ def _component_jsonable(c: Component):
     return c.to_jsonable() if isinstance(c, SampleTable) else str(c)
 
 
-@dataclass(frozen=True)
-class CurvatureProfile:
+class CurvatureProfile(NamedTuple):
     kind: FrameKind
     kappa: Component
     tau: Component
@@ -248,7 +246,6 @@ class CurvatureProfile:
                           label=label)
 
 
-@dataclass
 class Samples:
     """A profile's curvatures on a uniform grid s of step h.
 
@@ -256,12 +253,14 @@ class Samples:
     the profile again; only the quadratures call the profile itself.
     """
 
-    profile: CurvatureProfile
-    s: np.ndarray                 # (n,)
-    h: float
-    kappa: np.ndarray             # (n,)
-    tau: np.ndarray               # (n,)
-    sigma: np.ndarray             # (n,)
+    def __init__(self, profile: CurvatureProfile, s: np.ndarray, h: float,
+                 kappa: np.ndarray, tau: np.ndarray, sigma: np.ndarray):
+        self.profile = profile
+        self.s = s                    # (n,)
+        self.h = h
+        self.kappa = kappa            # (n,)
+        self.tau = tau                # (n,)
+        self.sigma = sigma            # (n,)
 
     @property
     def kind(self) -> FrameKind:
@@ -297,15 +296,24 @@ def require_family_rules(p: CurvatureProfile, kappa: np.ndarray,
     suffix = f" (profile {p.label!r})" if p.label else ""
     if p.kind is FrameKind.PARTIALLY_NULL:
         nonzero = (("kappa", kappa), ("tau", tau))
-    elif (dev := np.max(np.abs(kappa - 1.0))) <= _ZERO_TOL:
+    elif kappa.max() - 1.0 <= _ZERO_TOL and 1.0 - kappa.min() <= _ZERO_TOL:
         nonzero = (("tau", tau),)
     else:
-        raise ProfileError("pseudo null profile requires kappa = 1, "
-                           f"max deviation {dev:.3g}{suffix}")
+        raise ProfileError("pseudo null profile requires kappa = 1, max "
+                           f"deviation {np.max(np.abs(kappa - 1.0)):.3g}{suffix}")
     for name, values in nonzero:
-        size = np.abs(values)
-        if size.min() < _ZERO_TOL * (1.0 + size.max()):
+        # |values| has the extremes of values, or of -values when they are
+        # one-signed; only a zero, both signs or a NaN needs the copy
+        lo, hi = values.min(), values.max()
+        if lo > 0.0:
+            small, large = lo, hi
+        elif hi < 0.0:
+            small, large = -hi, -lo
+        else:
+            size = np.abs(values)
+            small, large = size.min(), size.max()
+        if small < _ZERO_TOL * (1.0 + large):
             raise ProfileError(f"{name} vanishes on the domain{suffix}")
         # no value is near 0, so both signs mean neighbours of opposite sign
-        if values.min() < 0.0 < values.max():
+        if lo < 0.0 < hi:
             raise ProfileError(f"{name} changes sign on the domain{suffix}")

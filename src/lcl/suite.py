@@ -10,7 +10,7 @@ fixed expectation; the numerical verdict is recorded but never failed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,8 +21,7 @@ from .profiles import CurvatureProfile, read_json_file
 DEFAULT_SEED = 20240817
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(NamedTuple):
     label: str
     profile: CurvatureProfile
     expected: dict  # k -> "Y" | "N" | "oracle"

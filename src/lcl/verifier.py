@@ -13,7 +13,6 @@ from __future__ import annotations
 import logging
 import time
 import traceback
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .classifier import (ClassificationReport, Tolerances, Verdict,
@@ -30,16 +29,24 @@ _FAIL_PREFIXES = ("closure-inconsistency:",
 _EXPECT_TO_VERDICT = {"Y": Verdict.YES, "N": Verdict.NO}
 
 
-@dataclass
 class FixtureResult:
-    label: str
-    kind: str
-    expected: dict
-    observed: dict = field(default_factory=dict)
-    failures: list = field(default_factory=list)
-    diagnostics: list = field(default_factory=list)
-    report: Optional[ClassificationReport] = None
-    error: Optional[str] = None
+    __slots__ = ("label", "kind", "expected", "observed", "failures",
+                 "diagnostics", "report", "error")
+
+    def __init__(self, label: str, kind: str, expected: dict,
+                 observed: Optional[dict] = None,
+                 failures: Optional[list] = None,
+                 diagnostics: Optional[list] = None,
+                 report: Optional[ClassificationReport] = None,
+                 error: Optional[str] = None):
+        self.label = label
+        self.kind = kind
+        self.expected = expected
+        self.observed = {} if observed is None else observed
+        self.failures = [] if failures is None else failures
+        self.diagnostics = [] if diagnostics is None else diagnostics
+        self.report = report
+        self.error = error
 
     @property
     def passed(self) -> bool:
@@ -60,10 +67,13 @@ class FixtureResult:
         }
 
 
-@dataclass
 class SuiteSummary:
-    results: list
-    runtime: float  # seconds; excluded from JSON to keep output reproducible
+    __slots__ = ("results", "runtime")
+
+    def __init__(self, results: list, runtime: float):
+        self.results = results
+        # seconds; excluded from JSON to keep output reproducible
+        self.runtime = runtime
 
     @property
     def n_pass(self) -> int:

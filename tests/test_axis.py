@@ -1,9 +1,11 @@
 """Axis assembly from frame coefficients and constancy validation."""
 
+import inspect
+
 import numpy as np
 import pytest
 
-from lcl import (AxisCandidate, CurvatureProfile, assemble_axis,
+from lcl import (AxisCandidate, CurvatureProfile, Tolerances, assemble_axis,
                  integrate_frame, pairing, validate_axis)
 
 # A probe candidate repeats one fixed ambient vector on the trace grid; it
@@ -106,3 +108,8 @@ def test_ambient_axis_pairing_against_named_row(quad_psn_trace):
                          np.tile(quad_psn_trace.frames[0][3], (n, 1)))
     g0 = pairing(quad_psn_trace.frames[0][1], cand.U[0])
     assert g0 == pytest.approx(1.0, abs=1e-12)
+
+
+def test_validate_axis_defaults_to_the_tolerances_eps_axis():
+    default = inspect.signature(validate_axis).parameters["eps_axis"].default
+    assert default == Tolerances().eps_axis == 1e-6

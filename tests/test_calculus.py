@@ -8,7 +8,8 @@ import pytest
 
 from lcl import cumulative_integral, grid_derivative, run_theorem_suite
 from lcl.calculus import (_GL_ANTIDERIVATIVE, _GL_NODES, _GL_WEIGHTS,
-                          _stencil_weights, gauss_nodes, node_integrals)
+                          _stencil_weights, gauss_nodes, grid_integrals,
+                          node_integrals)
 
 
 def test_cumulative_integral_endpoint_and_monotone_grid():
@@ -39,7 +40,8 @@ def test_stacked_integrands_integrate_like_separate_ones():
 def test_node_integrals_match_the_integral_on_the_grid_and_at_the_nodes():
     grid = np.linspace(0.0, 2.0, 101)
     nodes = gauss_nodes(grid)
-    values, at_nodes = node_integrals(np.exp(nodes), grid)
+    values = grid_integrals(np.exp(nodes), grid)
+    at_nodes = node_integrals(np.exp(nodes), grid, values)
     assert values[-1] == pytest.approx(np.exp(2.0) - 1.0, abs=1e-12)
     assert np.max(np.abs(values - (np.exp(grid) - 1.0))) <= 1e-9
     assert np.max(np.abs(at_nodes - (np.exp(nodes) - 1.0))) <= 1e-9
@@ -52,11 +54,13 @@ def test_node_integrals_are_exact_for_a_quartic_and_match_nested_gauss():
     nodes = gauss_nodes(grid)
     quartic = lambda s: 2.0 + s + 3.0 * s**2 + 0.5 * s**3 + s**4
     prim = lambda s: 2.0 * s + s**2 / 2 + s**3 + s**4 / 8 + s**5 / 5
-    _, at_nodes = node_integrals(quartic(nodes), grid)
+    at_nodes = node_integrals(quartic(nodes), grid,
+                              grid_integrals(quartic(nodes), grid))
     assert np.max(np.abs(at_nodes / prim(nodes) - 1.0)) <= 1e-14
     # nested reference: a 5-point Gauss segment from the cell's left end
     kappa = lambda s: 2.0 + np.sin(s)
-    values, at_nodes = node_integrals(kappa(nodes), grid)
+    values = grid_integrals(kappa(nodes), grid)
+    at_nodes = node_integrals(kappa(nodes), grid, values)
     a = np.broadcast_to(grid[:-1], nodes.shape)
     mid, half = 0.5 * (a + nodes), 0.5 * (nodes - a)
     seg = half * np.tensordot(
@@ -68,8 +72,8 @@ def test_node_integrals_are_exact_for_a_quartic_and_match_nested_gauss():
 def test_cumulative_integral_is_node_integrals_of_the_node_values():
     grid = np.linspace(0.0, 2.0, 1001)
     got = cumulative_integral(np.sin, grid)
-    assert np.array_equal(got, node_integrals(np.sin(gauss_nodes(grid)),
-                                              grid)[0])
+    assert np.array_equal(got, grid_integrals(np.sin(gauss_nodes(grid)),
+                                              grid))
 
 
 def test_grid_derivative_first_and_second_order():
@@ -161,10 +165,12 @@ def test_antiderivative_literal_integrates_the_lagrange_basis():
     assert np.max(np.abs(_GL_ANTIDERIVATIVE - ref)) <= 1e-15
 
 
-def test_importing_the_cli_leaves_numpy_polynomial_unloaded():
+@pytest.mark.parametrize("module", ["numpy.polynomial", "dataclasses"])
+def test_importing_the_cli_does_not_load(module):
+    # numpy imports neither, so each would be lcl's own import cost
     script = ("import sys, lcl.cli; "
               "print(sorted(m for m in sys.modules "
-              "if m.startswith('numpy.polynomial')))")
+              f"if m == {module!r} or m.startswith({module + '.'!r})))")
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -1,7 +1,5 @@
 """Pseudo null slant conditions, axes, and the two-route 2-type verdict."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -66,7 +64,7 @@ def test_1_type_axis_has_unit_normal_pairing(quad_psn_profile,
 
 def test_1_type_axis_relabels_for_the_binormal_claim(quad_psn_profile,
                                                      quad_psn_trace):
-    cand = replace(psn_type1_axis(quad_psn_trace), k=2)
+    cand = psn_type1_axis(quad_psn_trace)._replace(k=2)
     assert cand.k == 2
     val = validate_axis(quad_psn_trace, cand)
     assert val.passed

@@ -109,3 +109,13 @@ def test_whitespace_is_insignificant():
     a = parse_expression("1+2 * s")
     b = parse_expression(" 1 + 2*s ")
     assert a(3.0) == b(3.0) == 7.0
+
+
+@pytest.mark.parametrize("src", ["-s^2/2 + 0.3*s + 0.1", "2^3^2",
+                                 "sin(pi*s) - exp(-s)/e", "(1 + s)^-2"])
+def test_to_text_reparses_to_an_equal_tree(src):
+    f = parse_expression(src)
+    g = parse_expression(f.to_text())
+    assert g == f and hash(g) == hash(f)
+    assert repr(g) == repr(f)
+    assert parse_expression("s + 1") != parse_expression("1 + s")

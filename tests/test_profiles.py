@@ -1,13 +1,14 @@
 """Curvature profile construction, validation, and JSON round-trips."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lcl import CurvatureProfile, FrameKind, load_profile, save_profile
 from lcl.errors import ProfileError
-from lcl.profiles import SampleTable
+from lcl.profiles import SampleTable, require_family_rules
 
 
 def test_create_partially_null_defaults_sigma_to_zero():
@@ -202,3 +203,20 @@ def test_profile_with_sampled_component():
     q = CurvatureProfile.from_json_dict(p.to_json_dict())
     k2 = q.kappa(0.5)
     assert k2 == pytest.approx(k, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind, kappa", [("partially_null", "2 + s"),
+                                         ("pseudo_null", "1")])
+def test_family_rules_copy_no_one_signed_array(kind, kappa):
+    # min and max decide; |values| is formed only on the error path
+    p = CurvatureProfile.create(kind, kappa=kappa, tau="-1 - s",
+                                sigma="s", domain=(0.0, 1.0))
+    k, t, _ = p.evaluate_arrays(np.linspace(0.0, 1.0, 10_001))
+    k, t = np.array(k), np.array(t)
+    tracemalloc.start()
+    try:
+        require_family_rules(p, k, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < k.nbytes

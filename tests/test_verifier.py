@@ -1,6 +1,5 @@
 """Fixture suite construction and the verifier harness."""
 
-import dataclasses
 import json
 
 import numpy as np
@@ -188,7 +187,7 @@ def test_a_classification_evaluates_each_grid_once(kind, budget):
     for fx in fixtures:
         names = ("kappa", "tau", "sigma")
         counted = {n: _Counting(getattr(fx.profile, n)) for n in names}
-        p = dataclasses.replace(fx.profile, **counted)
+        p = fx.profile._replace(**counted)
         classify_profile(p)
         calls = [a for c in counted.values() for a in c.calls]
         assert sum(a.size for a in calls) <= budget, fx.label
