@@ -559,8 +559,10 @@ class _Classification:
 
 def _pn_universal(c) -> None:
     """k = 2 is left to the universal axis. The pn conditions assume sigma
-    = 0, so this first pn row checks it before any axis is built."""
-    if np.max(np.abs(c.smp.sigma)) > 1e-12:
+    = 0, so this first pn row checks it, on the check grid and on the
+    integration's half-step lattice, before any axis is built."""
+    if any(np.max(np.abs(x)) > 1e-12
+           for x in (c.smp.sigma, c.trace.lattice_sigma)):
         raise ProfileError("classification requires sigma = 0 for "
                            "partially null profiles")
 

@@ -22,11 +22,10 @@ from typing import Optional
 
 from .classifier import Tolerances, classify_profile, oracle_detect
 from .errors import ConfigError, LclError
-from .frames import FrameKind
-from .hyperbolic import make_h3_type2_profile
+from .frames import frame_family
 from .integrator import integrate_frame, write_trace_csv
-from .profiles import CurvatureProfile, load_profile, read_json_file
-from .suite import DEFAULT_SEED, load_suite
+from .profiles import load_profile, read_json_file
+from .suite import DEFAULT_SEED, GENERATORS, generate, load_suite
 from .verifier import render_table, run_theorem_suite
 
 log = logging.getLogger("lcl.cli")
@@ -266,46 +265,6 @@ def cmd_oracle(args) -> int:
 # ---------------------------------------------------------------------------
 # sweep
 
-# family -> (required parameter names, optional ones)
-_SWEEP_FAMILIES = {"pn-constant": (("kappa", "tau"), ()),
-                   "pn-affine": (("kappa", "C", "c0"), ()),
-                   "psn-quadratic": (("a", "b"), ("tau",)),
-                   "h3-exponential": (("c", "lam", "mu"), ())}
-
-
-def _sweep_profile(family: str, params: dict, domain, sigma_extra) -> CurvatureProfile:
-    lo, hi = domain
-    if family == "pn-constant":
-        kappa = f"{params['kappa']!r}"
-        tau = f"{params['tau']!r}"
-        return CurvatureProfile.create(kind=FrameKind.PARTIALLY_NULL,
-                                       kappa=kappa, tau=tau,
-                                       domain=(lo, hi))
-    if family == "pn-affine":
-        k = params["kappa"]
-        tau = (f"{k!r}*{params['C']!r}*({params['c0']!r} "
-               f"+ {k!r}*(s - {lo!r}))")
-        return CurvatureProfile.create(kind=FrameKind.PARTIALLY_NULL,
-                                       kappa=f"{k!r}", tau=tau,
-                                       domain=(lo, hi))
-    if family == "psn-quadratic":
-        tau = str(params.get("tau", "1"))
-        sigma = f"({tau})*(-s^2/2 + {params['a']!r}*s + {params['b']!r})"
-        if sigma_extra:
-            sigma = f"({sigma}) + {sigma_extra}"
-        return CurvatureProfile.create(kind=FrameKind.PSEUDO_NULL, tau=tau,
-                                       sigma=sigma, domain=(lo, hi))
-    # h3-exponential, the last family cmd_sweep accepts
-    p = make_h3_type2_profile(params["c"], params["lam"], params["mu"],
-                              (lo, hi))
-    if not sigma_extra:
-        return p
-    base = p.to_json_dict()
-    return CurvatureProfile.create(kind=FrameKind.PSEUDO_NULL, tau=base["tau"],
-                                   sigma=f"({base['sigma']}) + {sigma_extra}",
-                                   domain=(lo, hi))
-
-
 def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.17g}"
@@ -319,8 +278,8 @@ def cmd_sweep(args) -> int:
     if not isinstance(spec, dict):
         raise ConfigError("sweep spec must be a JSON object")
     family = spec.get("family")
-    if not isinstance(family, str) or family not in _SWEEP_FAMILIES:
-        raise ConfigError(f"sweep spec needs a family in {list(_SWEEP_FAMILIES)}")
+    if not isinstance(family, str) or family not in GENERATORS:
+        raise ConfigError(f"sweep spec needs a family in {list(GENERATORS)}")
     domain = spec.get("domain")
     try:
         lo, hi = (float(x) for x in domain)
@@ -333,7 +292,8 @@ def cmd_sweep(args) -> int:
     raw_params = spec.get("parameters")
     if not isinstance(raw_params, dict) or not raw_params:
         raise ConfigError("sweep spec needs a non-empty parameters object")
-    required, optional = _SWEEP_FAMILIES[family]
+    gen = GENERATORS[family]
+    required, optional = gen.required, tuple(gen.optional)
     if not set(required) <= set(raw_params) <= set(required + optional):
         raise ConfigError(
             f"sweep family {family!r} takes parameters {list(required)}"
@@ -349,7 +309,7 @@ def cmd_sweep(args) -> int:
     pert = spec.get("sigma_perturbation")
     scales = [None]
     if pert is not None:
-        if family.startswith("pn"):
+        if frame_family(gen.kind).gauge[0] == "sigma":
             raise ConfigError("sigma perturbations only apply to pseudo "
                               "null families")
         if not isinstance(pert, dict) or "expr" not in pert:
@@ -377,7 +337,8 @@ def cmd_sweep(args) -> int:
                 scale_out = scale
             row = [family] + [_fmt(v) for v in combo] + [_fmt(scale_out)]
             try:
-                profile = _sweep_profile(family, params, (lo, hi), extra)
+                profile = generate(family, params, (lo, hi),
+                                   sigma_extra=extra).profile
                 report = classify_profile(profile, h=args.h, tol=tol)
             except Exception as exc:
                 row += [f"error: {exc}"] + [""] * (len(header) - len(row) - 1)

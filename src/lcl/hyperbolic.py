@@ -145,16 +145,21 @@ class TauForm(NamedTuple):
         return tau, f"{self.c!r}*({tau})"
 
 
-def make_h3_type2_profile(c: float, lam: float, mu: float,
-                          domain: tuple[float, float],
-                          label: str = "") -> CurvatureProfile:
-    """Pseudo null profile whose curve is a 2-type pseudohyperbolic member."""
+def h3_type2_form(c: float, lam: float, mu: float) -> TauForm:
+    """The torsion of a 2-type pseudohyperbolic member; ProfileError
+    unless c < 0 and lam, mu do not both vanish."""
     if c >= 0.0:
         raise ProfileError("the ratio constant c must be negative")
     if lam == 0.0 and mu == 0.0:
         raise ProfileError("lam and mu cannot both vanish")
-    form = TauForm(c, lam, mu)
-    tau, sigma = form.to_expressions()
+    return TauForm(c, lam, mu)
+
+
+def make_h3_type2_profile(c: float, lam: float, mu: float,
+                          domain: tuple[float, float],
+                          label: str = "") -> CurvatureProfile:
+    """Pseudo null profile whose curve is a 2-type pseudohyperbolic member."""
+    tau, sigma = h3_type2_form(c, lam, mu).to_expressions()
     return CurvatureProfile.create(kind=FrameKind.PSEUDO_NULL, tau=tau,
                                    sigma=sigma, domain=domain,
                                    label=label or f"h3-type2(c={c:g})")

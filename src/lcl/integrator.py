@@ -47,18 +47,21 @@ ABORT_FACTOR = 1e3
 class CurveTrace(Samples):
     """Sampled curve: the profile's samples on the integration grid s,
     with positions and frames there. The curvatures are views of the
-    half-step lattice the integration evaluated (s is its even points).
+    half-step lattice the integration evaluated (s is its even points);
+    lattice_sigma is sigma on all of it.
     """
 
     def __init__(self, profile: CurvatureProfile, s: np.ndarray, h: float,
                  kappa: np.ndarray, tau: np.ndarray, sigma: np.ndarray,
                  positions: np.ndarray, frames: np.ndarray,
-                 gram_res: np.ndarray, checks: Samples):
+                 gram_res: np.ndarray, checks: Samples,
+                 lattice_sigma: np.ndarray):
         super().__init__(profile, s, h, kappa, tau, sigma)
         self.positions = positions    # (n, 4)
         self.frames = frames          # (n, 4, 4), rows T, N, B1, B2
         self.gram_res = gram_res      # (n,) max abs Gram deviation per point
         self.checks = checks          # the check grid, from profile.validate()
+        self.lattice_sigma = lattice_sigma  # (2n - 1,)
 
     @property
     def n(self) -> int:
@@ -178,7 +181,8 @@ def integrate_frame(profile: CurvatureProfile,
               float(np.max(gram_res)))
     return CurveTrace(profile=profile, s=s, h=h, kappa=kappa[::2],
                       tau=tau[::2], sigma=sigma[::2], positions=positions,
-                      frames=frames, gram_res=gram_res, checks=checks)
+                      frames=frames, gram_res=gram_res, checks=checks,
+                      lattice_sigma=sigma)
 
 
 def _rk4_increments(mats: np.ndarray, h: float

@@ -1,5 +1,10 @@
 """Deterministic fixture families for the regression suite.
 
+GENERATORS is the one home of the theorem families: each row turns free
+parameters into curvature expressions whose members all share a known
+verdict vector, and generate() builds a fixture from a row. The bundled
+suite and `lcl sweep` both build their profiles through it.
+
 Fifty profiles with known classifications, generated from a seeded RNG
 with constants rounded to four decimals before being embedded in the
 expression strings, so a given seed always produces byte-identical
@@ -9,13 +14,12 @@ fixed expectation; the numerical verdict is recorded but never failed).
 
 from __future__ import annotations
 
-import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .frames import FrameKind
-from .hyperbolic import make_h3_type2_profile
+from .hyperbolic import h3_type2_form
 from .profiles import CurvatureProfile, read_json_file
 
 DEFAULT_SEED = 20240817
@@ -27,23 +31,6 @@ class Fixture(NamedTuple):
     expected: dict  # k -> "Y" | "N" | "oracle"
 
 
-def _r(x: float) -> float:
-    return round(float(x), 4)
-
-
-def _pn(label, kappa, tau, s_min, s_max, expected) -> Fixture:
-    p = CurvatureProfile.create(kind=FrameKind.PARTIALLY_NULL, kappa=kappa,
-                                tau=tau, domain=(s_min, s_max), label=label)
-    return Fixture(label, p, expected)
-
-
-def _psn(label, tau, sigma, s_min, s_max, expected) -> Fixture:
-    p = CurvatureProfile.create(kind=FrameKind.PSEUDO_NULL, tau=tau,
-                                sigma=sigma, domain=(s_min, s_max),
-                                label=label)
-    return Fixture(label, p, expected)
-
-
 ALL_YES = {0: "Y", 1: "Y", 2: "Y", 3: "Y"}
 AFFINE_ONLY = {0: "N", 1: "Y", 2: "Y", 3: "N"}
 GENERIC_PN = {0: "N", 1: "N", 2: "Y", 3: "N"}
@@ -52,125 +39,149 @@ EXPONENTIAL_PSN = {0: "N", 1: "N", 2: "Y", 3: "oracle"}
 GENERIC_PSN = {0: "N", 1: "N", 2: "N", 3: "oracle"}
 
 
-def _pn_constant_pairs(rng) -> list[Fixture]:
+class Generator(NamedTuple):
+    """A theorem family: curvatures(params, s_min) gives the expression
+    of each curvature component for one member."""
+
+    kind: FrameKind
+    required: tuple     # parameter names
+    optional: dict      # parameter name -> default
+    expected: dict      # k -> "Y" | "N" | "oracle", for every member
+    curvatures: Callable
+
+
+def _pn_ratio(p, s_min) -> dict:
+    kappa = f"{p['a']!r} + {p['b']!r}*s^2"
+    return {"kappa": kappa, "tau": f"{p['ratio']!r}*({kappa})"}
+
+
+def _psn_quadratic(p, s_min) -> dict:
+    tau = str(p["tau"])
+    return {"tau": tau,
+            "sigma": f"({tau})*(-s^2/2 + {p['a']!r}*s + {p['b']!r})"}
+
+
+def _h3_exponential(p, s_min) -> dict:
+    tau, sigma = h3_type2_form(p["c"], p["lam"], p["mu"]).to_expressions()
+    return {"tau": tau, "sigma": sigma}
+
+
+GENERATORS = {
+    # tau/kappa constant: kappa and tau constant, or kappa = a + b s^2
+    "pn-constant": Generator(
+        FrameKind.PARTIALLY_NULL, ("kappa", "tau"), {}, ALL_YES,
+        lambda p, s_min: {"kappa": f"{p['kappa']!r}",
+                          "tau": f"{p['tau']!r}"}),
+    "pn-ratio": Generator(
+        FrameKind.PARTIALLY_NULL, ("a", "b", "ratio"), {}, ALL_YES,
+        _pn_ratio),
+    # tau/kappa = C (c0 + K), K the integral of kappa from s_min
+    "pn-affine": Generator(
+        FrameKind.PARTIALLY_NULL, ("kappa", "C", "c0"), {}, AFFINE_ONLY,
+        lambda p, s_min: {"kappa": f"{p['kappa']!r}",
+                          "tau": f"{p['kappa']!r}*{p['C']!r}*({p['c0']!r} "
+                                 f"+ {p['kappa']!r}*(s - {s_min!r}))"}),
+    # kappa = 1 + s^2, K = s + s^3/3 up to a constant c0 absorbs
+    "pn-affine-poly": Generator(
+        FrameKind.PARTIALLY_NULL, ("C", "c0"), {}, AFFINE_ONLY,
+        lambda p, s_min: {"kappa": "1 + s^2",
+                          "tau": f"(1 + s^2)*{p['C']!r}*({p['c0']!r} "
+                                 "+ s + s^3/3)"}),
+    # sigma/tau = -s^2/2 + a s + b
+    "psn-quadratic": Generator(
+        FrameKind.PSEUDO_NULL, ("a", "b"), {"tau": "1"}, QUADRATIC_PSN,
+        _psn_quadratic),
+    # sigma = c tau, tau = lam e^{s/w} + mu e^{-s/w}, w = sqrt(-2c)
+    "h3-exponential": Generator(
+        FrameKind.PSEUDO_NULL, ("c", "lam", "mu"), {}, EXPONENTIAL_PSN,
+        _h3_exponential),
+}
+
+
+def generate(name: str, params: dict, domain, label: str = "",
+             sigma_extra: str | None = None) -> Fixture:
+    """The member of GENERATORS[name] at params on domain, with
+    `sigma_extra` added to sigma (families whose gauge leaves sigma free)."""
+    gen = GENERATORS[name]
+    curvatures = gen.curvatures(dict(gen.optional, **params), domain[0])
+    if sigma_extra:
+        curvatures["sigma"] = f"({curvatures['sigma']}) + {sigma_extra}"
+    profile = CurvatureProfile.create(kind=gen.kind, domain=domain,
+                                      label=label, **curvatures)
+    return Fixture(label, profile, gen.expected)
+
+
+# fixed members of no family: (kappa, tau) with a drawn length, and
+# (tau, sigma) with their domains
+_PN_GENERIC = (("1", "exp(s)"), ("1 + s", "1"), ("2 + sin(s)", "1"),
+               ("exp(-s)", "1"), ("1 + s^2", "2 + s"))
+_PSN_GENERIC = (
+    ("1", "exp(s)", 0.0, 2.0),
+    ("2", "2*(s + 3)", 0.0, 2.0),
+    ("1 + s^2", "0.7*(1 + s^2)", 0.0, 2.0),
+    ("1", "2/(1 + s)", 0.0, 2.0),
+    ("exp(s)", "exp(s)*(s + 1)", 0.0, 1.5),
+    ("1", "-3", 0.0, 2.0),
+    ("2 + sin(s)", "(2 + sin(s))*exp(-s)", 0.0, 2.0),
+    ("1", "s^2 + 1", 0.0, 2.0),
+    ("1/(1 + s)", "3/(1 + s)", 0.0, 2.0),
+)
+_PSN_QUADRATIC_TAUS = ("1", "2", "exp(s)", "1 + s^2", "2 + sin(s)",
+                       "1/(1 + s)", "exp(-s/2)", "1.5")
+
+
+def _fixed(prefix, kind, names, members, expected) -> list[Fixture]:
+    """Fixtures from (component values..., s_min, s_max) members."""
     out = []
-    for i in range(5):
-        kappa = _r(rng.uniform(0.5, 2.5))
-        tau = _r(rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 2.0))
-        length = _r(rng.uniform(1.0, 2.5))
-        out.append(_pn(f"pn-const-{i}", f"{kappa}", f"{tau}", 0.0, length,
-                       ALL_YES))
+    for i, (*values, lo, hi) in enumerate(members):
+        label = f"{prefix}-{i}"
+        out.append(Fixture(label, CurvatureProfile.create(
+            kind=kind, domain=(lo, hi), label=label,
+            **dict(zip(names, values))), expected))
     return out
-
-
-def _pn_constant_ratio(rng) -> list[Fixture]:
-    out = []
-    for i in range(5):
-        a = _r(rng.uniform(0.5, 1.5))
-        b = _r(rng.uniform(0.2, 1.0))
-        ratio = _r(rng.choice([-1.0, 1.0]) * rng.uniform(0.4, 2.0))
-        kappa = f"{a} + {b}*s^2"
-        out.append(_pn(f"pn-ratio-{i}", kappa, f"{ratio}*({kappa})",
-                       0.0, 1.5, ALL_YES))
-    return out
-
-
-def _pn_affine_constant_kappa(rng) -> list[Fixture]:
-    # tau/kappa = C (c0 + K) with K = kappa * s on [0, L]
-    out = []
-    for i in range(5):
-        kappa = _r(rng.uniform(0.6, 2.0))
-        c_lin = _r(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0))
-        c0 = _r(rng.uniform(0.1, 0.6))
-        length = _r(rng.uniform(0.8, 1.6))
-        tau = f"{kappa}*{c_lin}*({c0} + {kappa}*s)"
-        out.append(_pn(f"pn-affine-k-{i}", f"{kappa}", tau, 0.0, length,
-                       AFFINE_ONLY))
-    return out
-
-
-def _pn_affine_poly_kappa(rng) -> list[Fixture]:
-    # kappa = 1 + s^2, K = s + s^3/3 on [0, L]
-    out = []
-    for i in range(5):
-        c_lin = _r(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0))
-        c0 = _r(rng.uniform(0.1, 0.6))
-        length = _r(rng.uniform(0.8, 1.4))
-        tau = f"(1 + s^2)*{c_lin}*({c0} + s + s^3/3)"
-        out.append(_pn(f"pn-affine-poly-{i}", "1 + s^2", tau, 0.0, length,
-                       AFFINE_ONLY))
-    return out
-
-
-def _pn_generic(rng) -> list[Fixture]:
-    shapes = [
-        ("1", "exp(s)"),
-        ("1 + s", "1"),
-        ("2 + sin(s)", "1"),
-        ("exp(-s)", "1"),
-        ("1 + s^2", "2 + s"),
-    ]
-    out = []
-    for i, (kappa, tau) in enumerate(shapes):
-        length = _r(rng.uniform(1.0, 2.0))
-        out.append(_pn(f"pn-generic-{i}", kappa, tau, 0.0, length,
-                       GENERIC_PN))
-    return out
-
-
-def _psn_quadratic(rng) -> list[Fixture]:
-    taus = ["1", "2", "exp(s)", "1 + s^2", "2 + sin(s)", "1/(1 + s)",
-            "exp(-s/2)", "1.5"]
-    out = []
-    for i, tau in enumerate(taus):
-        a = _r(rng.uniform(-0.5, 0.5))
-        b = _r(-0.2 - 2.0 * abs(a))
-        sigma = f"({tau})*(-s^2/2 + {a}*s + {b})"
-        out.append(_psn(f"psn-quad-{i}", tau, sigma, 0.0, 2.0,
-                        QUADRATIC_PSN))
-    return out
-
-
-def _psn_exponential(rng) -> list[Fixture]:
-    out = []
-    for i in range(8):
-        c = _r(rng.uniform(-2.5, -0.3))
-        lam = _r(rng.uniform(0.3, 2.0))
-        mu = _r(rng.uniform(0.0, 1.5))
-        p = make_h3_type2_profile(c, lam, mu, (0.0, 1.5),
-                                  label=f"psn-h3exp-{i}")
-        out.append(Fixture(p.label, p, EXPONENTIAL_PSN))
-    return out
-
-
-def _psn_generic(rng) -> list[Fixture]:
-    shapes = [
-        ("1", "exp(s)", 0.0, 2.0),
-        ("2", "2*(s + 3)", 0.0, 2.0),
-        ("1 + s^2", "0.7*(1 + s^2)", 0.0, 2.0),
-        ("1", "2/(1 + s)", 0.0, 2.0),
-        ("exp(s)", "exp(s)*(s + 1)", 0.0, 1.5),
-        ("1", "-3", 0.0, 2.0),
-        ("2 + sin(s)", "(2 + sin(s))*exp(-s)", 0.0, 2.0),
-        ("1", "s^2 + 1", 0.0, 2.0),
-        ("1/(1 + s)", "3/(1 + s)", 0.0, 2.0),
-    ]
-    return [_psn(f"psn-generic-{i}", tau, sigma, lo, hi, GENERIC_PSN)
-            for i, (tau, sigma, lo, hi) in enumerate(shapes)]
 
 
 def default_suite(seed: int = DEFAULT_SEED) -> list[Fixture]:
     """The fifty-profile regression suite for run_theorem_suite."""
     rng = np.random.default_rng(seed)
+
+    def draw(lo, hi):
+        return round(float(rng.uniform(lo, hi)), 4)
+
+    def signed(lo, hi):
+        return round(float(rng.choice([-1.0, 1.0]) * rng.uniform(lo, hi)), 4)
+
     fixtures = []
-    fixtures += _pn_constant_pairs(rng)
-    fixtures += _pn_constant_ratio(rng)
-    fixtures += _pn_affine_constant_kappa(rng)
-    fixtures += _pn_affine_poly_kappa(rng)
-    fixtures += _pn_generic(rng)
-    fixtures += _psn_quadratic(rng)
-    fixtures += _psn_exponential(rng)
-    fixtures += _psn_generic(rng)
+
+    def add(name, prefix, members):  # members: (params, domain) pairs
+        fixtures.extend(generate(name, params, domain, f"{prefix}-{i}")
+                        for i, (params, domain) in enumerate(members))
+
+    add("pn-constant", "pn-const",
+        [({"kappa": draw(0.5, 2.5), "tau": signed(0.3, 2.0)},
+          (0.0, draw(1.0, 2.5))) for _ in range(5)])
+    add("pn-ratio", "pn-ratio",
+        [({"a": draw(0.5, 1.5), "b": draw(0.2, 1.0),
+           "ratio": signed(0.4, 2.0)}, (0.0, 1.5)) for _ in range(5)])
+    add("pn-affine", "pn-affine-k",
+        [({"kappa": draw(0.6, 2.0), "C": signed(0.5, 2.0),
+           "c0": draw(0.1, 0.6)}, (0.0, draw(0.8, 1.6))) for _ in range(5)])
+    add("pn-affine-poly", "pn-affine-poly",
+        [({"C": signed(0.5, 2.0), "c0": draw(0.1, 0.6)},
+          (0.0, draw(0.8, 1.4))) for _ in range(5)])
+    fixtures += _fixed("pn-generic", FrameKind.PARTIALLY_NULL,
+                       ("kappa", "tau"),
+                       [shape + (0.0, draw(1.0, 2.0))
+                        for shape in _PN_GENERIC],
+                       GENERIC_PN)
+    add("psn-quadratic", "psn-quad",
+        [({"a": (a := draw(-0.5, 0.5)), "b": round(-0.2 - 2.0 * abs(a), 4),
+           "tau": tau}, (0.0, 2.0)) for tau in _PSN_QUADRATIC_TAUS])
+    add("h3-exponential", "psn-h3exp",
+        [({"c": draw(-2.5, -0.3), "lam": draw(0.3, 2.0),
+           "mu": draw(0.0, 1.5)}, (0.0, 1.5)) for _ in range(8)])
+    fixtures += _fixed("psn-generic", FrameKind.PSEUDO_NULL,
+                       ("tau", "sigma"), _PSN_GENERIC, GENERIC_PSN)
     assert len(fixtures) == 50
     return fixtures
 

@@ -11,6 +11,8 @@ import pytest
 from lcl import CurvatureProfile, classify_profile, cli, errors
 from lcl.cli import main
 from lcl.errors import LclError, ProfileError
+from lcl.frames import FrameKind
+from lcl.suite import GENERATORS
 
 CIRCLE = {"kind": "partially_null", "kappa": "1", "tau": "1",
           "domain": [0.0, 6.283185307179586], "label": "circle"}
@@ -467,6 +469,70 @@ def test_sweep_rejects_perturbation_for_partially_null(tmp_path, capsys):
     spec_path.write_text(json.dumps(spec))
     rc = main(["sweep", str(spec_path), "-o", str(tmp_path / "x.csv")])
     assert rc == 2
+
+
+# one parameter point per GENERATORS row
+_ROW_POINTS = {"pn-constant": {"kappa": [1.2], "tau": [-0.7]},
+               "pn-ratio": {"a": [0.8], "b": [0.5], "ratio": [1.3]},
+               "pn-affine": {"kappa": [1.1], "C": [0.9], "c0": [0.3]},
+               "pn-affine-poly": {"C": [-1.2], "c0": [0.4]},
+               "psn-quadratic": {"a": [0.2], "b": [-0.9], "tau": ["exp(s)"]},
+               "h3-exponential": {"c": [-1.5], "lam": [1.0], "mu": [0.5]}}
+
+
+@pytest.mark.parametrize("family", sorted(GENERATORS))
+def test_sweep_builds_every_generator_row(family, tmp_path):
+    # s_min != 0, so pn-affine's K is anchored away from the origin
+    spec = {"family": family, "domain": [0.3, 1.5],
+            "parameters": _ROW_POINTS[family]}
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps(spec))
+    out = tmp_path / "grid.csv"
+    assert main(["sweep", str(spec_path), "-o", str(out)]) == 0
+    header, row = (line.split(",") for line in out.read_text().splitlines())
+    assert row[header.index("status")] == "ok"
+    fixed = {k: want for k, want in GENERATORS[family].expected.items()
+             if want != "oracle"}
+    assert fixed
+    for k, want in fixed.items():
+        assert row[header.index(f"k{k}")] == {"Y": "Yes", "N": "No"}[want]
+
+
+@pytest.mark.parametrize("family", sorted(GENERATORS))
+def test_sweep_perturbs_sigma_only_for_pseudo_null_rows(family, tmp_path,
+                                                        capsys):
+    spec = {"family": family, "domain": [0.3, 1.5],
+            "parameters": _ROW_POINTS[family],
+            "sigma_perturbation": {"expr": "s^3", "scales": [1e-3]}}
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps(spec))
+    rc = main(["sweep", str(spec_path), "-o", str(tmp_path / "x.csv")])
+    if GENERATORS[family].kind is FrameKind.PARTIALLY_NULL:
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: sigma perturbations only apply to pseudo null families"]
+    else:
+        assert rc == 0
+
+
+def test_partially_null_sigma_rule_reads_the_integration_lattice(tmp_path,
+                                                                 capsys):
+    # sigma is 0 to roundoff at every check-grid point s = i/1000 and
+    # +-1e-2 at the midpoints of the half-step lattice the integration reads
+    profile = {"kind": "partially_null", "kappa": "1", "tau": "1",
+               "sigma": "1e-2*sin(1000*pi*s)", "domain": [0, 1]}
+    assert np.max(np.abs(
+        CurvatureProfile.from_json_dict(profile).sample().sigma)) <= 1e-12
+    path = tmp_path / "sigma.json"
+    path.write_text(json.dumps(profile))
+    assert main(["classify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: classification requires sigma = 0 for partially null "
+        "profiles"]
+    # integration itself takes any sigma
+    assert main(["synth", str(path), "-o", str(tmp_path / "x.csv")]) == 0
 
 
 def test_sweep_rejects_unknown_family(tmp_path):

@@ -10,7 +10,7 @@ from lcl import (CurvatureProfile, Verdict, classify_profile,
 from lcl.errors import ProfileError
 from lcl.hyperbolic import TauForm, make_h3_type2_profile
 from lcl.minkowski import SIGNS
-from lcl.suite import default_suite
+from lcl.suite import default_suite, generate
 
 Y, N = Verdict.YES, Verdict.NO
 
@@ -58,6 +58,22 @@ def test_make_h3_profile_rejects_bad_parameters():
         make_h3_type2_profile(0.5, 1.0, 0.5, (0.0, 1.0))  # c must be < 0
     with pytest.raises(ProfileError):
         make_h3_type2_profile(-1.0, 0.0, 0.0, (0.0, 1.0))  # tau == 0
+
+
+@pytest.mark.parametrize("c, lam, mu", [(0.5, 1.0, 0.5), (-1.0, 0.0, 0.0)])
+def test_h3_generator_row_rejects_what_make_h3_profile_rejects(c, lam, mu):
+    with pytest.raises(ProfileError) as direct:
+        make_h3_type2_profile(c, lam, mu, (0.0, 1.0))
+    with pytest.raises(ProfileError) as row:
+        generate("h3-exponential", {"c": c, "lam": lam, "mu": mu}, (0.0, 1.0))
+    assert str(row.value) == str(direct.value)
+
+
+def test_h3_generator_row_matches_make_h3_profile():
+    made = make_h3_type2_profile(-2.0, 1.0, 0.5, (0.3, 1.5), label="x")
+    fixture = generate("h3-exponential", {"c": -2.0, "lam": 1.0, "mu": 0.5},
+                       (0.3, 1.5), label="x")
+    assert fixture.profile == made
 
 
 def test_sphere_fit_recovers_center_and_radius(h3_trace):

@@ -35,6 +35,24 @@ def test_default_suite_covers_both_frame_kinds():
     assert kinds == {"partially_null", "pseudo_null"}
 
 
+def test_default_suite_fixes_every_side_no_theorem_or_oracle_owns():
+    pn, psn = FrameKind.PARTIALLY_NULL, FrameKind.PSEUDO_NULL
+    fixtures = default_suite(DEFAULT_SEED)
+    sides = {(f.profile.kind, k, want) for f in fixtures
+             for k, want in f.expected.items() if want != "oracle"}
+    every = {(kind, k, want) for kind in (pn, psn) for k in range(4)
+             for want in "YN"}
+    # theorems rule these out: no pseudo null curve is 0-type, and every
+    # partially null curve is 2-type (the universal axis)
+    ruled_out = {(psn, 0, "Y"), (pn, 2, "N")}
+    # the oracle decides pseudo null k3 until it has a closed form
+    oracle_decided = {(psn, 3, "Y"), (psn, 3, "N")}
+    assert every - sides == ruled_out | oracle_decided
+    # partially null k3 coincides with k0, so it has no sides of its own
+    assert all(f.expected[3] == f.expected[0] for f in fixtures
+               if f.profile.kind is pn)
+
+
 def test_fixtures_from_json_round_trip():
     obj = [
         {"label": "one",
