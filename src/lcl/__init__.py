@@ -14,7 +14,7 @@ from .classifier import (PN_IMPLICATIONS, PSN_IMPLICATIONS,
                          implication_closure, oracle_detect, pn_type0_check,
                          pn_type1_check, pn_type1_axis, pn_type2_axis,
                          pn_type0_axes, psn_type1_axis, psn_type1_check,
-                         psn_type2_axis, psn_type2_check, psn_type3_check)
+                         psn_type2_axis, psn_type2_check)
 from .errors import (ConfigError, DegenerateAxisError, EvaluationError,
                      ExpressionError, FrameError, GridMismatchError,
                      IntegrationError, LclError, OutOfDomainError,
@@ -23,7 +23,7 @@ from .expr import parse_expression
 from .fits import CheckResult, FittedConstant, Tolerances, Verdict
 from .frames import (FrameKind, canonical_frame, frenet_matrix, gram_matrix,
                      gram_residual, gram_targets)
-from .hyperbolic import (SphereFit, TauForm, closed_form_center,
+from .hyperbolic import (SphereFit, closed_form_center,
                          fit_pseudohyperbolic, h3_membership, h3_ratio_check,
                          h3_type2_tau_form, h3_type3_residual,
                          make_h3_type2_profile)
@@ -46,7 +46,7 @@ __all__ = [
     "ExpressionError", "Fixture", "FittedConstant", "FrameError",
     "FrameKind", "GridMismatchError", "IntegrationError", "LclError",
     "OracleResult", "OutOfDomainError", "ProfileError",
-    "Samples", "SampleTable", "SphereFit", "SuiteSummary", "FixtureResult", "TauForm",
+    "Samples", "SampleTable", "SphereFit", "SuiteSummary", "FixtureResult",
     "Tolerances", "Verdict", "assemble_axis",
     "canonical_frame", "classify_profile",
     "closed_form_center", "cumulative_integral", "default_suite",
@@ -59,7 +59,7 @@ __all__ = [
     "oracle_detect", "pairing", "parse_expression", "PN_IMPLICATIONS",
     "pn_type0_axes", "pn_type0_check", "pn_type1_axis", "pn_type1_check",
     "pn_type2_axis", "PSN_IMPLICATIONS", "psn_type1_axis", "psn_type1_check",
-    "psn_type2_axis", "psn_type2_check", "psn_type3_check", "render_table",
+    "psn_type2_axis", "psn_type2_check", "render_table",
     "resample_curvatures",
     "row_norm", "run_theorem_suite", "save_profile", "validate_axis", "write_trace_csv",
 ]

@@ -5,7 +5,10 @@ constantly with the k-th frame row (T, N, B1, B2). Each family has
 closed-form conditions on the curvature functions for some k; every
 condition here is paired with an independent nullspace oracle on the
 integrated trace so the two routes can disagree loudly instead of
-silently.
+silently. Where a family has no usable closed form (pseudo null k = 0
+and k = 3) the oracle decides. Every reported condition residual is the
+number that decided its verdict: a fit residual, the max_dU of the one
+axis that decides, or the oracle's sigma_min.
 
 A family is its FAMILIES entry: rows (k, check, build), its implication
 graph and its report block; its frame data is frames.FAMILIES.
@@ -30,7 +33,6 @@ torsion-integral condition) are fitted, never assumed zero.
 
 from __future__ import annotations
 
-import logging
 import math
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional
@@ -47,8 +49,6 @@ from .frames import ROW_NAMES, FrameKind, frame_family
 from .integrator import CurveTrace, integrate_frame
 from .minkowski import SIGNS, nullspace_min_singular, pairing, row_norm
 from .profiles import CurvatureProfile, Samples
-
-log = logging.getLogger("lcl.classifier")
 
 # The oracle's threshold on sigma_min is this times sqrt(row count).
 EPS_ORACLE_COEFF = 1e-7
@@ -334,58 +334,6 @@ def psn_type2_axis(trace: CurveTrace, c_int: float) -> AxisCandidate:
                          -(trace.sigma + wp), w, 1.0, i_vals)
 
 
-def psn_type3_check(smp: Samples, oracle: OracleResult,
-                    tol: Tolerances = Tolerances()) -> CheckResult:
-    """3-type is decided by the k = 3 oracle; the closed form is advisory.
-
-    The published closed-form condition for this case is internally
-    inconsistent: its residual is logged and is the result's residual
-    (None when it cannot be evaluated), but never decides. A disagreement
-    between the two is flagged.
-    """
-    _require_kind(smp, FrameKind.PSEUDO_NULL)
-    residual, note = _binormal_closed_form_residual(smp)
-    flags = []
-    if residual is None:
-        log.info("closed-form 3-type residual unavailable (%s)", note)
-    else:
-        log.info("closed-form 3-type residual %.6e (advisory)", residual)
-        if Verdict.of(residual < tol.eps_cond) is not oracle.verdict:
-            flags.append("closed-form 3-type residual disagrees with oracle "
-                         f"(residual {residual:.3g}, oracle {oracle.verdict.value})")
-    return CheckResult(oracle.verdict, residual, flags=flags)
-
-
-def _binormal_closed_form_residual(
-        smp: Samples) -> tuple[Optional[float], str]:
-    """Advisory residual of the published second-binormal condition.
-
-    phi = tau / sqrt(1 + sigma^2) + d/ds [ sqrt(1 + sigma^2)
-          (sigma tau' (1 + sigma^2) + tau sigma' (2 - sigma^2))
-          / (tau (1 + sigma^2)^2 - 3 tau tau'^2 + sigma'' (1 + sigma^2)) ]
-
-    Returns (normalized max |phi| on the interior grid, note). Vanishing
-    denominators or evaluation faults degrade to (None, reason); this
-    must never crash a classification.
-    """
-    try:
-        step, tau, sigma = smp.h, smp.tau, smp.sigma
-        taup = grid_derivative(tau, step)
-        sigp = grid_derivative(sigma, step)
-        sigpp = grid_derivative(sigma, step, order=2)
-        one = 1.0 + sigma**2
-        numer = np.sqrt(one) * (sigma * taup * one + tau * sigp * (2.0 - sigma**2))
-        denom = tau * one**2 - 3.0 * tau * taup**2 + sigpp * one
-        if np.min(np.abs(denom)) < 1e-9 * (1.0 + np.max(np.abs(denom))):
-            return None, "denominator vanishes on the grid"
-        phi = tau / np.sqrt(one) + grid_derivative(numer / denom, step)
-        core = phi[2:-2]
-        lead = np.max(np.abs(tau / np.sqrt(one)))
-        return float(np.max(np.abs(core)) / (1.0 + lead)), ""
-    except Exception as exc:  # advisory only, never fatal
-        return None, f"evaluation failed: {exc}"
-
-
 PSN_IMPLICATIONS = ((1, 2),)
 
 
@@ -414,7 +362,7 @@ class ClassificationReport:
         self.kind = kind
         self.verdicts = verdicts            # k -> Verdict, after closure
         self.raw_verdicts = raw_verdicts    # k -> Verdict, before closure
-        self.condition_residuals = condition_residuals  # k -> float | None
+        self.condition_residuals = condition_residuals  # k -> float
         self.constants = constants          # name -> FittedConstant
         self.axes = axes                    # (AxisCandidate, AxisValidation)
         self.oracle = oracle                # k -> OracleResult
@@ -626,7 +574,9 @@ FAMILIES = {
         # residual, and an oracle Yes shows as the k0 disagreement
         (0, lambda c: CheckResult(Verdict.NO, c.oracle[0].sigma_min),
          lambda c, _: []),
-        (3, lambda c: psn_type3_check(c.smp, c.oracle[3], c.tol),
+        # the published 3-type condition is internally inconsistent, so
+        # the k = 3 oracle decides, and its sigma_min is the residual
+        (3, lambda c: CheckResult(c.oracle[3].verdict, c.oracle[3].sigma_min),
          lambda c, _: []),
     ), PSN_IMPLICATIONS, _psn_report),
 }

@@ -23,7 +23,7 @@ from typing import Optional
 from .classifier import Tolerances, classify_profile, oracle_detect
 from .errors import ConfigError, LclError
 from .frames import frame_family
-from .integrator import integrate_frame, write_trace_csv
+from .integrator import check_step, integrate_frame, write_trace_csv
 from .profiles import load_profile, read_json_file
 from .suite import DEFAULT_SEED, GENERATORS, generate, load_suite
 from .verifier import render_table, run_theorem_suite
@@ -189,11 +189,10 @@ def _render_report(report) -> str:
              f"max Gram residual : {report.max_gram_residual:.3e}",
              "verdicts:"]
     for k in range(4):
-        res = report.condition_residuals.get(k)
-        res_txt = f"residual {res:.3e}" if isinstance(res, float) else "residual n/a"
         ora = report.oracle[k]
         agree = "agrees" if report.agreement[k] else "DISAGREES"
-        lines.append(f"  k{k}: {report.verdicts[k].value:<12} ({res_txt}; "
+        lines.append(f"  k{k}: {report.verdicts[k].value:<12} (residual "
+                     f"{report.condition_residuals[k]:.3e}; "
                      f"oracle {ora.verdict.value}, sigma_min "
                      f"{ora.sigma_min:.3e}, {agree})")
     if report.constants:
@@ -377,6 +376,9 @@ def main(argv: Optional[list] = None) -> int:
     _configure_logging()
     args = _build_parser().parse_args(argv)
     try:
+        # every subcommand takes --h; h > span/10 fails per profile
+        if args.h is not None:
+            check_step(args.h)
         return _COMMANDS[args.command](args)
     except LclError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -116,50 +116,24 @@ def closed_form_center(trace: CurveTrace,
     return mean, spread / (1.0 + float(np.linalg.norm(mean)))
 
 
-class TauForm(NamedTuple):
-    """Exponential torsion lam e^{s/w} + mu e^{-s/w}, w = sqrt(-2c).
-
-    Closed under two derivatives: the second derivative is tau / w^2
-    exactly, which is what makes 2 c tau'' + tau vanish identically for
-    this family. second() uses that identity, so the form supplies an
-    exact derivative oracle independent of finite differences.
-    """
-    c: float
-    lam: float
-    mu: float
-
-    @property
-    def w(self) -> float:
-        return math.sqrt(-2.0 * self.c)
-
-    def __call__(self, s):
-        return (self.lam * np.exp(np.asarray(s, dtype=float) / self.w)
-                + self.mu * np.exp(-np.asarray(s, dtype=float) / self.w))
-
-    def second(self, s):
-        return self(s) / (self.w * self.w)
-
-    def to_expressions(self) -> tuple[str, str]:
-        """(tau, sigma) expression strings for profile construction."""
-        tau = f"{self.lam!r}*exp(s/{self.w!r}) + {self.mu!r}*exp(-s/{self.w!r})"
-        return tau, f"{self.c!r}*({tau})"
-
-
-def h3_type2_form(c: float, lam: float, mu: float) -> TauForm:
-    """The torsion of a 2-type pseudohyperbolic member; ProfileError
-    unless c < 0 and lam, mu do not both vanish."""
+def h3_type2_form(c: float, lam: float, mu: float) -> tuple[str, str]:
+    """(tau, sigma) expression strings of a 2-type pseudohyperbolic member:
+    tau = lam e^{s/w} + mu e^{-s/w} with w = sqrt(-2c), sigma = c tau.
+    ProfileError unless c < 0 and lam, mu do not both vanish."""
     if c >= 0.0:
         raise ProfileError("the ratio constant c must be negative")
     if lam == 0.0 and mu == 0.0:
         raise ProfileError("lam and mu cannot both vanish")
-    return TauForm(c, lam, mu)
+    w = math.sqrt(-2.0 * c)
+    tau = f"{lam!r}*exp(s/{w!r}) + {mu!r}*exp(-s/{w!r})"
+    return tau, f"{c!r}*({tau})"
 
 
 def make_h3_type2_profile(c: float, lam: float, mu: float,
                           domain: tuple[float, float],
                           label: str = "") -> CurvatureProfile:
     """Pseudo null profile whose curve is a 2-type pseudohyperbolic member."""
-    tau, sigma = h3_type2_form(c, lam, mu).to_expressions()
+    tau, sigma = h3_type2_form(c, lam, mu)
     return CurvatureProfile.create(kind=FrameKind.PSEUDO_NULL, tau=tau,
                                    sigma=sigma, domain=domain,
                                    label=label or f"h3-type2(c={c:g})")
@@ -170,9 +144,11 @@ def h3_type2_tau_form(smp: Samples, c: float,
     """2-type within the family iff tau is the exponential form for c.
 
     Fits (lam, mu) linearly, then scores the oscillator identity
-    2 c tau'' + tau with the fitted form's exact second derivative. A
-    finite-difference cross-check of the same identity is reported in the
-    extras; it carries FD roundoff (~1e-8 at best) and is advisory.
+    2 c tau_fit'' + tau with the fitted form's exact second derivative
+    tau_fit / w^2. Since 2c / w^2 = -1 that is tau - tau_fit analytically,
+    so the ode_residual is the fit's max residual; the finite-difference
+    residual 2 c tau'' + tau in the extras is the test on the data alone.
+    It carries FD roundoff (~1e-8 at best) and is advisory.
     """
     if c >= 0.0:
         raise ProfileError("the ratio constant c must be negative")
@@ -180,9 +156,9 @@ def h3_type2_tau_form(smp: Samples, c: float,
     w = math.sqrt(-2.0 * c)
     design = np.column_stack([np.exp(grid / w), np.exp(-grid / w)])
     lam, mu = _damped_lstsq(design, tau_vals)
-    form = TauForm(c, float(lam), float(mu))
+    second = (lam * design[:, 0] + mu * design[:, 1]) / (w * w)
     scale = 1.0 + float(np.max(np.abs(tau_vals)))
-    ode_residual = float(np.max(np.abs(2.0 * c * form.second(grid) + tau_vals))) / scale
+    ode_residual = float(np.max(np.abs(2.0 * c * second + tau_vals))) / scale
     fd_second = grid_derivative(tau_vals, smp.h, order=2)
     fd_residual = float(np.max(np.abs(2.0 * c * fd_second[2:-2]
                                       + tau_vals[2:-2]))) / scale

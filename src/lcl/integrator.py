@@ -96,6 +96,14 @@ def _finite_array(value, what: str, shape: tuple, dims: str) -> np.ndarray:
     return arr
 
 
+def check_step(h) -> float:
+    """h as a float; ConfigError unless it is positive and finite."""
+    h = float(h)
+    if not (h > 0.0) or not math.isfinite(h):
+        raise ConfigError(f"step h must be positive and finite, got {h}")
+    return h
+
+
 def integrate_frame(profile: CurvatureProfile,
                     initial: Optional[np.ndarray] = None,
                     alpha0: Optional[np.ndarray] = None,
@@ -117,11 +125,7 @@ def integrate_frame(profile: CurvatureProfile,
     checks = profile.validate()
 
     span = profile.span
-    if h is None:
-        h = DEFAULT_STEP_FRACTION * span
-    h = float(h)
-    if not (h > 0.0) or not math.isfinite(h):
-        raise ConfigError(f"step h must be positive and finite, got {h}")
+    h = check_step(DEFAULT_STEP_FRACTION * span if h is None else h)
     if h > span / 10.0:
         raise ConfigError(f"step h = {h} too large for domain span {span}")
     if not (eps_gram > 0.0) or not math.isfinite(eps_gram):

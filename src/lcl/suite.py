@@ -62,7 +62,7 @@ def _psn_quadratic(p, s_min) -> dict:
 
 
 def _h3_exponential(p, s_min) -> dict:
-    tau, sigma = h3_type2_form(p["c"], p["lam"], p["mu"]).to_expressions()
+    tau, sigma = h3_type2_form(p["c"], p["lam"], p["mu"])
     return {"tau": tau, "sigma": sigma}
 
 

