@@ -25,8 +25,7 @@ from .frames import (FrameKind, canonical_frame, frenet_matrix, gram_matrix,
                      gram_residual, gram_targets)
 from .hyperbolic import (SphereFit, closed_form_center,
                          fit_pseudohyperbolic, h3_membership, h3_ratio_check,
-                         h3_type2_tau_form, h3_type3_residual,
-                         make_h3_type2_profile)
+                         h3_type2_tau_form, make_h3_type2_profile)
 from .integrator import (CurveTrace, integrate_frame, resample_curvatures,
                          write_trace_csv)
 from .minkowski import nullspace_min_singular, pairing, row_norm
@@ -53,7 +52,7 @@ __all__ = [
     "fit_pseudohyperbolic", "fixtures_from_json",
     "frenet_matrix", "gram_matrix", "gram_residual",
     "gram_targets", "grid_derivative", "h3_membership", "h3_ratio_check",
-    "h3_type2_tau_form", "h3_type3_residual",
+    "h3_type2_tau_form",
     "implication_closure", "integrate_frame", "load_profile", "load_suite",
     "make_h3_type2_profile", "nullspace_min_singular",
     "oracle_detect", "pairing", "parse_expression", "PN_IMPLICATIONS",

@@ -6,16 +6,15 @@ when sigma/tau is a negative constant c, in which case the center is
 x(s) + c N(s) + B2(s) (constant in s) and r = sqrt(-2c).
 
 Everything here is diagnostic support for the classifier: the family
-test, a sphere fit that corroborates it from the trace alone, the
-exponential torsion form that characterizes 2-type members, and the
-advisory third-order residual for 3-type members.
+test, a sphere fit that corroborates it from the trace alone, and the
+exponential torsion form that characterizes 2-type members. 3-type is
+the k = 3 oracle's verdict, as for every pseudo null curve.
 """
 
 from __future__ import annotations
 
-import logging
 import math
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +26,6 @@ from .frames import FrameKind
 from .integrator import CurveTrace
 from .minkowski import SIGNS, pairing, row_norm
 from .profiles import CurvatureProfile, Samples
-
-log = logging.getLogger("lcl.hyperbolic")
 
 
 def h3_ratio_check(smp: Samples,
@@ -174,38 +171,6 @@ def h3_type2_tau_form(smp: Samples, c: float,
                        extras={"fd_residual": fd_residual})
 
 
-def h3_type3_residual(smp: Samples, c: float) -> Optional[float]:
-    """Advisory third-order residual for 3-type family members.
-
-    Scores max |L - R| with
-
-        L = 2 c^2 tau tau' tau''',
-        R = c tau'' [5 tau^2 (1 + c^2 tau^2) + c (3 tau'^2 + 4 tau tau'')]
-            + c^2 tau^5 (2 + c^2 tau^2) + tau^3 (1 - 15 c^3 tau'^2),
-
-    normalized by the magnitudes of both sides. Diagnostic only: the
-    third derivative is the 2nd-order grid stencil on the check grid and
-    the condition itself is advisory. Returns None when evaluation fails.
-    """
-    try:
-        step, tau = smp.h, smp.tau
-        tau1 = grid_derivative(tau, step)
-        tau2 = grid_derivative(tau, step, order=2)
-        tau3 = grid_derivative(tau, step, order=3)
-        lhs = 2.0 * c * c * tau * tau1 * tau3
-        rhs = (c * tau2 * (5.0 * tau**2 * (1.0 + c * c * tau**2)
-                           + c * (3.0 * tau1**2 + 4.0 * tau * tau2))
-               + c * c * tau**5 * (2.0 + c * c * tau**2)
-               + tau**3 * (1.0 - 15.0 * c**3 * tau1**2))
-        scale = 1.0 + float(np.max(np.abs(lhs))) + float(np.max(np.abs(rhs)))
-        residual = float(np.max(np.abs(lhs - rhs)) / scale)
-        log.info("third-order residual %.6e (advisory)", residual)
-        return residual
-    except Exception as exc:  # advisory only
-        log.info("third-order residual evaluation failed: %s", exc)
-        return None
-
-
 def pseudohyperbolic_block(smp: Samples, trace: CurveTrace,
                            tol: Tolerances = Tolerances()) -> dict:
     """Report block assembled by the classifier for pseudo null curves.
@@ -224,7 +189,7 @@ def pseudohyperbolic_block(smp: Samples, trace: CurveTrace,
     try:
         fit = fit_pseudohyperbolic(trace)
         fit_dict = fit.to_json_dict()
-    except Exception as exc:
+    except np.linalg.LinAlgError as exc:
         fit = None
         fit_dict = None
         notes.append(f"sphere fit failed: {exc}")
@@ -237,7 +202,6 @@ def pseudohyperbolic_block(smp: Samples, trace: CurveTrace,
         "notes": notes,
         "type1_nonexistence": Verdict.YES.value if is_family else None,
         "type2_tau": None,
-        "type3_residual": None,
         "closed_center": None,
     }
     if not is_family:
@@ -274,5 +238,4 @@ def pseudohyperbolic_block(smp: Samples, trace: CurveTrace,
         "lam": tau_form.constants["lam"].to_json_dict(),
         "mu": tau_form.constants["mu"].to_json_dict(),
     }
-    block["type3_residual"] = _jsonable(h3_type3_residual(smp, c))
     return block

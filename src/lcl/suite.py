@@ -36,7 +36,7 @@ AFFINE_ONLY = {0: "N", 1: "Y", 2: "Y", 3: "N"}
 GENERIC_PN = {0: "N", 1: "N", 2: "Y", 3: "N"}
 QUADRATIC_PSN = {0: "N", 1: "Y", 2: "Y", 3: "oracle"}
 EXPONENTIAL_PSN = {0: "N", 1: "N", 2: "Y", 3: "oracle"}
-GENERIC_PSN = {0: "N", 1: "N", 2: "N", 3: "oracle"}
+GENERIC_PSN = {0: "N", 1: "N", 2: "N", 3: "N"}
 
 
 class Generator(NamedTuple):
@@ -64,6 +64,14 @@ def _psn_quadratic(p, s_min) -> dict:
 def _h3_exponential(p, s_min) -> dict:
     tau, sigma = h3_type2_form(p["c"], p["lam"], p["mu"])
     return {"tau": tau, "sigma": sigma}
+
+
+def _h3_type3(p, s_min) -> dict:
+    c = p["c"]
+    # the 2-type tau at c/2 has w = sqrt(-c), so it solves c v'' + v = 0
+    v, _ = h3_type2_form(0.5 * c, p["lam"], p["mu"])
+    tau = f"({v})/sqrt(1 - {c * c!r}*({v})^2)"
+    return {"tau": tau, "sigma": f"{c!r}*({tau})"}
 
 
 GENERATORS = {
@@ -95,6 +103,12 @@ GENERATORS = {
     "h3-exponential": Generator(
         FrameKind.PSEUDO_NULL, ("c", "lam", "mu"), {}, EXPONENTIAL_PSN,
         _h3_exponential),
+    # sigma = c tau, tau = v/sqrt(1 - c^2 v^2), v = lam e^{s/w} + mu e^{-s/w},
+    # w = sqrt(-c): U = -c v T + sqrt(1 - c^2 v^2) B1 - c v' B2 is constant.
+    # Not in default_suite; a domain where c^2 v^2 >= 1 fails evaluation.
+    "h3-type3": Generator(
+        FrameKind.PSEUDO_NULL, ("c", "lam", "mu"), {},
+        {0: "N", 1: "N", 2: "N", 3: "Y"}, _h3_type3),
 }
 
 

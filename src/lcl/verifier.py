@@ -1,11 +1,11 @@
 """Regression runner: classify fixture suites and score the outcomes.
 
-A fixture fails when an expected verdict is contradicted, when the
-closed-form checks and the oracle disagree for k in {0, 1, 2}, when the
-implication closure is inconsistent, or when classification raises.
-"oracle" expectations never fail; their observed verdicts are recorded.
-Disagreements at k = 3 are surfaced as diagnostics without failing,
-since that verdict is oracle-decided by design.
+A fixture fails when an expected verdict is contradicted, when a
+verdict and the oracle disagree at any k, when the implication closure
+is inconsistent, or when classification raises. "oracle" expectations
+never fail; their observed verdicts are recorded. The pseudo null k3
+verdict is the oracle's own and so never disagrees with it; no k is
+exempt from the rule.
 """
 
 from __future__ import annotations
@@ -17,14 +17,12 @@ from typing import Optional
 
 from .classifier import (ClassificationReport, Tolerances, Verdict,
                          classify_profile)
+from .integrator import check_step
 from .suite import DEFAULT_SEED, Fixture, default_suite
 
 log = logging.getLogger("lcl.verifier")
 
-_FAIL_PREFIXES = ("closure-inconsistency:",
-                  "oracle-condition-disagreement: k0",
-                  "oracle-condition-disagreement: k1",
-                  "oracle-condition-disagreement: k2")
+_FAIL_PREFIXES = ("closure-inconsistency:", "oracle-condition-disagreement:")
 
 _EXPECT_TO_VERDICT = {"Y": Verdict.YES, "N": Verdict.NO}
 
@@ -136,7 +134,10 @@ def run_theorem_suite(fixtures: Optional[list] = None,
                       seed: int = DEFAULT_SEED,
                       tol: Tolerances = Tolerances(),
                       h: Optional[float] = None) -> SuiteSummary:
-    """Classify every fixture and collect pass/fail results."""
+    """Classify every fixture and collect pass/fail results. A step h
+    that is not positive and finite raises ConfigError before any runs."""
+    if h is not None:
+        check_step(h)
     if fixtures is None:
         fixtures = default_suite(seed)
     t0 = time.perf_counter()

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from lcl import (PSN_IMPLICATIONS, CurvatureProfile, Verdict, classify_profile,
-                 default_suite, implication_closure, integrate_frame,
-                 oracle_detect, pairing, psn_type1_axis, psn_type1_check,
-                 psn_type2_axis, psn_type2_check, validate_axis)
+from lcl import (PSN_IMPLICATIONS, CurvatureProfile, Verdict, assemble_axis,
+                 classify_profile, default_suite, implication_closure,
+                 integrate_frame, oracle_detect, pairing, psn_type1_axis,
+                 psn_type1_check, psn_type2_axis, psn_type2_check,
+                 validate_axis)
 from lcl.errors import ProfileError
 from lcl.hyperbolic import make_h3_type2_profile
+from lcl.suite import generate
 
 Y, N, U = Verdict.YES, Verdict.NO, Verdict.UNDETERMINED
 
@@ -140,6 +142,46 @@ def test_3_type_follows_the_oracle(quad_psn_profile):
         assert rep.condition_residuals[3] == rep.oracle[3].sigma_min > 1e-3
         assert all(isinstance(r, float) and np.isfinite(r)
                    for r in rep.condition_residuals.values())
+
+
+def test_h3_type3_members_are_3_type_and_nothing_else():
+    # sigma = c tau with tau = v/sqrt(1 - c^2 v^2), c v'' + v = 0: the
+    # oracle finds the k3 axis, and so does the closed form
+    # U = -c v T + sqrt(1 - c^2 v^2) B1 - c v' B2
+    rng = np.random.default_rng(0)
+    members = 0
+    for _ in range(20):
+        c, lam, mu = (rng.uniform(-2.5, -0.3), rng.uniform(0.05, 0.3),
+                      rng.uniform(0.0, 0.3))
+        w = np.sqrt(-c)
+
+        def v(s, d=0):  # v, or v' for d = 1
+            return lam * np.exp(s / w) + (-1) ** d * mu * np.exp(-s / w)
+
+        ends = np.array([0.0, 1.5])
+        peak = np.max(c * c * v(ends)**2)  # v is convex: its ends bound it
+        if peak >= 1.0:  # tau is undefined where c^2 v^2 reaches 1
+            continue
+        members += 1
+        p = generate("h3-type3", {"c": c, "lam": lam, "mu": mu},
+                     tuple(ends)).profile
+        rep = classify_profile(p)
+        assert rep.verdicts == {0: N, 1: N, 2: N, 3: Y}
+        assert rep.flags == []
+        if peak >= 0.9:
+            # tau steepens toward c^2 v^2 = 1 and the default step's error
+            # with it: at 0.979 the exact axis moves by 3e-5 and sigma_min
+            # reads 4.4e-3 of the threshold
+            continue
+        assert rep.oracle[3].sigma_min <= 1e-3 * rep.oracle[3].threshold
+        trace = integrate_frame(p)
+        vs = v(trace.s)
+        axis = assemble_axis(trace, 3, "h3-type3", -c * vs, 0.0,
+                             np.sqrt(1.0 - c * c * vs**2),
+                             -c * v(trace.s, 1) / w)
+        val = validate_axis(trace, axis)
+        assert val.passed and abs(val.g_mean) < 1e-9
+    assert members >= 8
 
 
 def test_closure_only_lifts_1_type_to_2_type():

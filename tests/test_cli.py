@@ -1,5 +1,6 @@
 """Command line surface: exit codes, JSON determinism, file outputs."""
 
+import csv
 import json
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from lcl import CurvatureProfile, classify_profile, cli, errors
 from lcl.cli import main
 from lcl.errors import LclError, ProfileError
 from lcl.frames import FrameKind
-from lcl.suite import GENERATORS
+from lcl.suite import GENERATORS, generate
 
 CIRCLE = {"kind": "partially_null", "kappa": "1", "tau": "1",
           "domain": [0.0, 6.283185307179586], "label": "circle"}
@@ -486,7 +487,8 @@ _ROW_POINTS = {"pn-constant": {"kappa": [1.2], "tau": [-0.7]},
                "pn-affine": {"kappa": [1.1], "C": [0.9], "c0": [0.3]},
                "pn-affine-poly": {"C": [-1.2], "c0": [0.4]},
                "psn-quadratic": {"a": [0.2], "b": [-0.9], "tau": ["exp(s)"]},
-               "h3-exponential": {"c": [-1.5], "lam": [1.0], "mu": [0.5]}}
+               "h3-exponential": {"c": [-1.5], "lam": [1.0], "mu": [0.5]},
+               "h3-type3": {"c": [-1.5], "lam": [0.1], "mu": [0.1]}}
 
 
 @pytest.mark.parametrize("family", sorted(GENERATORS))
@@ -522,6 +524,28 @@ def test_sweep_perturbs_sigma_only_for_pseudo_null_rows(family, tmp_path,
             "error: sigma perturbations only apply to pseudo null families"]
     else:
         assert rc == 0
+
+
+def test_h3_type3_past_its_singularity_is_an_evaluation_error(tmp_path,
+                                                             capsys):
+    # tau = v/sqrt(1 - c^2 v^2) is undefined where c^2 v^2 reaches 1
+    spec = {"family": "h3-type3", "domain": [0.3, 1.5],
+            "parameters": {"c": [-1.5], "lam": [0.1, 0.3], "mu": [0.1]}}
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps(spec))
+    out = tmp_path / "grid.csv"
+    assert main(["sweep", str(spec_path), "-o", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [r["k3"] for r in rows] == ["Yes", ""]
+    assert rows[1]["status"].startswith("error: expression ")
+    profile = generate("h3-type3", {"c": -1.5, "lam": 0.3, "mu": 0.1},
+                       (0.3, 1.5)).profile
+    path = tmp_path / "past.json"
+    path.write_text(json.dumps(profile.to_json_dict()))
+    capsys.readouterr()
+    assert main(["classify", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "is not finite at s = " in err[0]
 
 
 def test_partially_null_sigma_rule_reads_the_integration_lattice(tmp_path,

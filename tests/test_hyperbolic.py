@@ -5,8 +5,8 @@ import pytest
 
 from lcl import (CurvatureProfile, Verdict, classify_profile,
                  closed_form_center, fit_pseudohyperbolic, h3_membership,
-                 h3_ratio_check, h3_type2_tau_form, h3_type3_residual,
-                 integrate_frame, pairing)
+                 h3_ratio_check, h3_type2_tau_form, integrate_frame,
+                 pairing)
 from lcl.errors import ProfileError
 from lcl.hyperbolic import make_h3_type2_profile
 from lcl.minkowski import SIGNS
@@ -71,6 +71,15 @@ def test_h3_generator_row_rejects_what_make_h3_profile_rejects(c, lam, mu):
         make_h3_type2_profile(c, lam, mu, (0.0, 1.0))
     with pytest.raises(ProfileError) as row:
         generate("h3-exponential", {"c": c, "lam": lam, "mu": mu}, (0.0, 1.0))
+    assert str(row.value) == str(direct.value)
+
+
+@pytest.mark.parametrize("c, lam, mu", [(0.5, 0.1, 0.1), (-1.0, 0.0, 0.0)])
+def test_h3_type3_row_shares_the_parameter_checks(c, lam, mu):
+    with pytest.raises(ProfileError) as direct:
+        make_h3_type2_profile(c, lam, mu, (0.0, 1.0))
+    with pytest.raises(ProfileError) as row:
+        generate("h3-type3", {"c": c, "lam": lam, "mu": mu}, (0.0, 1.0))
     assert str(row.value) == str(direct.value)
 
 
@@ -173,14 +182,6 @@ def test_type1_nonexistence_on_the_family():
     assert not [f for f in rep.flags if "1-type" in f]
 
 
-def test_type3_residual_is_advisory_and_positive_for_constant_tau():
-    p = CurvatureProfile.create("pseudo_null", tau="1", sigma="-2",
-                                domain=(0.0, 1.5))
-    r = h3_type3_residual(p.sample(), -2.0)
-    assert r is not None
-    assert r == pytest.approx(0.9615384625895602, abs=1e-6)
-
-
 def test_full_report_block_for_a_family_member(h3_profile):
     rep = classify_profile(h3_profile)
     hyp = rep.pseudohyperbolic
@@ -194,6 +195,30 @@ def test_full_report_block_for_a_family_member(h3_profile):
     assert hyp["closed_center"]["radius"] == pytest.approx(2.0, abs=1e-9)
     assert hyp["closed_center"]["membership_deviation"] < 1e-9
     assert hyp["type1_nonexistence"] == "Yes"
+    # k3 is the oracle's verdict: the block carries no 3-type residual
+    assert set(hyp) == {"is_h3_family", "c_ratio", "ratio_residual",
+                        "sphere_fit", "notes", "type1_nonexistence",
+                        "type2_tau", "closed_center"}
+
+
+def test_a_singular_sphere_fit_is_a_note(h3_profile, monkeypatch):
+    def singular(trace):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr("lcl.hyperbolic.fit_pseudohyperbolic", singular)
+    hyp = classify_profile(h3_profile).pseudohyperbolic
+    assert hyp["sphere_fit"] is None
+    assert "sphere fit failed: SVD did not converge" in hyp["notes"]
+    assert hyp["is_h3_family"] is True
+
+
+def test_any_other_sphere_fit_error_propagates(h3_profile, monkeypatch):
+    def broken(trace):
+        raise RuntimeError("a bug, not a singular system")
+
+    monkeypatch.setattr("lcl.hyperbolic.fit_pseudohyperbolic", broken)
+    with pytest.raises(RuntimeError, match="a bug"):
+        classify_profile(h3_profile)
 
 
 def test_full_report_block_for_a_non_member(quad_psn_profile):

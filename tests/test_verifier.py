@@ -5,11 +5,12 @@ import json
 import numpy as np
 import pytest
 
+import lcl.verifier
 from lcl import (Fixture, FrameKind, classify_profile, default_suite,
                  fixtures_from_json, load_suite, render_table,
                  run_theorem_suite)
-from lcl.errors import ProfileError
-from lcl.suite import DEFAULT_SEED
+from lcl.errors import ConfigError, ProfileError
+from lcl.suite import DEFAULT_SEED, GENERATORS
 
 
 def test_default_suite_is_deterministic():
@@ -45,9 +46,11 @@ def test_default_suite_fixes_every_side_no_theorem_or_oracle_owns():
     # theorems rule these out: no pseudo null curve is 0-type, and every
     # partially null curve is 2-type (the universal axis)
     ruled_out = {(psn, 0, "Y"), (pn, 2, "N")}
-    # the oracle decides pseudo null k3 until it has a closed form
-    oracle_decided = {(psn, 3, "Y"), (psn, 3, "N")}
-    assert every - sides == ruled_out | oracle_decided
+    # the one side the bundled suite leaves open, pseudo null k3 Yes, is
+    # fixed by the h3-type3 generator row, which the suite does not draw
+    assert every - sides == ruled_out | {(psn, 3, "Y")}
+    assert any(gen.kind is psn and gen.expected[3] == "Y"
+               for gen in GENERATORS.values())
     # partially null k3 coincides with k0, so it has no sides of its own
     assert all(f.expected[3] == f.expected[0] for f in fixtures
                if f.profile.kind is pn)
@@ -145,6 +148,37 @@ def test_oracle_expectation_is_diagnostic_only():
          "expected": {"k0": "N", "k1": "Y", "k2": "Y", "k3": "oracle"}}])
     summary = run_theorem_suite(fixtures=fixtures)
     assert summary.passed
+
+
+def test_a_k3_disagreement_fails_like_any_other(monkeypatch):
+    # no k is exempt: a partially null k3 verdict is the k0 closed form,
+    # so its disagreement with the oracle must fail the fixture
+    def disagreeing(p, **kw):
+        report = classify_profile(p, **kw)
+        report.flags.append("oracle-condition-disagreement: k3 condition "
+                            "Yes, oracle No")
+        return report
+
+    monkeypatch.setattr(lcl.verifier, "classify_profile", disagreeing)
+    fixtures = fixtures_from_json([
+        {"label": "ratio",
+         "profile": {"kind": "partially_null", "kappa": "2", "tau": "6",
+                     "domain": [0.0, 1.0]},
+         "expected": {"k0": "Y", "k1": "Y", "k2": "Y", "k3": "Y"}}])
+    summary = run_theorem_suite(fixtures=fixtures)
+    assert summary.results[0].failures == [
+        "oracle-condition-disagreement: k3 condition Yes, oracle No"]
+    assert summary.disagreement_count == 1
+
+
+@pytest.mark.parametrize("h", [0.0, -1.0, float("nan")])
+def test_a_bad_step_raises_before_any_fixture_runs(h, monkeypatch):
+    def unreachable(*args, **kw):
+        raise AssertionError("classified with a bad step")
+
+    monkeypatch.setattr(lcl.verifier, "classify_profile", unreachable)
+    with pytest.raises(ConfigError, match="step h must be positive"):
+        run_theorem_suite(h=h)
 
 
 def test_render_table_layout():
