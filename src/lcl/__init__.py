@@ -8,7 +8,7 @@ about the closed forms.
 """
 
 from .axis import AxisCandidate, AxisValidation, assemble_axis, validate_axis
-from .calculus import cumulative_integral, grid_derivative
+from .calculus import grid_derivative
 from .classifier import (PN_IMPLICATIONS, PSN_IMPLICATIONS,
                          ClassificationReport, OracleResult, classify_profile,
                          implication_closure, oracle_detect, pn_type0_check,
@@ -25,7 +25,7 @@ from .frames import (FrameKind, canonical_frame, frenet_matrix, gram_matrix,
                      gram_residual, gram_targets)
 from .hyperbolic import (SphereFit, closed_form_center,
                          fit_pseudohyperbolic, h3_membership, h3_ratio_check,
-                         h3_type2_tau_form, make_h3_type2_profile)
+                         h3_type2_tau_form)
 from .integrator import (CurveTrace, integrate_frame, resample_curvatures,
                          write_trace_csv)
 from .minkowski import nullspace_min_singular, pairing, row_norm
@@ -48,13 +48,13 @@ __all__ = [
     "Samples", "SampleTable", "SphereFit", "SuiteSummary", "FixtureResult",
     "Tolerances", "Verdict", "assemble_axis",
     "canonical_frame", "classify_profile",
-    "closed_form_center", "cumulative_integral", "default_suite",
+    "closed_form_center", "default_suite",
     "fit_pseudohyperbolic", "fixtures_from_json",
     "frenet_matrix", "gram_matrix", "gram_residual",
     "gram_targets", "grid_derivative", "h3_membership", "h3_ratio_check",
     "h3_type2_tau_form",
     "implication_closure", "integrate_frame", "load_profile", "load_suite",
-    "make_h3_type2_profile", "nullspace_min_singular",
+    "nullspace_min_singular",
     "oracle_detect", "pairing", "parse_expression", "PN_IMPLICATIONS",
     "pn_type0_axes", "pn_type0_check", "pn_type1_axis", "pn_type1_check",
     "pn_type2_axis", "PSN_IMPLICATIONS", "psn_type1_axis", "psn_type1_check",

@@ -7,12 +7,11 @@ Design notes:
   vanish.
 * Derivatives of curvature data are taken numerically even when closed
   forms exist, so expression-based and sampled profiles share one code
-  path: a classification samples the profile once per grid (the check
-  grid and the trace grid) and grid_derivative differentiates those
-  samples with 5-point stencils. First and second derivatives are 4th
-  order, third derivatives 2nd order; the two points at each end of the
-  grid use shifted stencils of the same width, so no value outside the
-  grid is ever needed.
+  path: a classification samples the profile once, on its integration
+  lattice, and grid_derivative differentiates those samples with 5-point
+  stencils of 4th order (first and second derivatives); the two points
+  at each end of the grid use shifted stencils of the same width, so no
+  value outside the grid is ever needed.
 * Integrals read the integrand at the Gauss nodes of each grid cell only:
   grid_integrals gives the antiderivative on the grid, and node_integrals
   at those nodes, for an integrand that holds an integral itself.
@@ -22,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -89,17 +87,6 @@ def node_integrals(values, grid: np.ndarray,
     return on_grid[..., None, :-1] + half * (_GL_ANTIDERIVATIVE @ values)
 
 
-def cumulative_integral(f: Callable, grid: np.ndarray) -> np.ndarray:
-    """F[i] = integral of f from grid[0] to grid[i]; F[0] = 0.
-
-    f maps a 1-d array of points (gauss_nodes(grid)) to one value each, or
-    to integrands stacked on a leading axis; F[j, i] integrates the j-th.
-    """
-    pts = gauss_nodes(grid)
-    vals = np.asarray(f(pts.ravel()), dtype=float)
-    return grid_integrals(vals.reshape(vals.shape[:-1] + pts.shape), grid)
-
-
 @functools.cache
 def _stencil_weights(order: int, shift: int) -> np.ndarray:
     """Weights w with sum_j w_j f(s + o_j h) ~= h^order f^(order)(s).
@@ -119,12 +106,12 @@ def _stencil_weights(order: int, shift: int) -> np.ndarray:
 def grid_derivative(values: np.ndarray, h: float, order: int = 1) -> np.ndarray:
     """Stencil derivative of uniformly sampled values along axis 0.
 
-    Interior points use the central 5-point stencil (4th order for first
-    and second derivatives, 2nd order for third); the two points at each
-    end fall back to shifted 5-point stencils of the same width.
+    Interior points use the central 5-point stencil, 4th order for the
+    first (order=1) and second (order=2) derivative; the two points at
+    each end fall back to shifted 5-point stencils of the same width.
     """
-    if order not in (1, 2, 3):
-        raise ValueError(f"order must be 1, 2, or 3, got {order}")
+    if order not in (1, 2):
+        raise ValueError(f"order must be 1 or 2, got {order}")
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
     if n < 5:

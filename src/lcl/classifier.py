@@ -14,12 +14,12 @@ A family is its FAMILIES entry: rows (k, check, build), its implication
 graph and its report block; its frame data is frames.FAMILIES.
 classify_profile walks the entry with the same code for every family.
 
-One classification samples each grid once. The checks read the Samples
-that integrate_frame's profile.validate() built on the check grid (the
-trace's checks); the axis builders read the trace's curvatures (the
-partially null ones also kappa and tau at its Gauss nodes, theta there
-included); the oracle decides all four k from one stacked SVD of the
-trace.
+One classification reads one grid, the trace's, and evaluates the
+profile only on the integration's half-step lattice and at the trace's
+Gauss nodes. The checks and the axis builders read the trace's
+curvatures, and every quadrature reads its one evaluation of kappa and
+tau at the Gauss nodes (Samples.curvature_integrals); the oracle decides
+all four k from one stacked SVD of the trace.
 
 Partially null curves are classified with sigma identically 0; the frame
 freedom that makes other sigma choices equivalent is not modeled here.
@@ -41,7 +41,7 @@ import numpy as np
 
 from . import hyperbolic
 from .axis import AxisCandidate, assemble_axis, validate_axis
-from .calculus import cumulative_integral, grid_derivative, grid_integrals
+from .calculus import grid_derivative, grid_integrals, node_integrals
 from .errors import DegenerateAxisError, ProfileError
 from .fits import (DAMPING, CheckResult, FittedConstant, Tolerances, Verdict,
                    _constant_fit, _damped_lstsq, _jsonable, _rms)
@@ -168,7 +168,7 @@ def pn_type1_check(smp: Samples,
     """
     _require_kind(smp, FrameKind.PARTIALLY_NULL)
     ratio = smp.tau / smp.kappa
-    kint = cumulative_integral(smp.profile.kappa, smp.s)
+    (kint, _), _ = smp.curvature_integrals
     design = np.column_stack([np.ones_like(kint), kint])
     a0, c_lin = _damped_lstsq(design, ratio)
     residual = _rms(ratio - design @ (a0, c_lin)) / (1.0 + _rms(ratio))
@@ -198,7 +198,7 @@ def pn_type1_axis(trace: CurveTrace, c_lin: float,
         raise DegenerateAxisError(
             "affine axis undefined: fitted linear coefficient is zero "
             "(constant ratio); use the constant-ratio axes instead")
-    (kint, tint), _, _ = trace.curvature_integrals
+    (kint, tint), _ = trace.curvature_integrals
     return assemble_axis(trace, 1, "curvature-integral",
                          c0 + kint, 1.0, -tint, 1.0 / c_lin)
 
@@ -223,7 +223,8 @@ def pn_type2_axis(trace: CurveTrace,
     same nodes (calculus.node_integrals), so no other point is evaluated.
     """
     c1, c2, c3 = (float(x) for x in c)
-    (theta, _), th, tau = trace.curvature_integrals
+    (theta, _), (kappa, tau) = trace.curvature_integrals
+    th = node_integrals(kappa, trace.s, theta)
     i1, i2 = grid_integrals(
         np.stack([tau * np.sin(th), tau * np.cos(th)]), trace.s)
     u1 = np.cos(theta) * (c1 - i1) + np.sin(theta) * (c2 + i2)
@@ -287,7 +288,7 @@ def psn_type2_check(smp: Samples, type1: CheckResult,
     _require_kind(smp, FrameKind.PSEUDO_NULL)
     step, sigma = smp.h, smp.sigma
     q = sigma / smp.tau
-    tint = cumulative_integral(smp.profile.tau, smp.s)
+    (_, tint), _ = smp.curvature_integrals
     # R(c_int) = R0 + c_int * R1, linear because differentiation is
     inner0 = grid_derivative(q * tint, step)
     inner1 = grid_derivative(q, step)
@@ -327,7 +328,8 @@ def psn_type2_axis(trace: CurveTrace, c_int: float) -> AxisCandidate:
     callers gate on psn_type2_check.
     """
     q = trace.sigma / trace.tau
-    i_vals = c_int + cumulative_integral(trace.profile.tau, trace.s)
+    (_, tint), _ = trace.curvature_integrals
+    i_vals = c_int + tint
     w = q * i_vals
     wp = grid_derivative(w, trace.h)
     return assemble_axis(trace, 2, "torsion-integral",
@@ -410,7 +412,7 @@ def classify_profile(p: CurvatureProfile,
     implications, and the family's report block comes last.
     """
     trace = integrate_frame(p, h=h)
-    c = _Classification(trace.checks, trace, oracle_detect(trace, tol), tol)
+    c = _Classification(trace, oracle_detect(trace, tol), tol)
     family = FAMILIES[p.kind]
     axes = []
     for k, check, build in family.rows:
@@ -487,9 +489,7 @@ def implication_closure(raw: dict, implications) -> tuple[dict, list, list]:
 class _Classification:
     """One classification's inputs and the checks its rows have decided."""
 
-    def __init__(self, smp: Samples, trace: CurveTrace, oracle: dict,
-                 tol: Tolerances):
-        self.smp = smp
+    def __init__(self, trace: CurveTrace, oracle: dict, tol: Tolerances):
         self.trace = trace
         self.oracle = oracle
         self.tol = tol
@@ -507,10 +507,9 @@ class _Classification:
 
 def _pn_universal(c) -> None:
     """k = 2 is left to the universal axis. The pn conditions assume sigma
-    = 0, so this first pn row checks it, on the check grid and on the
-    integration's half-step lattice, before any axis is built."""
-    if any(np.max(np.abs(x)) > 1e-12
-           for x in (c.smp.sigma, c.trace.lattice_sigma)):
+    = 0, so this first pn row checks it on the integration's half-step
+    lattice before any axis is built."""
+    if np.max(np.abs(c.trace.lattice_sigma)) > 1e-12:
         raise ProfileError("classification requires sigma = 0 for "
                            "partially null profiles")
 
@@ -535,7 +534,7 @@ def _pn_report(c) -> dict:
 
 
 def _psn_report(c) -> dict:
-    hyp = hyperbolic.pseudohyperbolic_block(c.smp, c.trace, c.tol)
+    hyp = hyperbolic.pseudohyperbolic_block(c.trace, c.tol)
     if hyp.get("is_h3_family") and c.checks[1].verdict is Verdict.YES:
         c.flags.append("internal-inconsistency: constant-ratio curve "
                        "classified 1-type")
@@ -556,17 +555,17 @@ FAMILIES = {
     FrameKind.PARTIALLY_NULL: Family((
         (2, _pn_universal,
          lambda c, _: [(pn_type2_axis(c.trace), "universal")]),
-        (0, lambda c: pn_type0_check(c.smp, c.tol),
+        (0, lambda c: pn_type0_check(c.trace, c.tol),
          lambda c, _: [(cand, "constant-ratio") for cand in c.ratio_axes]),
         # 3-type coincides with 0-type for partially null curves
         (3, lambda c: c.checks[0],
          lambda c, _: [(c.ratio_axes[0]._replace(k=3), "constant-ratio")]),
-        (1, lambda c: pn_type1_check(c.smp, c.tol), _pn_affine_axes),
+        (1, lambda c: pn_type1_check(c.trace, c.tol), _pn_affine_axes),
     ), PN_IMPLICATIONS, _pn_report),
     FrameKind.PSEUDO_NULL: Family((
-        (1, lambda c: psn_type1_check(c.smp, c.tol),
+        (1, lambda c: psn_type1_check(c.trace, c.tol),
          lambda c, _: [(c.quadratic_axis, "quadratic-ratio")]),
-        (2, lambda c: psn_type2_check(c.smp, c.checks[1], c.tol),
+        (2, lambda c: psn_type2_check(c.trace, c.checks[1], c.tol),
          lambda c, r: [(psn_type2_axis(c.trace, r.constants["c_int"].value)
                         if r.extras["branch"] == "torsion-integral"
                         else c.quadratic_axis._replace(k=2), "2-type")]),

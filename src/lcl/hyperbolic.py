@@ -25,7 +25,7 @@ from .fits import (CheckResult, FittedConstant, Tolerances, Verdict,
 from .frames import FrameKind
 from .integrator import CurveTrace
 from .minkowski import SIGNS, pairing, row_norm
-from .profiles import CurvatureProfile, Samples
+from .profiles import Samples
 
 
 def h3_ratio_check(smp: Samples,
@@ -126,16 +126,6 @@ def h3_type2_form(c: float, lam: float, mu: float) -> tuple[str, str]:
     return tau, f"{c!r}*({tau})"
 
 
-def make_h3_type2_profile(c: float, lam: float, mu: float,
-                          domain: tuple[float, float],
-                          label: str = "") -> CurvatureProfile:
-    """Pseudo null profile whose curve is a 2-type pseudohyperbolic member."""
-    tau, sigma = h3_type2_form(c, lam, mu)
-    return CurvatureProfile.create(kind=FrameKind.PSEUDO_NULL, tau=tau,
-                                   sigma=sigma, domain=domain,
-                                   label=label or f"h3-type2(c={c:g})")
-
-
 def h3_type2_tau_form(smp: Samples, c: float,
                       tol: Tolerances = Tolerances()) -> CheckResult:
     """2-type within the family iff tau is the exponential form for c.
@@ -171,9 +161,12 @@ def h3_type2_tau_form(smp: Samples, c: float,
                        extras={"fd_residual": fd_residual})
 
 
-def pseudohyperbolic_block(smp: Samples, trace: CurveTrace,
+def pseudohyperbolic_block(trace: CurveTrace,
                            tol: Tolerances = Tolerances()) -> dict:
     """Report block assembled by the classifier for pseudo null curves.
+
+    The ratio and tau-form fits read the trace's curvatures, and the
+    sphere fit and closed-form center its positions and frames.
 
     `type1_nonexistence` is "Yes" for every family member: the family
     forces a constant ratio, which is never the 1-type quadratic (the
@@ -181,7 +174,7 @@ def pseudohyperbolic_block(smp: Samples, trace: CurveTrace,
     off the family is noted only with a finite radius: a constant positive
     ratio puts the curve on a de Sitter pseudosphere (fitted r^2 < 0).
     """
-    ratio = h3_ratio_check(smp, tol)
+    ratio = h3_ratio_check(trace, tol)
     notes = list(ratio.flags)
     is_family = ratio.verdict is Verdict.YES
     c_val = ratio.constants["c"].value if ratio.extras["constant"] else None
@@ -230,7 +223,7 @@ def pseudohyperbolic_block(smp: Samples, trace: CurveTrace,
             notes.append(f"fitted radius {fit.radius:.6g} differs from "
                          f"sqrt(-2c) = {expected_r:.6g}")
 
-    tau_form = h3_type2_tau_form(smp, c, tol)
+    tau_form = h3_type2_tau_form(trace, c, tol)
     block["type2_tau"] = {
         "verdict": tau_form.verdict.value,
         "ode_residual": _jsonable(tau_form.residual),

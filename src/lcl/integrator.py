@@ -25,13 +25,11 @@ from __future__ import annotations
 
 import logging
 import math
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .calculus import (gauss_nodes, grid_derivative, grid_integrals,
-                       node_integrals)
+from .calculus import grid_derivative
 from .errors import ConfigError, FrameError, IntegrationError
 from .frames import canonical_frame, frame_family, frenet_matrix, gram_residual
 from .minkowski import pairing
@@ -47,20 +45,19 @@ ABORT_FACTOR = 1e3
 class CurveTrace(Samples):
     """Sampled curve: the profile's samples on the integration grid s,
     with positions and frames there. The curvatures are views of the
-    half-step lattice the integration evaluated (s is its even points);
-    lattice_sigma is sigma on all of it.
+    half-step lattice the integration evaluated (s is its even points),
+    on which the family rules hold; lattice_sigma is sigma on all of it.
+    A classification's checks, axes and oracle all read this one grid.
     """
 
     def __init__(self, profile: CurvatureProfile, s: np.ndarray, h: float,
                  kappa: np.ndarray, tau: np.ndarray, sigma: np.ndarray,
                  positions: np.ndarray, frames: np.ndarray,
-                 gram_res: np.ndarray, checks: Samples,
-                 lattice_sigma: np.ndarray):
+                 gram_res: np.ndarray, lattice_sigma: np.ndarray):
         super().__init__(profile, s, h, kappa, tau, sigma)
         self.positions = positions    # (n, 4)
         self.frames = frames          # (n, 4, 4), rows T, N, B1, B2
         self.gram_res = gram_res      # (n,) max abs Gram deviation per point
-        self.checks = checks          # the check grid, from profile.validate()
         self.lattice_sigma = lattice_sigma  # (2n - 1,)
 
     @property
@@ -70,17 +67,6 @@ class CurveTrace(Samples):
     @property
     def max_gram_residual(self) -> float:
         return float(np.max(self.gram_res))
-
-    @cached_property
-    def curvature_integrals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(Int kappa, Int tau) on s, theta = Int kappa at gauss_nodes(s)
-        and tau there: what the partially null axes integrate, from one
-        evaluation of kappa and tau at the nodes."""
-        nodes = gauss_nodes(self.s)
-        vals = np.stack([self.profile.kappa(nodes), self.profile.tau(nodes)])
-        on_grid = grid_integrals(vals, self.s)
-        theta = node_integrals(vals[0], self.s, on_grid[0])
-        return on_grid, theta, vals[1]
 
 
 def _finite_array(value, what: str, shape: tuple, dims: str) -> np.ndarray:
@@ -114,16 +100,14 @@ def integrate_frame(profile: CurvatureProfile,
     Grid: s_i = s_min + i*h for i = 0..floor(span/h). Default h is
     1e-3 * span. `initial` is a 4 x 4 frame, rows T, N, B1, B2 (default
     canonical_frame); `alpha0` is the starting position, a length-4 array
-    (default the origin). Runs profile.validate() first (ProfileError),
-    keeping its Samples as the trace's checks, and the same family rules
-    on the lattice.
-    Raises IntegrationError if Gram drift passes 1000 * eps_gram,
-    ConfigError for a bad step or eps_gram, and FrameError for an initial
-    frame or alpha0 that is not a finite numeric array of its shape, or
-    an initial frame off its Gram targets by more than eps_gram.
+    (default the origin). The family rules run on the curvatures of the
+    half-step lattice s_min + i*h/2, the values the trace holds.
+    Raises ProfileError where they fail, IntegrationError if Gram drift
+    passes 1000 * eps_gram, ConfigError for a bad step or eps_gram, and
+    FrameError for an initial frame or alpha0 that is not a finite
+    numeric array of its shape, or an initial frame off its Gram targets
+    by more than eps_gram.
     """
-    checks = profile.validate()
-
     span = profile.span
     h = check_step(DEFAULT_STEP_FRACTION * span if h is None else h)
     if h > span / 10.0:
@@ -131,6 +115,14 @@ def integrate_frame(profile: CurvatureProfile,
     if not (eps_gram > 0.0) or not math.isfinite(eps_gram):
         raise ConfigError("eps_gram must be positive and finite, "
                           f"got {eps_gram}")
+
+    steps = int(math.floor(span / h + 1e-9))
+    n = steps + 1
+    s = profile.s_min + h * np.arange(n)
+    # curvatures on the half-step lattice: the values every check reads
+    s_half = profile.s_min + (h / 2.0) * np.arange(2 * steps + 1)
+    kappa, tau, sigma = profile.evaluate_arrays(s_half)
+    require_family_rules(profile, kappa, tau, sigma)
 
     frame0 = _finite_array(
         canonical_frame(profile.kind) if initial is None else initial,
@@ -142,14 +134,6 @@ def integrate_frame(profile: CurvatureProfile,
     pos0 = _finite_array(np.zeros(4) if alpha0 is None else alpha0,
                          "alpha0", (4,), "length 4")
 
-    steps = int(math.floor(span / h + 1e-9))
-    n = steps + 1
-    s = profile.s_min + h * np.arange(n)
-
-    # curvatures on the half-step lattice, then frenet matrices
-    s_half = profile.s_min + (h / 2.0) * np.arange(2 * steps + 1)
-    kappa, tau, sigma = profile.evaluate_arrays(s_half)
-    require_family_rules(profile, kappa, tau)
     mats = frenet_matrix(kappa, tau, sigma, profile.kind)
 
     positions = np.empty((n, 4))
@@ -185,8 +169,7 @@ def integrate_frame(profile: CurvatureProfile,
               float(np.max(gram_res)))
     return CurveTrace(profile=profile, s=s, h=h, kappa=kappa[::2],
                       tau=tau[::2], sigma=sigma[::2], positions=positions,
-                      frames=frames, gram_res=gram_res, checks=checks,
-                      lattice_sigma=sigma)
+                      frames=frames, gram_res=gram_res, lattice_sigma=sigma)
 
 
 def _rk4_increments(mats: np.ndarray, h: float

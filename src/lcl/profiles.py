@@ -6,13 +6,14 @@ strings in s or sample tables, interpolated by the in-package monotone
 cubic (PCHIP) of SampleTable; both are plain callables afterwards, so
 every consumer treats them uniformly.
 
-Family rules, enforced on the check grid, grid(), by sample() (before
-any check reads the samples, and through validate() before integration)
-and by integrate_frame on the curvatures of its half-step lattice:
+Family rules, enforced by require_family_rules on the samples a caller
+reads: by integrate_frame on the curvatures of its half-step lattice,
+the values every check of a classification reads, and by sample() on
+grid(), where the suite loader checks its input:
 
     partially null: kappa != 0 and tau != 0 on the domain
     pseudo null:    kappa identically 1 and tau != 0; a sigma that
-                    vanishes somewhere only logs a warning (validate())
+                    vanishes somewhere only logs a warning
 
 JSON form:
 
@@ -30,10 +31,12 @@ from __future__ import annotations
 
 import json
 import logging
+from functools import cached_property
 from typing import NamedTuple, Union
 
 import numpy as np
 
+from .calculus import gauss_nodes, grid_integrals
 from .errors import ConfigError, OutOfDomainError, ProfileError
 from .expr import Expr, Num, parse_expression
 from .frames import FrameKind, frame_family
@@ -179,11 +182,11 @@ class CurvatureProfile(NamedTuple):
         return np.linspace(self.s_min, self.s_max, n)
 
     def sample(self) -> "Samples":
-        """(kappa, tau, sigma) on the check grid, grid(); ProfileError unless
-        the family rules hold there, so the checks divide by them freely."""
+        """(kappa, tau, sigma) on grid(); ProfileError unless the family
+        rules hold there, so the checks divide by them freely."""
         s = self.grid()
         smp = Samples(self, s, s[1] - s[0], *self.evaluate_arrays(s))
-        require_family_rules(self, smp.kappa, smp.tau)
+        require_family_rules(self, smp.kappa, smp.tau, smp.sigma)
         return smp
 
     def _check_domain(self, s):
@@ -201,18 +204,6 @@ class CurvatureProfile(NamedTuple):
         return (np.broadcast_to(np.asarray(self.kappa(s)), s.shape),
                 np.broadcast_to(np.asarray(self.tau(s)), s.shape),
                 np.broadcast_to(np.asarray(self.sigma(s)), s.shape))
-
-    def validate(self) -> "Samples":
-        """sample(); a pseudo null sigma that vanishes only logs a warning,
-        since no check divides by sigma and useful reference profiles (the
-        quadratic sigma/tau family on a wide interval) cross zero."""
-        smp = self.sample()
-        sigma = np.abs(smp.sigma)
-        if (self.kind is FrameKind.PSEUDO_NULL
-                and np.min(sigma) < _ZERO_TOL * (1.0 + np.max(sigma))):
-            log.warning("sigma vanishes somewhere on the domain%s",
-                        f" (profile {self.label!r})" if self.label else "")
-        return smp
 
     def to_json_dict(self) -> dict:
         return {
@@ -249,8 +240,9 @@ class CurvatureProfile(NamedTuple):
 class Samples:
     """A profile's curvatures on a uniform grid s of step h.
 
-    A classification reads one such bundle per grid instead of evaluating
-    the profile again; only the quadratures call the profile itself.
+    A classification reads one such bundle, its trace, instead of
+    evaluating the profile again; only curvature_integrals calls the
+    profile itself.
     """
 
     def __init__(self, profile: CurvatureProfile, s: np.ndarray, h: float,
@@ -265,6 +257,15 @@ class Samples:
     @property
     def kind(self) -> FrameKind:
         return self.profile.kind
+
+    @cached_property
+    def curvature_integrals(self) -> tuple[np.ndarray, np.ndarray]:
+        """(Int kappa, Int tau) on s from s[0], and (kappa, tau) at
+        gauss_nodes(s): every quadrature of a classification reads this
+        one evaluation of kappa and tau at the nodes."""
+        nodes = gauss_nodes(self.s)
+        vals = np.stack([self.profile.kappa(nodes), self.profile.tau(nodes)])
+        return grid_integrals(vals, self.s), vals
 
 
 def read_json_file(path):
@@ -289,31 +290,36 @@ def save_profile(p: CurvatureProfile, path) -> None:
 
 
 def require_family_rules(p: CurvatureProfile, kappa: np.ndarray,
-                         tau: np.ndarray) -> None:
+                         tau: np.ndarray, sigma: np.ndarray) -> None:
     """ProfileError unless the family rules hold on these samples of p: a
     pseudo null kappa stays within 1e-9 of 1, and tau and a partially null
-    kappa neither vanish nor change sign."""
+    kappa neither vanish nor change sign. A pseudo null sigma that
+    vanishes only logs a warning, since no check divides by sigma and
+    useful reference profiles (the quadratic sigma/tau family on a wide
+    interval) cross zero."""
     suffix = f" (profile {p.label!r})" if p.label else ""
     if p.kind is FrameKind.PARTIALLY_NULL:
-        nonzero = (("kappa", kappa), ("tau", tau))
+        checked = (("kappa", kappa, True), ("tau", tau, True))
     elif kappa.max() - 1.0 <= _ZERO_TOL and 1.0 - kappa.min() <= _ZERO_TOL:
-        nonzero = (("tau", tau),)
+        checked = (("tau", tau, True), ("sigma", sigma, False))
     else:
         raise ProfileError("pseudo null profile requires kappa = 1, max "
                            f"deviation {np.max(np.abs(kappa - 1.0)):.3g}{suffix}")
-    for name, values in nonzero:
+    for name, values, required in checked:
         # |values| has the extremes of values, or of -values when they are
-        # one-signed; only a zero, both signs or a NaN needs the copy
+        # one-signed; only both signs or a NaN needs the copy
         lo, hi = values.min(), values.max()
-        if lo > 0.0:
+        if lo >= 0.0:
             small, large = lo, hi
-        elif hi < 0.0:
+        elif hi <= 0.0:
             small, large = -hi, -lo
         else:
             size = np.abs(values)
             small, large = size.min(), size.max()
         if small < _ZERO_TOL * (1.0 + large):
-            raise ProfileError(f"{name} vanishes on the domain{suffix}")
+            if required:
+                raise ProfileError(f"{name} vanishes on the domain{suffix}")
+            log.warning("%s vanishes somewhere on the domain%s", name, suffix)
         # no value is near 0, so both signs mean neighbours of opposite sign
-        if lo < 0.0 < hi:
+        elif required and lo < 0.0 < hi:
             raise ProfileError(f"{name} changes sign on the domain{suffix}")

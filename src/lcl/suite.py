@@ -206,7 +206,7 @@ def fixtures_from_json(obj) -> list[Fixture]:
     Expected verdicts are keyed "k0".."k3" with values "Y", "N", or
     "oracle"; omitted keys default to "oracle" (recorded, never failed),
     and any other key is a ProfileError naming the entry and the key.
-    Each profile must pass validate(); an entry that does not raises its
+    Each profile must pass sample(); an entry that does not raises its
     input error with the entry's index and label in the message.
     """
     from .errors import LclError, ProfileError
@@ -223,7 +223,7 @@ def fixtures_from_json(obj) -> list[Fixture]:
                                f"got {label!r}")
         try:
             profile = CurvatureProfile.from_json_dict(entry["profile"])
-            profile.validate()
+            profile.sample()
         except LclError as exc:
             named = f"suite entry {i}" + (f" ({label!r})" if label else "")
             exc.args = (f"{named}: {exc}",)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lcl import CurvatureProfile, integrate_frame
-from lcl.hyperbolic import make_h3_type2_profile
+from lcl.suite import generate
 
 
 @pytest.fixture(scope="session")
@@ -45,7 +45,8 @@ def quad_psn_trace(quad_psn_profile):
 
 @pytest.fixture(scope="session")
 def h3_profile():
-    return make_h3_type2_profile(-2.0, 1.0, 0.5, (0.0, 1.5), label="h3-exp")
+    return generate("h3-exponential", {"c": -2.0, "lam": 1.0, "mu": 0.5},
+                    (0.0, 1.5), "h3-exp").profile
 
 
 @pytest.fixture(scope="session")

@@ -18,9 +18,9 @@ from lcl import (CurvatureProfile, Verdict, classify_profile,
                  pn_type2_axis, psn_type1_axis, psn_type1_check,
                  psn_type2_axis, psn_type2_check, resample_curvatures,
                  run_theorem_suite, validate_axis)
-from lcl.calculus import cumulative_integral, grid_derivative
+from lcl.calculus import gauss_nodes, grid_derivative, grid_integrals
 from lcl.cli import main
-from lcl.hyperbolic import make_h3_type2_profile
+from lcl.suite import generate
 
 Y, N = Verdict.YES, Verdict.NO
 SIGNS = np.array([-1.0, 1.0, 1.0, 1.0])
@@ -219,7 +219,8 @@ def test_criterion_7_exponential_family():
     cases = [(-0.5, 1.0, 0.0), (-2.0, 0.0, 3.0), (-1.0, 1.0, 1.0)]
     checks = []
     for c, lam, mu in cases:
-        p = make_h3_type2_profile(c, lam, mu, (0.0, 1.5))
+        p = generate("h3-exponential", {"c": c, "lam": lam, "mu": mu},
+                     (0.0, 1.5)).profile
         smp = p.sample()
         form = h3_type2_tau_form(smp, c)
         r1 = psn_type1_check(smp)
@@ -277,7 +278,11 @@ def test_criterion_9_numerical_hygiene(tmp_path, capsys):
 
     # additivity of the pipeline's quadrature, on grids of step 0.01
     f = lambda s: np.exp(np.sin(3.0 * s))
-    integral = lambda a, b, n: cumulative_integral(f, np.linspace(a, b, n))[-1]
+
+    def integral(a, b, n):
+        grid = np.linspace(a, b, n)
+        return grid_integrals(f(gauss_nodes(grid)), grid)[-1]
+
     add_err = abs(integral(0.0, 0.7, 71) + integral(0.7, 2.0, 131)
                   - integral(0.0, 2.0, 201))
 

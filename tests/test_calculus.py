@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from lcl import cumulative_integral, grid_derivative, run_theorem_suite
+from lcl import CurvatureProfile, grid_derivative, run_theorem_suite
 from lcl.calculus import (_GL_ANTIDERIVATIVE, _GL_NODES, _GL_WEIGHTS,
                           _stencil_weights, gauss_nodes, grid_integrals,
                           node_integrals)
@@ -14,7 +14,7 @@ from lcl.calculus import (_GL_ANTIDERIVATIVE, _GL_NODES, _GL_WEIGHTS,
 
 def test_cumulative_integral_endpoint_and_monotone_grid():
     grid = np.linspace(0.0, 2.0, 101)
-    cum = cumulative_integral(np.exp, grid)
+    cum = grid_integrals(np.exp(gauss_nodes(grid)), grid)
     assert cum[0] == 0.0
     assert cum[-1] == pytest.approx(np.exp(2.0) - 1.0, abs=1e-12)
     # positive integrand, so the cumulative values must increase
@@ -24,16 +24,14 @@ def test_cumulative_integral_endpoint_and_monotone_grid():
 def test_stacked_integrands_integrate_like_separate_ones():
     # one call evaluates the shared factor once per Gauss node
     grid = np.linspace(0.0, 2.0, 1001)
-
-    def pair(t):
-        e = np.exp(t)
-        return np.stack([e * np.sin(t), e * np.cos(t)])
-
-    stacked = cumulative_integral(pair, grid)
+    nodes = gauss_nodes(grid)
+    e = np.exp(nodes)
+    stacked = grid_integrals(np.stack([e * np.sin(nodes), e * np.cos(nodes)]),
+                             grid)
     assert stacked.shape == (2, 1001)
     for row, f in zip(stacked, (lambda t: np.exp(t) * np.sin(t),
                                 lambda t: np.exp(t) * np.cos(t))):
-        alone = cumulative_integral(f, grid)
+        alone = grid_integrals(f(nodes), grid)
         assert np.max(np.abs(row - alone)) <= 1e-15 * np.max(np.abs(alone))
 
 
@@ -70,10 +68,17 @@ def test_node_integrals_are_exact_for_a_quartic_and_match_nested_gauss():
 
 
 def test_cumulative_integral_is_node_integrals_of_the_node_values():
-    grid = np.linspace(0.0, 2.0, 1001)
-    got = cumulative_integral(np.sin, grid)
-    assert np.array_equal(got, grid_integrals(np.sin(gauss_nodes(grid)),
-                                              grid))
+    # Samples.curvature_integrals: kappa and tau read once at the Gauss
+    # nodes of the sample grid, and their integrals from those values
+    p = CurvatureProfile.create("partially_null", kappa="2 + sin(s)",
+                                tau="exp(s)", domain=(0.0, 2.0))
+    smp = p.sample()
+    nodes = gauss_nodes(smp.s)
+    on_grid, at_nodes = smp.curvature_integrals
+    assert np.array_equal(at_nodes, np.stack([np.sin(nodes) + 2.0,
+                                              np.exp(nodes)]))
+    assert np.array_equal(on_grid, grid_integrals(at_nodes, smp.s))
+    assert on_grid[1, -1] == pytest.approx(np.exp(2.0) - 1.0, abs=1e-12)
 
 
 def test_grid_derivative_first_and_second_order():
@@ -95,17 +100,8 @@ def test_grid_derivative_is_exact_on_low_degree_polynomials():
     assert np.max(np.abs(d2 - 4.0)) < 1e-11
 
 
-def test_grid_third_derivative_of_a_quartic_on_every_row():
-    # five points fit a quartic exactly, so every stencil, the shifted ones
-    # on the two edge rows at each end included, is exact up to roundoff
-    grid = np.linspace(-1.0, 1.0, 41)
-    h = grid[1] - grid[0]
-    d3 = grid_derivative(grid**4 - 2.0 * grid**3 + grid, h, order=3)
-    assert np.max(np.abs(d3 - (24.0 * grid - 12.0))) < 1e-9
-
-
 @pytest.mark.parametrize("shape", [(41,), (1001,), (1001, 4), (57, 4, 4)])
-@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("order", [1, 2])
 def test_grid_derivative_edge_rows_are_bit_identical_to_tensordot(shape,
                                                                    order):
     rng = np.random.default_rng([order, *shape])
@@ -132,8 +128,8 @@ def test_grid_derivative_rejects_bad_step():
 
 
 def test_grid_derivative_rejects_bad_order():
-    for order in (0, 4):
-        with pytest.raises(ValueError, match="order must be 1, 2, or 3"):
+    for order in (0, 3, 4):
+        with pytest.raises(ValueError, match="order must be 1 or 2"):
             grid_derivative(np.zeros(8), 0.1, order=order)
 
 

@@ -211,7 +211,7 @@ def test_3_type_reduces_to_0_type():
 def test_3_type_reuses_a_given_0_type_result():
     p = CurvatureProfile.create("partially_null", kappa="1", tau="s",
                                 domain=(0.1, 1.0))
-    r0 = pn_type0_check(p.sample())
+    r0 = pn_type0_check(integrate_frame(p))
     rep = classify_profile(p)
     assert rep.raw_verdicts[3] is rep.raw_verdicts[0] is r0.verdict is N
     assert (rep.condition_residuals[3] == rep.condition_residuals[0]
@@ -317,7 +317,8 @@ def test_tolerances_reject_meaningless_thresholds(name, value):
 
 def test_sigma_probe_reads_the_whole_check_grid(monkeypatch):
     # nonzero sigma that vanishes on all 65 points of grid(65), the old
-    # probe; the check grid's 1001 points see it, before any axis is built
+    # probe; the half-step lattice the checks read sees it, before any
+    # axis is built
     p = CurvatureProfile.create("partially_null", kappa="1", tau="1",
                                 sigma="1e-3*sin(32*pi*(s - 0.5))",
                                 domain=(0.5, 2.5))

@@ -9,7 +9,6 @@ from lcl import (PSN_IMPLICATIONS, CurvatureProfile, Verdict, assemble_axis,
                  psn_type1_check, psn_type2_axis, psn_type2_check,
                  validate_axis)
 from lcl.errors import ProfileError
-from lcl.hyperbolic import make_h3_type2_profile
 from lcl.suite import generate
 
 Y, N, U = Verdict.YES, Verdict.NO, Verdict.UNDETERMINED
@@ -226,7 +225,7 @@ def test_classify_generic_pseudo_null():
 
 
 def test_kappa_within_the_validation_tolerance_classifies():
-    # validate() accepts kappa within 1e-9 of 1; classification tests no
+    # the family rules accept kappa within 1e-9 of 1; classification tests no
     # pseudo null gauge again (only the partially null sigma = 0)
     p = CurvatureProfile.create("pseudo_null", kappa="1 + 1e-10*s", tau="1",
                                 sigma="exp(s)", domain=(0.0, 1.5))

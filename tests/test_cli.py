@@ -141,22 +141,23 @@ def _rule_breakers(wave, kappa_off):
              "sigma": _PSN_SIGMA}]
 
 
-@pytest.mark.parametrize("profile, on_check_grid", [
+@pytest.mark.parametrize("profile, on_sample_grid", [
     *((p, True) for p in _rule_breakers(_OFF_GRID, "1 + 1e-3*sin(256*pi*s)")),
     *((p, False) for p in _rule_breakers(_BETWEEN, "1 + 1e-3*sin(1000*pi*s)")),
 ], ids=["pn-kappa-sign", "pn-tau-sign", "psn-tau-sign", "psn-kappa-off",
         "pn-kappa-sign-lattice", "pn-tau-sign-lattice", "psn-tau-sign-lattice",
         "psn-kappa-off-lattice"])
 def test_a_rule_broken_between_coarse_samples_is_a_validation_error(
-        profile, on_check_grid, tmp_path, capsys):
+        profile, on_sample_grid, tmp_path, capsys):
     # each rule holds at s = i/256 and fails between those points, where
-    # the 1001-point check grid the checks read sees it; or it holds at
-    # every check-grid point s = i/1000 and fails at the midpoints, which
-    # only the half-step integration lattice evaluates
+    # the 1001-point grid() of sample() and the lattice see it; or it holds
+    # at every grid() point s = i/1000 and fails at the midpoints, which
+    # only the half-step integration lattice, the values the checks read,
+    # evaluates
     profile = dict(profile, domain=[0.0, 1.0])
     p = CurvatureProfile.from_json_dict(profile)
-    if not on_check_grid:
-        p.validate()
+    if not on_sample_grid:
+        p.sample()
     with pytest.raises(ProfileError):
         classify_profile(p)
     path = tmp_path / "off.json"
@@ -550,7 +551,7 @@ def test_h3_type3_past_its_singularity_is_an_evaluation_error(tmp_path,
 
 def test_partially_null_sigma_rule_reads_the_integration_lattice(tmp_path,
                                                                  capsys):
-    # sigma is 0 to roundoff at every check-grid point s = i/1000 and
+    # sigma is 0 to roundoff at every grid() point s = i/1000 and
     # +-1e-2 at the midpoints of the half-step lattice the integration reads
     profile = {"kind": "partially_null", "kappa": "1", "tau": "1",
                "sigma": "1e-2*sin(1000*pi*s)", "domain": [0, 1]}

@@ -8,7 +8,7 @@ from lcl import (CurvatureProfile, Verdict, classify_profile,
                  h3_ratio_check, h3_type2_tau_form, integrate_frame,
                  pairing)
 from lcl.errors import ProfileError
-from lcl.hyperbolic import make_h3_type2_profile
+from lcl.hyperbolic import h3_type2_form
 from lcl.minkowski import SIGNS
 from lcl.suite import default_suite, generate
 
@@ -41,8 +41,13 @@ def _exponential_tau(grid, lam=1.0, mu=0.5, w=2.0):
     return lam * np.exp(grid / w) + mu * np.exp(-grid / w)
 
 
+def _h3_exponential(c, lam, mu, domain):
+    return generate("h3-exponential", {"c": c, "lam": lam, "mu": mu},
+                    domain).profile
+
+
 def test_tau_form_solves_its_own_evolution_equation():
-    p = make_h3_type2_profile(-2.0, 1.0, 0.5, (0.0, 1.5))
+    p = _h3_exponential(-2.0, 1.0, 0.5, (0.0, 1.5))
     grid = np.linspace(0.0, 1.5, 101)
     # the closed form's tau'' is tau / w^2, so 2 c tau'' + tau = 0 holds
     # identically for the generated profile's two-exponential tau
@@ -51,7 +56,7 @@ def test_tau_form_solves_its_own_evolution_equation():
 
 
 def test_make_h3_profile_round_trips_tau_text():
-    p = make_h3_type2_profile(-2.0, 1.0, 0.5, (0.0, 1.5))
+    p = _h3_exponential(-2.0, 1.0, 0.5, (0.0, 1.5))
     grid = np.linspace(0.0, 1.5, 33)
     assert np.max(np.abs(p.tau(grid) - _exponential_tau(grid))) < 1e-12
     # sigma is c * tau by construction
@@ -60,15 +65,15 @@ def test_make_h3_profile_round_trips_tau_text():
 
 def test_make_h3_profile_rejects_bad_parameters():
     with pytest.raises(ProfileError):
-        make_h3_type2_profile(0.5, 1.0, 0.5, (0.0, 1.0))  # c must be < 0
+        _h3_exponential(0.5, 1.0, 0.5, (0.0, 1.0))  # c must be < 0
     with pytest.raises(ProfileError):
-        make_h3_type2_profile(-1.0, 0.0, 0.0, (0.0, 1.0))  # tau == 0
+        _h3_exponential(-1.0, 0.0, 0.0, (0.0, 1.0))  # tau == 0
 
 
 @pytest.mark.parametrize("c, lam, mu", [(0.5, 1.0, 0.5), (-1.0, 0.0, 0.0)])
 def test_h3_generator_row_rejects_what_make_h3_profile_rejects(c, lam, mu):
     with pytest.raises(ProfileError) as direct:
-        make_h3_type2_profile(c, lam, mu, (0.0, 1.0))
+        h3_type2_form(c, lam, mu)
     with pytest.raises(ProfileError) as row:
         generate("h3-exponential", {"c": c, "lam": lam, "mu": mu}, (0.0, 1.0))
     assert str(row.value) == str(direct.value)
@@ -77,17 +82,10 @@ def test_h3_generator_row_rejects_what_make_h3_profile_rejects(c, lam, mu):
 @pytest.mark.parametrize("c, lam, mu", [(0.5, 0.1, 0.1), (-1.0, 0.0, 0.0)])
 def test_h3_type3_row_shares_the_parameter_checks(c, lam, mu):
     with pytest.raises(ProfileError) as direct:
-        make_h3_type2_profile(c, lam, mu, (0.0, 1.0))
+        h3_type2_form(c, lam, mu)
     with pytest.raises(ProfileError) as row:
         generate("h3-type3", {"c": c, "lam": lam, "mu": mu}, (0.0, 1.0))
     assert str(row.value) == str(direct.value)
-
-
-def test_h3_generator_row_matches_make_h3_profile():
-    made = make_h3_type2_profile(-2.0, 1.0, 0.5, (0.3, 1.5), label="x")
-    fixture = generate("h3-exponential", {"c": -2.0, "lam": 1.0, "mu": 0.5},
-                       (0.3, 1.5), label="x")
-    assert fixture.profile == made
 
 
 def test_sphere_fit_recovers_center_and_radius(h3_trace):

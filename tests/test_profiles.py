@@ -57,14 +57,14 @@ def test_validate_rejects_vanishing_kappa():
     p = CurvatureProfile.create("partially_null", kappa="s - 0.5", tau="1",
                                 domain=(0.0, 1.0))
     with pytest.raises(ProfileError):
-        p.validate()
+        p.sample()
 
 
 def test_validate_rejects_tau_sign_change():
     p = CurvatureProfile.create("partially_null", kappa="1", tau="s - 0.5",
                                 domain=(0.0, 1.0))
     with pytest.raises(ProfileError):
-        p.validate()
+        p.sample()
 
 
 def test_pseudo_null_sigma_may_cross_zero():
@@ -73,14 +73,14 @@ def test_pseudo_null_sigma_may_cross_zero():
     p = CurvatureProfile.create("pseudo_null", tau="1",
                                 sigma="-s^2/2 + 0.3*s + 0.1",
                                 domain=(0.0, 2.0))
-    p.validate()
+    p.sample()
 
 
 def test_pseudo_null_tau_zero_is_still_fatal():
     p = CurvatureProfile.create("pseudo_null", tau="s - 0.5", sigma="1",
                                 domain=(0.0, 1.0))
     with pytest.raises(ProfileError):
-        p.validate()
+        p.sample()
 
 
 def test_evaluate_arrays_matches_scalar_evaluate():
@@ -211,11 +211,11 @@ def test_family_rules_copy_no_one_signed_array(kind, kappa):
     # min and max decide; |values| is formed only on the error path
     p = CurvatureProfile.create(kind, kappa=kappa, tau="-1 - s",
                                 sigma="s", domain=(0.0, 1.0))
-    k, t, _ = p.evaluate_arrays(np.linspace(0.0, 1.0, 10_001))
-    k, t = np.array(k), np.array(t)
+    k, t, sg = p.evaluate_arrays(np.linspace(0.0, 1.0, 10_001))
+    k, t, sg = np.array(k), np.array(t), np.array(sg)
     tracemalloc.start()
     try:
-        require_family_rules(p, k, t)
+        require_family_rules(p, k, t, sg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -7,8 +7,9 @@ import pytest
 
 import lcl.verifier
 from lcl import (Fixture, FrameKind, classify_profile, default_suite,
-                 fixtures_from_json, load_suite, render_table,
-                 run_theorem_suite)
+                 fixtures_from_json, integrate_frame, load_suite,
+                 render_table, run_theorem_suite)
+from lcl.calculus import gauss_nodes
 from lcl.errors import ConfigError, ProfileError
 from lcl.suite import DEFAULT_SEED, GENERATORS
 
@@ -216,6 +217,16 @@ def test_full_default_suite_posts_no_failures_or_disagreements():
     assert summary.disagreement_count == 0
 
 
+@pytest.mark.parametrize("h", [0.002, 0.0005])
+def test_default_suite_passes_at_a_non_default_step(h):
+    # the checks fit on the trace grid that h sets; fixture spans are
+    # 0.8 to 2.5, so this covers 320 to 5,000 steps
+    summary = run_theorem_suite(h=h)
+    assert summary.passed, render_table(summary)
+    assert summary.n_pass == 50
+    assert summary.disagreement_count == 0
+
+
 class _Counting:
     """A curvature component that records every argument it is called on."""
 
@@ -227,24 +238,31 @@ class _Counting:
         return self.component(s)
 
 
-@pytest.mark.parametrize("kind,budget", [(FrameKind.PARTIALLY_NULL, 24_006),
-                                         (FrameKind.PSEUDO_NULL, 19_006)])
-def test_a_classification_evaluates_each_grid_once(kind, budget):
-    # at the default step: the 2001-point half-step lattice and the
-    # 1001-point check grid for each component, plus 5 Gauss nodes per
-    # cell for the integrals (partially null: kappa on the check grid,
-    # kappa and tau once on the trace grid; pseudo null: tau on each)
+@pytest.mark.parametrize("cells", [None, 400])
+@pytest.mark.parametrize("kind", [FrameKind.PARTIALLY_NULL,
+                                  FrameKind.PSEUDO_NULL])
+def test_a_classification_evaluates_each_grid_once(kind, cells):
+    # one grid: each component once on the trace's half-step lattice, and
+    # kappa and tau once at the 5 Gauss nodes of each trace cell; at the
+    # default step (1000 cells) that is 3 * 2001 + 2 * 5000 = 16,003 points
     fixtures = [fx for fx in default_suite() if fx.profile.kind is kind]
     assert fixtures
     for fx in fixtures:
+        h = None if cells is None else fx.profile.span / cells
+        trace = integrate_frame(fx.profile, h=h)
+        lattice = fx.profile.s_min + 0.5 * trace.h * np.arange(2 * trace.n - 1)
+        nodes = gauss_nodes(trace.s)
         names = ("kappa", "tau", "sigma")
         counted = {n: _Counting(getattr(fx.profile, n)) for n in names}
         p = fx.profile._replace(**counted)
-        classify_profile(p)
+        classify_profile(p, h=h)
         calls = [a for c in counted.values() for a in c.calls]
-        assert sum(a.size for a in calls) <= budget, fx.label
-        check_grid = p.grid()
+        budget = 3 * lattice.size + 2 * nodes.size
+        assert budget == (16_003 if cells is None else 6_403)
+        assert sum(a.size for a in calls) == budget, fx.label
         for n in names:
-            on_grid = [a for a in counted[n].calls
-                       if np.array_equal(a, check_grid)]
-            assert len(on_grid) == 1, (fx.label, n)
+            got = counted[n].calls
+            assert sum(np.array_equal(a, lattice) for a in got) == 1, n
+            assert sum(np.array_equal(a, nodes) for a in got) == (
+                n != "sigma"), (fx.label, n)
+            assert not any(np.array_equal(a, p.grid()) for a in got)
