@@ -29,7 +29,7 @@ from .hyperbolic import (SphereFit, closed_form_center,
 from .integrator import (CurveTrace, integrate_frame, resample_curvatures,
                          write_trace_csv)
 from .minkowski import nullspace_min_singular, pairing, row_norm
-from .profiles import (CurvatureProfile, Samples, SampleTable, load_profile,
+from .profiles import (CurvatureProfile, SampleTable, load_profile,
                        save_profile)
 from .suite import (DEFAULT_SEED, Fixture, default_suite, fixtures_from_json,
                     load_suite)
@@ -45,7 +45,7 @@ __all__ = [
     "ExpressionError", "Fixture", "FittedConstant", "FrameError",
     "FrameKind", "GridMismatchError", "IntegrationError", "LclError",
     "OracleResult", "OutOfDomainError", "ProfileError",
-    "Samples", "SampleTable", "SphereFit", "SuiteSummary", "FixtureResult",
+    "SampleTable", "SphereFit", "SuiteSummary", "FixtureResult",
     "Tolerances", "Verdict", "assemble_axis",
     "canonical_frame", "classify_profile",
     "closed_form_center", "default_suite",

@@ -12,9 +12,12 @@ Design notes:
   stencils of 4th order (first and second derivatives); the two points
   at each end of the grid use shifted stencils of the same width, so no
   value outside the grid is ever needed.
-* Integrals read the integrand at the Gauss nodes of each grid cell only:
-  grid_integrals gives the antiderivative on the grid, and node_integrals
-  at those nodes, for an integrand that holds an integral itself.
+* Integrals read the integrand on the same half-step lattice:
+  lattice_integral is Simpson's rule over each integration step, the rule
+  RK4 reduces to for a pure quadrature, with the half cells filled in by
+  the quadratic through the cell's three values, so an integrand that
+  holds an integral itself (the oscillator phase of the 2-type axis)
+  needs no other point.
 """
 
 from __future__ import annotations
@@ -24,67 +27,24 @@ import math
 
 import numpy as np
 
-# 5-point Gauss-Legendre rule on [-1, 1]; degree-9 exactness per cell is
-# far below roundoff for the step sizes used here. The values are those of
-# numpy.polynomial.legendre.leggauss(5) to the last bit (tested), written
-# out so that importing lcl does not load numpy.polynomial.
-_GL_NODES = np.array([-0.906179845938664, -0.5384693101056831, 0.0,
-                      0.5384693101056831, 0.906179845938664])
-_GL_WEIGHTS = np.array([0.23692688505618928, 0.4786286704993663,
-                        0.5688888888888887, 0.4786286704993663,
-                        0.23692688505618928])
 
+def lattice_integral(values, h: float) -> np.ndarray:
+    """F on the half-step lattice s_min + i*h/2 for F, the integral of f
+    from s_min.
 
-# [j, m]: integral from -1 to node j of the degree-4 Lagrange polynomial of
-# node m, i.e. the integrals of t^q, q = 0..4, times inverse Vandermonde x_m^q
-# (tested), written out: a LAPACK call at import would raise the peak RSS
-# of every process (by ~0.6 MB with OpenBLAS).
-_GL_ANTIDERIVATIVE = np.array([
-    [0.11846344252809458, -0.03914072871815205, 0.022508801637285938,
-     -0.011187587321624398, 0.003176225935732003],
-    [0.25630201134009056, 0.23931433524968332, -0.049184229239284324,
-     0.02063656134136667, -0.005537988797539162],
-    [0.22755257600844922, 0.5200093033612834, 0.2844444444444449,
-     -0.041380632861916705, 0.009374309047739884],
-    [0.24246487385372828, 0.45799210915800015, 0.6180731181281738,
-     0.23931433524968326, -0.019375126283901475],
-    [0.23375065912045706, 0.4898162578209912, 0.5463800872516034,
-     0.5177693992175187, 0.11846344252809454]])
-
-
-def gauss_nodes(grid: np.ndarray) -> np.ndarray:
-    """The 5 Gauss nodes of each cell [grid[i], grid[i+1]], shape (5, n - 1)."""
-    grid = np.asarray(grid, dtype=float)
-    a, b = grid[:-1], grid[1:]
-    return 0.5 * (a + b)[None, :] + 0.5 * (b - a)[None, :] * _GL_NODES[:, None]
-
-
-def grid_integrals(values, grid: np.ndarray) -> np.ndarray:
-    """F on the grid for F, the integral of f from grid[0].
-
-    values is f at gauss_nodes(grid), shape (..., 5, n - 1); a leading axis
-    stacks integrands. F sums the 5-point Gauss rule of each cell.
+    values is f on the lattice, last axis 2n - 1; leading axes stack
+    integrands. Each cell [s_i, s_i + h] adds Simpson's rule
+    h/6 (f0 + 4 fm + f1) at the even points, which is what RK4 makes of
+    y' = f(s), and each midpoint adds h/24 (5 f0 + 8 fm - f1) to the even
+    point before it: the integral over the half cell of the quadratic
+    through the cell's three values.
     """
-    grid = np.asarray(grid, dtype=float)
     values = np.asarray(values, dtype=float)
-    half = 0.5 * (grid[1:] - grid[:-1])
-    seg = half * np.tensordot(_GL_WEIGHTS, values, axes=(0, values.ndim - 2))
-    on_grid = np.zeros(seg.shape[:-1] + grid.shape)
-    np.cumsum(seg, axis=-1, out=on_grid[..., 1:])
-    return on_grid
-
-
-def node_integrals(values, grid: np.ndarray,
-                   on_grid: np.ndarray) -> np.ndarray:
-    """F at gauss_nodes(grid), given on_grid = grid_integrals(values, grid).
-
-    At a node it adds to F(grid[i]) the integral up to the node of the
-    degree-4 interpolant through the cell's node values (a fixed 5x5
-    matrix); the result has the shape of values.
-    """
-    grid = np.asarray(grid, dtype=float)
-    half = 0.5 * (grid[1:] - grid[:-1])
-    return on_grid[..., None, :-1] + half * (_GL_ANTIDERIVATIVE @ values)
+    f0, fm, f1 = values[..., 0:-1:2], values[..., 1::2], values[..., 2::2]
+    out = np.zeros(values.shape)
+    np.cumsum(h / 6.0 * (f0 + 4.0 * fm + f1), axis=-1, out=out[..., 2::2])
+    out[..., 1::2] = out[..., 0:-1:2] + h / 24.0 * (5.0 * f0 + 8.0 * fm - f1)
+    return out
 
 
 @functools.cache

@@ -14,12 +14,12 @@ A family is its FAMILIES entry: rows (k, check, build), its implication
 graph and its report block; its frame data is frames.FAMILIES.
 classify_profile walks the entry with the same code for every family.
 
-One classification reads one grid, the trace's, and evaluates the
-profile only on the integration's half-step lattice and at the trace's
-Gauss nodes. The checks and the axis builders read the trace's
-curvatures, and every quadrature reads its one evaluation of kappa and
-tau at the Gauss nodes (Samples.curvature_integrals); the oracle decides
-all four k from one stacked SVD of the trace.
+One classification evaluates each profile component once, on the
+integration's half-step lattice, where the family rules were checked.
+The checks and the axis builders read the trace's curvatures on its
+grid, every integral is Simpson's rule on that lattice
+(CurveTrace.curvature_integrals), and the oracle decides all four k
+from one stacked SVD of the trace.
 
 Partially null curves are classified with sigma identically 0; the frame
 freedom that makes other sigma choices equivalent is not modeled here.
@@ -41,14 +41,14 @@ import numpy as np
 
 from . import hyperbolic
 from .axis import AxisCandidate, assemble_axis, validate_axis
-from .calculus import grid_derivative, grid_integrals, node_integrals
+from .calculus import grid_derivative, lattice_integral
 from .errors import DegenerateAxisError, ProfileError
 from .fits import (DAMPING, CheckResult, FittedConstant, Tolerances, Verdict,
                    _constant_fit, _damped_lstsq, _jsonable, _rms)
 from .frames import ROW_NAMES, FrameKind, frame_family
 from .integrator import CurveTrace, integrate_frame
 from .minkowski import SIGNS, nullspace_min_singular, pairing, row_norm
-from .profiles import CurvatureProfile, Samples
+from .profiles import CurvatureProfile
 
 # The oracle's threshold on sigma_min is this times sqrt(row count).
 EPS_ORACLE_COEFF = 1e-7
@@ -133,11 +133,11 @@ def oracle_detect(trace: CurveTrace,
 # ---------------------------------------------------------------------------
 # partially null family (sigma identically 0)
 
-def pn_type0_check(smp: Samples,
+def pn_type0_check(trace: CurveTrace,
                    tol: Tolerances = Tolerances()) -> CheckResult:
     """0-type (general helix) iff tau/kappa is constant."""
-    _require_kind(smp, FrameKind.PARTIALLY_NULL)
-    ok, mean, residual = _constant_fit(smp.tau / smp.kappa, tol.eps_cond)
+    _require_kind(trace, FrameKind.PARTIALLY_NULL)
+    ok, mean, residual = _constant_fit(trace.tau / trace.kappa, tol.eps_cond)
     return CheckResult(Verdict.of(ok), residual,
                        constants={"ratio": FittedConstant(mean, residual)})
 
@@ -156,7 +156,7 @@ def pn_type0_axes(trace: CurveTrace) -> list[AxisCandidate]:
     ]
 
 
-def pn_type1_check(smp: Samples,
+def pn_type1_check(trace: CurveTrace,
                    tol: Tolerances = Tolerances()) -> CheckResult:
     """1-type iff tau/kappa is affine in the anchored integral of kappa.
 
@@ -166,9 +166,9 @@ def pn_type1_check(smp: Samples,
     constant-ratio axes pair constantly with N as well) and is flagged,
     with both the product C*c0 and the raw coefficients reported.
     """
-    _require_kind(smp, FrameKind.PARTIALLY_NULL)
-    ratio = smp.tau / smp.kappa
-    (kint, _), _ = smp.curvature_integrals
+    _require_kind(trace, FrameKind.PARTIALLY_NULL)
+    ratio = trace.tau / trace.kappa
+    kint = trace.curvature_integrals[0, ::2]
     design = np.column_stack([np.ones_like(kint), kint])
     a0, c_lin = _damped_lstsq(design, ratio)
     residual = _rms(ratio - design @ (a0, c_lin)) / (1.0 + _rms(ratio))
@@ -198,7 +198,7 @@ def pn_type1_axis(trace: CurveTrace, c_lin: float,
         raise DegenerateAxisError(
             "affine axis undefined: fitted linear coefficient is zero "
             "(constant ratio); use the constant-ratio axes instead")
-    (kint, tint), _ = trace.curvature_integrals
+    kint, tint = trace.curvature_integrals[:, ::2]
     return assemble_axis(trace, 1, "curvature-integral",
                          c0 + kint, 1.0, -tint, 1.0 / c_lin)
 
@@ -218,15 +218,16 @@ def pn_type2_axis(trace: CurveTrace,
     The axis is v1 T + (v1'/kappa) N + (c3 - Int tau (v1'/kappa) ds) B1
     + B2. Every choice of (c1, c2, c3) gives a constant vector with
     g(B1, U) = 1, which is why the 2-type verdict for this family is
-    yes by construction (checked against the oracle anyway). theta at the
-    Gauss nodes of I1 and I2 integrates kappa's interpolant through the
-    same nodes (calculus.node_integrals), so no other point is evaluated.
+    yes by construction (checked against the oracle anyway). I1 and I2
+    integrate on the half-step lattice, where theta is known too, so no
+    other point is evaluated.
     """
     c1, c2, c3 = (float(x) for x in c)
-    (theta, _), (kappa, tau) = trace.curvature_integrals
-    th = node_integrals(kappa, trace.s, theta)
-    i1, i2 = grid_integrals(
-        np.stack([tau * np.sin(th), tau * np.cos(th)]), trace.s)
+    th = trace.curvature_integrals[0]
+    tau = trace.lattice[1]
+    i1, i2 = lattice_integral([tau * np.sin(th), tau * np.cos(th)],
+                              trace.h)[:, ::2]
+    theta = th[::2]
     u1 = np.cos(theta) * (c1 - i1) + np.sin(theta) * (c2 + i2)
     u2 = -np.sin(theta) * (c1 - i1) + np.cos(theta) * (c2 + i2)
     # tau u2 = (-c1 I1 + c2 I2 + (I1^2 + I2^2) / 2)', so Int tau u2 is exact
@@ -240,12 +241,12 @@ PN_IMPLICATIONS = ((0, 1), (0, 2), (0, 3), (1, 2), (3, 0), (3, 1), (3, 2))
 # ---------------------------------------------------------------------------
 # pseudo null family (kappa = 1)
 
-def psn_type1_check(smp: Samples,
+def psn_type1_check(trace: CurveTrace,
                     tol: Tolerances = Tolerances()) -> CheckResult:
     """1-type iff sigma/tau = -s^2/2 + a s + b; fits (a, b)."""
-    _require_kind(smp, FrameKind.PSEUDO_NULL)
-    grid = smp.s
-    q = smp.sigma / smp.tau
+    _require_kind(trace, FrameKind.PSEUDO_NULL)
+    grid = trace.s
+    q = trace.sigma / trace.tau
     target = q + 0.5 * grid**2
     design = np.column_stack([grid, np.ones_like(grid)])
     a_fit, b_fit = _damped_lstsq(design, target)
@@ -272,7 +273,7 @@ def psn_type1_axis(trace: CurveTrace) -> AxisCandidate:
     return assemble_axis(trace, 1, "ratio-derivative", -qp, q, 0.0, 1.0)
 
 
-def psn_type2_check(smp: Samples, type1: CheckResult,
+def psn_type2_check(trace: CurveTrace, type1: CheckResult,
                     tol: Tolerances = Tolerances()) -> CheckResult:
     """2-type via the torsion-integral identity, with its blind spot covered.
 
@@ -283,12 +284,12 @@ def psn_type2_check(smp: Samples, type1: CheckResult,
     2-type axis whose B1 pairing constant is zero and genuinely fail the
     identity, so the verdict is the disjunction: identity holds, or the
     1-type condition holds (`type1`, the k = 1 result on the same
-    samples). The identity residual is always reported.
+    trace). The identity residual is always reported.
     """
-    _require_kind(smp, FrameKind.PSEUDO_NULL)
-    step, sigma = smp.h, smp.sigma
-    q = sigma / smp.tau
-    (_, tint), _ = smp.curvature_integrals
+    _require_kind(trace, FrameKind.PSEUDO_NULL)
+    step, sigma = trace.h, trace.sigma
+    q = sigma / trace.tau
+    tint = trace.curvature_integrals[1, ::2]
     # R(c_int) = R0 + c_int * R1, linear because differentiation is
     inner0 = grid_derivative(q * tint, step)
     inner1 = grid_derivative(q, step)
@@ -328,8 +329,7 @@ def psn_type2_axis(trace: CurveTrace, c_int: float) -> AxisCandidate:
     callers gate on psn_type2_check.
     """
     q = trace.sigma / trace.tau
-    (_, tint), _ = trace.curvature_integrals
-    i_vals = c_int + tint
+    i_vals = c_int + trace.curvature_integrals[1, ::2]
     w = q * i_vals
     wp = grid_derivative(w, trace.h)
     return assemble_axis(trace, 2, "torsion-integral",
@@ -339,10 +339,10 @@ def psn_type2_axis(trace: CurveTrace, c_int: float) -> AxisCandidate:
 PSN_IMPLICATIONS = ((1, 2),)
 
 
-def _require_kind(smp: Samples, kind: FrameKind) -> None:
-    if smp.kind is not kind:
+def _require_kind(trace: CurveTrace, kind: FrameKind) -> None:
+    if trace.kind is not kind:
         raise ProfileError(f"check requires a {kind.value} profile, "
-                           f"got {smp.kind.value}")
+                           f"got {trace.kind.value}")
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +509,7 @@ def _pn_universal(c) -> None:
     """k = 2 is left to the universal axis. The pn conditions assume sigma
     = 0, so this first pn row checks it on the integration's half-step
     lattice before any axis is built."""
-    if np.max(np.abs(c.trace.lattice_sigma)) > 1e-12:
+    if np.max(np.abs(c.trace.lattice[2])) > 1e-12:
         raise ProfileError("classification requires sigma = 0 for "
                            "partially null profiles")
 

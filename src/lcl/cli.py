@@ -16,6 +16,7 @@ import argparse
 import itertools
 import json
 import logging
+import math
 import os
 import sys
 from typing import Optional
@@ -282,7 +283,7 @@ def cmd_sweep(args) -> int:
     domain = spec.get("domain")
     try:
         lo, hi = (float(x) for x in domain)
-        ok = lo < hi
+        ok = -math.inf < lo < hi < math.inf
     except (TypeError, ValueError):
         ok = False
     if not ok:
@@ -313,11 +314,15 @@ def cmd_sweep(args) -> int:
                               "null families")
         if not isinstance(pert, dict) or "expr" not in pert:
             raise ConfigError("sigma_perturbation needs an expr")
+        raw_scales = pert.get("scales", [1.0])
         try:
-            scales = [float(s) for s in pert.get("scales", [1.0])]
+            scales = [float(s) for s in raw_scales]
         except (TypeError, ValueError):
-            raise ConfigError("sigma_perturbation scales must be a list of "
-                              "numbers") from None
+            scales = []
+        if not (isinstance(raw_scales, list) and scales
+                and all(map(math.isfinite, scales))):
+            raise ConfigError("sigma_perturbation scales must be a non-empty "
+                              "list of finite numbers")
 
     tol = _tolerances(args)
     header = (["family"] + names + ["perturbation_scale", "status",

@@ -25,16 +25,16 @@ from .fits import (CheckResult, FittedConstant, Tolerances, Verdict,
 from .frames import FrameKind
 from .integrator import CurveTrace
 from .minkowski import SIGNS, pairing, row_norm
-from .profiles import Samples
 
 
-def h3_ratio_check(smp: Samples,
+def h3_ratio_check(trace: CurveTrace,
                    tol: Tolerances = Tolerances()) -> CheckResult:
     """Family test: sigma/tau constant and negative."""
-    if smp.kind is not FrameKind.PSEUDO_NULL:
+    if trace.kind is not FrameKind.PSEUDO_NULL:
         raise ProfileError("pseudohyperbolic checks apply to pseudo null "
                            "profiles only")
-    constant, mean, residual = _constant_fit(smp.sigma / smp.tau, tol.eps_cond)
+    constant, mean, residual = _constant_fit(trace.sigma / trace.tau,
+                                             tol.eps_cond)
     negative = mean < -tol.eps_cond
     flags = []
     if constant and not negative:
@@ -126,7 +126,7 @@ def h3_type2_form(c: float, lam: float, mu: float) -> tuple[str, str]:
     return tau, f"{c!r}*({tau})"
 
 
-def h3_type2_tau_form(smp: Samples, c: float,
+def h3_type2_tau_form(trace: CurveTrace, c: float,
                       tol: Tolerances = Tolerances()) -> CheckResult:
     """2-type within the family iff tau is the exponential form for c.
 
@@ -139,14 +139,14 @@ def h3_type2_tau_form(smp: Samples, c: float,
     """
     if c >= 0.0:
         raise ProfileError("the ratio constant c must be negative")
-    grid, tau_vals = smp.s, smp.tau
+    grid, tau_vals = trace.s, trace.tau
     w = math.sqrt(-2.0 * c)
     design = np.column_stack([np.exp(grid / w), np.exp(-grid / w)])
     lam, mu = _damped_lstsq(design, tau_vals)
     second = (lam * design[:, 0] + mu * design[:, 1]) / (w * w)
     scale = 1.0 + float(np.max(np.abs(tau_vals)))
     ode_residual = float(np.max(np.abs(2.0 * c * second + tau_vals))) / scale
-    fd_second = grid_derivative(tau_vals, smp.h, order=2)
+    fd_second = grid_derivative(tau_vals, trace.h, order=2)
     fd_residual = float(np.max(np.abs(2.0 * c * fd_second[2:-2]
                                       + tau_vals[2:-2]))) / scale
     verdict = Verdict.of(ode_residual < tol.eps_cond)

@@ -25,15 +25,17 @@ from __future__ import annotations
 
 import logging
 import math
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .calculus import grid_derivative
+from .calculus import grid_derivative, lattice_integral
 from .errors import ConfigError, FrameError, IntegrationError
-from .frames import canonical_frame, frame_family, frenet_matrix, gram_residual
+from .frames import (FrameKind, canonical_frame, frame_family, frenet_matrix,
+                     gram_residual)
 from .minkowski import pairing
-from .profiles import CurvatureProfile, Samples, require_family_rules
+from .profiles import CurvatureProfile, require_family_rules
 
 log = logging.getLogger("lcl.integrator")
 
@@ -42,23 +44,37 @@ DEFAULT_STEP_FRACTION = 1e-3
 ABORT_FACTOR = 1e3
 
 
-class CurveTrace(Samples):
-    """Sampled curve: the profile's samples on the integration grid s,
-    with positions and frames there. The curvatures are views of the
-    half-step lattice the integration evaluated (s is its even points),
-    on which the family rules hold; lattice_sigma is sigma on all of it.
-    A classification's checks, axes and oracle all read this one grid.
+class CurveTrace:
+    """Sampled curve: positions and frames on the integration grid s, and
+    the curvatures the integration evaluated on its half-step lattice
+    s_min + i*h/2, on which the family rules hold. lattice is that
+    (kappa, tau, sigma); the kappa, tau and sigma attributes are its even
+    points, on s. A classification's checks, integrals, axes and oracle
+    all read this one evaluation.
     """
 
     def __init__(self, profile: CurvatureProfile, s: np.ndarray, h: float,
-                 kappa: np.ndarray, tau: np.ndarray, sigma: np.ndarray,
-                 positions: np.ndarray, frames: np.ndarray,
-                 gram_res: np.ndarray, lattice_sigma: np.ndarray):
-        super().__init__(profile, s, h, kappa, tau, sigma)
+                 lattice: tuple, positions: np.ndarray, frames: np.ndarray,
+                 gram_res: np.ndarray):
+        self.profile = profile
+        self.s = s                    # (n,)
+        self.h = h
+        self.lattice = lattice        # (kappa, tau, sigma), each (2n - 1,)
+        # (n,) each: views of the lattice's even points, not copies
+        self.kappa, self.tau, self.sigma = (c[::2] for c in lattice)
         self.positions = positions    # (n, 4)
         self.frames = frames          # (n, 4, 4), rows T, N, B1, B2
         self.gram_res = gram_res      # (n,) max abs Gram deviation per point
-        self.lattice_sigma = lattice_sigma  # (2n - 1,)
+
+    @property
+    def kind(self) -> FrameKind:
+        return self.profile.kind
+
+    @cached_property
+    def curvature_integrals(self) -> np.ndarray:
+        """(Int kappa, Int tau) from s_min on the lattice, shape
+        (2, 2n - 1): Simpson's rule over each step (lattice_integral)."""
+        return lattice_integral(self.lattice[:2], self.h)
 
     @property
     def n(self) -> int:
@@ -121,8 +137,8 @@ def integrate_frame(profile: CurvatureProfile,
     s = profile.s_min + h * np.arange(n)
     # curvatures on the half-step lattice: the values every check reads
     s_half = profile.s_min + (h / 2.0) * np.arange(2 * steps + 1)
-    kappa, tau, sigma = profile.evaluate_arrays(s_half)
-    require_family_rules(profile, kappa, tau, sigma)
+    lattice = profile.evaluate_arrays(s_half)
+    require_family_rules(profile, *lattice)
 
     frame0 = _finite_array(
         canonical_frame(profile.kind) if initial is None else initial,
@@ -134,7 +150,7 @@ def integrate_frame(profile: CurvatureProfile,
     pos0 = _finite_array(np.zeros(4) if alpha0 is None else alpha0,
                          "alpha0", (4,), "length 4")
 
-    mats = frenet_matrix(kappa, tau, sigma, profile.kind)
+    mats = frenet_matrix(*lattice, profile.kind)
 
     positions = np.empty((n, 4))
     frames = np.empty((n, 4, 4))
@@ -167,9 +183,8 @@ def integrate_frame(profile: CurvatureProfile,
     log.debug("integrated %s profile over [%g, %g], %d steps, max drift %.3g",
               profile.kind.value, profile.s_min, profile.s_max, steps,
               float(np.max(gram_res)))
-    return CurveTrace(profile=profile, s=s, h=h, kappa=kappa[::2],
-                      tau=tau[::2], sigma=sigma[::2], positions=positions,
-                      frames=frames, gram_res=gram_res, lattice_sigma=sigma)
+    return CurveTrace(profile=profile, s=s, h=h, lattice=lattice,
+                      positions=positions, frames=frames, gram_res=gram_res)
 
 
 def _rk4_increments(mats: np.ndarray, h: float

@@ -8,8 +8,8 @@ every consumer treats them uniformly.
 
 Family rules, enforced by require_family_rules on the samples a caller
 reads: by integrate_frame on the curvatures of its half-step lattice,
-the values every check of a classification reads, and by sample() on
-grid(), where the suite loader checks its input:
+the only values a classification reads, and by the suite loader on 1001
+points of the domain, where it checks its input:
 
     partially null: kappa != 0 and tau != 0 on the domain
     pseudo null:    kappa identically 1 and tau != 0; a sigma that
@@ -31,12 +31,10 @@ from __future__ import annotations
 
 import json
 import logging
-from functools import cached_property
 from typing import NamedTuple, Union
 
 import numpy as np
 
-from .calculus import gauss_nodes, grid_integrals
 from .errors import ConfigError, OutOfDomainError, ProfileError
 from .expr import Expr, Num, parse_expression
 from .frames import FrameKind, frame_family
@@ -178,17 +176,6 @@ class CurvatureProfile(NamedTuple):
     def span(self) -> float:
         return self.s_max - self.s_min
 
-    def grid(self, n: int = 1001) -> np.ndarray:
-        return np.linspace(self.s_min, self.s_max, n)
-
-    def sample(self) -> "Samples":
-        """(kappa, tau, sigma) on grid(); ProfileError unless the family
-        rules hold there, so the checks divide by them freely."""
-        s = self.grid()
-        smp = Samples(self, s, s[1] - s[0], *self.evaluate_arrays(s))
-        require_family_rules(self, smp.kappa, smp.tau, smp.sigma)
-        return smp
-
     def _check_domain(self, s):
         slack = 1e-12 * (1.0 + self.span)
         s = np.asarray(s, dtype=float)
@@ -226,8 +213,10 @@ class CurvatureProfile(NamedTuple):
             raise ProfileError(f"bad profile JSON: {exc}") from None
         if not (isinstance(domain, (list, tuple)) and len(domain) == 2):
             raise ProfileError(f"bad profile domain {domain!r}")
-        label = obj.get("label", "")
-        if label is not None and not isinstance(label, str):
+        label = obj.get("label")
+        if label is None:
+            label = ""
+        elif not isinstance(label, str):
             raise ProfileError(f"profile label must be a string, got {label!r}")
         return cls.create(kind,
                           kappa=obj.get("kappa"),
@@ -235,37 +224,6 @@ class CurvatureProfile(NamedTuple):
                           sigma=obj.get("sigma"),
                           domain=domain,
                           label=label)
-
-
-class Samples:
-    """A profile's curvatures on a uniform grid s of step h.
-
-    A classification reads one such bundle, its trace, instead of
-    evaluating the profile again; only curvature_integrals calls the
-    profile itself.
-    """
-
-    def __init__(self, profile: CurvatureProfile, s: np.ndarray, h: float,
-                 kappa: np.ndarray, tau: np.ndarray, sigma: np.ndarray):
-        self.profile = profile
-        self.s = s                    # (n,)
-        self.h = h
-        self.kappa = kappa            # (n,)
-        self.tau = tau                # (n,)
-        self.sigma = sigma            # (n,)
-
-    @property
-    def kind(self) -> FrameKind:
-        return self.profile.kind
-
-    @cached_property
-    def curvature_integrals(self) -> tuple[np.ndarray, np.ndarray]:
-        """(Int kappa, Int tau) on s from s[0], and (kappa, tau) at
-        gauss_nodes(s): every quadrature of a classification reads this
-        one evaluation of kappa and tau at the nodes."""
-        nodes = gauss_nodes(self.s)
-        vals = np.stack([self.profile.kappa(nodes), self.profile.tau(nodes)])
-        return grid_integrals(vals, self.s), vals
 
 
 def read_json_file(path):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .frames import FrameKind
 from .hyperbolic import h3_type2_form
-from .profiles import CurvatureProfile, read_json_file
+from .profiles import CurvatureProfile, read_json_file, require_family_rules
 
 DEFAULT_SEED = 20240817
 
@@ -206,8 +206,9 @@ def fixtures_from_json(obj) -> list[Fixture]:
     Expected verdicts are keyed "k0".."k3" with values "Y", "N", or
     "oracle"; omitted keys default to "oracle" (recorded, never failed),
     and any other key is a ProfileError naming the entry and the key.
-    Each profile must pass sample(); an entry that does not raises its
-    input error with the entry's index and label in the message.
+    Each profile must meet its family rules on 1001 points of its
+    domain; an entry that does not raises its input error with the
+    entry's index and label in the message.
     """
     from .errors import LclError, ProfileError
 
@@ -223,7 +224,8 @@ def fixtures_from_json(obj) -> list[Fixture]:
                                f"got {label!r}")
         try:
             profile = CurvatureProfile.from_json_dict(entry["profile"])
-            profile.sample()
+            require_family_rules(profile, *profile.evaluate_arrays(
+                np.linspace(profile.s_min, profile.s_max, 1001)))
         except LclError as exc:
             named = f"suite entry {i}" + (f" ({label!r})" if label else "")
             exc.args = (f"{named}: {exc}",)

@@ -18,7 +18,7 @@ from lcl import (CurvatureProfile, Verdict, classify_profile,
                  pn_type2_axis, psn_type1_axis, psn_type1_check,
                  psn_type2_axis, psn_type2_check, resample_curvatures,
                  run_theorem_suite, validate_axis)
-from lcl.calculus import gauss_nodes, grid_derivative, grid_integrals
+from lcl.calculus import grid_derivative, lattice_integral
 from lcl.cli import main
 from lcl.suite import generate
 
@@ -85,9 +85,9 @@ def test_criterion_1_explicit_helix_reproduction():
 def test_criterion_2_constant_ratio_round_trip():
     p = CurvatureProfile.create("partially_null", kappa="1 + s^2",
                                 tau="3*(1 + s^2)", domain=(0.0, 1.0))
-    res = pn_type0_check(p.sample())
-    ratio = res.constants["ratio"].value
     tr = integrate_frame(p)
+    res = pn_type0_check(tr)
+    ratio = res.constants["ratio"].value
     axes = pn_type0_axes(tr)
     val = validate_axis(tr, axes[0])
     oracle = oracle_detect(tr)[0]
@@ -113,10 +113,10 @@ def test_criterion_2_constant_ratio_round_trip():
 def test_criterion_3_affine_ratio_round_trip():
     p = CurvatureProfile.create("partially_null", kappa="1", tau="s",
                                 domain=(0.1, 1.0))
-    res = pn_type1_check(p.sample())
+    tr = integrate_frame(p)
+    res = pn_type1_check(tr)
     c_lin = res.constants["C"].value
     c0 = res.constants["c0"].value
-    tr = integrate_frame(p)
     cand = pn_type1_axis(tr, c_lin, c0)
     val = validate_axis(tr, cand)
     g_n = pairing(tr.frames[:, 1, :], cand.U[0])
@@ -189,10 +189,10 @@ def test_criterion_6_quadratic_ratio_round_trip():
     p = CurvatureProfile.create("pseudo_null", tau="1",
                                 sigma="-s^2/2 + 0.3*s + 0.1",
                                 domain=(0.0, 2.0))
-    res = psn_type1_check(p.sample())
+    tr = integrate_frame(p)
+    res = psn_type1_check(tr)
     a = res.constants["a"].value
     b = res.constants["b"].value
-    tr = integrate_frame(p)
     cand = psn_type1_axis(tr)
     val = validate_axis(tr, cand)
     g_n = pairing(tr.frames[:, 1, :], cand.U[0])
@@ -200,7 +200,7 @@ def test_criterion_6_quadratic_ratio_round_trip():
     n_dev = float(np.max(np.abs(g_n - 1.0)))
     b1_dev = float(np.max(np.abs(g_b1)))
     rep = classify_profile(p)
-    r2 = psn_type2_check(p.sample(), res)
+    r2 = psn_type2_check(tr, res)
 
     _verdict(6, "quadratic ratio round trip", [
         ("verdict", res.verdict is Y, res.verdict.value),
@@ -221,11 +221,10 @@ def test_criterion_7_exponential_family():
     for c, lam, mu in cases:
         p = generate("h3-exponential", {"c": c, "lam": lam, "mu": mu},
                      (0.0, 1.5)).profile
-        smp = p.sample()
-        form = h3_type2_tau_form(smp, c)
-        r1 = psn_type1_check(smp)
-        r2 = psn_type2_check(smp, r1)
         tr = integrate_frame(p)
+        form = h3_type2_tau_form(tr, c)
+        r1 = psn_type1_check(tr)
+        r2 = psn_type2_check(tr, r1)
         cand = psn_type2_axis(tr, r2.constants["c_int"].value)
         val = validate_axis(tr, cand, eps_axis=1e-5)
         tag = f"({c},{lam},{mu})"
@@ -280,8 +279,8 @@ def test_criterion_9_numerical_hygiene(tmp_path, capsys):
     f = lambda s: np.exp(np.sin(3.0 * s))
 
     def integral(a, b, n):
-        grid = np.linspace(a, b, n)
-        return grid_integrals(f(gauss_nodes(grid)), grid)[-1]
+        lattice = np.linspace(a, b, 2 * n - 1)
+        return lattice_integral(f(lattice), (b - a) / (n - 1))[-1]
 
     add_err = abs(integral(0.0, 0.7, 71) + integral(0.7, 2.0, 131)
                   - integral(0.0, 2.0, 201))

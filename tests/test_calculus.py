@@ -6,15 +6,14 @@ import sys
 import numpy as np
 import pytest
 
-from lcl import CurvatureProfile, grid_derivative, run_theorem_suite
-from lcl.calculus import (_GL_ANTIDERIVATIVE, _GL_NODES, _GL_WEIGHTS,
-                          _stencil_weights, gauss_nodes, grid_integrals,
-                          node_integrals)
+from lcl import (CurvatureProfile, grid_derivative, integrate_frame,
+                 run_theorem_suite)
+from lcl.calculus import _stencil_weights, lattice_integral
 
 
 def test_cumulative_integral_endpoint_and_monotone_grid():
-    grid = np.linspace(0.0, 2.0, 101)
-    cum = grid_integrals(np.exp(gauss_nodes(grid)), grid)
+    lattice = np.linspace(0.0, 2.0, 2001)
+    cum = lattice_integral(np.exp(lattice), 0.002)
     assert cum[0] == 0.0
     assert cum[-1] == pytest.approx(np.exp(2.0) - 1.0, abs=1e-12)
     # positive integrand, so the cumulative values must increase
@@ -22,63 +21,51 @@ def test_cumulative_integral_endpoint_and_monotone_grid():
 
 
 def test_stacked_integrands_integrate_like_separate_ones():
-    # one call evaluates the shared factor once per Gauss node
-    grid = np.linspace(0.0, 2.0, 1001)
-    nodes = gauss_nodes(grid)
-    e = np.exp(nodes)
-    stacked = grid_integrals(np.stack([e * np.sin(nodes), e * np.cos(nodes)]),
-                             grid)
-    assert stacked.shape == (2, 1001)
+    # one call integrates every row of a stack, as pn_type2_axis does
+    lattice = np.linspace(0.0, 2.0, 2001)
+    e = np.exp(lattice)
+    stacked = lattice_integral(
+        np.stack([e * np.sin(lattice), e * np.cos(lattice)]), 0.002)
+    assert stacked.shape == (2, 2001)
     for row, f in zip(stacked, (lambda t: np.exp(t) * np.sin(t),
                                 lambda t: np.exp(t) * np.cos(t))):
-        alone = grid_integrals(f(nodes), grid)
+        alone = lattice_integral(f(lattice), 0.002)
         assert np.max(np.abs(row - alone)) <= 1e-15 * np.max(np.abs(alone))
 
 
-def test_node_integrals_match_the_integral_on_the_grid_and_at_the_nodes():
-    grid = np.linspace(0.0, 2.0, 101)
-    nodes = gauss_nodes(grid)
-    values = grid_integrals(np.exp(nodes), grid)
-    at_nodes = node_integrals(np.exp(nodes), grid, values)
-    assert values[-1] == pytest.approx(np.exp(2.0) - 1.0, abs=1e-12)
-    assert np.max(np.abs(values - (np.exp(grid) - 1.0))) <= 1e-9
-    assert np.max(np.abs(at_nodes - (np.exp(nodes) - 1.0))) <= 1e-9
+def test_lattice_integral_matches_the_integral_at_steps_and_midpoints():
+    lattice = np.linspace(0.0, 2.0, 201)
+    values = lattice_integral(np.exp(lattice), 0.02)
+    assert np.max(np.abs(values - (np.exp(lattice) - 1.0))) <= 1e-8
+    # Simpson's rule is exact for a cubic at the steps, and the half-cell
+    # rule for a quadratic at the midpoints; positive coefficients and
+    # prim(0) = 0 keep the exact values free of cancellation
+    lattice = np.linspace(0.0, 2.0, 2001)
+    cubic = lambda s: 2.0 + s + 3.0 * s**2 + 0.5 * s**3
+    prim = lambda s: 2.0 * s + s**2 / 2 + s**3 + s**4 / 8
+    steps = lattice_integral(cubic(lattice), 0.002)[2::2]
+    assert np.max(np.abs(steps / prim(lattice[2::2]) - 1.0)) <= 1e-14
+    quadratic = lambda s: 2.0 + s + 3.0 * s**2
+    prim = lambda s: 2.0 * s + s**2 / 2 + s**3
+    mids = lattice_integral(quadratic(lattice), 0.002)[1::2]
+    assert np.max(np.abs(mids / prim(lattice[1::2]) - 1.0)) <= 1e-14
 
 
-def test_node_integrals_are_exact_for_a_quartic_and_match_nested_gauss():
-    # the interpolant through five nodes is the quartic itself; positive
-    # coefficients and prim(0) = 0 keep the exact values free of cancellation
-    grid = np.linspace(0.0, 2.0, 1001)
-    nodes = gauss_nodes(grid)
-    quartic = lambda s: 2.0 + s + 3.0 * s**2 + 0.5 * s**3 + s**4
-    prim = lambda s: 2.0 * s + s**2 / 2 + s**3 + s**4 / 8 + s**5 / 5
-    at_nodes = node_integrals(quartic(nodes), grid,
-                              grid_integrals(quartic(nodes), grid))
-    assert np.max(np.abs(at_nodes / prim(nodes) - 1.0)) <= 1e-14
-    # nested reference: a 5-point Gauss segment from the cell's left end
-    kappa = lambda s: 2.0 + np.sin(s)
-    values = grid_integrals(kappa(nodes), grid)
-    at_nodes = node_integrals(kappa(nodes), grid, values)
-    a = np.broadcast_to(grid[:-1], nodes.shape)
-    mid, half = 0.5 * (a + nodes), 0.5 * (nodes - a)
-    seg = half * np.tensordot(
-        _GL_WEIGHTS, kappa(mid + half * _GL_NODES[:, None, None]), axes=1)
-    ref = values[:-1] + seg
-    assert np.max(np.abs(at_nodes - ref) / np.abs(ref)) <= 1e-13
-
-
-def test_cumulative_integral_is_node_integrals_of_the_node_values():
-    # Samples.curvature_integrals: kappa and tau read once at the Gauss
-    # nodes of the sample grid, and their integrals from those values
+def test_curvature_integrals_are_lattice_integrals_of_the_lattice_values():
+    # CurveTrace.curvature_integrals: kappa and tau as the integration
+    # evaluated them on its half-step lattice, and their integrals there
     p = CurvatureProfile.create("partially_null", kappa="2 + sin(s)",
                                 tau="exp(s)", domain=(0.0, 2.0))
-    smp = p.sample()
-    nodes = gauss_nodes(smp.s)
-    on_grid, at_nodes = smp.curvature_integrals
-    assert np.array_equal(at_nodes, np.stack([np.sin(nodes) + 2.0,
-                                              np.exp(nodes)]))
-    assert np.array_equal(on_grid, grid_integrals(at_nodes, smp.s))
-    assert on_grid[1, -1] == pytest.approx(np.exp(2.0) - 1.0, abs=1e-12)
+    tr = integrate_frame(p)
+    lattice = np.linspace(0.0, 2.0, 2 * tr.n - 1)
+    kappa, tau, _ = tr.lattice
+    assert np.array_equal(kappa, np.sin(lattice) + 2.0)
+    assert np.array_equal(tau, np.exp(lattice))
+    assert np.array_equal(tr.kappa, kappa[::2])
+    assert np.array_equal(tr.curvature_integrals,
+                          lattice_integral([kappa, tau], tr.h))
+    assert tr.curvature_integrals[1, -1] == pytest.approx(np.exp(2.0) - 1.0,
+                                                          abs=1e-12)
 
 
 def test_grid_derivative_first_and_second_order():
@@ -136,29 +123,16 @@ def test_grid_derivative_rejects_bad_order():
 def test_each_stencil_is_solved_once_over_the_suite():
     _stencil_weights.cache_clear()
     run_theorem_suite()
-    # three orders times the five shifts -2..2 bound the distinct stencils
-    assert _stencil_weights.cache_info().misses <= 15
+    # two orders times the five shifts -2..2 bound the distinct stencils
+    assert _stencil_weights.cache_info().misses <= 10
     powers = np.arange(5)[:, None]
-    for order in (1, 2, 3):
+    for order in (1, 2):
         for shift in range(-2, 3):
             offsets = np.arange(-2.0, 3.0) + shift
             rhs = np.zeros(5)
             rhs[order] = np.prod(np.arange(1.0, order + 1))
             fresh = np.linalg.solve(offsets[None, :] ** powers, rhs)
             assert np.array_equal(_stencil_weights(order, shift), fresh)
-
-
-def test_gauss_rule_literals_are_leggauss_to_the_last_bit():
-    nodes, weights = np.polynomial.legendre.leggauss(5)
-    assert _GL_NODES.tobytes() == nodes.tobytes()
-    assert _GL_WEIGHTS.tobytes() == weights.tobytes()
-
-
-def test_antiderivative_literal_integrates_the_lagrange_basis():
-    q1 = np.arange(1.0, 6.0)  # powers t^q, q = 0..4, integrate to t^(q+1)
-    ref = ((_GL_NODES[:, None] ** q1 - (-1.0) ** q1) / q1
-           @ np.linalg.inv(_GL_NODES[:, None] ** (q1 - 1.0)))
-    assert np.max(np.abs(_GL_ANTIDERIVATIVE - ref)) <= 1e-15
 
 
 @pytest.mark.parametrize("module", ["numpy.polynomial", "dataclasses"])

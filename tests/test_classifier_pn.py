@@ -18,7 +18,7 @@ Y, N, U = Verdict.YES, Verdict.NO, Verdict.UNDETERMINED
 def test_constant_ratio_is_0_type():
     p = CurvatureProfile.create("partially_null", kappa="2", tau="6",
                                 domain=(0.0, 1.0))
-    res = pn_type0_check(p.sample())
+    res = pn_type0_check(integrate_frame(p))
     assert res.verdict is Y
     assert res.constants["ratio"].value == pytest.approx(3.0, abs=1e-12)
     assert res.residual < 1e-12
@@ -27,7 +27,7 @@ def test_constant_ratio_is_0_type():
 def test_growing_ratio_is_not_0_type():
     p = CurvatureProfile.create("partially_null", kappa="1", tau="s",
                                 domain=(0.1, 1.0))
-    res = pn_type0_check(p.sample())
+    res = pn_type0_check(integrate_frame(p))
     assert res.verdict is N
     assert res.residual > 1e-2
 
@@ -52,7 +52,7 @@ def test_affine_ratio_is_1_type_with_recovered_constants():
     # tau/kappa = 0.1 + s = C (c0 + K) with kappa = 1, C = 1, c0 = 0.1
     p = CurvatureProfile.create("partially_null", kappa="1", tau="0.1 + s",
                                 domain=(0.0, 1.0))
-    res = pn_type1_check(p.sample())
+    res = pn_type1_check(integrate_frame(p))
     assert res.verdict is Y
     assert res.constants["C"].value == pytest.approx(1.0, abs=1e-9)
     assert res.constants["c0"].value == pytest.approx(0.1, abs=1e-9)
@@ -63,7 +63,7 @@ def test_scaled_affine_ratio_recovers_both_constants():
     # kappa = 2 gives K = 2s, and tau = kappa * C (c0 + K)
     p = CurvatureProfile.create("partially_null", kappa="2",
                                 tau="2*0.7*(0.4 + 2*s)", domain=(0.0, 1.0))
-    res = pn_type1_check(p.sample())
+    res = pn_type1_check(integrate_frame(p))
     assert res.verdict is Y
     assert res.constants["C"].value == pytest.approx(0.7, abs=1e-9)
     assert res.constants["c0"].value == pytest.approx(0.4, abs=1e-9)
@@ -72,7 +72,7 @@ def test_scaled_affine_ratio_recovers_both_constants():
 def test_quadratic_ratio_is_not_1_type():
     p = CurvatureProfile.create("partially_null", kappa="1", tau="1 + s^2",
                                 domain=(0.0, 1.0))
-    res = pn_type1_check(p.sample())
+    res = pn_type1_check(integrate_frame(p))
     assert res.verdict is N
     assert res.residual > 1e-3
 
@@ -82,7 +82,7 @@ def test_constant_ratio_degenerates_the_affine_fit():
     # verdict stays Yes but the flag and nan c0 mark the degeneracy
     p = CurvatureProfile.create("partially_null", kappa="1", tau="1",
                                 domain=(0.0, 2.0))
-    res = pn_type1_check(p.sample())
+    res = pn_type1_check(integrate_frame(p))
     assert res.verdict is Y
     assert "degenerate-linear-coefficient" in res.flags
     assert res.constants["C"].value == pytest.approx(0.0, abs=1e-12)
@@ -93,7 +93,7 @@ def test_1_type_axis_validates_and_pairs_with_the_normal():
     p = CurvatureProfile.create("partially_null", kappa="1", tau="0.1 + s",
                                 domain=(0.0, 1.0))
     tr = integrate_frame(p)
-    res = pn_type1_check(p.sample())
+    res = pn_type1_check(tr)
     cand = pn_type1_axis(tr, res.constants["C"].value,
                          res.constants["c0"].value)
     assert cand.source == "curvature-integral"
@@ -316,13 +316,14 @@ def test_tolerances_reject_meaningless_thresholds(name, value):
 
 
 def test_sigma_probe_reads_the_whole_check_grid(monkeypatch):
-    # nonzero sigma that vanishes on all 65 points of grid(65), the old
+    # nonzero sigma that vanishes on 65 evenly spaced points, the old
     # probe; the half-step lattice the checks read sees it, before any
     # axis is built
     p = CurvatureProfile.create("partially_null", kappa="1", tau="1",
                                 sigma="1e-3*sin(32*pi*(s - 0.5))",
                                 domain=(0.5, 2.5))
-    assert np.max(np.abs(p.evaluate_arrays(p.grid(65))[2])) <= 1e-12
+    probe = np.linspace(0.5, 2.5, 65)
+    assert np.max(np.abs(p.evaluate_arrays(probe)[2])) <= 1e-12
 
     def no_axis(*args, **kwargs):
         raise AssertionError("an axis was built for a sigma != 0 profile")

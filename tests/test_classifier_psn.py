@@ -15,9 +15,9 @@ Y, N, U = Verdict.YES, Verdict.NO, Verdict.UNDETERMINED
 
 
 def test_quadratic_ratio_is_1_type_with_recovered_coefficients(
-        quad_psn_profile):
+        quad_psn_trace):
     # sigma/tau = -s^2/2 + 0.5 s, so a = 0.5 and b = 0
-    res = psn_type1_check(quad_psn_profile.sample())
+    res = psn_type1_check(quad_psn_trace)
     assert res.verdict is Y
     assert res.constants["a"].value == pytest.approx(0.5, abs=1e-9)
     assert res.constants["b"].value == pytest.approx(0.0, abs=1e-9)
@@ -28,7 +28,7 @@ def test_shifted_quadratic_recovers_both_coefficients():
     p = CurvatureProfile.create("pseudo_null", tau="1",
                                 sigma="-s^2/2 + 0.3*s + 0.1",
                                 domain=(0.0, 2.0))
-    res = psn_type1_check(p.sample())
+    res = psn_type1_check(integrate_frame(p))
     assert res.verdict is Y
     assert res.constants["a"].value == pytest.approx(0.3, abs=1e-9)
     assert res.constants["b"].value == pytest.approx(0.1, abs=1e-9)
@@ -38,7 +38,7 @@ def test_wrong_quadratic_coefficient_is_rejected():
     # leading coefficient -1 instead of -1/2 breaks the required shape
     p = CurvatureProfile.create("pseudo_null", tau="1", sigma="-s^2 + s",
                                 domain=(0.0, 1.0))
-    res = psn_type1_check(p.sample())
+    res = psn_type1_check(integrate_frame(p))
     assert res.verdict is N
     assert res.residual > 1e-3
 
@@ -46,7 +46,7 @@ def test_wrong_quadratic_coefficient_is_rejected():
 def test_generic_ratio_is_not_1_type():
     p = CurvatureProfile.create("pseudo_null", tau="1", sigma="exp(s)",
                                 domain=(0.0, 1.5))
-    assert psn_type1_check(p.sample()).verdict is N
+    assert psn_type1_check(integrate_frame(p)).verdict is N
 
 
 def test_1_type_axis_has_unit_normal_pairing(quad_psn_profile,
@@ -80,18 +80,16 @@ def test_1_type_axis_is_constant_to_roundoff_on_the_suite_quadratics():
         assert val.max_du <= 1e-9 * (1.0 + val.scale), fx.label
 
 
-def test_2_type_identity_route_on_the_exponential_family(h3_profile):
-    smp = h3_profile.sample()
-    res = psn_type2_check(smp, psn_type1_check(smp))
+def test_2_type_identity_route_on_the_exponential_family(h3_trace):
+    res = psn_type2_check(h3_trace, psn_type1_check(h3_trace))
     assert res.verdict is Y
     assert res.extras["branch"] == "torsion-integral"
     assert res.residual < 1e-6
     assert res.constants["c_int"].value == pytest.approx(1.0, abs=1e-6)
 
 
-def test_2_type_quadratic_route_when_the_identity_fails(quad_psn_profile):
-    smp = quad_psn_profile.sample()
-    res = psn_type2_check(smp, psn_type1_check(smp))
+def test_2_type_quadratic_route_when_the_identity_fails(quad_psn_trace):
+    res = psn_type2_check(quad_psn_trace, psn_type1_check(quad_psn_trace))
     assert res.verdict is Y
     assert res.extras["branch"] == "ratio-quadratic"
     # the identity residual itself stays large on this family
@@ -102,15 +100,14 @@ def test_2_type_quadratic_route_when_the_identity_fails(quad_psn_profile):
 def test_2_type_fails_when_neither_route_holds():
     p = CurvatureProfile.create("pseudo_null", tau="1", sigma="exp(s)",
                                 domain=(0.0, 1.5))
-    smp = p.sample()
-    res = psn_type2_check(smp, psn_type1_check(smp))
+    tr = integrate_frame(p)
+    res = psn_type2_check(tr, psn_type1_check(tr))
     assert res.verdict is N
     assert res.extras["branch"] is None
 
 
-def test_2_type_axis_on_the_identity_route(h3_profile, h3_trace):
-    smp = h3_profile.sample()
-    res = psn_type2_check(smp, psn_type1_check(smp))
+def test_2_type_axis_on_the_identity_route(h3_trace):
+    res = psn_type2_check(h3_trace, psn_type1_check(h3_trace))
     cand = psn_type2_axis(h3_trace, res.constants["c_int"].value)
     assert cand.source == "torsion-integral"
     val = validate_axis(h3_trace, cand)
@@ -192,9 +189,9 @@ def test_closure_only_lifts_1_type_to_2_type():
     assert inc2
 
 
-def test_checks_reject_wrong_frame_kind(circle_profile):
+def test_checks_reject_wrong_frame_kind(circle_trace):
     with pytest.raises(ProfileError):
-        psn_type1_check(circle_profile.sample())
+        psn_type1_check(circle_trace)
 
 
 def test_classify_quadratic_report(quad_psn_profile):

@@ -9,10 +9,12 @@ import textwrap
 import numpy as np
 import pytest
 
-from lcl import CurvatureProfile, classify_profile, cli, errors
+from lcl import (CurvatureProfile, classify_profile, cli, errors,
+                 integrate_frame)
 from lcl.cli import main
 from lcl.errors import LclError, ProfileError
 from lcl.frames import FrameKind
+from lcl.profiles import require_family_rules
 from lcl.suite import GENERATORS, generate
 
 CIRCLE = {"kind": "partially_null", "kappa": "1", "tau": "1",
@@ -141,25 +143,26 @@ def _rule_breakers(wave, kappa_off):
              "sigma": _PSN_SIGMA}]
 
 
-@pytest.mark.parametrize("profile, on_sample_grid", [
+@pytest.mark.parametrize("profile, on_loader_grid", [
     *((p, True) for p in _rule_breakers(_OFF_GRID, "1 + 1e-3*sin(256*pi*s)")),
     *((p, False) for p in _rule_breakers(_BETWEEN, "1 + 1e-3*sin(1000*pi*s)")),
 ], ids=["pn-kappa-sign", "pn-tau-sign", "psn-tau-sign", "psn-kappa-off",
         "pn-kappa-sign-lattice", "pn-tau-sign-lattice", "psn-tau-sign-lattice",
         "psn-kappa-off-lattice"])
 def test_a_rule_broken_between_coarse_samples_is_a_validation_error(
-        profile, on_sample_grid, tmp_path, capsys):
+        profile, on_loader_grid, tmp_path, capsys):
     # each rule holds at s = i/256 and fails between those points, where
-    # the 1001-point grid() of sample() and the lattice see it; or it holds
-    # at every grid() point s = i/1000 and fails at the midpoints, which
+    # the suite loader's 1001 points and the lattice see it; or it holds
+    # at every loader point s = i/1000 and fails at the midpoints, which
     # only the half-step integration lattice, the values the checks read,
     # evaluates
     profile = dict(profile, domain=[0.0, 1.0])
     p = CurvatureProfile.from_json_dict(profile)
-    if not on_sample_grid:
-        p.sample()
+    if not on_loader_grid:
+        require_family_rules(
+            p, *p.evaluate_arrays(np.linspace(0.0, 1.0, 1001)))
     with pytest.raises(ProfileError):
-        classify_profile(p)
+        integrate_frame(p)
     path = tmp_path / "off.json"
     path.write_text(json.dumps(profile))
     for cmd in ("classify", "synth"):
@@ -209,6 +212,13 @@ _SWEEP = {"family": "pn-constant", "domain": [0.0, 1.0],
     ("sweep", {"family": "psn-quadratic", "domain": [0.0, 1.0],
                "parameters": {"a": [0.3], "b": [0.1]},
                "sigma_perturbation": {"expr": "s", "scales": "ab"}}),
+    ("sweep", dict(_SWEEP, domain=[0.3, float("inf")])),
+    ("sweep", {"family": "psn-quadratic", "domain": [0.0, 1.0],
+               "parameters": {"a": [0.3], "b": [0.1]},
+               "sigma_perturbation": {"expr": "s", "scales": []}}),
+    ("sweep", {"family": "psn-quadratic", "domain": [0.0, 1.0],
+               "parameters": {"a": [0.3], "b": [0.1]},
+               "sigma_perturbation": {"expr": "s", "scales": [float("inf")]}}),
     ("classify", dict(_PROFILE, tau="log(s)")),
     ("oracle", dict(_PROFILE, tau="log(s)")),
     ("synth", dict(_PROFILE, tau="log(s)")),
@@ -219,7 +229,8 @@ _SWEEP = {"family": "pn-constant", "domain": [0.0, 1.0],
 ], ids=["profile-domain", "table-values", "suite-expected",
         "suite-expected-k5", "suite-expected-1", "suite-label",
         "suite-profile-label", "profile-label", "sweep-array", "sweep-domain",
-        "sweep-param-name", "sweep-scales", "classify-log", "oracle-log", "synth-log",
+        "sweep-param-name", "sweep-scales", "sweep-infinite-domain",
+        "sweep-no-scales", "sweep-infinite-scale", "classify-log", "oracle-log", "synth-log",
         "nan-kappa", "classify-bytes", "verify-bytes", "sweep-bytes"])
 def test_malformed_input_file_is_a_validation_error(cmd, payload, tmp_path,
                                                     capsys):
@@ -236,6 +247,7 @@ def test_malformed_input_file_is_a_validation_error(cmd, payload, tmp_path,
     assert main(argv[cmd]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    assert not (tmp_path / "x.csv").exists()
 
 
 _ERROR_CLASSES = [obj for obj in vars(errors).values()
@@ -368,6 +380,19 @@ def test_verify_missing_or_null_labels_keep_their_defaults(tmp_path, capsys):
     assert main(["verify", "--suite", str(path), "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert [r["label"] for r in report["fixtures"]] == ["fixture-0", "named"]
+
+
+def test_a_null_profile_label_classifies_like_an_omitted_one(tmp_path,
+                                                              capsys):
+    out = []
+    for name, profile in (("null", dict(_PROFILE, label=None)),
+                          ("omitted", _PROFILE)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(profile))
+        assert main(["classify", str(path), "--json"]) == 0
+        out.append(capsys.readouterr().out)
+    assert out[0] == out[1]
+    assert json.loads(out[0])["label"] == ""
 
 
 def test_verify_empty_suite_warns_and_exits_zero(tmp_path, capsys):
@@ -551,12 +576,13 @@ def test_h3_type3_past_its_singularity_is_an_evaluation_error(tmp_path,
 
 def test_partially_null_sigma_rule_reads_the_integration_lattice(tmp_path,
                                                                  capsys):
-    # sigma is 0 to roundoff at every grid() point s = i/1000 and
-    # +-1e-2 at the midpoints of the half-step lattice the integration reads
+    # sigma is 0 to roundoff at every point s = i/1000 and +-1e-2 at the
+    # midpoints of the half-step lattice the integration reads
     profile = {"kind": "partially_null", "kappa": "1", "tau": "1",
                "sigma": "1e-2*sin(1000*pi*s)", "domain": [0, 1]}
-    assert np.max(np.abs(
-        CurvatureProfile.from_json_dict(profile).sample().sigma)) <= 1e-12
+    sigma = CurvatureProfile.from_json_dict(profile).evaluate_arrays(
+        np.linspace(0.0, 1.0, 1001))[2]
+    assert np.max(np.abs(sigma)) <= 1e-12
     path = tmp_path / "sigma.json"
     path.write_text(json.dumps(profile))
     assert main(["classify", str(path)]) == 2

@@ -18,19 +18,19 @@ Y, N = Verdict.YES, Verdict.NO
 def test_ratio_check_accepts_constant_negative_ratio():
     p = CurvatureProfile.create("pseudo_null", tau="1 + s", sigma="-2 - 2*s",
                                 domain=(0.0, 1.0))
-    res = h3_ratio_check(p.sample())
+    res = h3_ratio_check(integrate_frame(p))
     assert res.verdict is Y
     assert res.constants["c"].value == pytest.approx(-2.0, abs=1e-12)
 
 
-def test_ratio_check_rejects_varying_ratio(quad_psn_profile):
-    assert h3_ratio_check(quad_psn_profile.sample()).verdict is N
+def test_ratio_check_rejects_varying_ratio(quad_psn_trace):
+    assert h3_ratio_check(quad_psn_trace).verdict is N
 
 
 def test_ratio_check_flags_constant_but_nonnegative():
     p = CurvatureProfile.create("pseudo_null", tau="1", sigma="2",
                                 domain=(0.0, 1.0))
-    res = h3_ratio_check(p.sample())
+    res = h3_ratio_check(integrate_frame(p))
     assert res.verdict is N
     assert any("not negative" in f for f in res.flags)
     assert res.extras["constant"] is True
@@ -153,8 +153,8 @@ def test_closed_form_center_matches_the_fit(h3_trace):
     assert np.allclose(center, [-2.5, -1.5, 0.0, 0.0], atol=1e-9)
 
 
-def test_tau_form_fit_recovers_lam_and_mu(h3_profile):
-    res = h3_type2_tau_form(h3_profile.sample(), -2.0)
+def test_tau_form_fit_recovers_lam_and_mu(h3_trace):
+    res = h3_type2_tau_form(h3_trace, -2.0)
     assert res.verdict is Y
     assert res.constants["lam"].value == pytest.approx(1.0, abs=1e-9)
     assert res.constants["mu"].value == pytest.approx(0.5, abs=1e-9)
@@ -166,7 +166,7 @@ def test_tau_form_fit_rejects_non_member():
     # constant tau on the family ratio cannot satisfy 2c tau'' + tau = 0
     p = CurvatureProfile.create("pseudo_null", tau="1", sigma="-2",
                                 domain=(0.0, 1.5))
-    res = h3_type2_tau_form(p.sample(), -2.0)
+    res = h3_type2_tau_form(integrate_frame(p), -2.0)
     assert res.verdict is N
     assert res.residual > 1e-2
 

@@ -227,8 +227,9 @@ def test_resample_curvatures_recovers_the_profile(kind, curvatures):
 @pytest.mark.parametrize("tabulated", [False, True])
 @pytest.mark.parametrize("divisions", [1000, 5000, 777])
 def test_trace_curvatures_are_the_profile_on_its_grid(tabulated, divisions):
-    # the trace reads them off the half-step lattice it integrated on;
-    # they must be what evaluating the profile on trace.s gives, bit for bit
+    # the trace reads them off the half-step lattice it integrated on,
+    # as views, not copies; they must be what evaluating the profile on
+    # trace.s gives, bit for bit
     domain = (0.3, 2.1)
     sigma = "-s^2/2 + 0.4*s + 0.2"
     if tabulated:
@@ -238,10 +239,12 @@ def test_trace_curvatures_are_the_profile_on_its_grid(tabulated, divisions):
     p = CurvatureProfile.create("pseudo_null", tau="1 + 0.3*sin(2*s)",
                                 sigma=sigma, domain=domain)
     tr = integrate_frame(p, h=(domain[1] - domain[0]) / divisions)
-    for got, want in zip((tr.kappa, tr.tau, tr.sigma),
-                         p.evaluate_arrays(tr.s)):
+    for got, want, lattice in zip((tr.kappa, tr.tau, tr.sigma),
+                                  p.evaluate_arrays(tr.s), tr.lattice):
         assert got.shape == tr.s.shape
         assert np.array_equal(got, want)
+        assert lattice.shape == (2 * tr.n - 1,)
+        assert np.shares_memory(got, lattice)
 
 
 def test_csv_layout_and_first_row(circle_trace, tmp_path):

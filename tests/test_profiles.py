@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lcl import CurvatureProfile, FrameKind, load_profile, save_profile
+from lcl import (CurvatureProfile, FrameKind, integrate_frame, load_profile,
+                 save_profile)
 from lcl.errors import ProfileError
 from lcl.profiles import SampleTable, require_family_rules
 
@@ -57,30 +58,30 @@ def test_validate_rejects_vanishing_kappa():
     p = CurvatureProfile.create("partially_null", kappa="s - 0.5", tau="1",
                                 domain=(0.0, 1.0))
     with pytest.raises(ProfileError):
-        p.sample()
+        integrate_frame(p)
 
 
 def test_validate_rejects_tau_sign_change():
     p = CurvatureProfile.create("partially_null", kappa="1", tau="s - 0.5",
                                 domain=(0.0, 1.0))
     with pytest.raises(ProfileError):
-        p.sample()
+        integrate_frame(p)
 
 
 def test_pseudo_null_sigma_may_cross_zero():
     # the quadratic family crosses zero inside the domain by design;
-    # nothing divides by sigma, so this validates with only a warning
+    # nothing divides by sigma, so this integrates with only a warning
     p = CurvatureProfile.create("pseudo_null", tau="1",
                                 sigma="-s^2/2 + 0.3*s + 0.1",
                                 domain=(0.0, 2.0))
-    p.sample()
+    integrate_frame(p)
 
 
 def test_pseudo_null_tau_zero_is_still_fatal():
     p = CurvatureProfile.create("pseudo_null", tau="s - 0.5", sigma="1",
                                 domain=(0.0, 1.0))
     with pytest.raises(ProfileError):
-        p.sample()
+        integrate_frame(p)
 
 
 def test_evaluate_arrays_matches_scalar_evaluate():
@@ -96,10 +97,13 @@ def test_evaluate_arrays_matches_scalar_evaluate():
 
 
 def test_grid_spans_the_domain():
+    # the integration grid, and its half-step lattice, from end to end
     p = CurvatureProfile.create("partially_null", kappa="1", tau="1",
                                 domain=(0.25, 1.75))
-    g = p.grid(101)
-    assert g[0] == 0.25 and g[-1] == 1.75 and len(g) == 101
+    tr = integrate_frame(p, h=0.015)
+    g = tr.s
+    assert g[0] == 0.25 and g[-1] == pytest.approx(1.75, abs=1e-12)
+    assert len(g) == 101 and tr.lattice[0].shape == (201,)
 
 
 def test_json_round_trip_preserves_evaluation():

@@ -9,7 +9,6 @@ import lcl.verifier
 from lcl import (Fixture, FrameKind, classify_profile, default_suite,
                  fixtures_from_json, integrate_frame, load_suite,
                  render_table, run_theorem_suite)
-from lcl.calculus import gauss_nodes
 from lcl.errors import ConfigError, ProfileError
 from lcl.suite import DEFAULT_SEED, GENERATORS
 
@@ -242,27 +241,24 @@ class _Counting:
 @pytest.mark.parametrize("kind", [FrameKind.PARTIALLY_NULL,
                                   FrameKind.PSEUDO_NULL])
 def test_a_classification_evaluates_each_grid_once(kind, cells):
-    # one grid: each component once on the trace's half-step lattice, and
-    # kappa and tau once at the 5 Gauss nodes of each trace cell; at the
-    # default step (1000 cells) that is 3 * 2001 + 2 * 5000 = 16,003 points
+    # one evaluation: each component once, on the trace's half-step
+    # lattice, where the family rules were checked; at the default step
+    # (1000 cells) that is 3 * 2001 = 6,003 points
     fixtures = [fx for fx in default_suite() if fx.profile.kind is kind]
     assert fixtures
     for fx in fixtures:
         h = None if cells is None else fx.profile.span / cells
         trace = integrate_frame(fx.profile, h=h)
         lattice = fx.profile.s_min + 0.5 * trace.h * np.arange(2 * trace.n - 1)
-        nodes = gauss_nodes(trace.s)
         names = ("kappa", "tau", "sigma")
         counted = {n: _Counting(getattr(fx.profile, n)) for n in names}
         p = fx.profile._replace(**counted)
         classify_profile(p, h=h)
         calls = [a for c in counted.values() for a in c.calls]
-        budget = 3 * lattice.size + 2 * nodes.size
-        assert budget == (16_003 if cells is None else 6_403)
+        budget = 3 * lattice.size
+        assert budget == (6_003 if cells is None else 2_403)
         assert sum(a.size for a in calls) == budget, fx.label
         for n in names:
             got = counted[n].calls
-            assert sum(np.array_equal(a, lattice) for a in got) == 1, n
-            assert sum(np.array_equal(a, nodes) for a in got) == (
-                n != "sigma"), (fx.label, n)
-            assert not any(np.array_equal(a, p.grid()) for a in got)
+            assert len(got) == 1 and np.array_equal(got[0], lattice), (
+                fx.label, n)
