@@ -81,18 +81,23 @@ def validate_axis(trace: CurveTrace, candidate: AxisCandidate,
     interior grid and variance of g(V_{k+1}, U) below eps_axis^2. Both
     metrics are invariant under rescaling U.
     """
-    if candidate.U.shape[0] != trace.n or not np.array_equal(candidate.s, trace.s):
+    if candidate.U.shape[0] != trace.n:
         raise GridMismatchError(
             f"candidate sampled on {candidate.U.shape[0]} points, "
             f"trace has {trace.n}")
+    # every built candidate carries trace.s itself; only another array
+    # needs its values compared
+    if candidate.s is not trace.s and not np.array_equal(candidate.s, trace.s):
+        raise GridMismatchError(
+            f"candidate sampled on another grid of {trace.n} points")
     if trace.n < 7:
         raise GridMismatchError("trace too short to validate an axis")
     du = grid_derivative(candidate.U, trace.h, order=1)
-    max_du = float(np.max(row_norm(du[2:-2])))
+    max_du = float(row_norm(du[2:-2]).max())
     g_vals = pairing(trace.frames[:, candidate.k, :], candidate.U)
-    g_mean = float(np.mean(g_vals))
-    g_var = float(np.var(g_vals))
-    scale = float(np.max(row_norm(candidate.U)))
+    g_mean = float(g_vals.mean())
+    g_var = float(g_vals.var())
+    scale = float(row_norm(candidate.U).max())
     passed = (max_du < eps_axis * (1.0 + scale)) and (g_var < eps_axis**2)
     return AxisValidation(k=candidate.k, source=candidate.source,
                           max_du=max_du, g_mean=g_mean, g_variance=g_var,

@@ -69,6 +69,8 @@ def grid_derivative(values: np.ndarray, h: float, order: int = 1) -> np.ndarray:
     Interior points use the central 5-point stencil, 4th order for the
     first (order=1) and second (order=2) derivative; the two points at
     each end fall back to shifted 5-point stencils of the same width.
+    h must be a real number, positive and finite (not a bool or a
+    string), else ValueError.
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
@@ -76,7 +78,9 @@ def grid_derivative(values: np.ndarray, h: float, order: int = 1) -> np.ndarray:
     n = values.shape[0]
     if n < 5:
         raise ValueError(f"need at least 5 samples, got {n}")
-    if not (np.isfinite(h) and h > 0.0):
+    step = np.asarray(h)
+    if step.ndim or step.dtype.kind not in "fiu" or not (
+            np.isfinite(step) and step > 0.0):
         raise ValueError(f"grid step must be positive and finite, got {h!r}")
     out = np.zeros_like(values)
     for j, w in enumerate(_stencil_weights(order, 0)):

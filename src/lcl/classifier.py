@@ -90,34 +90,43 @@ def oracle_detect(trace: CurveTrace,
     the recovered vector is then the Euclidean projection of any true
     axis away from it. The rows of all four k stack to (4, m, 4) for one
     SVD call; a row that never moves ("indicatrix constant") is its own
-    axis and skips the SVD's answer.
+    axis and skips the SVD's answer. The rows are written into one
+    preallocated stack, and the pairings of all four candidates come from
+    one call; the mean and variance stay 1-D reductions per k.
     """
-    v = trace.frames.transpose(1, 0, 2)          # v[k]: row k of each frame
-    rows = (v[:, 1:] - v[:, :1]) * SIGNS
-    max_row = np.max(row_norm(rows), axis=1)
-    constant = max_row < 1e-9 * (1.0 + np.max(row_norm(v), axis=1))
-    constant_threshold = EPS_ORACLE_COEFF * math.sqrt(rows.shape[1])
+    frames = trace.frames
+    n = frames.shape[0]
     trivial = frame_family(trace.kind).trivial
-    units = np.reshape([b / np.linalg.norm(b)
-                        for b in trace.frames[0, list(trivial)]], (-1, 4))
-    rows = np.concatenate([rows, np.broadcast_to(units, (4,) + units.shape)],
-                          axis=1)
+    # v[k]: row k of each frame, stored coordinate-major so that each
+    # coordinate of each row is contiguous along the grid: every pairing,
+    # norm and difference below (a coordinate at a time for the rows) is
+    # then a long loop
+    v = np.ascontiguousarray(frames.transpose(2, 1, 0)).transpose(1, 2, 0)
+    rows = np.empty((4, n - 1 + len(trivial), 4))
+    moved = rows[:, :n - 1]
+    for c in range(4):
+        np.subtract(v[:, 1:, c], v[:, :1, c], out=moved[..., c])
+    moved[..., 0] *= SIGNS[0]
+    max_row = np.max(row_norm(moved), axis=1)
+    constant = max_row < 1e-9 * (1.0 + np.max(row_norm(v), axis=1))
+    constant_threshold = EPS_ORACLE_COEFF * math.sqrt(n - 1)
+    rows[:, n - 1:] = np.reshape([b / np.linalg.norm(b)
+                                  for b in frames[0, list(trivial)]], (-1, 4))
     note = "; ".join(f"trivial {ROW_NAMES[r]} direction excluded"
                      for r in trivial)
     threshold = EPS_ORACLE_COEFF * math.sqrt(rows.shape[1])
     cand = nullspace_min_singular(rows)
+    u = cand.vector
+    for k in np.flatnonzero(constant):
+        u[k] = v[k, 0] * SIGNS
+        u[k] /= np.linalg.norm(u[k])
+    g_vals = pairing(v, u[:, None, :])
     results = {}
     for k in range(4):
-        if constant[k]:
-            u = v[k, 0] * SIGNS
-            u = u / np.linalg.norm(u)
-        else:
-            u = cand.vector[k]
-        g_vals = pairing(v[k], u)
-        g_mean, g_var = float(np.mean(g_vals)), float(np.var(g_vals))
+        g_mean, g_var = float(g_vals[k].mean()), float(g_vals[k].var())
         if constant[k]:
             results[k] = OracleResult(
-                Verdict.YES, u, float(max_row[k]),
+                Verdict.YES, u[k], float(max_row[k]),
                 constant_threshold, "indicatrix constant", g_mean, g_var)
             continue
         sigma_min = float(cand.sigma_min[k])
@@ -125,7 +134,7 @@ def oracle_detect(trace: CurveTrace,
         if verdict is Verdict.YES and g_var >= tol.eps_axis:
             verdict = Verdict.NO
             k_note = (note + "; " if note else "") + "candidate failed pairing validation"
-        results[k] = OracleResult(verdict, u, sigma_min,
+        results[k] = OracleResult(verdict, u[k], sigma_min,
                                   threshold, k_note, g_mean, g_var)
     return results
 

@@ -76,9 +76,17 @@ def canonical_frame(kind: FrameKind) -> np.ndarray:
 
 
 def gram_matrix(frame_matrix: np.ndarray) -> np.ndarray:
-    """Gram matrix of the rows of a (..., 4, 4) stack under g."""
+    """Gram matrix of the rows of a (..., 4, 4) stack under g.
+
+    Both operands are contiguous: a swapaxes view would send every 4 x 4
+    product down BLAS's slower transposed path. F S is a copy of F with
+    its first coordinate negated, the one sign in SIGNS that is not +1:
+    a broadcast multiply by SIGNS would run a length-4 loop per row.
+    """
     f = np.asarray(frame_matrix, dtype=float)
-    return (f * SIGNS) @ np.swapaxes(f, -1, -2)
+    fs = f.copy()
+    fs[..., 0] *= SIGNS[0]
+    return fs @ np.ascontiguousarray(np.swapaxes(f, -1, -2))
 
 
 def gram_residual(frames: np.ndarray, kind: FrameKind) -> np.ndarray:
@@ -86,7 +94,11 @@ def gram_residual(frames: np.ndarray, kind: FrameKind) -> np.ndarray:
     dev = gram_matrix(frames)
     dev -= gram_targets(kind)
     np.abs(dev, out=dev)
-    return dev.max(axis=(-2, -1))
+    # the 16 entries as rows of a (16, frames) copy: one vectorized max
+    # down the columns instead of a short reduction per frame
+    flat = dev.reshape(-1, 16).T.copy()
+    res = flat.max(axis=0).reshape(dev.shape[:-2])
+    return res[()]  # a numpy scalar, not a 0-d array, for one frame
 
 
 def frenet_matrix(kappa, tau, sigma, kind: FrameKind) -> np.ndarray:

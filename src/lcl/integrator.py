@@ -150,26 +150,27 @@ def integrate_frame(profile: CurvatureProfile,
     pos0 = _finite_array(np.zeros(4) if alpha0 is None else alpha0,
                          "alpha0", (4,), "length 4")
 
-    mats = frenet_matrix(*lattice, profile.kind)
+    # the Frenet matrices are freed on return, before the frames are
+    # allocated and the increments scanned: this lowers peak memory
+    d, q = _rk4_increments(frenet_matrix(*lattice, profile.kind), h)
 
     positions = np.empty((n, 4))
     frames = np.empty((n, 4, 4))
     positions[0] = pos0
     frames[0] = frame0
-
-    d, q = _rk4_increments(mats, h)
-    del mats  # lowers peak memory; only d and q are read from here on
     # a blown-up run scans on past its first bad step; the abort below
     # reports it, so overflow warnings from the later steps are noise
     with np.errstate(over="ignore", invalid="ignore"):
         e = _prefix_increments(d)
-        np.matmul(e, frame0, out=frames[1:])
+        # every E_j F0 at once: one (4 steps x 4) x (4 x 4) product
+        np.matmul(e.reshape(-1, 4), frame0, out=frames[1:].reshape(-1, 4))
         frames[1:] += frame0
 
         # positions: alpha_{i+1} = alpha_i + q_i F_i, summed in step order
         np.matmul(q[:, None, :], frames[:-1], out=positions[1:, None, :])
         np.cumsum(positions, axis=0, out=positions)
 
+        del d, e, q  # the Gram check reads the frames only
         gram_res = gram_residual(frames, profile.kind)
 
     abort_at = ABORT_FACTOR * eps_gram
@@ -180,9 +181,10 @@ def integrate_frame(profile: CurvatureProfile,
             f"Gram drift {gram_res[i]:.3g} exceeded {abort_at:.3g} at step "
             f"{i} (s = {s[i]:.6g}); reduce h or check the profile")
 
-    log.debug("integrated %s profile over [%g, %g], %d steps, max drift %.3g",
-              profile.kind.value, profile.s_min, profile.s_max, steps,
-              float(np.max(gram_res)))
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("integrated %s profile over [%g, %g], %d steps, "
+                  "max drift %.3g", profile.kind.value, profile.s_min,
+                  profile.s_max, steps, float(np.max(gram_res)))
     return CurveTrace(profile=profile, s=s, h=h, lattice=lattice,
                       positions=positions, frames=frames, gram_res=gram_res)
 

@@ -70,11 +70,11 @@ def nullspace_min_singular(matrix) -> NullspaceResult:
         _, s, vt = np.linalg.svd(np.linalg.qr(a, mode="r"))
     u = vt[..., -1, :]
     mag = np.abs(u)
-    first = np.argmax(mag > 1e-6 * np.max(mag, axis=-1, keepdims=True),
-                      axis=-1)
+    first = (mag > 1e-6 * mag.max(axis=-1, keepdims=True)).argmax(axis=-1)
     lead = np.take_along_axis(u, first[..., None], axis=-1)
     u = np.where(lead < 0, -u, u)
-    degenerate = ~np.any(a, axis=(-2, -1))
+    # one flat scan per matrix; any() over two axes is several times slower
+    degenerate = ~a.reshape(a.shape[:-2] + (-1,)).any(axis=-1)
     sigma_min = np.where(degenerate | (rows < 4), 0.0, s[..., -1])
     u = np.where(degenerate[..., None], np.array([1.0, 0.0, 0.0, 0.0]), u)
     return NullspaceResult(u, sigma_min, degenerate)

@@ -5,7 +5,8 @@ import inspect
 import numpy as np
 import pytest
 
-from lcl import (AxisCandidate, CurvatureProfile, Tolerances, assemble_axis,
+from lcl import (AxisCandidate, CurvatureProfile, CurveTrace,
+                 GridMismatchError, Tolerances, assemble_axis,
                  integrate_frame, pairing, validate_axis)
 
 # A probe candidate repeats one fixed ambient vector on the trace grid; it
@@ -113,3 +114,35 @@ def test_ambient_axis_pairing_against_named_row(quad_psn_trace):
 def test_validate_axis_defaults_to_the_tolerances_eps_axis():
     default = inspect.signature(validate_axis).parameters["eps_axis"].default
     assert default == Tolerances().eps_axis == 1e-6
+
+
+def _probe_on(s):
+    """The true circle axis (0, 1, 0, sqrt 2), repeated on the grid s."""
+    n = s.shape[0]
+    D = np.array([0.0, 1.0, 0.0, np.sqrt(2.0)])
+    return AxisCandidate(0, "probe", s, np.full((n, 4), np.nan),
+                         np.tile(D, (n, 1)))
+
+
+def test_validate_axis_rejects_a_candidate_of_another_length(circle_trace):
+    with pytest.raises(GridMismatchError, match="sampled on"):
+        validate_axis(circle_trace, _probe_on(circle_trace.s[:-1]))
+
+
+def test_validate_axis_rejects_a_candidate_on_a_shifted_grid(circle_trace):
+    # same length, other points: only the grids' values tell them apart,
+    # so a candidate that does not carry trace.s itself is compared
+    shifted = circle_trace.s + 0.5 * circle_trace.h
+    with pytest.raises(GridMismatchError, match="another grid"):
+        validate_axis(circle_trace, _probe_on(shifted))
+    assert validate_axis(circle_trace, _probe_on(circle_trace.s.copy())).passed
+    assert validate_axis(circle_trace, _probe_on(circle_trace.s)).passed
+
+
+def test_validate_axis_rejects_a_trace_of_fewer_than_7_points(circle_trace):
+    t, n = circle_trace, 6
+    short = CurveTrace(t.profile, t.s[:n], t.h,
+                       tuple(c[:2 * n - 1] for c in t.lattice),
+                       t.positions[:n], t.frames[:n], t.gram_res[:n])
+    with pytest.raises(GridMismatchError, match="too short"):
+        validate_axis(short, _probe_on(short.s))

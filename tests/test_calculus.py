@@ -110,6 +110,10 @@ def test_grid_derivative_edge_rows_are_bit_identical_to_tensordot(shape,
 def test_grid_derivative_rejects_bad_step():
     with pytest.raises(ValueError):
         grid_derivative(np.zeros(8), 0.0)
+    for step in ("a", True, np.bool_(True), None, np.array([0.1, 0.1]),
+                 -0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="grid step must be positive"):
+            grid_derivative(np.zeros(8), step)
     with pytest.raises(ValueError):
         grid_derivative(np.zeros(3), 0.1)
 

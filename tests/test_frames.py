@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from lcl import (CurvatureProfile, FrameKind, canonical_frame, frenet_matrix,
-                 gram_matrix, gram_residual, gram_targets, integrate_frame)
+                 gram_matrix, gram_residual, gram_targets, integrate_frame,
+                 pairing, row_norm)
+from lcl.suite import default_suite
 
 PN = FrameKind.PARTIALLY_NULL
 PSN = FrameKind.PSEUDO_NULL
@@ -162,3 +164,40 @@ def test_changing_a_looked_up_array_leaves_the_family_unchanged(kind, sigma):
     after = integrate_frame(p)
     assert np.array_equal(after.frames, before.frames)
     assert np.array_equal(after.gram_res, before.gram_res)
+
+
+def _pairwise_gram_residual(frames, kind):
+    """max |g(V_i, V_j) - G*_ij| of each frame, one pairing per (i, j)."""
+    target = gram_targets(kind)
+    return np.max([np.abs(pairing(frames[..., i, :], frames[..., j, :])
+                          - target[i, j])
+                   for i in range(4) for j in range(4)], axis=0)
+
+
+@pytest.fixture(scope="module")
+def suite_traces():
+    # both families; psn-generic-1 has frames up to 9.3e4
+    fixtures = {fx.label: fx for fx in default_suite()}
+    return {label: integrate_frame(fixtures[label].profile)
+            for label in ("pn-generic-0", "psn-quad-0", "psn-generic-1")}
+
+
+@pytest.mark.parametrize("label", ["pn-generic-0", "psn-quad-0",
+                                   "psn-generic-1"])
+def test_gram_residual_matches_a_pairwise_computation(suite_traces, label):
+    trace = suite_traces[label]
+    frames, kind = trace.frames, trace.kind
+    full = gram_residual(frames, kind)
+    assert np.array_equal(full, trace.gram_res)
+    round_trip = np.swapaxes(np.swapaxes(frames, -1, -2).copy(), -1, -2)
+    assert not round_trip.flags.c_contiguous
+    for picked, view in [(0, frames[0]), (slice(None, None, 3), frames[::3]),
+                         (slice(None), round_trip)]:
+        got = gram_residual(view, kind)
+        # the memory layout of the stack must not change a single bit
+        assert np.array_equal(got, full[picked])
+        # roundoff of four products of entries up to |F|, no more
+        scale = np.max(row_norm(view), axis=-1) ** 2
+        want = _pairwise_gram_residual(view, kind)
+        assert np.all(np.abs(got - want) <= 1e-14 * (1.0 + scale))
+    assert np.shape(gram_residual(frames[0], kind)) == ()
