@@ -24,7 +24,7 @@ from one stacked SVD of the trace.
 Partially null curves are classified with sigma identically 0; the frame
 freedom that makes other sigma choices equivalent is not modeled here.
 The trivial axis B1 (which pairs constantly with everything) is excluded
-from oracle verdicts and reported separately.
+from oracle verdicts, and each oracle entry's note says so.
 
 Fit conventions: antiderivatives are anchored at s_min and the dropped
 integration constants (c0 for the affine ratio condition, c_int for the
@@ -92,7 +92,8 @@ def oracle_detect(trace: CurveTrace,
     SVD call; a row that never moves ("indicatrix constant") is its own
     axis and skips the SVD's answer. The rows are written into one
     preallocated stack, and the pairings of all four candidates come from
-    one call; the mean and variance stay 1-D reductions per k.
+    one call, as a C-contiguous (4, n) array whose mean and variance over
+    axis 1 run along its rows with the pairwise sum of a 1-D reduction.
     """
     frames = trace.frames
     n = frames.shape[0]
@@ -121,9 +122,10 @@ def oracle_detect(trace: CurveTrace,
         u[k] = v[k, 0] * SIGNS
         u[k] /= np.linalg.norm(u[k])
     g_vals = pairing(v, u[:, None, :])
+    g_means, g_vars = g_vals.mean(axis=1), g_vals.var(axis=1)
     results = {}
     for k in range(4):
-        g_mean, g_var = float(g_vals[k].mean()), float(g_vals[k].var())
+        g_mean, g_var = float(g_means[k]), float(g_vars[k])
         if constant[k]:
             results[k] = OracleResult(
                 Verdict.YES, u[k], float(max_row[k]),
@@ -361,13 +363,12 @@ class ClassificationReport:
     __slots__ = ("label", "kind", "verdicts", "raw_verdicts",
                  "condition_residuals", "constants", "axes", "oracle",
                  "agreement", "closure_notes", "flags", "max_gram_residual",
-                 "trivial_axis", "pseudohyperbolic")
+                 "pseudohyperbolic")
 
     def __init__(self, label: str, kind: FrameKind, verdicts: dict,
                  raw_verdicts: dict, condition_residuals: dict,
                  constants: dict, axes: list, oracle: dict, agreement: dict,
                  closure_notes: list, flags: list, max_gram_residual: float,
-                 trivial_axis: Optional[dict] = None,
                  pseudohyperbolic: Optional[dict] = None):
         self.label = label
         self.kind = kind
@@ -381,7 +382,6 @@ class ClassificationReport:
         self.closure_notes = closure_notes
         self.flags = flags
         self.max_gram_residual = max_gram_residual
-        self.trivial_axis = trivial_axis
         self.pseudohyperbolic = pseudohyperbolic
 
     def to_json_dict(self) -> dict:
@@ -405,7 +405,6 @@ class ClassificationReport:
             "closure": list(self.closure_notes),
             "flags": list(self.flags),
             "gram": {"max_residual": _jsonable(self.max_gram_residual)},
-            "trivial_axis": self.trivial_axis,
             "pseudohyperbolic": self.pseudohyperbolic,
         }
 
@@ -531,17 +530,6 @@ def _pn_affine_axes(c, r1) -> list:
                            r1.constants["c0"].value), "affine")]
 
 
-def _pn_report(c) -> dict:
-    """The trivial axis, excluded from the oracle, is reported apart."""
-    (row,) = frame_family(c.trace.kind).trivial
-    f0 = c.trace.frames[0]
-    return {"trivial_axis": {
-        "note": f"{ROW_NAMES[row]} pairs constantly with every frame vector "
-                "and is excluded from oracle verdicts",
-        "g_values": {f"k{k}": _jsonable(pairing(f0[k], f0[row]))
-                     for k in range(4)}}}
-
-
 def _psn_report(c) -> dict:
     hyp = hyperbolic.pseudohyperbolic_block(c.trace, c.tol)
     if hyp.get("is_h3_family") and c.checks[1].verdict is Verdict.YES:
@@ -570,7 +558,7 @@ FAMILIES = {
         (3, lambda c: c.checks[0],
          lambda c, _: [(c.ratio_axes[0]._replace(k=3), "constant-ratio")]),
         (1, lambda c: pn_type1_check(c.trace, c.tol), _pn_affine_axes),
-    ), PN_IMPLICATIONS, _pn_report),
+    ), PN_IMPLICATIONS, lambda c: {}),
     FrameKind.PSEUDO_NULL: Family((
         (1, lambda c: psn_type1_check(c.trace, c.tol),
          lambda c, _: [(c.quadratic_axis, "quadratic-ratio")]),

@@ -25,7 +25,7 @@ from .classifier import Tolerances, classify_profile, oracle_detect
 from .errors import ConfigError, LclError
 from .frames import frame_family
 from .integrator import check_step, integrate_frame, write_trace_csv
-from .profiles import load_profile, read_json_file
+from .profiles import is_number, load_profile, read_json_file
 from .suite import DEFAULT_SEED, GENERATORS, generate, load_suite
 from .verifier import render_table, run_theorem_suite
 
@@ -281,14 +281,12 @@ def cmd_sweep(args) -> int:
     if not isinstance(family, str) or family not in GENERATORS:
         raise ConfigError(f"sweep spec needs a family in {list(GENERATORS)}")
     domain = spec.get("domain")
-    try:
-        lo, hi = (float(x) for x in domain)
-        ok = -math.inf < lo < hi < math.inf
-    except (TypeError, ValueError):
-        ok = False
-    if not ok:
+    if not (isinstance(domain, list) and len(domain) == 2
+            and all(map(is_number, domain))
+            and -math.inf < domain[0] < domain[1] < math.inf):
         raise ConfigError("sweep spec needs a domain [s_min, s_max], "
                           f"got {domain!r}")
+    lo, hi = map(float, domain)
     raw_params = spec.get("parameters")
     if not isinstance(raw_params, dict) or not raw_params:
         raise ConfigError("sweep spec needs a non-empty parameters object")
@@ -315,12 +313,10 @@ def cmd_sweep(args) -> int:
         if not isinstance(pert, dict) or "expr" not in pert:
             raise ConfigError("sigma_perturbation needs an expr")
         raw_scales = pert.get("scales", [1.0])
-        try:
-            scales = [float(s) for s in raw_scales]
-        except (TypeError, ValueError):
-            scales = []
-        if not (isinstance(raw_scales, list) and scales
-                and all(map(math.isfinite, scales))):
+        scales = (list(map(float, raw_scales))
+                  if isinstance(raw_scales, list)
+                  and all(map(is_number, raw_scales)) else [])
+        if not (scales and all(map(math.isfinite, scales))):
             raise ConfigError("sigma_perturbation scales must be a non-empty "
                               "list of finite numbers")
 

@@ -168,11 +168,11 @@ def pseudohyperbolic_block(trace: CurveTrace,
     The ratio and tau-form fits read the trace's curvatures, and the
     sphere fit and closed-form center its positions and frames.
 
-    `type1_nonexistence` is "Yes" for every family member: the family
-    forces a constant ratio, which is never the 1-type quadratic (the
-    classifier flags a 1-type Yes on a member). A sphere fit that passes
-    off the family is noted only with a finite radius: a constant positive
-    ratio puts the curve on a de Sitter pseudosphere (fitted r^2 < 0).
+    No family member is 1-type: the family forces a constant ratio, which
+    is never the 1-type quadratic, and the classifier flags a 1-type Yes
+    on a member. A sphere fit that passes off the family is noted only
+    with a finite radius: a constant positive ratio puts the curve on a
+    de Sitter pseudosphere (fitted r^2 < 0).
     """
     ratio = h3_ratio_check(trace, tol)
     notes = list(ratio.flags)
@@ -193,7 +193,6 @@ def pseudohyperbolic_block(trace: CurveTrace,
         "ratio_residual": _jsonable(ratio.residual),
         "sphere_fit": fit_dict,
         "notes": notes,
-        "type1_nonexistence": Verdict.YES.value if is_family else None,
         "type2_tau": None,
         "closed_center": None,
     }

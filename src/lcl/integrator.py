@@ -35,7 +35,7 @@ from .errors import ConfigError, FrameError, IntegrationError
 from .frames import (FrameKind, canonical_frame, frame_family, frenet_matrix,
                      gram_residual)
 from .minkowski import pairing
-from .profiles import CurvatureProfile, require_family_rules
+from .profiles import CurvatureProfile, is_number, require_family_rules
 
 log = logging.getLogger("lcl.integrator")
 
@@ -99,7 +99,10 @@ def _finite_array(value, what: str, shape: tuple, dims: str) -> np.ndarray:
 
 
 def check_step(h) -> float:
-    """h as a float; ConfigError unless it is positive and finite."""
+    """h as a float; ConfigError unless it is a number (is_number: not a
+    bool, a string or an array), positive and finite."""
+    if not is_number(h):
+        raise ConfigError(f"step h must be a real number, got {h!r}")
     h = float(h)
     if not (h > 0.0) or not math.isfinite(h):
         raise ConfigError(f"step h must be positive and finite, got {h}")

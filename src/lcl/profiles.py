@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import logging
+import numbers
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -42,6 +43,12 @@ from .frames import FrameKind, frame_family
 log = logging.getLogger("lcl.profiles")
 
 _ZERO_TOL = 1e-9
+
+
+def is_number(value) -> bool:
+    """True for a real number, a numpy scalar included, and False for a
+    bool (JSON true/false) or a numeric string, which float() would take."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _pchip_end_slope(h0, h1, m0, m1) -> float:
@@ -63,16 +70,19 @@ class SampleTable:
     end slopes use the three-point shape-preserving formula; two samples
     give a line. Monotone interpolation keeps the sign behavior of the
     samples, so a strictly positive table cannot acquire spurious zero
-    crossings. Points outside the table follow the end cubics.
+    crossings. Points outside the table follow the end cubics. s and
+    values are int or float arrays, or lists of numbers (is_number).
     """
 
     def __init__(self, s, values):
-        try:
-            s = np.asarray(s, dtype=float)
-            values = np.asarray(values, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ProfileError(
-                f"sample table entries must be numbers: {exc}") from None
+        for entries in (s, values):
+            if not (isinstance(entries, np.ndarray)
+                    and entries.dtype.kind in "fiu"
+                    or isinstance(entries, (list, tuple))
+                    and all(map(is_number, entries))):
+                raise ProfileError("sample table entries must be numbers")
+        s = np.asarray(s, dtype=float)
+        values = np.asarray(values, dtype=float)
         if s.ndim != 1 or s.shape != values.shape:
             raise ProfileError("sample table needs matching 1-d s and values")
         if s.shape[0] < 2:
@@ -128,7 +138,7 @@ def _as_component(value, default: str | None = None) -> Component:
         return value
     if isinstance(value, str):
         return parse_expression(value)
-    if isinstance(value, (int, float)):
+    if is_number(value):
         return Num(float(value))
     if isinstance(value, dict):
         try:
@@ -211,7 +221,8 @@ class CurvatureProfile(NamedTuple):
             domain = obj["domain"]
         except (KeyError, ValueError) as exc:
             raise ProfileError(f"bad profile JSON: {exc}") from None
-        if not (isinstance(domain, (list, tuple)) and len(domain) == 2):
+        if not (isinstance(domain, (list, tuple)) and len(domain) == 2
+                and all(map(is_number, domain))):
             raise ProfileError(f"bad profile domain {domain!r}")
         label = obj.get("label")
         if label is None:

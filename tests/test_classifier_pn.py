@@ -267,9 +267,11 @@ def test_classify_report_for_the_circle(circle_profile):
     assert {k: v for k, v in rep.verdicts.items()} == {0: Y, 1: Y, 2: Y, 3: Y}
     assert all(rep.agreement[k] for k in range(4))
     assert rep.max_gram_residual < 1e-12
-    # B1 is excluded from axis claims: its direction is trivially fixed
-    assert "B1" in rep.trivial_axis["note"]
-    assert rep.trivial_axis["g_values"]["k3"] == pytest.approx(1.0, abs=1e-12)
+    # B1 pairs constantly with every row, so each oracle entry that reads
+    # the SVD says it is excluded; B1 itself never moves on a pn curve
+    assert {k: o.note for k, o in rep.oracle.items()} == {
+        0: "trivial B1 direction excluded", 1: "trivial B1 direction excluded",
+        2: "indicatrix constant", 3: "trivial B1 direction excluded"}
     sources = {c.source for c, _ in rep.axes}
     assert "oscillator-solution" in sources
     assert all(v.passed for _, v in rep.axes)
@@ -291,13 +293,22 @@ def test_classify_rejects_partially_null_with_nonzero_sigma():
         classify_profile(p)
 
 
-def test_report_json_is_deterministic(circle_profile):
+@pytest.mark.parametrize("kind, curvatures", [
+    ("partially_null", {"kappa": "1", "tau": "1"}),
+    ("pseudo_null", {"tau": "1", "sigma": "-2"}),
+], ids=["partially_null", "pseudo_null"])
+def test_report_json_is_deterministic(kind, curvatures):
     import json
-    a = classify_profile(circle_profile, h=1e-3).to_json_dict()
-    b = classify_profile(circle_profile, h=1e-3).to_json_dict()
+    p = CurvatureProfile.create(kind, domain=(0.0, 1.5), **curvatures)
+    a = classify_profile(p).to_json_dict()
+    b = classify_profile(p).to_json_dict()
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-    assert set(a) >= {"label", "kind", "verdicts", "condition_residuals",
-                      "constants", "axes", "oracle", "agreement", "flags"}
+    # exact: a removed key cannot come back, and a new one shows here
+    assert set(a) == {"label", "kind", "verdicts", "raw_verdicts",
+                      "condition_residuals", "constants", "axes", "oracle",
+                      "agreement", "closure", "flags", "gram",
+                      "pseudohyperbolic"}
+    assert (a["pseudohyperbolic"] is None) == (kind == "partially_null")
 
 
 def test_tolerances_are_immutable_defaults():

@@ -226,12 +226,33 @@ _SWEEP = {"family": "pn-constant", "domain": [0.0, 1.0],
     ("classify", b"\xff\xfe not utf-8"),
     ("verify", b"\xff\xfe not utf-8"),
     ("sweep", b"\xff\xfe not utf-8"),
+    # a JSON bool or numeric string is not a number, though float() takes it
+    ("classify", dict(_PROFILE, domain=[False, True])),
+    ("classify", dict(_PROFILE, domain=["0", "1"])),
+    ("verify", [{"profile": dict(_PROFILE, domain=[False, True])}]),
+    ("verify", [{"profile": dict(_PROFILE, domain=["0", "1"])}]),
+    ("classify", dict(_PROFILE, kappa=True)),
+    ("classify", dict(_PROFILE, tau={"s": [False, True],
+                                     "values": [1.0, 2.0]})),
+    ("classify", dict(_PROFILE, tau={"s": [0.0, 1.0],
+                                     "values": ["0.1", "0.2"]})),
+    ("sweep", dict(_SWEEP, domain=[False, True])),
+    ("sweep", {"family": "psn-quadratic", "domain": [0.0, 1.0],
+               "parameters": {"a": [0.3], "b": [0.1]},
+               "sigma_perturbation": {"expr": "s", "scales": [True]}}),
+    ("sweep", {"family": "psn-quadratic", "domain": [0.0, 1.0],
+               "parameters": {"a": [0.3], "b": [0.1]},
+               "sigma_perturbation": {"expr": "s", "scales": ["0.5"]}}),
 ], ids=["profile-domain", "table-values", "suite-expected",
         "suite-expected-k5", "suite-expected-1", "suite-label",
         "suite-profile-label", "profile-label", "sweep-array", "sweep-domain",
         "sweep-param-name", "sweep-scales", "sweep-infinite-domain",
         "sweep-no-scales", "sweep-infinite-scale", "classify-log", "oracle-log", "synth-log",
-        "nan-kappa", "classify-bytes", "verify-bytes", "sweep-bytes"])
+        "nan-kappa", "classify-bytes", "verify-bytes", "sweep-bytes",
+        "profile-domain-bool", "profile-domain-string", "suite-domain-bool",
+        "suite-domain-string", "bool-kappa", "table-s-bool",
+        "table-values-string", "sweep-domain-bool", "sweep-scales-bool",
+        "sweep-scales-string"])
 def test_malformed_input_file_is_a_validation_error(cmd, payload, tmp_path,
                                                     capsys):
     path = tmp_path / "input.json"

@@ -175,7 +175,7 @@ def test_type1_nonexistence_on_the_family():
     p = CurvatureProfile.create("pseudo_null", tau="1", sigma="-2",
                                 domain=(0.0, 1.5))
     rep = classify_profile(p)
-    assert rep.pseudohyperbolic["type1_nonexistence"] == "Yes"
+    assert rep.pseudohyperbolic["is_h3_family"] is True
     assert rep.raw_verdicts[1] is N
     assert not [f for f in rep.flags if "1-type" in f]
 
@@ -192,11 +192,10 @@ def test_full_report_block_for_a_family_member(h3_profile):
     assert hyp["type2_tau"]["mu"]["value"] == pytest.approx(0.5, abs=1e-9)
     assert hyp["closed_center"]["radius"] == pytest.approx(2.0, abs=1e-9)
     assert hyp["closed_center"]["membership_deviation"] < 1e-9
-    assert hyp["type1_nonexistence"] == "Yes"
-    # k3 is the oracle's verdict: the block carries no 3-type residual
+    # exact: k3 is the oracle's verdict, so there is no 3-type residual,
+    # and no 1-type entry restates is_h3_family
     assert set(hyp) == {"is_h3_family", "c_ratio", "ratio_residual",
-                        "sphere_fit", "notes", "type1_nonexistence",
-                        "type2_tau", "closed_center"}
+                        "sphere_fit", "notes", "type2_tau", "closed_center"}
 
 
 def test_a_singular_sphere_fit_is_a_note(h3_profile, monkeypatch):

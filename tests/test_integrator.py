@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from lcl import (CurvatureProfile, FrameKind, canonical_frame,
-                 frenet_matrix, gram_matrix, gram_targets, integrate_frame,
-                 pairing, resample_curvatures, write_trace_csv)
+                 classify_profile, frenet_matrix, gram_matrix, gram_targets,
+                 integrate_frame, pairing, resample_curvatures,
+                 run_theorem_suite, write_trace_csv)
 from lcl.errors import ConfigError, FrameError, IntegrationError, ProfileError
 from lcl.integrator import CSV_HEADER, _prefix_increments
 
@@ -92,6 +93,29 @@ def test_step_validation():
         integrate_frame(p, h=-1e-3)
     with pytest.raises(ConfigError):
         integrate_frame(p, h=0.5)  # more than a tenth of the span
+
+
+@pytest.mark.parametrize("h", [True, "0.01", np.array([0.01])],
+                         ids=["bool", "string", "array"])
+def test_a_step_that_is_not_a_real_number_is_a_config_error(h):
+    # float() takes all three; True would integrate at h = 1.0 and fail on
+    # Gram drift (exit 3) on this span, not as a bad input (exit 2)
+    p = CurvatureProfile.create("partially_null", kappa="1", tau="1 + s",
+                                domain=(0.0, 20.0))
+    for run in (lambda: integrate_frame(p, h=h),
+                lambda: classify_profile(p, h=h),
+                lambda: run_theorem_suite(fixtures=[], h=h)):
+        with pytest.raises(ConfigError, match="step h must be a real number"):
+            run()
+
+
+@pytest.mark.parametrize("h", [1, np.float64(0.5), np.int64(1),
+                               np.float32(0.5)])
+def test_ints_and_numpy_scalars_are_steps(h):
+    p = CurvatureProfile.create("partially_null", kappa="0.01", tau="0.01",
+                                domain=(0.0, 20.0))
+    tr = integrate_frame(p, h=h)
+    assert type(tr.h) is float and tr.h == float(h)
 
 
 def test_initial_frame_must_satisfy_the_gram_targets():

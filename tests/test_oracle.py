@@ -212,3 +212,15 @@ def test_validated_suite_axes_lie_in_the_oracle_nullspace():
             assert ratio <= 1e-3, (fx.label, cand.k, cand.source, ratio)
             checked += 1
     assert checked == 99  # every axis the suite builds validates
+
+
+def test_pairing_mean_and_variance_match_per_k_reductions():
+    # the oracle reduces its (4, n) pairings along axis 1, once for the mean
+    # and once for the variance; each row must read bit for bit what a 1-D
+    # reduction of that k's pairings alone reads
+    for fx in default_suite():
+        trace = integrate_frame(fx.profile)
+        for k, res in oracle_detect(trace).items():
+            g = pairing(trace.frames[:, k], res.vector)
+            assert (res.g_mean, res.g_variance) == (
+                float(g.mean()), float(g.var())), (fx.label, k)
