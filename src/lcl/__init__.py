@@ -11,7 +11,7 @@ from .axis import AxisCandidate, AxisValidation, assemble_axis, validate_axis
 from .calculus import grid_derivative
 from .classifier import (PN_IMPLICATIONS, PSN_IMPLICATIONS,
                          ClassificationReport, OracleResult, classify_profile,
-                         implication_closure, oracle_detect, pn_type0_check,
+                         implication_conflicts, oracle_detect, pn_type0_check,
                          pn_type1_check, pn_type1_axis, pn_type2_axis,
                          pn_type0_axes, psn_type1_axis, psn_type1_check,
                          psn_type2_axis, psn_type2_check)
@@ -53,7 +53,7 @@ __all__ = [
     "frenet_matrix", "gram_matrix", "gram_residual",
     "gram_targets", "grid_derivative", "h3_membership", "h3_ratio_check",
     "h3_type2_tau_form",
-    "implication_closure", "integrate_frame", "load_profile", "load_suite",
+    "implication_conflicts", "integrate_frame", "load_profile", "load_suite",
     "nullspace_min_singular",
     "oracle_detect", "pairing", "parse_expression", "PN_IMPLICATIONS",
     "pn_type0_axes", "pn_type0_check", "pn_type1_axis", "pn_type1_check",

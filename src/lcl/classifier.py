@@ -13,6 +13,8 @@ axis that decides, or the oracle's sigma_min.
 A family is its FAMILIES entry: rows (k, check, build), its implication
 graph and its report block; its frame data is frames.FAMILIES.
 classify_profile walks the entry with the same code for every family.
+Each row's verdict is final when the row decides it; the implication
+graph only flags the edges those verdicts break.
 
 One classification evaluates each profile component once, on the
 integration's half-step lattice, where the family rules were checked.
@@ -359,38 +361,24 @@ def _require_kind(trace: CurveTrace, kind: FrameKind) -> None:
 # ---------------------------------------------------------------------------
 # report and pipeline
 
-class ClassificationReport:
-    __slots__ = ("label", "kind", "verdicts", "raw_verdicts",
-                 "condition_residuals", "constants", "axes", "oracle",
-                 "agreement", "closure_notes", "flags", "max_gram_residual",
-                 "pseudohyperbolic")
-
-    def __init__(self, label: str, kind: FrameKind, verdicts: dict,
-                 raw_verdicts: dict, condition_residuals: dict,
-                 constants: dict, axes: list, oracle: dict, agreement: dict,
-                 closure_notes: list, flags: list, max_gram_residual: float,
-                 pseudohyperbolic: Optional[dict] = None):
-        self.label = label
-        self.kind = kind
-        self.verdicts = verdicts            # k -> Verdict, after closure
-        self.raw_verdicts = raw_verdicts    # k -> Verdict, before closure
-        self.condition_residuals = condition_residuals  # k -> float
-        self.constants = constants          # name -> FittedConstant
-        self.axes = axes                    # (AxisCandidate, AxisValidation)
-        self.oracle = oracle                # k -> OracleResult
-        self.agreement = agreement          # k -> bool
-        self.closure_notes = closure_notes
-        self.flags = flags
-        self.max_gram_residual = max_gram_residual
-        self.pseudohyperbolic = pseudohyperbolic
+class ClassificationReport(NamedTuple):
+    label: str
+    kind: FrameKind
+    verdicts: dict              # k -> Verdict
+    condition_residuals: dict   # k -> float
+    constants: dict             # name -> FittedConstant
+    axes: list                  # (AxisCandidate, AxisValidation)
+    oracle: dict                # k -> OracleResult
+    agreement: dict             # k -> bool
+    flags: list
+    max_gram_residual: float
+    pseudohyperbolic: Optional[dict] = None
 
     def to_json_dict(self) -> dict:
         return {
             "label": self.label,
             "kind": self.kind.value,
             "verdicts": {f"k{k}": v.value for k, v in sorted(self.verdicts.items())},
-            "raw_verdicts": {f"k{k}": v.value
-                             for k, v in sorted(self.raw_verdicts.items())},
             "condition_residuals": {f"k{k}": _jsonable(r)
                                     for k, r in sorted(self.condition_residuals.items())},
             "constants": {name: c.to_json_dict()
@@ -402,7 +390,6 @@ class ClassificationReport:
                        for k, o in sorted(self.oracle.items())},
             "agreement": {f"k{k}": bool(a)
                           for k, a in sorted(self.agreement.items())},
-            "closure": list(self.closure_notes),
             "flags": list(self.flags),
             "gram": {"max_residual": _jsonable(self.max_gram_residual)},
             "pseudohyperbolic": self.pseudohyperbolic,
@@ -412,12 +399,13 @@ class ClassificationReport:
 def classify_profile(p: CurvatureProfile,
                      h: Optional[float] = None,
                      tol: Tolerances = Tolerances()) -> ClassificationReport:
-    """Full classification: checks, axes, oracle, closure, and flags.
+    """Full classification: checks, axes, oracle, and flags.
 
     Walks the family's FAMILIES entry: each row in turn decides its k and,
     on a Yes, builds the axes behind it, which are validated here and
-    flagged if they fail. The verdicts close over the family's
-    implications, and the family's report block comes last.
+    flagged if they fail. A row's verdict is final; an edge of the
+    family's implication graph that the verdicts break is flagged as a
+    closure-inconsistency, and the family's report block comes last.
     """
     trace = integrate_frame(p, h=h)
     c = _Classification(trace, oracle_detect(trace, tol), tol)
@@ -439,56 +427,36 @@ def classify_profile(p: CurvatureProfile,
 
     checks = {k: c.checks[k] for k in range(4)}
     flags, oracle = c.flags, c.oracle
-    raw = {k: res.verdict for k, res in checks.items()}
-    closed, notes, inconsistencies = implication_closure(
-        raw, family.implications)
-    flags.extend(f"closure-inconsistency: {msg}" for msg in inconsistencies)
+    verdicts = {k: res.verdict for k, res in checks.items()}
+    flags.extend(f"closure-inconsistency: {msg}" for msg in
+                 implication_conflicts(verdicts, family.implications))
     constants = {}
     for res in checks.values():
         flags.extend(res.flags)
         constants.update(res.constants)
-    agreement = {k: oracle[k].verdict is closed[k] for k in range(4)}
+    agreement = {k: oracle[k].verdict is verdicts[k] for k in range(4)}
     for k, ok in agreement.items():
         if not ok:
             flags.append(f"oracle-condition-disagreement: k{k} condition "
-                         f"{closed[k].value}, oracle {oracle[k].verdict.value}")
+                         f"{verdicts[k].value}, oracle {oracle[k].verdict.value}")
     return ClassificationReport(
-        label=p.label, kind=p.kind,
-        verdicts=closed, raw_verdicts=raw,
+        label=p.label, kind=p.kind, verdicts=verdicts,
         condition_residuals={k: res.residual for k, res in checks.items()},
         constants=constants, axes=axes, oracle=oracle, agreement=agreement,
-        closure_notes=notes, flags=flags,
-        max_gram_residual=trace.max_gram_residual, **family.report(c))
+        flags=flags, max_gram_residual=trace.max_gram_residual,
+        **family.report(c))
 
 
-def implication_closure(raw: dict, implications) -> tuple[dict, list, list]:
-    """Propagate verdicts along the edges (a, b), read "k = a implies k = b".
+def implication_conflicts(verdicts: dict, implications) -> list[str]:
+    """The edges (a, b), read "k = a implies k = b", that verdicts break.
 
     The graphs are PN_IMPLICATIONS (0 => {1,2,3}, 1 => 2, 3 => {0,1,2})
-    and PSN_IMPLICATIONS (1 => 2). Yes propagates forward, No propagates
-    backward (contrapositive), and a raw No that an implication says must
-    be Yes is reported as an inconsistency instead of being overwritten.
-    Idempotent and monotone: no Yes ever becomes No.
+    and PSN_IMPLICATIONS (1 => 2). Every verdict is final, so an edge
+    whose a is Yes and whose b is No is a conflict, reported in edge order.
     """
-    closed = {k: raw.get(k, Verdict.UNDETERMINED) for k in range(4)}
-    notes, inconsistencies = [], []
-    changed = True
-    while changed:
-        changed = False
-        for a, b in implications:
-            if closed[a] is Verdict.YES and closed[b] is Verdict.NO:
-                msg = f"k{a}=Yes implies k{b}=Yes but k{b}=No"
-                if msg not in inconsistencies:
-                    inconsistencies.append(msg)
-            elif closed[a] is Verdict.YES and closed[b] is Verdict.UNDETERMINED:
-                closed[b] = Verdict.YES
-                notes.append(f"k{b}=Yes from k{a}=Yes")
-                changed = True
-            elif closed[b] is Verdict.NO and closed[a] is Verdict.UNDETERMINED:
-                closed[a] = Verdict.NO
-                notes.append(f"k{a}=No from k{b}=No")
-                changed = True
-    return closed, notes, inconsistencies
+    return [f"k{a}=Yes implies k{b}=Yes but k{b}=No"
+            for a, b in implications
+            if verdicts[a] is Verdict.YES and verdicts[b] is Verdict.NO]
 
 
 # ---------------------------------------------------------------------------

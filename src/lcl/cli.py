@@ -25,7 +25,7 @@ from .classifier import Tolerances, classify_profile, oracle_detect
 from .errors import ConfigError, LclError
 from .frames import frame_family
 from .integrator import check_step, integrate_frame, write_trace_csv
-from .profiles import is_number, load_profile, read_json_file
+from .profiles import as_float, is_number, load_profile, read_json_file
 from .suite import DEFAULT_SEED, GENERATORS, generate, load_suite
 from .verifier import render_table, run_theorem_suite
 
@@ -208,8 +208,6 @@ def _render_report(report) -> str:
             lines.append(f"  k{cand.k} [{cand.source}] ({u}) "
                          f"max_dU {val.max_du:.3e} g_var {val.g_variance:.3e} "
                          f"{mark}")
-    if report.closure_notes:
-        lines.append("closure: " + "; ".join(report.closure_notes))
     if report.pseudohyperbolic:
         hyp = report.pseudohyperbolic
         lines.append(f"pseudohyperbolic family: {hyp['is_h3_family']}"
@@ -283,7 +281,8 @@ def cmd_sweep(args) -> int:
     domain = spec.get("domain")
     if not (isinstance(domain, list) and len(domain) == 2
             and all(map(is_number, domain))
-            and -math.inf < domain[0] < domain[1] < math.inf):
+            and -math.inf < as_float(domain[0], "sweep domain endpoint")
+            < as_float(domain[1], "sweep domain endpoint") < math.inf):
         raise ConfigError("sweep spec needs a domain [s_min, s_max], "
                           f"got {domain!r}")
     lo, hi = map(float, domain)
@@ -303,6 +302,16 @@ def cmd_sweep(args) -> int:
         vals = raw_params[name]
         if not isinstance(vals, list) or not vals:
             raise ConfigError(f"parameter {name!r} must map to a non-empty list")
+        # a parameter with an expression default takes expressions too
+        takes_expr = isinstance(gen.optional.get(name), str)
+        for v in vals:
+            if is_number(v):
+                as_float(v, f"parameter {name!r} value")
+            elif not (takes_expr and isinstance(v, str)):
+                raise ConfigError(
+                    f"parameter {name!r} values must be numbers"
+                    + (" or expression strings" if takes_expr else "")
+                    + f", got {v!r}")
         values.append(vals)
     pert = spec.get("sigma_perturbation")
     scales = [None]
@@ -313,7 +322,8 @@ def cmd_sweep(args) -> int:
         if not isinstance(pert, dict) or "expr" not in pert:
             raise ConfigError("sigma_perturbation needs an expr")
         raw_scales = pert.get("scales", [1.0])
-        scales = (list(map(float, raw_scales))
+        scales = ([as_float(x, "sigma_perturbation scale")
+                   for x in raw_scales]
                   if isinstance(raw_scales, list)
                   and all(map(is_number, raw_scales)) else [])
         if not (scales and all(map(math.isfinite, scales))):

@@ -18,7 +18,6 @@ from .errors import ConfigError
 class Verdict(Enum):
     YES = "Yes"
     NO = "No"
-    UNDETERMINED = "Undetermined"
 
     @classmethod
     def of(cls, flag: bool) -> "Verdict":

@@ -51,6 +51,16 @@ def is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def as_float(value, what: str) -> float:
+    """float(value), and a ProfileError naming `what` where a JSON integer
+    is too large for a float: float() raises OverflowError past about
+    1.8e308."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ProfileError(f"{what} is too large for a float") from None
+
+
 def _pchip_end_slope(h0, h1, m0, m1) -> float:
     """One-sided three-point end slope, limited to keep the end shape."""
     d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
@@ -75,14 +85,17 @@ class SampleTable:
     """
 
     def __init__(self, s, values):
+        arrays = []
         for entries in (s, values):
-            if not (isinstance(entries, np.ndarray)
-                    and entries.dtype.kind in "fiu"
-                    or isinstance(entries, (list, tuple))
-                    and all(map(is_number, entries))):
+            if isinstance(entries, np.ndarray) and entries.dtype.kind in "fiu":
+                arrays.append(np.asarray(entries, dtype=float))
+            elif (isinstance(entries, (list, tuple))
+                  and all(map(is_number, entries))):
+                arrays.append(np.array([as_float(x, "sample table entry")
+                                        for x in entries], dtype=float))
+            else:
                 raise ProfileError("sample table entries must be numbers")
-        s = np.asarray(s, dtype=float)
-        values = np.asarray(values, dtype=float)
+        s, values = arrays
         if s.ndim != 1 or s.shape != values.shape:
             raise ProfileError("sample table needs matching 1-d s and values")
         if s.shape[0] < 2:
@@ -139,7 +152,7 @@ def _as_component(value, default: str | None = None) -> Component:
     if isinstance(value, str):
         return parse_expression(value)
     if is_number(value):
-        return Num(float(value))
+        return Num(as_float(value, "curvature component"))
     if isinstance(value, dict):
         try:
             return SampleTable(value["s"], value["values"])
@@ -166,7 +179,8 @@ class CurvatureProfile(NamedTuple):
                domain=(0.0, 1.0), label="") -> "CurvatureProfile":
         kind = FrameKind(kind) if not isinstance(kind, FrameKind) else kind
         try:
-            s_min, s_max = float(domain[0]), float(domain[1])
+            s_min = as_float(domain[0], "domain endpoint")
+            s_max = as_float(domain[1], "domain endpoint")
         except (TypeError, ValueError) as exc:
             raise ProfileError(f"bad domain {domain!r}: {exc}") from None
         if not (np.isfinite(s_min) and np.isfinite(s_max)) or s_min >= s_max:
@@ -239,12 +253,12 @@ class CurvatureProfile(NamedTuple):
 
 def read_json_file(path):
     """The JSON document in the file at `path`. ConfigError, naming the
-    path, when the file is not UTF-8 text or not JSON; OSError as open
-    raises it."""
+    path, when the file is not UTF-8 text or not JSON (an integer literal
+    past Python's 4300-digit limit included); OSError as open raises it."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError
             raise ConfigError(f"{path}: {exc}") from exc
 
 

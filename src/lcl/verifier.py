@@ -1,11 +1,11 @@
 """Regression runner: classify fixture suites and score the outcomes.
 
 A fixture fails when an expected verdict is contradicted, when a
-verdict and the oracle disagree at any k, when the implication closure
-is inconsistent, or when classification raises. "oracle" expectations
-never fail; their observed verdicts are recorded. The pseudo null k3
-verdict is the oracle's own and so never disagrees with it; no k is
-exempt from the rule.
+verdict and the oracle disagree at any k, when the verdicts break an
+edge of the family's implication graph, or when classification raises.
+"oracle" expectations never fail; their observed verdicts are recorded.
+The pseudo null k3 verdict is the oracle's own and so never disagrees
+with it; no k is exempt from the rule.
 """
 
 from __future__ import annotations
@@ -152,12 +152,12 @@ def run_theorem_suite(fixtures: Optional[list] = None,
 
 def render_table(summary: SuiteSummary) -> str:
     """Fixed-width text table, one row per fixture."""
-    short = {"Yes": "Y", "No": "N", "Undetermined": "?"}
     lines = [f"{'label':<20} {'kind':<14} {'k0':>2} {'k1':>2} {'k2':>2} "
              f"{'k3':>2}  {'expected':<12} status"]
     lines.append("-" * len(lines[0]))
     for r in summary.results:
-        obs = [short.get(r.observed[k].value, "?") if k in r.observed else "-"
+        # "Yes" -> "Y", "No" -> "N"; a crashed fixture observed nothing
+        obs = [r.observed[k].value[0] if k in r.observed else "-"
                for k in range(4)]
         exp = "".join("*" if r.expected.get(k) == "oracle"
                       else r.expected.get(k, "-") for k in range(4))

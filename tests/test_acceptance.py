@@ -129,7 +129,7 @@ def test_criterion_3_affine_ratio_round_trip():
         ("c0", abs(c0 - 0.1) < 1e-8, f"{c0:.12f}"),
         ("axis", val.passed, f"max_dU {val.max_du:.2e}"),
         ("g(N,D)", g_dev < 1e-8, f"dev {g_dev:.2e}"),
-        ("closure-k2", rep.verdicts[2] is Y, rep.verdicts[2].value),
+        ("report-k2", rep.verdicts[2] is Y, rep.verdicts[2].value),
     ])
 
 
@@ -210,7 +210,7 @@ def test_criterion_6_quadratic_ratio_round_trip():
          f"max_dU {val.max_du:.2e}"),
         ("g(N,U)", n_dev < 1e-8, f"dev {n_dev:.2e}"),
         ("g(B1,U)", b1_dev < 1e-8, f"dev {b1_dev:.2e}"),
-        ("closure-k2", rep.verdicts[2] is Y, rep.verdicts[2].value),
+        ("report-k2", rep.verdicts[2] is Y, rep.verdicts[2].value),
         ("2-type", r2.verdict is Y, r2.verdict.value),
     ])
 
@@ -251,7 +251,7 @@ def test_criterion_8_suite_agreement_and_runtime():
                  for rep in reports for x in rep.condition_residuals.values())
     oracle_k3 = bool(psn_reports) and all(
         rep.condition_residuals[3] == rep.oracle[3].sigma_min
-        and rep.raw_verdicts[3] is rep.oracle[3].verdict
+        and rep.verdicts[3] is rep.oracle[3].verdict
         for rep in psn_reports)
 
     _verdict(8, "oracle agreement on the bundled suite", [

@@ -1,18 +1,19 @@
-"""Partially null slant conditions, axes, and implication closure."""
+"""Partially null slant conditions, axes, and implication conflicts."""
 
 import re
 
 import numpy as np
 import pytest
 
-from lcl import (PN_IMPLICATIONS, CurvatureProfile, Tolerances, Verdict,
-                 assemble_axis, classify_profile, implication_closure,
-                 integrate_frame, pairing, pn_type0_axes, pn_type0_check,
-                 pn_type1_axis, pn_type1_check, pn_type2_axis, validate_axis)
+from lcl import (PN_IMPLICATIONS, CurvatureProfile, Fixture, Tolerances,
+                 Verdict, assemble_axis, classify_profile,
+                 implication_conflicts, integrate_frame, pairing,
+                 pn_type0_axes, pn_type0_check, pn_type1_axis, pn_type1_check,
+                 pn_type2_axis, run_theorem_suite, validate_axis)
 from lcl import classifier
 from lcl.errors import ConfigError, DegenerateAxisError, ProfileError
 
-Y, N, U = Verdict.YES, Verdict.NO, Verdict.UNDETERMINED
+Y, N = Verdict.YES, Verdict.NO
 
 
 def test_constant_ratio_is_0_type():
@@ -201,11 +202,11 @@ def test_3_type_reduces_to_0_type():
     p = CurvatureProfile.create("partially_null", kappa="2", tau="6",
                                 domain=(0.0, 1.0))
     rep = classify_profile(p)
-    assert rep.raw_verdicts[3] is rep.raw_verdicts[0] is Y
+    assert rep.verdicts[3] is rep.verdicts[0] is Y
     q = CurvatureProfile.create("partially_null", kappa="1", tau="s",
                                 domain=(0.1, 1.0))
     rep = classify_profile(q)
-    assert rep.raw_verdicts[3] is rep.raw_verdicts[0] is N
+    assert rep.verdicts[3] is rep.verdicts[0] is N
 
 
 def test_3_type_reuses_a_given_0_type_result():
@@ -213,7 +214,7 @@ def test_3_type_reuses_a_given_0_type_result():
                                 domain=(0.1, 1.0))
     r0 = pn_type0_check(integrate_frame(p))
     rep = classify_profile(p)
-    assert rep.raw_verdicts[3] is rep.raw_verdicts[0] is r0.verdict is N
+    assert rep.verdicts[3] is rep.verdicts[0] is r0.verdict is N
     assert (rep.condition_residuals[3] == rep.condition_residuals[0]
             == r0.residual)
     assert rep.constants["ratio"] == r0.constants["ratio"]
@@ -222,43 +223,39 @@ def test_3_type_reuses_a_given_0_type_result():
 def test_a_failing_universal_axis_is_flagged_like_any_other(monkeypatch):
     import lcl.classifier
 
-    p = CurvatureProfile.create("partially_null", kappa="1", tau="exp(s)",
-                                domain=(0.0, 1.0))
-
     def drifting_axis(trace):
         # a frame row is not a constant vector: T moves along the curve
         return assemble_axis(trace, 2, "oscillator-solution", 1.0, 0.0, 0.0,
                              0.0)
 
     monkeypatch.setattr(lcl.classifier, "pn_type2_axis", drifting_axis)
-    rep = classify_profile(p)
-    assert rep.raw_verdicts[2] is N
-    assert rep.condition_residuals[2] > 1e-3
-    failed = [f for f in rep.flags if "failed validation" in f]
-    assert len(failed) == 1
-    assert re.fullmatch(r"internal-inconsistency: universal axis "
-                        r"'oscillator-solution' \(k=2\) failed validation "
-                        r"\(max_dU \S+\)", failed[0])
-
-
-def test_closure_propagates_0_type_to_everything():
-    closed, notes, inc = implication_closure({0: Y}, PN_IMPLICATIONS)
-    assert {k: v for k, v in closed.items()} == {0: Y, 1: Y, 2: Y, 3: Y}
-    assert not inc
-
-
-def test_closure_propagates_1_type_forward_only():
-    closed, _, inc = implication_closure({0: N, 1: Y}, PN_IMPLICATIONS)
-    assert closed[2] is Y
-    assert closed[3] is N  # 3 => 0 contrapositive
-    assert not inc
+    # a generic member breaks no implication; on a constant-ratio member
+    # k0, k1 and k3 are Yes, so the k2 No breaks every edge into k2
+    into_k2 = [f"closure-inconsistency: k{a}=Yes implies k2=Yes but k2=No"
+               for a in (0, 1, 3)]
+    for kappa, tau, conflicts in (("1", "exp(s)", []), ("2", "6", into_k2)):
+        p = CurvatureProfile.create("partially_null", kappa=kappa, tau=tau,
+                                    domain=(0.0, 1.0))
+        rep = classify_profile(p)
+        assert rep.verdicts[2] is N
+        assert rep.condition_residuals[2] > 1e-3
+        failed = [f for f in rep.flags if "failed validation" in f]
+        assert len(failed) == 1
+        assert re.fullmatch(r"internal-inconsistency: universal axis "
+                            r"'oscillator-solution' \(k=2\) failed "
+                            r"validation \(max_dU \S+\)", failed[0])
+        closure = [f for f in rep.flags
+                   if f.startswith("closure-inconsistency:")]
+        assert closure == conflicts, (kappa, tau)
+        summary = run_theorem_suite([Fixture("drift", p, {})])
+        (result,) = summary.results
+        assert not result.passed
+        assert set(closure) <= set(result.failures)
 
 
 def test_closure_detects_contradiction():
-    closed, _, inc = implication_closure({0: N, 3: Y}, PN_IMPLICATIONS)
-    assert inc and "k3=Yes implies k0=Yes" in inc[0]
-    # forward propagation from k3 still happens for the other targets
-    assert closed[1] is Y and closed[2] is Y
+    inc = implication_conflicts({0: N, 1: Y, 2: Y, 3: Y}, PN_IMPLICATIONS)
+    assert inc == ["k3=Yes implies k0=Yes but k0=No"]
 
 
 def test_classify_report_for_the_circle(circle_profile):
@@ -304,10 +301,9 @@ def test_report_json_is_deterministic(kind, curvatures):
     b = classify_profile(p).to_json_dict()
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
     # exact: a removed key cannot come back, and a new one shows here
-    assert set(a) == {"label", "kind", "verdicts", "raw_verdicts",
-                      "condition_residuals", "constants", "axes", "oracle",
-                      "agreement", "closure", "flags", "gram",
-                      "pseudohyperbolic"}
+    assert set(a) == {"label", "kind", "verdicts", "condition_residuals",
+                      "constants", "axes", "oracle", "agreement", "flags",
+                      "gram", "pseudohyperbolic"}
     assert (a["pseudohyperbolic"] is None) == (kind == "partially_null")
 
 

@@ -3,15 +3,14 @@
 import numpy as np
 import pytest
 
-from lcl import (PSN_IMPLICATIONS, CurvatureProfile, Verdict, assemble_axis,
-                 classify_profile, default_suite, implication_closure,
-                 integrate_frame, oracle_detect, pairing, psn_type1_axis,
-                 psn_type1_check, psn_type2_axis, psn_type2_check,
-                 validate_axis)
+from lcl import (CurvatureProfile, Verdict, assemble_axis, classify_profile,
+                 default_suite, integrate_frame, oracle_detect, pairing,
+                 psn_type1_axis, psn_type1_check, psn_type2_axis,
+                 psn_type2_check, validate_axis)
 from lcl.errors import ProfileError
 from lcl.suite import generate
 
-Y, N, U = Verdict.YES, Verdict.NO, Verdict.UNDETERMINED
+Y, N = Verdict.YES, Verdict.NO
 
 
 def test_quadratic_ratio_is_1_type_with_recovered_coefficients(
@@ -121,7 +120,7 @@ def test_2_type_axis_on_the_identity_route(h3_trace):
 def test_0_type_is_always_refuted_by_the_oracle(quad_psn_trace,
                                                 quad_psn_profile):
     rep = classify_profile(quad_psn_profile)
-    assert rep.raw_verdicts[0] is N
+    assert rep.verdicts[0] is N
     # the oracle's k0 sigma_min, not a fitted residual
     sigma_min = oracle_detect(quad_psn_trace)[0].sigma_min
     assert rep.condition_residuals[0] == sigma_min
@@ -134,7 +133,7 @@ def test_3_type_follows_the_oracle(quad_psn_profile):
     p = CurvatureProfile.create("pseudo_null", tau="1", sigma="exp(s)",
                                 domain=(0.0, 1.5))
     for rep in (classify_profile(quad_psn_profile), classify_profile(p)):
-        assert rep.raw_verdicts[3] is rep.oracle[3].verdict is N
+        assert rep.verdicts[3] is rep.oracle[3].verdict is N
         assert rep.condition_residuals[3] == rep.oracle[3].sigma_min > 1e-3
         assert all(isinstance(r, float) and np.isfinite(r)
                    for r in rep.condition_residuals.values())
@@ -178,15 +177,6 @@ def test_h3_type3_members_are_3_type_and_nothing_else():
         val = validate_axis(trace, axis)
         assert val.passed and abs(val.g_mean) < 1e-9
     assert members >= 8
-
-
-def test_closure_only_lifts_1_type_to_2_type():
-    closed, notes, inc = implication_closure({1: Y}, PSN_IMPLICATIONS)
-    assert closed[2] is Y
-    assert closed[0] is U and closed[3] is U
-    assert not inc
-    closed2, _, inc2 = implication_closure({1: Y, 2: N}, PSN_IMPLICATIONS)
-    assert inc2
 
 
 def test_checks_reject_wrong_frame_kind(circle_trace):

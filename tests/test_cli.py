@@ -195,6 +195,7 @@ _PROFILE = {"kind": "partially_null", "kappa": "1", "tau": "1",
             "domain": [0.0, 1.0]}
 _SWEEP = {"family": "pn-constant", "domain": [0.0, 1.0],
           "parameters": {"kappa": [1.0], "tau": [1.0]}}
+_HUGE = 10**400  # 401 digits: json writes it as an integer literal
 
 
 @pytest.mark.parametrize("cmd, payload", [
@@ -243,6 +244,19 @@ _SWEEP = {"family": "pn-constant", "domain": [0.0, 1.0],
     ("sweep", {"family": "psn-quadratic", "domain": [0.0, 1.0],
                "parameters": {"a": [0.3], "b": [0.1]},
                "sigma_perturbation": {"expr": "s", "scales": ["0.5"]}}),
+    # a JSON integer too large for a float, which float() cannot convert
+    ("classify", dict(_PROFILE, domain=[0, _HUGE])),
+    ("classify", dict(_PROFILE, kappa=_HUGE)),
+    ("classify", dict(_PROFILE, tau={"s": [0.0, 1.0],
+                                     "values": [1.0, _HUGE]})),
+    ("verify", [{"profile": dict(_PROFILE, domain=[0, _HUGE])}]),
+    ("sweep", dict(_SWEEP, domain=[0.3, _HUGE])),
+    ("sweep", {"family": "psn-quadratic", "domain": [0.0, 1.0],
+               "parameters": {"a": [0.3], "b": [0.1]},
+               "sigma_perturbation": {"expr": "s", "scales": [_HUGE]}}),
+    # past Python's 4300-digit limit json.load itself refuses the literal
+    ("classify", b'{"kind": "partially_null", "kappa": "1", "tau": "1", '
+                 b'"domain": [0, 1' + b"0" * 5000 + b"]}"),
 ], ids=["profile-domain", "table-values", "suite-expected",
         "suite-expected-k5", "suite-expected-1", "suite-label",
         "suite-profile-label", "profile-label", "sweep-array", "sweep-domain",
@@ -252,7 +266,9 @@ _SWEEP = {"family": "pn-constant", "domain": [0.0, 1.0],
         "profile-domain-bool", "profile-domain-string", "suite-domain-bool",
         "suite-domain-string", "bool-kappa", "table-s-bool",
         "table-values-string", "sweep-domain-bool", "sweep-scales-bool",
-        "sweep-scales-string"])
+        "sweep-scales-string", "profile-domain-huge", "huge-kappa",
+        "table-values-huge", "suite-domain-huge", "sweep-domain-huge",
+        "sweep-scales-huge", "classify-past-digit-limit"])
 def test_malformed_input_file_is_a_validation_error(cmd, payload, tmp_path,
                                                     capsys):
     path = tmp_path / "input.json"
@@ -516,6 +532,45 @@ def test_sweep_h3_family_takes_a_perturbation(tmp_path):
     k2_col = header.index("k2")
     assert base[k2_col] == "Yes"  # the exponential tau form is 2-type
     assert bent[k2_col] == "No"
+
+
+# sweep parameter values are numbers, or expressions where the family's
+# default is one
+@pytest.mark.parametrize("parameters", [
+    {"kappa": [True], "tau": [1.0]},
+    {"kappa": [1.0], "tau": ["2", "s"]},
+    {"kappa": [1.0], "tau": [_HUGE]},
+    {"a": [0.2], "b": ["0.1"]},
+    {"a": [0.2], "b": [0.1], "tau": ["exp(s)", None]},
+], ids=["bool", "string", "huge", "psn-string", "psn-null"])
+def test_sweep_checks_parameter_values_before_classifying(
+        parameters, tmp_path, capsys, monkeypatch):
+    def no_classify(*args, **kwargs):
+        raise AssertionError("a profile was classified")
+
+    monkeypatch.setattr(cli, "classify_profile", no_classify)
+    family = "psn-quadratic" if "a" in parameters else "pn-constant"
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps({"family": family, "domain": [0.3, 1.5],
+                                     "parameters": parameters}))
+    out = tmp_path / "grid.csv"
+    assert main(["sweep", str(spec_path), "-o", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
+def test_sweep_takes_expressions_where_the_default_is_one(tmp_path):
+    # psn-quadratic's tau defaults to the expression "1"
+    spec = {"family": "psn-quadratic", "domain": [0.3, 1.5],
+            "parameters": {"a": [0.2], "b": [-0.9], "tau": ["exp(s)", 2]}}
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps(spec))
+    out = tmp_path / "grid.csv"
+    assert main(["sweep", str(spec_path), "-o", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [(r["tau"], r["status"], r["k1"]) for r in rows] == [
+        ("exp(s)", "ok", "Yes"), ("2", "ok", "Yes")]
 
 
 def test_sweep_rejects_perturbation_for_partially_null(tmp_path, capsys):

@@ -1,48 +1,35 @@
-"""The implication closure on every raw assignment, for both families."""
+"""Implication conflicts on every Yes/No assignment, for both families."""
 
 import itertools
 
 import pytest
 
-from lcl import PN_IMPLICATIONS, PSN_IMPLICATIONS, Verdict, implication_closure
+from lcl import PN_IMPLICATIONS, PSN_IMPLICATIONS, Verdict, implication_conflicts
 
-Y, N, U = Verdict.YES, Verdict.NO, Verdict.UNDETERMINED
-ASSIGNMENTS = [dict(enumerate(v)) for v in itertools.product((Y, N, U), repeat=4)]
+WORDS = ["".join(w) for w in itertools.product("YN", repeat=4)]
 
-
-def _one_pass_psn_closure(raw):
-    """Reference: one pass over the single pseudo null edge 1 => 2."""
-    closed = {k: raw.get(k, U) for k in range(4)}
-    notes, inconsistencies = [], []
-    if closed[1] is Y and closed[2] is N:
-        inconsistencies.append("k1=Yes implies k2=Yes but k2=No")
-    elif closed[1] is Y and closed[2] is U:
-        closed[2] = Y
-        notes.append("k2=Yes from k1=Yes")
-    elif closed[2] is N and closed[1] is U:
-        closed[1] = N
-        notes.append("k1=No from k2=No")
-    return closed, notes, inconsistencies
+# The assignments each family's theorems allow, written out by hand. pn:
+# 3-type is 0-type, a 0-type curve is every type, 1-type implies 2-type.
+# psn: 1-type implies 2-type, and nothing constrains k0 or k3.
+CONSISTENT = {
+    "pn": {"YYYY", "NYYN", "NNYN", "NNNN"},
+    "psn": {w for w in WORDS if w[1:3] != "YN"},
+}
 
 
-@pytest.mark.parametrize("graph", [PN_IMPLICATIONS, PSN_IMPLICATIONS],
+@pytest.mark.parametrize("name, graph", [("pn", PN_IMPLICATIONS),
+                                         ("psn", PSN_IMPLICATIONS)],
                          ids=["pn", "psn"])
-def test_closure_on_every_raw_assignment(graph):
-    assert len(ASSIGNMENTS) == 81
-    for raw in ASSIGNMENTS:
-        closed, notes, inc = implication_closure(raw, graph)
-        for k, v in raw.items():
-            if v is not U:
-                assert closed[k] is v, (raw, k)
-        violated = []
-        for a, b in graph:
-            if closed[a] is Y and closed[b] is not Y or \
-                    closed[b] is N and closed[a] is not N:
-                msg = f"k{a}=Yes implies k{b}=Yes but k{b}=No"
-                assert inc.count(msg) == 1, (raw, a, b)
-                violated.append(msg)
-        assert sorted(inc) == sorted(violated), raw
-        again, again_notes, again_inc = implication_closure(closed, graph)
-        assert again == closed and again_notes == [] and again_inc == inc
-        if graph is PSN_IMPLICATIONS:
-            assert (closed, notes, inc) == _one_pass_psn_closure(raw)
+def test_closure_on_every_raw_assignment(name, graph):
+    assert len(WORDS) == 16
+    verdict = {"Y": Verdict.YES, "N": Verdict.NO}
+    for word in WORDS:
+        verdicts = {k: verdict[c] for k, c in enumerate(word)}
+        inc = implication_conflicts(verdicts, graph)
+        assert (not inc) == (word in CONSISTENT[name]), word
+        # every broken edge once, in edge order (both graphs are sorted)
+        broken = [f"k{a}=Yes implies k{b}=Yes but k{b}=No"
+                  for a, b in itertools.product(range(4), repeat=2)
+                  if (a, b) in graph and word[a] + word[b] == "YN"]
+        assert inc == broken, word
+        assert verdicts == {k: verdict[c] for k, c in enumerate(word)}

@@ -176,7 +176,7 @@ def test_type1_nonexistence_on_the_family():
                                 domain=(0.0, 1.5))
     rep = classify_profile(p)
     assert rep.pseudohyperbolic["is_h3_family"] is True
-    assert rep.raw_verdicts[1] is N
+    assert rep.verdicts[1] is N
     assert not [f for f in rep.flags if "1-type" in f]
 
 
