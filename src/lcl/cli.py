@@ -305,11 +305,11 @@ def cmd_sweep(args) -> int:
         # a parameter with an expression default takes expressions too
         takes_expr = isinstance(gen.optional.get(name), str)
         for v in vals:
-            if is_number(v):
-                as_float(v, f"parameter {name!r} value")
-            elif not (takes_expr and isinstance(v, str)):
+            number = is_number(v) and math.isfinite(
+                as_float(v, f"parameter {name!r} value"))
+            if not (number or takes_expr and isinstance(v, str)):
                 raise ConfigError(
-                    f"parameter {name!r} values must be numbers"
+                    f"parameter {name!r} values must be finite numbers"
                     + (" or expression strings" if takes_expr else "")
                     + f", got {v!r}")
         values.append(vals)

@@ -540,9 +540,11 @@ def test_sweep_h3_family_takes_a_perturbation(tmp_path):
     {"kappa": [True], "tau": [1.0]},
     {"kappa": [1.0], "tau": ["2", "s"]},
     {"kappa": [1.0], "tau": [_HUGE]},
+    {"kappa": [float("nan")], "tau": [1.0]},
+    {"kappa": [1.0], "tau": [float("inf")]},
     {"a": [0.2], "b": ["0.1"]},
     {"a": [0.2], "b": [0.1], "tau": ["exp(s)", None]},
-], ids=["bool", "string", "huge", "psn-string", "psn-null"])
+], ids=["bool", "string", "huge", "nan", "inf", "psn-string", "psn-null"])
 def test_sweep_checks_parameter_values_before_classifying(
         parameters, tmp_path, capsys, monkeypatch):
     def no_classify(*args, **kwargs):
