@@ -193,7 +193,7 @@ def pn_type1_check(trace: CurveTrace,
         "c0": FittedConstant(a0 / c_lin if not degenerate else float("nan"),
                              residual),
     }
-    flags = ["degenerate-linear-coefficient"] if degenerate else []
+    flags = ("degenerate-linear-coefficient",) if degenerate else ()
     return CheckResult(verdict, residual, constants=constants, flags=flags,
                        extras={"degenerate": degenerate})
 
@@ -325,10 +325,8 @@ def psn_type2_check(trace: CurveTrace, type1: CheckResult,
         branch = "torsion-integral"
     elif type1.verdict is Verdict.YES:
         branch = "ratio-quadratic"
-    flags = []
-    if branch == "ratio-quadratic":
-        flags.append("2-type via zero-pairing axis; torsion-integral "
-                     "identity does not apply")
+    flags = (("2-type via zero-pairing axis; torsion-integral identity "
+              "does not apply",) if branch == "ratio-quadratic" else ())
     return CheckResult(Verdict.of(branch is not None), residual,
                        constants={"c_int": FittedConstant(c_int, residual)},
                        flags=flags, extras={"branch": branch})

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -50,39 +51,22 @@ class Tolerances:
         raise AttributeError(f"Tolerances are immutable; cannot set {name}")
 
 
-class FittedConstant:
-    """A fitted value and the residual of its fit; equal when both are."""
+class FittedConstant(NamedTuple):
+    """A fitted value and the residual of its fit."""
 
-    __slots__ = ("value", "residual")
-
-    def __init__(self, value: float, residual: float):
-        self.value = float(value)
-        self.residual = float(residual)
-
-    def __eq__(self, other):
-        if type(other) is not FittedConstant:
-            return NotImplemented
-        return (self.value, self.residual) == (other.value, other.residual)
-
-    def __hash__(self):
-        return hash((self.value, self.residual))
+    value: float
+    residual: float
 
     def to_json_dict(self) -> dict:
         return {"value": _jsonable(self.value), "residual": _jsonable(self.residual)}
 
 
-class CheckResult:
-    __slots__ = ("verdict", "residual", "constants", "flags", "extras")
-
-    def __init__(self, verdict: Verdict, residual: float,
-                 constants: Optional[dict] = None,
-                 flags: Optional[list] = None,
-                 extras: Optional[dict] = None):
-        self.verdict = verdict
-        self.residual = residual
-        self.constants = {} if constants is None else constants
-        self.flags = [] if flags is None else flags
-        self.extras = {} if extras is None else extras
+class CheckResult(NamedTuple):
+    verdict: Verdict
+    residual: float
+    constants: Mapping = MappingProxyType({})  # name -> FittedConstant
+    flags: tuple = ()
+    extras: Mapping = MappingProxyType({})
 
 
 def _jsonable(x):
@@ -96,14 +80,15 @@ def _rms(x: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.square(x))))
 
 
-def _damped_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _damped_lstsq(a: np.ndarray, b: np.ndarray) -> list:
     """Normal-equation least squares with Tikhonov damping (DAMPING).
 
     The damping keeps degenerate fits finite instead of letting one
     coefficient wander off; callers still flag degeneracy explicitly.
+    The coefficients come back as Python floats.
     """
     ata = a.T @ a + DAMPING * np.eye(a.shape[1])
-    return np.linalg.solve(ata, a.T @ b)
+    return np.linalg.solve(ata, a.T @ b).tolist()
 
 
 def _constant_fit(values: np.ndarray, eps: float) -> tuple[bool, float, float]:

@@ -36,10 +36,8 @@ def h3_ratio_check(trace: CurveTrace,
     constant, mean, residual = _constant_fit(trace.sigma / trace.tau,
                                              tol.eps_cond)
     negative = mean < -tol.eps_cond
-    flags = []
-    if constant and not negative:
-        flags.append("ratio is constant but not negative; curve is outside "
-                     "the pseudohyperbolic family")
+    flags = (("ratio is constant but not negative; curve is outside the "
+              "pseudohyperbolic family",) if constant and not negative else ())
     return CheckResult(Verdict.of(constant and negative), residual,
                        constants={"c": FittedConstant(mean, residual)},
                        flags=flags, extras={"constant": constant})
@@ -150,13 +148,13 @@ def h3_type2_tau_form(trace: CurveTrace, c: float,
     fd_residual = float(np.max(np.abs(2.0 * c * fd_second[2:-2]
                                       + tau_vals[2:-2]))) / scale
     verdict = Verdict.of(ode_residual < tol.eps_cond)
-    flags = []
+    flags = ()
     if abs(lam) < 1e-12 * scale and abs(mu) < 1e-12 * scale:
         verdict = Verdict.NO
-        flags.append("fitted exponential coefficients both vanish")
+        flags = ("fitted exponential coefficients both vanish",)
     return CheckResult(verdict, ode_residual,
-                       constants={"lam": FittedConstant(float(lam), ode_residual),
-                                  "mu": FittedConstant(float(mu), ode_residual)},
+                       constants={"lam": FittedConstant(lam, ode_residual),
+                                  "mu": FittedConstant(mu, ode_residual)},
                        flags=flags,
                        extras={"fd_residual": fd_residual})
 

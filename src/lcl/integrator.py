@@ -153,17 +153,18 @@ def integrate_frame(profile: CurvatureProfile,
     pos0 = _finite_array(np.zeros(4) if alpha0 is None else alpha0,
                          "alpha0", (4,), "length 4")
 
-    # the Frenet matrices are freed on return, before the frames are
-    # allocated and the increments scanned: this lowers peak memory
-    d, q = _rk4_increments(frenet_matrix(*lattice, profile.kind), h)
-
-    positions = np.empty((n, 4))
-    frames = np.empty((n, 4, 4))
-    positions[0] = pos0
-    frames[0] = frame0
-    # a blown-up run scans on past its first bad step; the abort below
-    # reports it, so overflow warnings from the later steps are noise
+    # a blown-up run overflows in its increments or scans on past its
+    # first bad step; the abort below reports it, so overflow warnings
+    # are noise
     with np.errstate(over="ignore", invalid="ignore"):
+        # the Frenet matrices are freed on return, before the frames are
+        # allocated and the increments scanned: this lowers peak memory
+        d, q = _rk4_increments(frenet_matrix(*lattice, profile.kind), h)
+
+        positions = np.empty((n, 4))
+        frames = np.empty((n, 4, 4))
+        positions[0] = pos0
+        frames[0] = frame0
         e = _prefix_increments(d)
         # every E_j F0 at once: one (4 steps x 4) x (4 x 4) product
         np.matmul(e.reshape(-1, 4), frame0, out=frames[1:].reshape(-1, 4))

@@ -2,10 +2,9 @@
 
 A fixture fails when an expected verdict is contradicted, when a
 verdict and the oracle disagree at any k, when the verdicts break an
-edge of the family's implication graph, or when classification raises.
-"oracle" expectations never fail; their observed verdicts are recorded.
-The pseudo null k3 verdict is the oracle's own and so never disagrees
-with it; no k is exempt from the rule.
+edge of the family's implication graph, or when classification raises;
+"oracle" expectations never fail. The pseudo null k3 verdict is the
+oracle's own and so never disagrees with it; no k is exempt from the rule.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 import logging
 import time
 import traceback
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .classifier import (ClassificationReport, Tolerances, Verdict,
                          classify_profile)
@@ -27,24 +26,13 @@ _FAIL_PREFIXES = ("closure-inconsistency:", "oracle-condition-disagreement:")
 _EXPECT_TO_VERDICT = {"Y": Verdict.YES, "N": Verdict.NO}
 
 
-class FixtureResult:
-    __slots__ = ("label", "kind", "expected", "observed", "failures",
-                 "diagnostics", "report", "error")
-
-    def __init__(self, label: str, kind: str, expected: dict,
-                 observed: Optional[dict] = None,
-                 failures: Optional[list] = None,
-                 diagnostics: Optional[list] = None,
-                 report: Optional[ClassificationReport] = None,
-                 error: Optional[str] = None):
-        self.label = label
-        self.kind = kind
-        self.expected = expected
-        self.observed = {} if observed is None else observed
-        self.failures = [] if failures is None else failures
-        self.diagnostics = [] if diagnostics is None else diagnostics
-        self.report = report
-        self.error = error
+class FixtureResult(NamedTuple):
+    label: str
+    kind: str
+    expected: dict              # k -> "Y", "N" or "oracle"
+    failures: list
+    report: Optional[ClassificationReport] = None
+    error: Optional[str] = None
 
     @property
     def passed(self) -> bool:
@@ -55,23 +43,16 @@ class FixtureResult:
             "label": self.label,
             "kind": self.kind,
             "expected": {f"k{k}": v for k, v in sorted(self.expected.items())},
-            "observed": {f"k{k}": v.value
-                         for k, v in sorted(self.observed.items())},
             "passed": self.passed,
             "failures": list(self.failures),
-            "diagnostics": list(self.diagnostics),
             "error": self.error,
             "report": self.report.to_json_dict() if self.report else None,
         }
 
 
-class SuiteSummary:
-    __slots__ = ("results", "runtime")
-
-    def __init__(self, results: list, runtime: float):
-        self.results = results
-        # seconds; excluded from JSON to keep output reproducible
-        self.runtime = runtime
+class SuiteSummary(NamedTuple):
+    results: list
+    runtime: float  # seconds; excluded from JSON to keep output reproducible
 
     @property
     def n_pass(self) -> int:
@@ -102,32 +83,22 @@ class SuiteSummary:
 
 def _run_fixture(fx: Fixture, tol: Tolerances,
                  h: Optional[float]) -> FixtureResult:
-    result = FixtureResult(label=fx.label, kind=fx.profile.kind.value,
-                           expected=dict(fx.expected))
+    label, kind, expected = fx.label, fx.profile.kind.value, dict(fx.expected)
     try:
         report = classify_profile(fx.profile, h=h, tol=tol)
     except Exception as exc:
-        log.debug("fixture %s crashed:\n%s", fx.label, traceback.format_exc())
-        result.error = f"{type(exc).__name__}: {exc}"
-        return result
-    result.report = report
-    result.observed = dict(report.verdicts)
-    for k in sorted(fx.expected):
-        want = fx.expected[k]
-        got = report.verdicts[k]
-        if want == "oracle":
-            result.diagnostics.append(f"k{k} oracle-decided: {got.value}")
+        log.debug("fixture %s crashed:\n%s", label, traceback.format_exc())
+        return FixtureResult(label, kind, expected, [],
+                             error=f"{type(exc).__name__}: {exc}")
+    failures = []
+    for k, want in sorted(expected.items()):
+        if want == "oracle":  # the report's verdict stands
             continue
-        if got is not _EXPECT_TO_VERDICT[want]:
-            result.failures.append(
-                f"k{k}: expected {_EXPECT_TO_VERDICT[want].value}, "
-                f"got {got.value}")
-    for flag in report.flags:
-        if flag.startswith(_FAIL_PREFIXES):
-            result.failures.append(flag)
-        else:
-            result.diagnostics.append(flag)
-    return result
+        verdict, got = _EXPECT_TO_VERDICT[want], report.verdicts[k]
+        if got is not verdict:
+            failures.append(f"k{k}: expected {verdict.value}, got {got.value}")
+    failures += [f for f in report.flags if f.startswith(_FAIL_PREFIXES)]
+    return FixtureResult(label, kind, expected, failures, report)
 
 
 def run_theorem_suite(fixtures: Optional[list] = None,
@@ -156,8 +127,8 @@ def render_table(summary: SuiteSummary) -> str:
              f"{'k3':>2}  {'expected':<12} status"]
     lines.append("-" * len(lines[0]))
     for r in summary.results:
-        # "Yes" -> "Y", "No" -> "N"; a crashed fixture observed nothing
-        obs = [r.observed[k].value[0] if k in r.observed else "-"
+        # "Yes" -> "Y", "No" -> "N"; a crashed fixture has no report
+        obs = [r.report.verdicts[k].value[0] if r.report is not None else "-"
                for k in range(4)]
         exp = "".join("*" if r.expected.get(k) == "oracle"
                       else r.expected.get(k, "-") for k in range(4))

@@ -320,6 +320,34 @@ def test_gram_drift_abort_is_a_numerical_failure(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: Gram drift")
 
 
+def _run_cli(argv):
+    # a fresh interpreter, so warnings print as they would for a user
+    return subprocess.run([sys.executable, "-m", "lcl.cli"] + argv,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_an_overflowing_profile_prints_only_its_error(tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(dict(_PROFILE, kappa=1e308)))
+    proc = _run_cli(["classify", str(path)])
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == [
+        "error: Gram drift nan exceeded 0.001 at step 1 (s = 0.001); "
+        "reduce h or check the profile"]
+
+
+def test_an_overflowing_sweep_row_writes_nothing_to_stderr(tmp_path):
+    spec, out = tmp_path / "spec.json", tmp_path / "out.csv"
+    spec.write_text(json.dumps(dict(_SWEEP, parameters={"kappa": [1e308],
+                                                        "tau": [1.0]})))
+    proc = _run_cli(["sweep", str(spec), "-o", str(out)])
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    with open(out, newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["status"].startswith("error: Gram drift nan")
+
+
 @pytest.mark.parametrize("cmd", ["synth", "classify", "oracle"])
 def test_drift_option_is_rejected(cmd, circle_file, capsys):
     # RK4 with the Gram-drift abort is the only integration mode

@@ -203,12 +203,21 @@ def test_integration_aborts_when_drift_passes_the_hard_limit():
         integrate_frame(p, h=0.003, eps_gram=3e-16)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_overflowing_frames_abort_at_the_first_step():
+    # no overflow warning either: the suite turns warnings into errors
     p = CurvatureProfile.create("partially_null", kappa="1e60", tau="1",
                                 domain=(0.0, 1.0))
     with pytest.raises(IntegrationError, match=r"at step 1 \(s = 0\.1\)"):
         integrate_frame(p, h=0.1)
+
+
+def test_overflowing_increments_abort_without_a_warning():
+    # kappa = 1e308 overflows in the RK4 stages themselves, before the scan
+    p = CurvatureProfile.create("partially_null", kappa=1e308, tau="1",
+                                domain=(0.0, 1.0))
+    with pytest.raises(IntegrationError,
+                       match=r"Gram drift nan .* at step 1 \(s = 0\.001\)"):
+        integrate_frame(p)
 
 
 def test_pseudo_null_run_rejects_kappa_other_than_one():

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 import lcl.verifier
-from lcl import (Fixture, FrameKind, classify_profile, default_suite,
-                 fixtures_from_json, integrate_frame, load_suite,
-                 render_table, run_theorem_suite)
+from lcl import (CheckResult, Fixture, FittedConstant, FixtureResult,
+                 FrameKind, SuiteSummary, Verdict, classify_profile,
+                 default_suite, fixtures_from_json, integrate_frame,
+                 load_suite, render_table, run_theorem_suite)
+from lcl.cli import main
 from lcl.errors import ConfigError, ProfileError
 from lcl.suite import DEFAULT_SEED, GENERATORS
 
@@ -207,6 +209,53 @@ def test_summary_json_is_stable_across_runs():
     b = run_theorem_suite(fixtures=fixtures).to_json_dict()
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
     assert "runtime" not in json.dumps(a)
+
+
+def test_verify_json_states_each_fixture_fact_once(tmp_path, capsys):
+    # verdicts and informational flags are read from the report alone
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps([
+        {"label": "ratio",
+         "profile": {"kind": "partially_null", "kappa": "2", "tau": "6",
+                     "domain": [0.0, 1.0]},
+         "expected": {"k0": "Y"}},
+        {"label": "crash",
+         "profile": {"kind": "partially_null", "kappa": "1e60", "tau": "1",
+                     "domain": [0.0, 1.0]}}]))
+    assert main(["verify", "--suite", str(path), "--json"]) == 1
+    summary = json.loads(capsys.readouterr().out)
+    assert set(summary) == {"n_fixtures", "n_pass", "n_fail",
+                            "oracle_disagreements", "fixtures"}
+    ratio, crash = summary["fixtures"]
+    keys = {"label", "kind", "expected", "passed", "failures", "error",
+            "report"}
+    assert set(ratio) == set(crash) == keys
+    assert ratio["passed"] and ratio["report"]["verdicts"]["k1"] == "Yes"
+    assert crash["report"] is None
+    assert crash["error"].startswith("IntegrationError: Gram drift")
+
+
+def test_result_records_are_read_only_tuples():
+    summary = run_theorem_suite(fixtures=fixtures_from_json([
+        {"profile": {"kind": "partially_null", "kappa": "2", "tau": "6",
+                     "domain": [0.0, 1.0]}}]))
+    records = (summary, summary.results[0], FittedConstant(1.5, 0.0),
+               CheckResult(Verdict.YES, 0.0))
+    for record, cls in zip(records, (SuiteSummary, FixtureResult,
+                                     FittedConstant, CheckResult)):
+        assert type(record) is cls and isinstance(record, tuple)
+        with pytest.raises(AttributeError):
+            setattr(record, cls._fields[0], None)
+    assert FittedConstant(1.5, 0.0) == (1.5, 0.0)
+
+
+def test_default_check_results_share_no_mutable_object():
+    a, b = CheckResult(Verdict.YES, 0.0), CheckResult(Verdict.NO, 1.0)
+    assert a.flags == b.flags == ()
+    for empty in (a.constants, a.extras, b.constants, b.extras):
+        assert empty == {}
+        with pytest.raises(TypeError):
+            empty["shared"] = True
 
 
 def test_full_default_suite_posts_no_failures_or_disagreements():
