@@ -20,7 +20,7 @@ from .errors import (ConfigError, DegenerateAxisError, EvaluationError,
                      IntegrationError, LclError, OutOfDomainError,
                      ProfileError)
 from .expr import parse_expression
-from .fits import CheckResult, FittedConstant, Tolerances, Verdict
+from .fits import CheckResult, Tolerances, Verdict
 from .frames import (FrameKind, canonical_frame, frenet_matrix, gram_matrix,
                      gram_residual, gram_targets)
 from .hyperbolic import (SphereFit, closed_form_center,
@@ -42,7 +42,7 @@ __all__ = [
     "AxisCandidate", "AxisValidation", "CheckResult",
     "ClassificationReport", "ConfigError", "CurvatureProfile", "CurveTrace",
     "DEFAULT_SEED", "DegenerateAxisError", "EvaluationError",
-    "ExpressionError", "Fixture", "FittedConstant", "FrameError",
+    "ExpressionError", "Fixture", "FrameError",
     "FrameKind", "GridMismatchError", "IntegrationError", "LclError",
     "OracleResult", "OutOfDomainError", "ProfileError",
     "SampleTable", "SphereFit", "SuiteSummary", "FixtureResult",

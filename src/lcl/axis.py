@@ -54,8 +54,6 @@ def assemble_axis(trace: CurveTrace, k: int, source: str,
 
 
 class AxisValidation(NamedTuple):
-    k: int
-    source: str
     max_du: float          # max interior ||dU/ds||_euclid
     g_mean: float          # mean of g(V_{k+1}, U)
     g_variance: float
@@ -64,8 +62,6 @@ class AxisValidation(NamedTuple):
 
     def to_json_dict(self) -> dict:
         return {
-            "k": self.k,
-            "source": self.source,
             "max_dU": self.max_du,
             "g_mean": self.g_mean,
             "g_variance": self.g_variance,
@@ -99,6 +95,5 @@ def validate_axis(trace: CurveTrace, candidate: AxisCandidate,
     g_var = float(g_vals.var())
     scale = float(row_norm(candidate.U).max())
     passed = (max_du < eps_axis * (1.0 + scale)) and (g_var < eps_axis**2)
-    return AxisValidation(k=candidate.k, source=candidate.source,
-                          max_du=max_du, g_mean=g_mean, g_variance=g_var,
+    return AxisValidation(max_du=max_du, g_mean=g_mean, g_variance=g_var,
                           scale=scale, passed=passed)

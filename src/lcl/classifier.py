@@ -45,8 +45,8 @@ from . import hyperbolic
 from .axis import AxisCandidate, assemble_axis, validate_axis
 from .calculus import grid_derivative, lattice_integral
 from .errors import DegenerateAxisError, ProfileError
-from .fits import (DAMPING, CheckResult, FittedConstant, Tolerances, Verdict,
-                   _constant_fit, _damped_lstsq, _jsonable, _rms)
+from .fits import (DAMPING, CheckResult, Tolerances, Verdict, _constant_fit,
+                   _damped_lstsq, _jsonable, _rms)
 from .frames import ROW_NAMES, FrameKind, frame_family
 from .integrator import CurveTrace, integrate_frame
 from .minkowski import SIGNS, nullspace_min_singular, pairing, row_norm
@@ -151,8 +151,7 @@ def pn_type0_check(trace: CurveTrace,
     """0-type (general helix) iff tau/kappa is constant."""
     _require_kind(trace, FrameKind.PARTIALLY_NULL)
     ok, mean, residual = _constant_fit(trace.tau / trace.kappa, tol.eps_cond)
-    return CheckResult(Verdict.of(ok), residual,
-                       constants={"ratio": FittedConstant(mean, residual)})
+    return CheckResult(Verdict.of(ok), residual, constants={"ratio": mean})
 
 
 def pn_type0_axes(trace: CurveTrace) -> list[AxisCandidate]:
@@ -187,12 +186,8 @@ def pn_type1_check(trace: CurveTrace,
     residual = _rms(ratio - design @ (a0, c_lin)) / (1.0 + _rms(ratio))
     verdict = Verdict.of(residual < tol.eps_cond)
     degenerate = abs(c_lin) * (kint.max() - kint.min()) < tol.eps_cond * (1.0 + abs(a0))
-    constants = {
-        "C": FittedConstant(c_lin, residual),
-        "C_c0": FittedConstant(a0, residual),
-        "c0": FittedConstant(a0 / c_lin if not degenerate else float("nan"),
-                             residual),
-    }
+    constants = {"C": c_lin, "C_c0": a0,
+                 "c0": a0 / c_lin if not degenerate else float("nan")}
     flags = ("degenerate-linear-coefficient",) if degenerate else ()
     return CheckResult(verdict, residual, constants=constants, flags=flags,
                        extras={"degenerate": degenerate})
@@ -266,10 +261,8 @@ def psn_type1_check(trace: CurveTrace,
     residual = _rms(target - design @ (a_fit, b_fit)) / (
         1.0 + _rms(q) + _rms(0.5 * grid**2))
     verdict = Verdict.of(residual < tol.eps_cond)
-    return CheckResult(verdict, residual, constants={
-        "a": FittedConstant(a_fit, residual),
-        "b": FittedConstant(b_fit, residual),
-    })
+    return CheckResult(verdict, residual,
+                       constants={"a": a_fit, "b": b_fit})
 
 
 def psn_type1_axis(trace: CurveTrace) -> AxisCandidate:
@@ -328,7 +321,7 @@ def psn_type2_check(trace: CurveTrace, type1: CheckResult,
     flags = (("2-type via zero-pairing axis; torsion-integral identity "
               "does not apply",) if branch == "ratio-quadratic" else ())
     return CheckResult(Verdict.of(branch is not None), residual,
-                       constants={"c_int": FittedConstant(c_int, residual)},
+                       constants={"c_int": c_int},
                        flags=flags, extras={"branch": branch})
 
 
@@ -364,7 +357,7 @@ class ClassificationReport(NamedTuple):
     kind: FrameKind
     verdicts: dict              # k -> Verdict
     condition_residuals: dict   # k -> float
-    constants: dict             # name -> FittedConstant
+    constants: dict             # name -> float
     axes: list                  # (AxisCandidate, AxisValidation)
     oracle: dict                # k -> OracleResult
     agreement: dict             # k -> bool
@@ -379,9 +372,9 @@ class ClassificationReport(NamedTuple):
             "verdicts": {f"k{k}": v.value for k, v in sorted(self.verdicts.items())},
             "condition_residuals": {f"k{k}": _jsonable(r)
                                     for k, r in sorted(self.condition_residuals.items())},
-            "constants": {name: c.to_json_dict()
-                          for name, c in sorted(self.constants.items())},
-            "axes": [dict(val.to_json_dict(),
+            "constants": {name: _jsonable(value)
+                          for name, value in sorted(self.constants.items())},
+            "axes": [dict(val.to_json_dict(), k=cand.k, source=cand.source,
                           U_at_s0=[_jsonable(x) for x in cand.u_at_start()])
                      for cand, val in self.axes],
             "oracle": {f"k{k}": o.to_json_dict()
@@ -492,13 +485,14 @@ def _pn_affine_axes(c, r1) -> list:
     """A degenerate (constant-ratio) fit relabels the constant-ratio axis."""
     if r1.extras["degenerate"]:
         return [(c.ratio_axes[0]._replace(k=1), "degenerate affine")]
-    return [(pn_type1_axis(c.trace, r1.constants["C"].value,
-                           r1.constants["c0"].value), "affine")]
+    return [(pn_type1_axis(c.trace, r1.constants["C"], r1.constants["c0"]),
+             "affine")]
 
 
 def _psn_report(c) -> dict:
-    hyp = hyperbolic.pseudohyperbolic_block(c.trace, c.tol)
-    if hyp.get("is_h3_family") and c.checks[1].verdict is Verdict.YES:
+    hyp, flags = hyperbolic.pseudohyperbolic_block(c.trace, c.tol)
+    c.flags.extend(flags)
+    if hyp["is_h3_family"] and c.checks[1].verdict is Verdict.YES:
         c.flags.append("internal-inconsistency: constant-ratio curve "
                        "classified 1-type")
     return {"pseudohyperbolic": hyp}
@@ -529,7 +523,7 @@ FAMILIES = {
         (1, lambda c: psn_type1_check(c.trace, c.tol),
          lambda c, _: [(c.quadratic_axis, "quadratic-ratio")]),
         (2, lambda c: psn_type2_check(c.trace, c.checks[1], c.tol),
-         lambda c, r: [(psn_type2_axis(c.trace, r.constants["c_int"].value)
+         lambda c, r: [(psn_type2_axis(c.trace, r.constants["c_int"])
                         if r.extras["branch"] == "torsion-integral"
                         else c.quadratic_axis._replace(k=2), "2-type")]),
         # no pseudo null curve is 0-type: the oracle's sigma_min is the

@@ -198,8 +198,8 @@ def _render_report(report) -> str:
                      f"{ora.sigma_min:.3e}, {agree})")
     if report.constants:
         lines.append("constants:")
-        for name, c in sorted(report.constants.items()):
-            lines.append(f"  {name} = {c.value!r} (residual {c.residual:.3e})")
+        lines.extend(f"  {name} = {value!r}"
+                     for name, value in sorted(report.constants.items()))
     if report.axes:
         lines.append("axes:")
         for cand, val in report.axes:

@@ -51,20 +51,10 @@ class Tolerances:
         raise AttributeError(f"Tolerances are immutable; cannot set {name}")
 
 
-class FittedConstant(NamedTuple):
-    """A fitted value and the residual of its fit."""
-
-    value: float
-    residual: float
-
-    def to_json_dict(self) -> dict:
-        return {"value": _jsonable(self.value), "residual": _jsonable(self.residual)}
-
-
 class CheckResult(NamedTuple):
     verdict: Verdict
     residual: float
-    constants: Mapping = MappingProxyType({})  # name -> FittedConstant
+    constants: Mapping = MappingProxyType({})  # name -> float
     flags: tuple = ()
     extras: Mapping = MappingProxyType({})
 

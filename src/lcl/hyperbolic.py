@@ -20,8 +20,8 @@ import numpy as np
 
 from .calculus import grid_derivative
 from .errors import ProfileError
-from .fits import (CheckResult, FittedConstant, Tolerances, Verdict,
-                   _constant_fit, _damped_lstsq, _jsonable)
+from .fits import (CheckResult, Tolerances, Verdict, _constant_fit,
+                   _damped_lstsq, _jsonable)
 from .frames import FrameKind
 from .integrator import CurveTrace
 from .minkowski import SIGNS, pairing, row_norm
@@ -39,7 +39,7 @@ def h3_ratio_check(trace: CurveTrace,
     flags = (("ratio is constant but not negative; curve is outside the "
               "pseudohyperbolic family",) if constant and not negative else ())
     return CheckResult(Verdict.of(constant and negative), residual,
-                       constants={"c": FittedConstant(mean, residual)},
+                       constants={"c": mean},
                        flags=flags, extras={"constant": constant})
 
 
@@ -57,8 +57,7 @@ class SphereFit(NamedTuple):
     radius_sq: float
     max_deviation: float       # max |g(x - x0) + r^2|
     rel_deviation: float       # normalized by r^2
-    converged: bool
-    iterations: int
+    iterations: int            # always 1: one linear solve
 
     def to_json_dict(self) -> dict:
         return {
@@ -66,8 +65,6 @@ class SphereFit(NamedTuple):
             "radius": _jsonable(self.radius),
             "max_deviation": _jsonable(self.max_deviation),
             "rel_deviation": _jsonable(self.rel_deviation),
-            "converged": self.converged,
-            "iterations": self.iterations,
         }
 
 
@@ -77,9 +74,8 @@ def fit_pseudohyperbolic(trace: CurveTrace) -> SphereFit:
     Residuals F_i = g(x_i - x0, x_i - x0) + rho with rho = r^2. Written as
     g(x_i, x_i) - 2 g(x_i, x0) + c with c = g(x0, x0) + rho they are linear
     in (x0, c), and (x0, rho) <-> (x0, c) is a bijection, so one linear
-    solve gives the nonlinear minimizer. The solve runs on positions minus
-    their centroid for conditioning; `converged` is always True and
-    `iterations` always 1.
+    solve gives the nonlinear minimizer, and `iterations` is always 1. The
+    solve runs on positions minus their centroid for conditioning.
     """
     pts = trace.positions
     mean = pts.mean(axis=0)
@@ -93,7 +89,7 @@ def fit_pseudohyperbolic(trace: CurveTrace) -> SphereFit:
     max_dev = float(np.max(np.abs(f_res)))
     rel = max_dev / max(abs(rho), 1e-300)
     radius = math.sqrt(rho) if rho > 0.0 else float("nan")
-    return SphereFit(x0, radius, rho, max_dev, rel, True, 1)
+    return SphereFit(x0, radius, rho, max_dev, rel, 1)
 
 
 def closed_form_center(trace: CurveTrace,
@@ -153,29 +149,30 @@ def h3_type2_tau_form(trace: CurveTrace, c: float,
         verdict = Verdict.NO
         flags = ("fitted exponential coefficients both vanish",)
     return CheckResult(verdict, ode_residual,
-                       constants={"lam": FittedConstant(lam, ode_residual),
-                                  "mu": FittedConstant(mu, ode_residual)},
+                       constants={"lam": lam, "mu": mu},
                        flags=flags,
                        extras={"fd_residual": fd_residual})
 
 
-def pseudohyperbolic_block(trace: CurveTrace,
-                           tol: Tolerances = Tolerances()) -> dict:
-    """Report block assembled by the classifier for pseudo null curves.
+def pseudohyperbolic_block(trace: CurveTrace, tol: Tolerances = Tolerances()
+                           ) -> tuple[dict, list]:
+    """Report block assembled by the classifier for pseudo null curves,
+    and the internal inconsistencies it found, which the classifier adds
+    to the report's flags.
 
     The ratio and tau-form fits read the trace's curvatures, and the
     sphere fit and closed-form center its positions and frames.
 
     No family member is 1-type: the family forces a constant ratio, which
     is never the 1-type quadratic, and the classifier flags a 1-type Yes
-    on a member. A sphere fit that passes off the family is noted only
+    on a member. A sphere fit that passes off the family is flagged only
     with a finite radius: a constant positive ratio puts the curve on a
     de Sitter pseudosphere (fitted r^2 < 0).
     """
     ratio = h3_ratio_check(trace, tol)
-    notes = list(ratio.flags)
+    notes, flags = list(ratio.flags), []
     is_family = ratio.verdict is Verdict.YES
-    c_val = ratio.constants["c"].value if ratio.extras["constant"] else None
+    c_val = ratio.constants["c"] if ratio.extras["constant"] else None
 
     try:
         fit = fit_pseudohyperbolic(trace)
@@ -187,7 +184,7 @@ def pseudohyperbolic_block(trace: CurveTrace,
 
     block = {
         "is_h3_family": is_family,
-        "c_ratio": _jsonable(c_val) if c_val is not None else None,
+        "c_ratio": _jsonable(c_val),
         "ratio_residual": _jsonable(ratio.residual),
         "sphere_fit": fit_dict,
         "notes": notes,
@@ -197,35 +194,33 @@ def pseudohyperbolic_block(trace: CurveTrace,
     if not is_family:
         if (fit is not None and math.isfinite(fit.radius)
                 and fit.rel_deviation < tol.eps_cond):
-            notes.append("internal-inconsistency: sphere fit succeeded but "
+            flags.append("internal-inconsistency: sphere fit succeeded but "
                          "the ratio test rejects the family")
-        return block
+        return block, flags
 
-    c = float(c_val)
-    center, center_spread = closed_form_center(trace, c)
-    expected_r = math.sqrt(-2.0 * c)
+    center, center_spread = closed_form_center(trace, c_val)
+    expected_r = math.sqrt(-2.0 * c_val)
     block["closed_center"] = {
         "center": [_jsonable(v) for v in center],
         "spread": _jsonable(center_spread),
-        "radius": _jsonable(expected_r),
         "membership_deviation": _jsonable(h3_membership(trace, center,
                                                         expected_r)),
     }
     if fit is not None:
         if fit.rel_deviation > tol.eps_cond * 100:
-            notes.append("internal-inconsistency: family member but sphere "
+            flags.append("internal-inconsistency: family member but sphere "
                          f"fit deviates ({fit.rel_deviation:.3g})")
         if math.isfinite(fit.radius) and abs(fit.radius - expected_r) > \
                 1e-3 * (1.0 + expected_r):
             notes.append(f"fitted radius {fit.radius:.6g} differs from "
                          f"sqrt(-2c) = {expected_r:.6g}")
 
-    tau_form = h3_type2_tau_form(trace, c, tol)
+    tau_form = h3_type2_tau_form(trace, c_val, tol)
     block["type2_tau"] = {
         "verdict": tau_form.verdict.value,
         "ode_residual": _jsonable(tau_form.residual),
         "fd_residual": _jsonable(tau_form.extras["fd_residual"]),
-        "lam": tau_form.constants["lam"].to_json_dict(),
-        "mu": tau_form.constants["mu"].to_json_dict(),
+        "lam": _jsonable(tau_form.constants["lam"]),
+        "mu": _jsonable(tau_form.constants["mu"]),
     }
-    return block
+    return block, flags

@@ -87,7 +87,7 @@ def test_criterion_2_constant_ratio_round_trip():
                                 tau="3*(1 + s^2)", domain=(0.0, 1.0))
     tr = integrate_frame(p)
     res = pn_type0_check(tr)
-    ratio = res.constants["ratio"].value
+    ratio = res.constants["ratio"]
     axes = pn_type0_axes(tr)
     val = validate_axis(tr, axes[0])
     oracle = oracle_detect(tr)[0]
@@ -115,8 +115,8 @@ def test_criterion_3_affine_ratio_round_trip():
                                 domain=(0.1, 1.0))
     tr = integrate_frame(p)
     res = pn_type1_check(tr)
-    c_lin = res.constants["C"].value
-    c0 = res.constants["c0"].value
+    c_lin = res.constants["C"]
+    c0 = res.constants["c0"]
     cand = pn_type1_axis(tr, c_lin, c0)
     val = validate_axis(tr, cand)
     g_n = pairing(tr.frames[:, 1, :], cand.U[0])
@@ -191,8 +191,8 @@ def test_criterion_6_quadratic_ratio_round_trip():
                                 domain=(0.0, 2.0))
     tr = integrate_frame(p)
     res = psn_type1_check(tr)
-    a = res.constants["a"].value
-    b = res.constants["b"].value
+    a = res.constants["a"]
+    b = res.constants["b"]
     cand = psn_type1_axis(tr)
     val = validate_axis(tr, cand)
     g_n = pairing(tr.frames[:, 1, :], cand.U[0])
@@ -225,7 +225,7 @@ def test_criterion_7_exponential_family():
         form = h3_type2_tau_form(tr, c)
         r1 = psn_type1_check(tr)
         r2 = psn_type2_check(tr, r1)
-        cand = psn_type2_axis(tr, r2.constants["c_int"].value)
+        cand = psn_type2_axis(tr, r2.constants["c_int"])
         val = validate_axis(tr, cand, eps_axis=1e-5)
         tag = f"({c},{lam},{mu})"
         checks.extend([

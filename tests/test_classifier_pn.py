@@ -21,7 +21,7 @@ def test_constant_ratio_is_0_type():
                                 domain=(0.0, 1.0))
     res = pn_type0_check(integrate_frame(p))
     assert res.verdict is Y
-    assert res.constants["ratio"].value == pytest.approx(3.0, abs=1e-12)
+    assert res.constants["ratio"] == pytest.approx(3.0, abs=1e-12)
     assert res.residual < 1e-12
 
 
@@ -55,8 +55,8 @@ def test_affine_ratio_is_1_type_with_recovered_constants():
                                 domain=(0.0, 1.0))
     res = pn_type1_check(integrate_frame(p))
     assert res.verdict is Y
-    assert res.constants["C"].value == pytest.approx(1.0, abs=1e-9)
-    assert res.constants["c0"].value == pytest.approx(0.1, abs=1e-9)
+    assert res.constants["C"] == pytest.approx(1.0, abs=1e-9)
+    assert res.constants["c0"] == pytest.approx(0.1, abs=1e-9)
     assert not res.flags
 
 
@@ -66,8 +66,8 @@ def test_scaled_affine_ratio_recovers_both_constants():
                                 tau="2*0.7*(0.4 + 2*s)", domain=(0.0, 1.0))
     res = pn_type1_check(integrate_frame(p))
     assert res.verdict is Y
-    assert res.constants["C"].value == pytest.approx(0.7, abs=1e-9)
-    assert res.constants["c0"].value == pytest.approx(0.4, abs=1e-9)
+    assert res.constants["C"] == pytest.approx(0.7, abs=1e-9)
+    assert res.constants["c0"] == pytest.approx(0.4, abs=1e-9)
 
 
 def test_quadratic_ratio_is_not_1_type():
@@ -86,8 +86,8 @@ def test_constant_ratio_degenerates_the_affine_fit():
     res = pn_type1_check(integrate_frame(p))
     assert res.verdict is Y
     assert "degenerate-linear-coefficient" in res.flags
-    assert res.constants["C"].value == pytest.approx(0.0, abs=1e-12)
-    assert np.isnan(res.constants["c0"].value)
+    assert res.constants["C"] == pytest.approx(0.0, abs=1e-12)
+    assert np.isnan(res.constants["c0"])
 
 
 def test_1_type_axis_validates_and_pairs_with_the_normal():
@@ -95,8 +95,8 @@ def test_1_type_axis_validates_and_pairs_with_the_normal():
                                 domain=(0.0, 1.0))
     tr = integrate_frame(p)
     res = pn_type1_check(tr)
-    cand = pn_type1_axis(tr, res.constants["C"].value,
-                         res.constants["c0"].value)
+    cand = pn_type1_axis(tr, res.constants["C"],
+                         res.constants["c0"])
     assert cand.source == "curvature-integral"
     val = validate_axis(tr, cand)
     assert val.passed

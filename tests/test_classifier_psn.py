@@ -18,8 +18,8 @@ def test_quadratic_ratio_is_1_type_with_recovered_coefficients(
     # sigma/tau = -s^2/2 + 0.5 s, so a = 0.5 and b = 0
     res = psn_type1_check(quad_psn_trace)
     assert res.verdict is Y
-    assert res.constants["a"].value == pytest.approx(0.5, abs=1e-9)
-    assert res.constants["b"].value == pytest.approx(0.0, abs=1e-9)
+    assert res.constants["a"] == pytest.approx(0.5, abs=1e-9)
+    assert res.constants["b"] == pytest.approx(0.0, abs=1e-9)
     assert res.residual < 1e-9
 
 
@@ -29,8 +29,8 @@ def test_shifted_quadratic_recovers_both_coefficients():
                                 domain=(0.0, 2.0))
     res = psn_type1_check(integrate_frame(p))
     assert res.verdict is Y
-    assert res.constants["a"].value == pytest.approx(0.3, abs=1e-9)
-    assert res.constants["b"].value == pytest.approx(0.1, abs=1e-9)
+    assert res.constants["a"] == pytest.approx(0.3, abs=1e-9)
+    assert res.constants["b"] == pytest.approx(0.1, abs=1e-9)
 
 
 def test_wrong_quadratic_coefficient_is_rejected():
@@ -84,7 +84,7 @@ def test_2_type_identity_route_on_the_exponential_family(h3_trace):
     assert res.verdict is Y
     assert res.extras["branch"] == "torsion-integral"
     assert res.residual < 1e-6
-    assert res.constants["c_int"].value == pytest.approx(1.0, abs=1e-6)
+    assert res.constants["c_int"] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_2_type_quadratic_route_when_the_identity_fails(quad_psn_trace):
@@ -107,7 +107,7 @@ def test_2_type_fails_when_neither_route_holds():
 
 def test_2_type_axis_on_the_identity_route(h3_trace):
     res = psn_type2_check(h3_trace, psn_type1_check(h3_trace))
-    cand = psn_type2_axis(h3_trace, res.constants["c_int"].value)
+    cand = psn_type2_axis(h3_trace, res.constants["c_int"])
     assert cand.source == "torsion-integral"
     val = validate_axis(h3_trace, cand)
     assert val.passed

@@ -94,6 +94,18 @@ def test_classify_pretty_renders_a_report(quad_file, capsys):
     assert "k1: Yes" in out
 
 
+def test_classify_pretty_prints_each_constant_as_name_and_value(quad_file,
+                                                               capsys):
+    assert main(["classify", quad_file, "--pretty"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    constants = classify_profile(CurvatureProfile.from_json_dict(QUAD)
+                                 ).constants
+    start = lines.index("constants:") + 1
+    assert lines[start:start + len(constants)] == [
+        f"  {name} = {value!r}" for name, value in sorted(constants.items())]
+    assert lines[start + len(constants)] == "axes:"
+
+
 def test_classify_output_file(quad_file, tmp_path):
     out = tmp_path / "report.json"
     rc = main(["classify", quad_file, "-o", str(out)])

@@ -1,5 +1,7 @@
 """Pseudohyperbolic membership: ratio test, sphere fit, tau evolution."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ def test_ratio_check_accepts_constant_negative_ratio():
                                 domain=(0.0, 1.0))
     res = h3_ratio_check(integrate_frame(p))
     assert res.verdict is Y
-    assert res.constants["c"].value == pytest.approx(-2.0, abs=1e-12)
+    assert res.constants["c"] == pytest.approx(-2.0, abs=1e-12)
 
 
 def test_ratio_check_rejects_varying_ratio(quad_psn_trace):
@@ -90,7 +92,6 @@ def test_h3_type3_row_shares_the_parameter_checks(c, lam, mu):
 
 def test_sphere_fit_recovers_center_and_radius(h3_trace):
     fit = fit_pseudohyperbolic(h3_trace)
-    assert fit.converged
     assert fit.iterations <= 10
     assert np.allclose(fit.center, [-2.5, -1.5, 0.0, 0.0],
                        atol=1e-9)
@@ -109,7 +110,7 @@ def test_sphere_fit_diverges_gracefully_off_family(quad_psn_trace):
     fit = fit_pseudohyperbolic(quad_psn_trace)
     # no pseudosphere carries this short arc exactly; the best fit still
     # deviates by orders of magnitude more than a true member does
-    assert (not fit.converged) or fit.rel_deviation > 1e-8
+    assert fit.rel_deviation > 1e-8
 
 
 def test_constant_positive_ratio_is_off_family_without_a_false_note():
@@ -121,16 +122,17 @@ def test_constant_positive_ratio_is_off_family_without_a_false_note():
     assert fit.radius_sq == pytest.approx(-4.0, abs=1e-9)
     assert np.isnan(fit.radius)
     assert fit.rel_deviation < 1e-12
-    hyp = classify_profile(p).pseudohyperbolic
+    rep = classify_profile(p)
+    hyp = rep.pseudohyperbolic
     assert hyp["is_h3_family"] is False
     assert any("not negative" in n for n in hyp["notes"])
-    assert not [n for n in hyp["notes"] if "internal-inconsistency" in n]
+    assert not [n for n in hyp["notes"] + rep.flags
+                if "internal-inconsistency" in n]
 
 
 def test_sphere_fit_converges_in_one_solve_on_a_large_trace():
     fx = next(f for f in default_suite() if f.profile.label == "psn-generic-1")
     fit = fit_pseudohyperbolic(integrate_frame(fx.profile))
-    assert fit.converged
     assert fit.iterations == 1
 
 
@@ -156,8 +158,8 @@ def test_closed_form_center_matches_the_fit(h3_trace):
 def test_tau_form_fit_recovers_lam_and_mu(h3_trace):
     res = h3_type2_tau_form(h3_trace, -2.0)
     assert res.verdict is Y
-    assert res.constants["lam"].value == pytest.approx(1.0, abs=1e-9)
-    assert res.constants["mu"].value == pytest.approx(0.5, abs=1e-9)
+    assert res.constants["lam"] == pytest.approx(1.0, abs=1e-9)
+    assert res.constants["mu"] == pytest.approx(0.5, abs=1e-9)
     assert res.residual < 1e-12
     assert res.extras["fd_residual"] < 1e-6
 
@@ -188,14 +190,61 @@ def test_full_report_block_for_a_family_member(h3_profile):
     assert hyp["sphere_fit"]["radius"] == pytest.approx(2.0, abs=1e-9)
     assert hyp["type2_tau"]["verdict"] == "Yes"
     assert hyp["type2_tau"]["ode_residual"] < 1e-12
-    assert hyp["type2_tau"]["lam"]["value"] == pytest.approx(1.0, abs=1e-9)
-    assert hyp["type2_tau"]["mu"]["value"] == pytest.approx(0.5, abs=1e-9)
-    assert hyp["closed_center"]["radius"] == pytest.approx(2.0, abs=1e-9)
+    assert hyp["type2_tau"]["lam"] == pytest.approx(1.0, abs=1e-9)
+    assert hyp["type2_tau"]["mu"] == pytest.approx(0.5, abs=1e-9)
+    # the closed-form radius is sqrt(-2 c_ratio), so it is not restated
+    assert math.sqrt(-2.0 * hyp["c_ratio"]) == pytest.approx(2.0, abs=1e-9)
     assert hyp["closed_center"]["membership_deviation"] < 1e-9
     # exact: k3 is the oracle's verdict, so there is no 3-type residual,
     # and no 1-type entry restates is_h3_family
     assert set(hyp) == {"is_h3_family", "c_ratio", "ratio_residual",
                         "sphere_fit", "notes", "type2_tau", "closed_center"}
+
+
+def test_report_blocks_state_each_fitted_number_once(h3_profile,
+                                                     quad_psn_profile):
+    hyp = classify_profile(h3_profile).to_json_dict()["pseudohyperbolic"]
+    assert set(hyp["sphere_fit"]) == {"center", "radius", "max_deviation",
+                                      "rel_deviation"}
+    assert set(hyp["closed_center"]) == {"center", "spread",
+                                         "membership_deviation"}
+    assert set(hyp["type2_tau"]) == {"verdict", "ode_residual", "fd_residual",
+                                     "lam", "mu"}
+    assert all(type(hyp["type2_tau"][k]) is float for k in ("lam", "mu"))
+    axes = classify_profile(quad_psn_profile).to_json_dict()["axes"]
+    assert set(axes[0]) == {"k", "source", "max_dU", "g_mean", "g_variance",
+                            "validated", "U_at_s0"}
+    assert (axes[0]["k"], axes[0]["source"]) == (1, "ratio-derivative")
+
+
+@pytest.mark.parametrize("seed", [1, 8])
+def test_a_block_inconsistency_is_a_report_flag(seed):
+    # tabulated sigma on a family member: the table's interpolant moves
+    # the ratio off constant while the positions still lie on the sphere
+    fx = next(f for f in default_suite(seed)
+              if f.profile.label == "psn-h3exp-0")
+    d = fx.profile.to_json_dict()
+    s = np.linspace(fx.profile.s_min, fx.profile.s_max, 101)
+    d["sigma"] = {"s": s.tolist(), "values": fx.profile.sigma(s).tolist()}
+    rep = classify_profile(CurvatureProfile.from_json_dict(d))
+    assert rep.pseudohyperbolic["is_h3_family"] is False
+    assert ("internal-inconsistency: sphere fit succeeded but the ratio "
+            "test rejects the family") in rep.flags
+    assert not [n for n in rep.pseudohyperbolic["notes"]
+                if "internal-inconsistency" in n]
+
+
+def test_a_deviating_sphere_fit_on_a_member_is_a_report_flag(h3_profile,
+                                                             monkeypatch):
+    fit = fit_pseudohyperbolic(integrate_frame(h3_profile))
+    monkeypatch.setattr("lcl.hyperbolic.fit_pseudohyperbolic",
+                        lambda trace: fit._replace(rel_deviation=1e-3))
+    rep = classify_profile(h3_profile)
+    assert rep.pseudohyperbolic["is_h3_family"] is True
+    assert ("internal-inconsistency: family member but sphere fit deviates "
+            "(0.001)") in rep.flags
+    assert not [n for n in rep.pseudohyperbolic["notes"]
+                if "internal-inconsistency" in n]
 
 
 def test_a_singular_sphere_fit_is_a_note(h3_profile, monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 
 from lcl import (CurvatureProfile, FrameKind, integrate_frame, load_profile,
                  save_profile)
-from lcl.errors import ProfileError
+from lcl.errors import OutOfDomainError, ProfileError
 from lcl.profiles import SampleTable, require_family_rules
 
 
@@ -94,6 +94,19 @@ def test_evaluate_arrays_matches_scalar_evaluate():
         assert ka[i] == pytest.approx(k, abs=1e-15)
         assert ta[i] == pytest.approx(t, abs=1e-15)
         assert sa[i] == pytest.approx(sg, abs=1e-15)
+
+
+def test_evaluate_arrays_rejects_a_point_past_the_domain_slack():
+    # the slack is 1e-12 (1 + span) = 3e-12 on [0, 2]
+    p = CurvatureProfile.create("partially_null", kappa="1 + s^2",
+                                tau="2 + sin(s)", domain=(0.0, 2.0))
+    ka, _, _ = p.evaluate_arrays(np.array([-2e-12, 1.0, 2.0 + 2e-12]))
+    assert ka[1] == 2.0
+    with pytest.raises(OutOfDomainError, match=r"^s = 2\.5 outside domain "
+                       r"\[0\.0, 2\.0\]$"):
+        p.evaluate_arrays(np.array([1.0, 2.5, -1.0, 3.0]))
+    with pytest.raises(OutOfDomainError, match=r"^s = -1e-09 "):
+        p.evaluate_arrays(-1e-9)
 
 
 def test_grid_spans_the_domain():

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 import lcl.verifier
-from lcl import (CheckResult, Fixture, FittedConstant, FixtureResult,
-                 FrameKind, SuiteSummary, Verdict, classify_profile,
-                 default_suite, fixtures_from_json, integrate_frame,
-                 load_suite, render_table, run_theorem_suite)
+from lcl import (CheckResult, Fixture, FixtureResult, FrameKind,
+                 SuiteSummary, Verdict, classify_profile, default_suite,
+                 fixtures_from_json, integrate_frame, load_suite,
+                 render_table, run_theorem_suite)
 from lcl.cli import main
 from lcl.errors import ConfigError, ProfileError
 from lcl.suite import DEFAULT_SEED, GENERATORS
@@ -239,14 +239,12 @@ def test_result_records_are_read_only_tuples():
     summary = run_theorem_suite(fixtures=fixtures_from_json([
         {"profile": {"kind": "partially_null", "kappa": "2", "tau": "6",
                      "domain": [0.0, 1.0]}}]))
-    records = (summary, summary.results[0], FittedConstant(1.5, 0.0),
-               CheckResult(Verdict.YES, 0.0))
+    records = (summary, summary.results[0], CheckResult(Verdict.YES, 0.0))
     for record, cls in zip(records, (SuiteSummary, FixtureResult,
-                                     FittedConstant, CheckResult)):
+                                     CheckResult)):
         assert type(record) is cls and isinstance(record, tuple)
         with pytest.raises(AttributeError):
             setattr(record, cls._fields[0], None)
-    assert FittedConstant(1.5, 0.0) == (1.5, 0.0)
 
 
 def test_default_check_results_share_no_mutable_object():
@@ -263,6 +261,20 @@ def test_full_default_suite_posts_no_failures_or_disagreements():
     assert summary.passed, render_table(summary)
     assert summary.n_pass == 50
     assert summary.disagreement_count == 0
+
+
+def test_every_fitted_constant_is_a_plain_float():
+    summary = run_theorem_suite()
+    reports = [r.report for r in summary.results]
+    assert {name for rep in reports for name in rep.constants} == {
+        "ratio", "C", "C_c0", "c0", "a", "b", "c_int"}
+    for rep in reports:
+        for name, value in rep.constants.items():
+            assert type(value) is float, (rep.label, name, value)
+    # the JSON states each constant once: its residual is the check's
+    for fixture in summary.to_json_dict()["fixtures"]:
+        for name, value in fixture["report"]["constants"].items():
+            assert isinstance(value, (float, str)), (fixture["label"], name)
 
 
 @pytest.mark.parametrize("h", [0.002, 0.0005])
