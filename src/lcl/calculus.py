@@ -1,23 +1,27 @@
-"""Quadrature and finite-difference helpers used by the condition checks.
+"""Quadrature and finite-difference helpers.
 
 Design notes:
 
 * Antiderivatives are always anchored at an explicit lower limit. The
   classifier fits the remaining free constants instead of assuming they
   vanish.
-* Derivatives of curvature data are taken numerically even when closed
-  forms exist, so expression-based and sampled profiles share one code
-  path: a classification samples the profile once, on its integration
-  lattice, and grid_derivative differentiates those samples with 5-point
+* Expression-based and sampled profiles share one code path: a
+  classification samples the profile once, on its integration lattice,
+  and its checks and axis builders integrate those samples and never
+  differentiate them; a sampled table need not have the derivatives a
+  stencil would read.
+* grid_derivative differentiates uniformly sampled values with 5-point
   stencils of 4th order (first and second derivatives); the two points
   at each end of the grid use shifted stencils of the same width, so no
-  value outside the grid is ever needed.
+  value outside the grid is ever needed. Axis validation differentiates
+  a candidate with it, and resample_curvatures the frames.
 * Integrals read the integrand on the same half-step lattice:
   lattice_integral is Simpson's rule over each integration step, the rule
   RK4 reduces to for a pure quadrature, with the half cells filled in by
   the quadratic through the cell's three values, so an integrand that
-  holds an integral itself (the oscillator phase of the 2-type axis)
-  needs no other point.
+  holds an integral itself (the oscillator phase of the partially null
+  2-type axis, the torsion integral that the pseudo null 2-type check
+  integrates again) needs no other point.
 """
 
 from __future__ import annotations

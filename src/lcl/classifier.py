@@ -8,7 +8,8 @@ integrated trace so the two routes can disagree loudly instead of
 silently. Where a family has no usable closed form (pseudo null k = 0
 and k = 3) the oracle decides. Every reported condition residual is the
 number that decided its verdict: a fit residual, the max_dU of the one
-axis that decides, or the oracle's sigma_min.
+axis that decides, or the oracle's sigma_min; except for a pseudo null
+k = 2 Yes by the quadratic-ratio route, which k = 1 decided.
 
 A family is its FAMILIES entry: rows (k, check, build), its implication
 graph and its report block; its frame data is frames.FAMILIES.
@@ -20,8 +21,9 @@ One classification evaluates each profile component once, on the
 integration's half-step lattice, where the family rules were checked.
 The checks and the axis builders read the trace's curvatures on its
 grid, every integral is Simpson's rule on that lattice
-(CurveTrace.curvature_integrals), and the oracle decides all four k
-from one stacked SVD of the trace.
+(CurveTrace.curvature_integrals, lattice_integral), no curvature is
+differentiated, and the oracle decides all four k from one stacked SVD
+of the trace.
 
 Partially null curves are classified with sigma identically 0; the frame
 freedom that makes other sigma choices equivalent is not modeled here.
@@ -29,8 +31,10 @@ The trivial axis B1 (which pairs constantly with everything) is excluded
 from oracle verdicts, and each oracle entry's note says so.
 
 Fit conventions: antiderivatives are anchored at s_min and the dropped
-integration constants (c0 for the affine ratio condition, c_int for the
-torsion-integral condition) are fitted, never assumed zero.
+integration constants (c0 for the affine ratio condition; c_int, A and
+B for the twice-integrated torsion-integral condition) are fitted,
+never assumed zero. Each fit is fits._lstsq, undamped; a constant its
+design cannot identify is reported as NaN.
 """
 
 from __future__ import annotations
@@ -43,10 +47,10 @@ import numpy as np
 
 from . import hyperbolic
 from .axis import AxisCandidate, assemble_axis, validate_axis
-from .calculus import grid_derivative, lattice_integral
+from .calculus import lattice_integral
 from .errors import DegenerateAxisError, ProfileError
-from .fits import (DAMPING, CheckResult, Tolerances, Verdict, _constant_fit,
-                   _damped_lstsq, _jsonable, _rms)
+from .fits import (CheckResult, Tolerances, Verdict, _constant_fit, _jsonable,
+                   _lstsq, _rms)
 from .frames import ROW_NAMES, FrameKind, frame_family
 from .integrator import CurveTrace, integrate_frame
 from .minkowski import SIGNS, nullspace_min_singular, pairing, row_norm
@@ -182,7 +186,7 @@ def pn_type1_check(trace: CurveTrace,
     ratio = trace.tau / trace.kappa
     kint = trace.curvature_integrals[0, ::2]
     design = np.column_stack([np.ones_like(kint), kint])
-    a0, c_lin = _damped_lstsq(design, ratio)
+    (a0, c_lin), _ = _lstsq(design, ratio)
     residual = _rms(ratio - design @ (a0, c_lin)) / (1.0 + _rms(ratio))
     verdict = Verdict.of(residual < tol.eps_cond)
     degenerate = abs(c_lin) * (kint.max() - kint.min()) < tol.eps_cond * (1.0 + abs(a0))
@@ -257,7 +261,7 @@ def psn_type1_check(trace: CurveTrace,
     q = trace.sigma / trace.tau
     target = q + 0.5 * grid**2
     design = np.column_stack([grid, np.ones_like(grid)])
-    a_fit, b_fit = _damped_lstsq(design, target)
+    (a_fit, b_fit), _ = _lstsq(design, target)
     residual = _rms(target - design @ (a_fit, b_fit)) / (
         1.0 + _rms(q) + _rms(0.5 * grid**2))
     verdict = Verdict.of(residual < tol.eps_cond)
@@ -265,56 +269,51 @@ def psn_type1_check(trace: CurveTrace,
                        constants={"a": a_fit, "b": b_fit})
 
 
-def psn_type1_axis(trace: CurveTrace) -> AxisCandidate:
+def psn_type1_axis(trace: CurveTrace, a: float) -> AxisCandidate:
     """Axis -(sigma/tau)' T + (sigma/tau) N + B2 for the quadratic family.
 
-    The ratio is sampled on the trace grid and differentiated there with
-    grid_derivative; its 5-point stencils are exact on the quadratic
-    ratios of this family. g(N, U) = 1 and g(B1, U) = 0, so the same
-    vector certifies k = 2 with a vanishing pairing constant, relabeled
-    with axis._replace(k=2).
+    On the family sigma/tau = -s^2/2 + a s + b, so (sigma/tau)' = a - s
+    with a from psn_type1_check's fit: the ratio is read on the trace
+    grid and never differentiated. g(N, U) = 1 and g(B1, U) = 0, so the
+    same vector certifies k = 2 with a vanishing pairing constant,
+    relabeled with axis._replace(k=2).
     """
     q = trace.sigma / trace.tau
-    qp = grid_derivative(q, trace.h)
-    return assemble_axis(trace, 1, "ratio-derivative", -qp, q, 0.0, 1.0)
+    return assemble_axis(trace, 1, "ratio-derivative", trace.s - a, q,
+                         0.0, 1.0)
 
 
 def psn_type2_check(trace: CurveTrace, type1: CheckResult,
                     tol: Tolerances = Tolerances()) -> CheckResult:
     """2-type via the torsion-integral identity, with its blind spot covered.
 
-    Identity route: with I = c_int + Int tau, require
-    I + d/ds[sigma + d/ds((sigma/tau) I)] = 0, minimizing over the one
-    free constant c_int. That route assumes the axis pairs with B1 with a
-    NONZERO constant. Quadratic-ratio curves (the 1-type family) carry a
-    2-type axis whose B1 pairing constant is zero and genuinely fail the
-    identity, so the verdict is the disjunction: identity holds, or the
-    1-type condition holds (`type1`, the k = 1 result on the same
-    trace). The identity residual is always reported.
+    Identity route: with q = sigma/tau, T = Int tau and I = c_int + T,
+    I + (sigma + (q I)')' = 0, fitted integrated twice from s_min so that
+    no derivative is taken: with x = s - s_min, one least-squares fit of
+    q T + Int sigma + Int Int T + c_int (q + x^2/2) - A x - B = 0 for
+    (c_int, A, B); A goes to psn_type2_axis through the extras. Where
+    q + x^2/2 is affine c_int cannot be fitted: the design's
+    sigma_min / sigma_max falls below eps_cond and c_int reads NaN.
+
+    The identity assumes the axis pairs with B1 with a NONZERO constant.
+    Quadratic-ratio curves (the 1-type family) carry a 2-type axis whose
+    B1 pairing constant is zero and genuinely fail it, so the verdict is
+    the disjunction: identity holds, or `type1` (the k = 1 result on the
+    same trace) is Yes. The identity residual is always reported.
     """
     _require_kind(trace, FrameKind.PSEUDO_NULL)
-    step, sigma = trace.h, trace.sigma
-    q = sigma / trace.tau
-    tint = trace.curvature_integrals[1, ::2]
-    # R(c_int) = R0 + c_int * R1, linear because differentiation is
-    inner0 = grid_derivative(q * tint, step)
-    inner1 = grid_derivative(q, step)
-    outer0 = grid_derivative(sigma + inner0, step)
-    outer1 = grid_derivative(inner1, step)
-    r0 = tint + outer0
-    r1 = 1.0 + outer1
-    core = slice(4, -4)  # two stencil passes eat two points per end each
-    denom = float(r1[core] @ r1[core]) + DAMPING
-    c_int = float(-(r1[core] @ r0[core]) / denom)
-    r_min = r0[core] + c_int * r1[core]
-    i_vals = tint[core] + c_int
-    outer_vals = outer0[core] + c_int * outer1[core]
-    scale = 1.0 + _rms(i_vals) + _rms(outer_vals)
-    residual = _rms(r_min) / scale
-    identity_ok = residual < tol.eps_cond
+    q = trace.sigma / trace.tau
+    tint = trace.curvature_integrals[1]
+    sint, ttint = lattice_integral([trace.lattice[2], tint], trace.h)
+    base = q * tint[::2] + sint[::2] + lattice_integral(ttint, trace.h)[::2]
+    x = trace.s - trace.s[0]
+    design = np.column_stack([q + 0.5 * x * x, -x, -np.ones_like(x)])
+    coef, cond = _lstsq(design, -base)
+    residual = _rms(base + design @ coef) / (1.0 + _rms(base))
+    c_int = coef[0] if cond >= tol.eps_cond else float("nan")
 
     branch = None
-    if identity_ok:
+    if residual < tol.eps_cond and math.isfinite(c_int):
         branch = "torsion-integral"
     elif type1.verdict is Verdict.YES:
         branch = "ratio-quadratic"
@@ -322,22 +321,25 @@ def psn_type2_check(trace: CurveTrace, type1: CheckResult,
               "does not apply",) if branch == "ratio-quadratic" else ())
     return CheckResult(Verdict.of(branch is not None), residual,
                        constants={"c_int": c_int},
-                       flags=flags, extras={"branch": branch})
+                       flags=flags, extras={"branch": branch, "A": coef[1]})
 
 
-def psn_type2_axis(trace: CurveTrace, c_int: float) -> AxisCandidate:
+def psn_type2_axis(trace: CurveTrace, c_int: float, a: float) -> AxisCandidate:
     """Axis for the torsion-integral branch, unit B1 pairing.
 
     U = -[sigma + ((sigma/tau) I)'] T + (sigma/tau) I N + B1 + I B2 with
-    I = c_int + Int tau. Only valid when the identity residual is small;
-    callers gate on psn_type2_check.
+    I = c_int + Int tau. The identity integrated once from s_min gives the
+    T coefficient without a derivative: -[sigma + ((sigma/tau) I)'] =
+    c_int x + Int Int tau - A, with x = s - s_min and A the constant
+    psn_type2_check fits (its extras["A"]). Only valid when the identity
+    residual is small; callers gate on psn_type2_check.
     """
-    q = trace.sigma / trace.tau
-    i_vals = c_int + trace.curvature_integrals[1, ::2]
-    w = q * i_vals
-    wp = grid_derivative(w, trace.h)
+    tint = trace.curvature_integrals[1]
+    i_vals = c_int + tint[::2]
+    x = trace.s - trace.s[0]
+    u1 = c_int * x + lattice_integral(tint, trace.h)[::2] - a
     return assemble_axis(trace, 2, "torsion-integral",
-                         -(trace.sigma + wp), w, 1.0, i_vals)
+                         u1, trace.sigma / trace.tau * i_vals, 1.0, i_vals)
 
 
 PSN_IMPLICATIONS = ((1, 2),)
@@ -403,7 +405,7 @@ def classify_profile(p: CurvatureProfile,
     family = FAMILIES[p.kind]
     axes = []
     for k, check, build in family.rows:
-        result = check(c)
+        c.checks[k] = result = check(c)  # its build may read it
         yes = result is None or result.verdict is Verdict.YES
         for cand, context in build(c, result) if yes else ():
             val = validate_axis(trace, cand, tol.eps_axis)
@@ -413,8 +415,7 @@ def classify_profile(p: CurvatureProfile,
                                f"validation (max_dU {val.max_du:.3g})")
             axes.append((cand, val))
         if result is None:  # its one axis decides
-            result = CheckResult(Verdict.of(val.passed), val.max_du)
-        c.checks[k] = result
+            c.checks[k] = CheckResult(Verdict.of(val.passed), val.max_du)
 
     checks = {k: c.checks[k] for k in range(4)}
     flags, oracle = c.flags, c.oracle
@@ -469,7 +470,7 @@ class _Classification:
 
     @cached_property
     def quadratic_axis(self) -> AxisCandidate:  # psn k1, relabeled for k2
-        return psn_type1_axis(self.trace)
+        return psn_type1_axis(self.trace, self.checks[1].constants["a"])
 
 
 def _pn_universal(c) -> None:
@@ -523,7 +524,8 @@ FAMILIES = {
         (1, lambda c: psn_type1_check(c.trace, c.tol),
          lambda c, _: [(c.quadratic_axis, "quadratic-ratio")]),
         (2, lambda c: psn_type2_check(c.trace, c.checks[1], c.tol),
-         lambda c, r: [(psn_type2_axis(c.trace, r.constants["c_int"])
+         lambda c, r: [(psn_type2_axis(c.trace, r.constants["c_int"],
+                                       r.extras["A"])
                         if r.extras["branch"] == "torsion-integral"
                         else c.quadratic_axis._replace(k=2), "2-type")]),
         # no pseudo null curve is 0-type: the oracle's sigma_min is the

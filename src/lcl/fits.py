@@ -25,10 +25,6 @@ class Verdict(Enum):
         return cls.YES if flag else cls.NO
 
 
-# Tikhonov damping for the small fits; keeps a degenerate fit finite.
-DAMPING = 1e-12
-
-
 class Tolerances:
     """Thresholds the CLI exposes; defaults match the acceptance suite.
 
@@ -70,15 +66,16 @@ def _rms(x: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.square(x))))
 
 
-def _damped_lstsq(a: np.ndarray, b: np.ndarray) -> list:
-    """Normal-equation least squares with Tikhonov damping (DAMPING).
-
-    The damping keeps degenerate fits finite instead of letting one
-    coefficient wander off; callers still flag degeneracy explicitly.
-    The coefficients come back as Python floats.
-    """
-    ata = a.T @ a + DAMPING * np.eye(a.shape[1])
-    return np.linalg.solve(ata, a.T @ b).tolist()
+def _lstsq(a: np.ndarray, b: np.ndarray) -> tuple[list, float]:
+    """Undamped least squares a x ~= b by one thin SVD of a with unit
+    columns: (x as Python floats, sigma_min / sigma_max). Singular values
+    under numpy's lstsq cutoff are dropped, so a rank-deficient design
+    gets the minimum-norm fit and the ratio tells the caller."""
+    norms = np.linalg.norm(a, axis=0)
+    u, sv, vt = np.linalg.svd(a / norms, full_matrices=False)
+    keep = sv > sv[0] * np.finfo(float).eps * max(a.shape)
+    x = vt[keep].T @ ((u[:, keep].T @ b) / sv[keep])
+    return (x / norms).tolist(), float(sv[-1] / sv[0])
 
 
 def _constant_fit(values: np.ndarray, eps: float) -> tuple[bool, float, float]:

@@ -18,10 +18,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .calculus import grid_derivative
 from .errors import ProfileError
-from .fits import (CheckResult, Tolerances, Verdict, _constant_fit,
-                   _damped_lstsq, _jsonable)
+from .fits import (CheckResult, Tolerances, Verdict, _constant_fit, _jsonable,
+                   _lstsq)
 from .frames import FrameKind
 from .integrator import CurveTrace
 from .minkowski import SIGNS, pairing, row_norm
@@ -127,31 +126,25 @@ def h3_type2_tau_form(trace: CurveTrace, c: float,
     Fits (lam, mu) linearly, then scores the oscillator identity
     2 c tau_fit'' + tau with the fitted form's exact second derivative
     tau_fit / w^2. Since 2c / w^2 = -1 that is tau - tau_fit analytically,
-    so the ode_residual is the fit's max residual; the finite-difference
-    residual 2 c tau'' + tau in the extras is the test on the data alone.
-    It carries FD roundoff (~1e-8 at best) and is advisory.
+    so the ode_residual is the fit's max residual over 1 + max |tau|; no
+    derivative of the data is taken.
     """
     if c >= 0.0:
         raise ProfileError("the ratio constant c must be negative")
     grid, tau_vals = trace.s, trace.tau
     w = math.sqrt(-2.0 * c)
     design = np.column_stack([np.exp(grid / w), np.exp(-grid / w)])
-    lam, mu = _damped_lstsq(design, tau_vals)
+    (lam, mu), _ = _lstsq(design, tau_vals)
     second = (lam * design[:, 0] + mu * design[:, 1]) / (w * w)
     scale = 1.0 + float(np.max(np.abs(tau_vals)))
     ode_residual = float(np.max(np.abs(2.0 * c * second + tau_vals))) / scale
-    fd_second = grid_derivative(tau_vals, trace.h, order=2)
-    fd_residual = float(np.max(np.abs(2.0 * c * fd_second[2:-2]
-                                      + tau_vals[2:-2]))) / scale
     verdict = Verdict.of(ode_residual < tol.eps_cond)
     flags = ()
     if abs(lam) < 1e-12 * scale and abs(mu) < 1e-12 * scale:
         verdict = Verdict.NO
         flags = ("fitted exponential coefficients both vanish",)
     return CheckResult(verdict, ode_residual,
-                       constants={"lam": lam, "mu": mu},
-                       flags=flags,
-                       extras={"fd_residual": fd_residual})
+                       constants={"lam": lam, "mu": mu}, flags=flags)
 
 
 def pseudohyperbolic_block(trace: CurveTrace, tol: Tolerances = Tolerances()
@@ -167,7 +160,9 @@ def pseudohyperbolic_block(trace: CurveTrace, tol: Tolerances = Tolerances()
     is never the 1-type quadratic, and the classifier flags a 1-type Yes
     on a member. A sphere fit that passes off the family is flagged only
     with a finite radius: a constant positive ratio puts the curve on a
-    de Sitter pseudosphere (fitted r^2 < 0).
+    de Sitter pseudosphere (fitted r^2 < 0). type2_tau holds the
+    exponential torsion form's fit (ode_residual, lam, mu) on members; its
+    verdict is the report's k2 verdict, stated there once.
     """
     ratio = h3_ratio_check(trace, tol)
     notes, flags = list(ratio.flags), []
@@ -217,9 +212,7 @@ def pseudohyperbolic_block(trace: CurveTrace, tol: Tolerances = Tolerances()
 
     tau_form = h3_type2_tau_form(trace, c_val, tol)
     block["type2_tau"] = {
-        "verdict": tau_form.verdict.value,
         "ode_residual": _jsonable(tau_form.residual),
-        "fd_residual": _jsonable(tau_form.extras["fd_residual"]),
         "lam": _jsonable(tau_form.constants["lam"]),
         "mu": _jsonable(tau_form.constants["mu"]),
     }

@@ -193,7 +193,7 @@ def test_criterion_6_quadratic_ratio_round_trip():
     res = psn_type1_check(tr)
     a = res.constants["a"]
     b = res.constants["b"]
-    cand = psn_type1_axis(tr)
+    cand = psn_type1_axis(tr, a)
     val = validate_axis(tr, cand)
     g_n = pairing(tr.frames[:, 1, :], cand.U[0])
     g_b1 = pairing(tr.frames[:, 2, :], cand.U[0])
@@ -225,7 +225,7 @@ def test_criterion_7_exponential_family():
         form = h3_type2_tau_form(tr, c)
         r1 = psn_type1_check(tr)
         r2 = psn_type2_check(tr, r1)
-        cand = psn_type2_axis(tr, r2.constants["c_int"])
+        cand = psn_type2_axis(tr, r2.constants["c_int"], r2.extras["A"])
         val = validate_axis(tr, cand, eps_axis=1e-5)
         tag = f"({c},{lam},{mu})"
         checks.extend([

@@ -1,10 +1,13 @@
 """Pseudo null slant conditions, axes, and the two-route 2-type verdict."""
 
+import math
+
 import numpy as np
 import pytest
 
-from lcl import (CurvatureProfile, Verdict, assemble_axis, classify_profile,
-                 default_suite, integrate_frame, oracle_detect, pairing,
+from lcl import (CurvatureProfile, FrameKind, Tolerances, Verdict,
+                 assemble_axis, classify_profile, default_suite,
+                 h3_type2_tau_form, integrate_frame, oracle_detect, pairing,
                  psn_type1_axis, psn_type1_check, psn_type2_axis,
                  psn_type2_check, validate_axis)
 from lcl.errors import ProfileError
@@ -48,9 +51,13 @@ def test_generic_ratio_is_not_1_type():
     assert psn_type1_check(integrate_frame(p)).verdict is N
 
 
+def _quadratic_axis(trace):
+    return psn_type1_axis(trace, psn_type1_check(trace).constants["a"])
+
+
 def test_1_type_axis_has_unit_normal_pairing(quad_psn_profile,
                                              quad_psn_trace):
-    cand = psn_type1_axis(quad_psn_trace)
+    cand = _quadratic_axis(quad_psn_trace)
     assert cand.source == "ratio-derivative"
     val = validate_axis(quad_psn_trace, cand)
     assert val.passed
@@ -62,20 +69,20 @@ def test_1_type_axis_has_unit_normal_pairing(quad_psn_profile,
 
 def test_1_type_axis_relabels_for_the_binormal_claim(quad_psn_profile,
                                                      quad_psn_trace):
-    cand = psn_type1_axis(quad_psn_trace)._replace(k=2)
+    cand = _quadratic_axis(quad_psn_trace)._replace(k=2)
     assert cand.k == 2
     val = validate_axis(quad_psn_trace, cand)
     assert val.passed
 
 
 def test_1_type_axis_is_constant_to_roundoff_on_the_suite_quadratics():
-    # sigma/tau is quadratic, which the 5-point stencil differentiates
-    # exactly, so only integration and roundoff error remain in dU/ds
+    # sigma/tau is quadratic and its derivative a - s comes from the k1
+    # fit, so only integration and roundoff error remain in dU/ds
     fixtures = [f for f in default_suite() if f.label.startswith("psn-quad-")]
     assert len(fixtures) == 8
     for fx in fixtures:
         tr = integrate_frame(fx.profile)
-        val = validate_axis(tr, psn_type1_axis(tr))
+        val = validate_axis(tr, _quadratic_axis(tr))
         assert val.max_du <= 1e-9 * (1.0 + val.scale), fx.label
 
 
@@ -105,9 +112,52 @@ def test_2_type_fails_when_neither_route_holds():
     assert res.extras["branch"] is None
 
 
+def test_the_integrated_identity_decides_with_a_margin():
+    # the identity integrated twice is a linear fit, so a member reads at
+    # roundoff and the tightest non-member three decades above eps_cond
+    yes, no = [], []
+    for fx in default_suite():
+        if fx.profile.kind is FrameKind.PSEUDO_NULL:
+            tr = integrate_frame(fx.profile)
+            res = psn_type2_check(tr, psn_type1_check(tr))
+            identity = res.extras["branch"] == "torsion-integral"
+            (yes if identity else no).append(res.residual)
+    assert len(yes) == 8 and no
+    assert max(yes) <= 1e-13
+    assert min(no) >= 1e3 * Tolerances().eps_cond
+
+
+def test_c_int_is_nan_where_the_design_cannot_fit_it():
+    # on the 1-type family q + x^2/2 is affine, so the c_int column lies in
+    # the span of (x, 1): a rank test, as for the partially null c0
+    fixtures = {fx.label: fx.profile for fx in default_suite()}
+    assert math.isnan(
+        classify_profile(fixtures["psn-quad-0"]).constants["c_int"])
+    assert math.isfinite(
+        classify_profile(fixtures["psn-h3exp-0"]).constants["c_int"])
+
+
+def test_2_type_on_a_tabulated_exponential_member():
+    # sigma tabulated at 101 points (a PCHIP table): the integrated identity
+    # needs no derivative the table cannot give, so k2 agrees with the
+    # oracle and with the exponential torsion form of the member's c (the
+    # table's ratio is off constant by 3e-6, outside the family test)
+    fx = next(f for f in default_suite(1) if f.label == "psn-h3exp-0")
+    d = fx.profile.to_json_dict()
+    s = np.linspace(fx.profile.s_min, fx.profile.s_max, 101)
+    sigma = fx.profile.sigma(s)
+    d["sigma"] = {"s": s.tolist(), "values": sigma.tolist()}
+    table = CurvatureProfile.from_json_dict(d)
+    rep = classify_profile(table)
+    assert rep.verdicts[2] is Y and rep.agreement[2]
+    c = float(np.mean(sigma / fx.profile.tau(s)))
+    form = h3_type2_tau_form(integrate_frame(table), c)
+    assert form.verdict is rep.verdicts[2]
+
+
 def test_2_type_axis_on_the_identity_route(h3_trace):
     res = psn_type2_check(h3_trace, psn_type1_check(h3_trace))
-    cand = psn_type2_axis(h3_trace, res.constants["c_int"])
+    cand = psn_type2_axis(h3_trace, res.constants["c_int"], res.extras["A"])
     assert cand.source == "torsion-integral"
     val = validate_axis(h3_trace, cand)
     assert val.passed

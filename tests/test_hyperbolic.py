@@ -161,7 +161,6 @@ def test_tau_form_fit_recovers_lam_and_mu(h3_trace):
     assert res.constants["lam"] == pytest.approx(1.0, abs=1e-9)
     assert res.constants["mu"] == pytest.approx(0.5, abs=1e-9)
     assert res.residual < 1e-12
-    assert res.extras["fd_residual"] < 1e-6
 
 
 def test_tau_form_fit_rejects_non_member():
@@ -188,7 +187,7 @@ def test_full_report_block_for_a_family_member(h3_profile):
     assert hyp["is_h3_family"] is True
     assert hyp["c_ratio"] == pytest.approx(-2.0, abs=1e-9)
     assert hyp["sphere_fit"]["radius"] == pytest.approx(2.0, abs=1e-9)
-    assert hyp["type2_tau"]["verdict"] == "Yes"
+    assert rep.verdicts[2] is Y  # type2_tau's verdict, stated once
     assert hyp["type2_tau"]["ode_residual"] < 1e-12
     assert hyp["type2_tau"]["lam"] == pytest.approx(1.0, abs=1e-9)
     assert hyp["type2_tau"]["mu"] == pytest.approx(0.5, abs=1e-9)
@@ -208,8 +207,7 @@ def test_report_blocks_state_each_fitted_number_once(h3_profile,
                                       "rel_deviation"}
     assert set(hyp["closed_center"]) == {"center", "spread",
                                          "membership_deviation"}
-    assert set(hyp["type2_tau"]) == {"verdict", "ode_residual", "fd_residual",
-                                     "lam", "mu"}
+    assert set(hyp["type2_tau"]) == {"ode_residual", "lam", "mu"}
     assert all(type(hyp["type2_tau"][k]) is float for k in ("lam", "mu"))
     axes = classify_profile(quad_psn_profile).to_json_dict()["axes"]
     assert set(axes[0]) == {"k", "source", "max_dU", "g_mean", "g_variance",
