@@ -137,6 +137,43 @@ def test_c_int_is_nan_where_the_design_cannot_fit_it():
         classify_profile(fixtures["psn-h3exp-0"]).constants["c_int"])
 
 
+def test_a_vanishing_c_int_column_is_rank_deficient_not_nan():
+    # a = b = 0 on a domain from 0: q + x^2/2 is exactly zero at every
+    # point, so the column has no norm to scale by
+    p = CurvatureProfile.create("pseudo_null", tau="1", sigma="-s^2/2",
+                                domain=(0.0, 1.5))
+    rep = classify_profile(p)
+    assert rep.verdicts[1] is Y and rep.verdicts[2] is Y
+    assert math.isnan(rep.constants["c_int"])
+    assert math.isfinite(rep.condition_residuals[2])
+
+
+def test_a_looser_eps_cond_keeps_the_exponential_rank(h3_trace):
+    # eps_cond doubles as the c_int rank threshold; a member's design ratio
+    # sits far above it, so a thousandfold looser tolerance keeps the route
+    res = psn_type2_check(h3_trace, psn_type1_check(h3_trace),
+                          Tolerances(eps_cond=1e-3))
+    assert res.extras["branch"] == "torsion-integral"
+    assert math.isfinite(res.constants["c_int"])
+
+
+@pytest.mark.parametrize("freq", [1, 20])
+def test_2_type_rejects_a_small_sigma_wobble_on_a_long_domain(freq):
+    # sigma enters q T undifferentiated, so a wobble of any frequency
+    # shows at the same size; the denominator grows with the domain
+    # (1 + rms(base) is about 105 here against 4 on the suite), which
+    # puts the floor near a 1e-4 amplitude on this length-10 domain
+    fx = generate("h3-exponential", {"c": -2.5, "lam": 0.5, "mu": 0.5},
+                  (-5.0, 5.0), "h3-wobble",
+                  sigma_extra=f"1e-3*sin({freq}*s)")
+    tr = integrate_frame(fx.profile)
+    res = psn_type2_check(tr, psn_type1_check(tr))
+    assert res.verdict is N
+    assert res.residual > 5 * Tolerances().eps_cond
+    rep = classify_profile(fx.profile)
+    assert rep.verdicts[2] is N and rep.agreement[2]
+
+
 def test_2_type_on_a_tabulated_exponential_member():
     # sigma tabulated at 101 points (a PCHIP table): the integrated identity
     # needs no derivative the table cannot give, so k2 agrees with the
