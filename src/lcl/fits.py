@@ -28,13 +28,10 @@ class Verdict(Enum):
 class Tolerances:
     """Thresholds the CLI exposes; defaults match the acceptance suite.
 
-    eps_cond is the relative residual for condition checks, eps_axis the
-    axis validation scale. eps_cond is also the pseudo null 2-type rank
-    threshold: where the fit's sigma_min / sigma_max falls below it,
-    c_int reads NaN and only the 1-type route can give Yes (the suite's
-    exponential-family members read >= 1.5e-2, so an eps_cond above that
-    turns their k2 No). Each must be finite and positive; anything else
-    raises ConfigError, since a zero, negative or NaN threshold turns every
+    eps_cond is the relative residual for condition checks and the psn k2
+    rank threshold (c_int is NaN below it), eps_axis the axis validation
+    scale. Each must be finite and positive; anything else raises
+    ConfigError, since a zero, negative or NaN threshold turns every
     verdict No and an infinite one every verdict Yes. Immutable once built.
     """
 
@@ -74,15 +71,14 @@ def _lstsq(a: np.ndarray, b: np.ndarray) -> tuple[list, float]:
     """Undamped least squares a x ~= b by one thin SVD of a with unit
     columns: (x as Python floats, sigma_min / sigma_max). Singular values
     under numpy's lstsq cutoff are dropped, so a rank-deficient design
-    gets the minimum-norm fit and the ratio tells the caller. An
-    all-zero column is left unscaled: its singular value is 0, its
-    coefficient 0 and the ratio 0."""
+    gets the minimum-norm fit and the ratio tells the caller; an all-zero
+    column stays unscaled, so its coefficient and the ratio read 0."""
     norms = np.linalg.norm(a, axis=0)
     norms = np.where(norms > 0.0, norms, 1.0)
     u, sv, vt = np.linalg.svd(a / norms, full_matrices=False)
     keep = sv > sv[0] * np.finfo(float).eps * max(a.shape)
     x = vt[keep].T @ ((u[:, keep].T @ b) / sv[keep])
-    return (x / norms).tolist(), float(sv[-1] / sv[0]) if sv[0] > 0.0 else 0.0
+    return (x / norms).tolist(), float(sv[-1] / sv[0])
 
 
 def _constant_fit(values: np.ndarray, eps: float) -> tuple[bool, float, float]:
