@@ -33,8 +33,8 @@ from oracle verdicts, and each oracle entry's note says so.
 Fit conventions: antiderivatives are anchored at s_min and the dropped
 integration constants (c0 for the affine ratio condition; c_int, A and
 B for the twice-integrated torsion-integral condition) are fitted,
-never assumed zero. Each fit is fits._lstsq, undamped; a constant its
-design cannot identify is reported as NaN.
+never assumed zero. Every fit is fits.linear_fit, undamped; a constant
+its design cannot identify (rank ratio < fits.RANK_RATIO_MIN) is NaN.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ from . import hyperbolic
 from .axis import AxisCandidate, assemble_axis, validate_axis
 from .calculus import lattice_integral
 from .errors import DegenerateAxisError, ProfileError
-from .fits import (CheckResult, Tolerances, Verdict, _constant_fit, _jsonable,
-                   _lstsq, _rms)
+from .fits import (RANK_RATIO_MIN, CheckResult, Tolerances, Verdict, _jsonable,
+                   _rms, linear_fit)
 from .frames import ROW_NAMES, FrameKind, frame_family
 from .integrator import CurveTrace, integrate_frame
 from .minkowski import SIGNS, nullspace_min_singular, pairing, row_norm
@@ -154,8 +154,11 @@ def pn_type0_check(trace: CurveTrace,
                    tol: Tolerances = Tolerances()) -> CheckResult:
     """0-type (general helix) iff tau/kappa is constant."""
     _require_kind(trace, FrameKind.PARTIALLY_NULL)
-    ok, mean, residual = _constant_fit(trace.tau / trace.kappa, tol.eps_cond)
-    return CheckResult(Verdict.of(ok), residual, constants={"ratio": mean})
+    ratio = trace.tau / trace.kappa
+    (mean,), dev, _ = linear_fit(np.ones((ratio.size, 1)), ratio)
+    residual = float(np.ptp(dev)) / (1.0 + abs(mean))
+    return CheckResult(Verdict.of(residual < tol.eps_cond), residual,
+                       constants={"ratio": mean})
 
 
 def pn_type0_axes(trace: CurveTrace) -> list[AxisCandidate]:
@@ -186,8 +189,8 @@ def pn_type1_check(trace: CurveTrace,
     ratio = trace.tau / trace.kappa
     kint = trace.curvature_integrals[0, ::2]
     design = np.column_stack([np.ones_like(kint), kint])
-    (a0, c_lin), _ = _lstsq(design, ratio)
-    residual = _rms(ratio - design @ (a0, c_lin)) / (1.0 + _rms(ratio))
+    (a0, c_lin), dev, _ = linear_fit(design, ratio)
+    residual = _rms(dev) / (1.0 + _rms(ratio))
     verdict = Verdict.of(residual < tol.eps_cond)
     degenerate = abs(c_lin) * (kint.max() - kint.min()) < tol.eps_cond * (1.0 + abs(a0))
     constants = {"C": c_lin, "C_c0": a0,
@@ -261,9 +264,8 @@ def psn_type1_check(trace: CurveTrace,
     q = trace.sigma / trace.tau
     target = q + 0.5 * grid**2
     design = np.column_stack([grid, np.ones_like(grid)])
-    (a_fit, b_fit), _ = _lstsq(design, target)
-    residual = _rms(target - design @ (a_fit, b_fit)) / (
-        1.0 + _rms(q) + _rms(0.5 * grid**2))
+    (a_fit, b_fit), dev, _ = linear_fit(design, target)
+    residual = _rms(dev) / (1.0 + _rms(q) + _rms(0.5 * grid**2))
     verdict = Verdict.of(residual < tol.eps_cond)
     return CheckResult(verdict, residual,
                        constants={"a": a_fit, "b": b_fit})
@@ -293,7 +295,7 @@ def psn_type2_check(trace: CurveTrace, type1: CheckResult,
     q T + Int sigma + Int Int T + c_int (q + x^2/2) - A x - B = 0 for
     (c_int, A, B); A goes to psn_type2_axis through the extras. Where
     q + x^2/2 is affine c_int cannot be fitted: the design's
-    sigma_min / sigma_max falls below eps_cond and c_int reads NaN.
+    sigma_min / sigma_max < RANK_RATIO_MIN and c_int reads NaN.
 
     The identity assumes the axis pairs with B1 with a NONZERO constant.
     Quadratic-ratio curves (the 1-type family) carry a 2-type axis whose
@@ -308,9 +310,9 @@ def psn_type2_check(trace: CurveTrace, type1: CheckResult,
     base = q * tint[::2] + sint[::2] + lattice_integral(ttint, trace.h)[::2]
     x = trace.s - trace.s[0]
     design = np.column_stack([q + 0.5 * x * x, -x, -np.ones_like(x)])
-    coef, cond = _lstsq(design, -base)
-    residual = _rms(base + design @ coef) / (1.0 + _rms(base))
-    c_int = coef[0] if cond >= tol.eps_cond else float("nan")
+    coef, dev, rank_ratio = linear_fit(design, -base)
+    residual = _rms(dev) / (1.0 + _rms(base))
+    c_int = coef[0] if rank_ratio >= RANK_RATIO_MIN else float("nan")
 
     branch = None
     if residual < tol.eps_cond and math.isfinite(c_int):

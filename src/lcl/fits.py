@@ -1,4 +1,4 @@
-"""Verdicts, check results and the small fits shared by the checks.
+"""Verdicts, check results and the one fit kernel shared by the checks.
 
 The classifier and the pseudohyperbolic diagnostics both build their
 results from these; this module imports neither of them.
@@ -16,6 +16,10 @@ import numpy as np
 from .errors import ConfigError
 
 
+# the sigma_min / sigma_max below which a fit counts as rank deficient
+RANK_RATIO_MIN = 1e-6
+
+
 class Verdict(Enum):
     YES = "Yes"
     NO = "No"
@@ -28,11 +32,11 @@ class Verdict(Enum):
 class Tolerances:
     """Thresholds the CLI exposes; defaults match the acceptance suite.
 
-    eps_cond is the relative residual for condition checks and the psn k2
-    rank threshold (c_int is NaN below it), eps_axis the axis validation
-    scale. Each must be finite and positive; anything else raises
-    ConfigError, since a zero, negative or NaN threshold turns every
-    verdict No and an infinite one every verdict Yes. Immutable once built.
+    eps_cond is the relative residual for condition checks, eps_axis the
+    axis validation scale (the fits' rank threshold is RANK_RATIO_MIN).
+    Each must be finite and positive; anything else raises ConfigError,
+    since a zero, negative or NaN threshold turns every verdict No and an
+    infinite one every verdict Yes. Immutable once built.
     """
 
     __slots__ = ("eps_cond", "eps_axis")
@@ -67,23 +71,18 @@ def _rms(x: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.square(x))))
 
 
-def _lstsq(a: np.ndarray, b: np.ndarray) -> tuple[list, float]:
-    """Undamped least squares a x ~= b by one thin SVD of a with unit
-    columns: (x as Python floats, sigma_min / sigma_max). Singular values
-    under numpy's lstsq cutoff are dropped, so a rank-deficient design
-    gets the minimum-norm fit and the ratio tells the caller; an all-zero
-    column stays unscaled, so its coefficient and the ratio read 0."""
-    norms = np.linalg.norm(a, axis=0)
+def linear_fit(design: np.ndarray, target: np.ndarray
+               ) -> tuple[list, np.ndarray, float]:
+    """Least squares design x ~= target, the one fit of the checks and the
+    sphere fit: one thin SVD of the design with unit columns gives (x as
+    Python floats, target - design x, sigma_min / sigma_max). Singular
+    values under numpy's lstsq cutoff are dropped, so a rank-deficient
+    design gets the minimum-norm fit and the ratio tells the caller; an
+    all-zero column stays unscaled, so its coefficient and the ratio read
+    0. Each caller scores the deviation in its own norm and scale."""
+    norms = np.linalg.norm(design, axis=0)
     norms = np.where(norms > 0.0, norms, 1.0)
-    u, sv, vt = np.linalg.svd(a / norms, full_matrices=False)
-    keep = sv > sv[0] * np.finfo(float).eps * max(a.shape)
-    x = vt[keep].T @ ((u[:, keep].T @ b) / sv[keep])
-    return (x / norms).tolist(), float(sv[-1] / sv[0])
-
-
-def _constant_fit(values: np.ndarray, eps: float) -> tuple[bool, float, float]:
-    """(is_constant, mean, relative spread) for a sampled function."""
-    mean = float(np.mean(values))
-    spread = float(np.max(values) - np.min(values))
-    residual = spread / (1.0 + abs(mean))
-    return residual < eps, mean, residual
+    u, sv, vt = np.linalg.svd(design / norms, full_matrices=False)
+    keep = sv > sv[0] * np.finfo(float).eps * max(design.shape)
+    x = vt[keep].T @ ((u[:, keep].T @ target) / sv[keep]) / norms
+    return x.tolist(), target - design @ x, float(sv[-1] / sv[0])

@@ -19,8 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ProfileError
-from .fits import (CheckResult, Tolerances, Verdict, _constant_fit, _jsonable,
-                   _lstsq)
+from .fits import CheckResult, Tolerances, Verdict, _jsonable, linear_fit
 from .frames import FrameKind
 from .integrator import CurveTrace
 from .minkowski import SIGNS, pairing, row_norm
@@ -32,8 +31,10 @@ def h3_ratio_check(trace: CurveTrace,
     if trace.kind is not FrameKind.PSEUDO_NULL:
         raise ProfileError("pseudohyperbolic checks apply to pseudo null "
                            "profiles only")
-    constant, mean, residual = _constant_fit(trace.sigma / trace.tau,
-                                             tol.eps_cond)
+    ratio = trace.sigma / trace.tau
+    (mean,), dev, _ = linear_fit(np.ones((ratio.size, 1)), ratio)
+    residual = float(np.ptp(dev)) / (1.0 + abs(mean))
+    constant = residual < tol.eps_cond
     negative = mean < -tol.eps_cond
     flags = (("ratio is constant but not negative; curve is outside the "
               "pseudohyperbolic family",) if constant and not negative else ())
@@ -73,22 +74,21 @@ def fit_pseudohyperbolic(trace: CurveTrace) -> SphereFit:
     Residuals F_i = g(x_i - x0, x_i - x0) + rho with rho = r^2. Written as
     g(x_i, x_i) - 2 g(x_i, x0) + c with c = g(x0, x0) + rho they are linear
     in (x0, c), and (x0, rho) <-> (x0, c) is a bijection, so one linear
-    solve gives the nonlinear minimizer, and `iterations` is always 1. The
-    solve runs on positions minus their centroid for conditioning.
+    solve gives the nonlinear minimizer, and `iterations` is always 1; the
+    fit's deviation is F itself. The solve runs on positions minus their
+    centroid for conditioning.
     """
     pts = trace.positions
     mean = pts.mean(axis=0)
     y = pts - mean
-    design = np.hstack([-2.0 * y * SIGNS, np.ones((pts.shape[0], 1))])
-    sol, *_ = np.linalg.lstsq(design, -pairing(y, y), rcond=None)
-    rho = float(sol[4] - pairing(sol[:4], sol[:4]))
-    x0 = mean + sol[:4]
-    diff = pts - x0
-    f_res = pairing(diff, diff) + rho
+    design = np.hstack([2.0 * y * SIGNS, -np.ones((pts.shape[0], 1))])
+    sol, f_res, _ = linear_fit(design, pairing(y, y))
+    shift = np.array(sol[:4])
+    rho = float(sol[4] - pairing(shift, shift))
     max_dev = float(np.max(np.abs(f_res)))
     rel = max_dev / max(abs(rho), 1e-300)
     radius = math.sqrt(rho) if rho > 0.0 else float("nan")
-    return SphereFit(x0, radius, rho, max_dev, rel, 1)
+    return SphereFit(mean + shift, radius, rho, max_dev, rel, 1)
 
 
 def closed_form_center(trace: CurveTrace,
@@ -123,28 +123,21 @@ def h3_type2_tau_form(trace: CurveTrace, c: float,
                       tol: Tolerances = Tolerances()) -> CheckResult:
     """2-type within the family iff tau is the exponential form for c.
 
-    Fits (lam, mu) linearly, then scores the oscillator identity
-    2 c tau_fit'' + tau with the fitted form's exact second derivative
-    tau_fit / w^2. Since 2c / w^2 = -1 that is tau - tau_fit analytically,
-    so the ode_residual is the fit's max residual over 1 + max |tau|; no
-    derivative of the data is taken.
+    Fits (lam, mu) linearly. The oscillator identity 2 c tau_fit'' + tau,
+    scored with the fitted form's exact second derivative tau_fit / w^2,
+    is tau - tau_fit since 2c / w^2 = -1, so the ode_residual is the fit's
+    max deviation over 1 + max |tau|; no derivative of the data is taken.
     """
     if c >= 0.0:
         raise ProfileError("the ratio constant c must be negative")
     grid, tau_vals = trace.s, trace.tau
     w = math.sqrt(-2.0 * c)
     design = np.column_stack([np.exp(grid / w), np.exp(-grid / w)])
-    (lam, mu), _ = _lstsq(design, tau_vals)
-    second = (lam * design[:, 0] + mu * design[:, 1]) / (w * w)
-    scale = 1.0 + float(np.max(np.abs(tau_vals)))
-    ode_residual = float(np.max(np.abs(2.0 * c * second + tau_vals))) / scale
-    verdict = Verdict.of(ode_residual < tol.eps_cond)
-    flags = ()
-    if abs(lam) < 1e-12 * scale and abs(mu) < 1e-12 * scale:
-        verdict = Verdict.NO
-        flags = ("fitted exponential coefficients both vanish",)
-    return CheckResult(verdict, ode_residual,
-                       constants={"lam": lam, "mu": mu}, flags=flags)
+    (lam, mu), dev, _ = linear_fit(design, tau_vals)
+    ode_residual = float(np.max(np.abs(dev))) / (
+        1.0 + float(np.max(np.abs(tau_vals))))
+    return CheckResult(Verdict.of(ode_residual < tol.eps_cond), ode_residual,
+                       constants={"lam": lam, "mu": mu})
 
 
 def pseudohyperbolic_block(trace: CurveTrace, tol: Tolerances = Tolerances()

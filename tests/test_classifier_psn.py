@@ -149,12 +149,28 @@ def test_a_vanishing_c_int_column_is_rank_deficient_not_nan():
 
 
 def test_a_looser_eps_cond_keeps_the_exponential_rank(h3_trace):
-    # eps_cond doubles as the c_int rank threshold; a member's design ratio
-    # sits far above it, so a thousandfold looser tolerance keeps the route
+    # a member's design ratio sits far above fits.RANK_RATIO_MIN, and a
+    # thousandfold looser eps_cond still passes its identity residual
     res = psn_type2_check(h3_trace, psn_type1_check(h3_trace),
                           Tolerances(eps_cond=1e-3))
     assert res.extras["branch"] == "torsion-integral"
     assert math.isfinite(res.constants["c_int"])
+
+
+def test_the_c_int_rank_test_does_not_read_eps_cond():
+    # psn-h3exp-0's design reads sigma_min / sigma_max = 3.0e-2, under this
+    # eps_cond; the rank test reads fits.RANK_RATIO_MIN, so c_int and the
+    # torsion-integral route (whose axis validates) stay
+    fx = next(f for f in default_suite() if f.label == "psn-h3exp-0")
+    tol = Tolerances(eps_cond=5e-2)
+    tr = integrate_frame(fx.profile)
+    res = psn_type2_check(tr, psn_type1_check(tr, tol), tol)
+    assert res.extras["branch"] == "torsion-integral" and not res.flags
+    assert res.constants["c_int"] == pytest.approx(1.5928181427608, rel=1e-9)
+    rep = classify_profile(fx.profile, tol=tol)
+    assert rep.constants["c_int"] == res.constants["c_int"]
+    assert [val.passed for cand, val in rep.axes
+            if cand.source == "torsion-integral"] == [True]
 
 
 @pytest.mark.parametrize("freq", [1, 20])

@@ -136,6 +136,19 @@ def test_sphere_fit_converges_in_one_solve_on_a_large_trace():
     assert fit.iterations == 1
 
 
+@pytest.mark.parametrize("label", ["h3-exp", "psn-generic-1"])
+def test_sphere_fit_deviation_is_the_residual_at_its_center(h3_trace, label):
+    # the fit's own deviation is g(x - x0, x - x0) + r^2, which is not
+    # evaluated again; r^2 < 0 off the family (psn-generic-1) counts too
+    trace = h3_trace if label == "h3-exp" else integrate_frame(next(
+        f for f in default_suite() if f.label == label).profile)
+    fit = fit_pseudohyperbolic(trace)
+    diff = trace.positions - fit.center
+    again = np.max(np.abs(pairing(diff, diff) + fit.radius_sq))
+    assert abs(fit.max_deviation - again) <= 1e-12 * abs(fit.radius_sq)
+    assert fit.rel_deviation == fit.max_deviation / abs(fit.radius_sq)
+
+
 def test_sphere_fit_is_a_stationary_point_of_the_nonlinear_problem(
         quad_psn_trace):
     fit = fit_pseudohyperbolic(quad_psn_trace)
