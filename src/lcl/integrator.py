@@ -3,22 +3,25 @@
 The state is (alpha, T, N, B1, B2) in R^20. The frame block satisfies the
 linear system F' = A(s) F with A from frames.frenet_matrix, and alpha' = T.
 Because the system is linear, one RK4 step is F <- F + D_i F and
-alpha <- alpha + q_i F, with D_i and q_i built for every step at once from
-the Frenet matrices on the half-step lattice. Every frame is then the
-initial one times a prefix product of the propagators I + D_i, which a
-work-efficient scan computes with about 2 * steps batched 4x4 products
-in 2 ceil(log2(steps)) rounds, with no loop over the steps (see
+alpha <- alpha + q_i F, with D_i and q_i built _STEP_BLOCK steps at a
+time from the Frenet matrices on the half-step lattice. Every frame is
+then the initial one times a prefix product of the propagators I + D_i,
+which a work-efficient scan computes with about 2 * steps batched 4x4
+products in 2 ceil(log2(steps)) rounds, with no loop over the steps (see
 _prefix_increments). The scan carries increments, F_{j+1} = F_0 + E_j F_0
 with I + E_j the product of the first j + 1 propagators, so, like
 F + D_i F (and unlike a scan of I + D_i), it never adds the identity to
 the small entries and keeps the roundoff of the classical per-stage
 scheme.
 
-Gram drift is not corrected. It and the positions are computed for the
-whole grid once the frames are, and the run then aborts, naming the
-first step whose residual passed 1000 * eps_gram, since results are
-meaningless past that. The scan is causal (E_j depends on steps 0..j
-only), so steps before a blow-up keep their values.
+Gram drift is not corrected. Once the frames are known, the positions
+are summed over the whole grid and the Gram residuals taken in step
+blocks; the run then aborts, naming the first step whose residual
+passed 1000 * eps_gram, since results are meaningless past that. The
+scan is causal (E_j depends on steps 0..j only), so steps before a
+blow-up keep their values. Beyond the trace, integration holds only D
+(scanned in place, with carries of at most half its size), q and one
+block's temporaries.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ log = logging.getLogger("lcl.integrator")
 DEFAULT_EPS_GRAM = 1e-6
 DEFAULT_STEP_FRACTION = 1e-3
 ABORT_FACTOR = 1e3
+_STEP_BLOCK = 1024  # steps built at a time; the default run is one block
 
 
 class CurveTrace:
@@ -157,9 +161,7 @@ def integrate_frame(profile: CurvatureProfile,
     # first bad step; the abort below reports it, so overflow warnings
     # are noise
     with np.errstate(over="ignore", invalid="ignore"):
-        # the Frenet matrices are freed on return, before the frames are
-        # allocated and the increments scanned: this lowers peak memory
-        d, q = _rk4_increments(frenet_matrix(*lattice, profile.kind), h)
+        d, q = _rk4_increments(lattice, profile.kind, h)
 
         positions = np.empty((n, 4))
         frames = np.empty((n, 4, 4))
@@ -175,7 +177,10 @@ def integrate_frame(profile: CurvatureProfile,
         np.cumsum(positions, axis=0, out=positions)
 
         del d, e, q  # the Gram check reads the frames only
-        gram_res = gram_residual(frames, profile.kind)
+        gram_res = np.empty(n)
+        for i in range(0, n, _STEP_BLOCK):
+            gram_res[i:i + _STEP_BLOCK] = gram_residual(
+                frames[i:i + _STEP_BLOCK], profile.kind)
 
     abort_at = ABORT_FACTOR * eps_gram
     past = np.flatnonzero(~(gram_res <= abort_at))
@@ -193,36 +198,47 @@ def integrate_frame(profile: CurvatureProfile,
                       positions=positions, frames=frames, gram_res=gram_res)
 
 
-def _rk4_increments(mats: np.ndarray, h: float
+def _rk4_increments(lattice: tuple, kind: FrameKind, h: float
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Every RK4 step of F' = A F as an increment, F <- F + D_i F.
 
-    mats holds A on the half-step lattice, so step i uses A0 = mats[2i],
-    Am = mats[2i+1], A1 = mats[2i+2]. With the stage matrices
+    lattice holds (kappa, tau, sigma) on the half-step lattice; with A
+    its Frenet matrices, step i uses A0 = A[2i], Am = A[2i+1],
+    A1 = A[2i+2]. With the stage matrices
     K1 = A0, K2 = Am (I + h/2 K1), K3 = Am (I + h/2 K2), K4 = A1 (I + h K3),
     D_i = h/6 (K1 + 2 K2 + 2 K3 + K4). The position increment is q_i F_i
     with q_i = h e0 + h^2/6 (K1 + K2 + K3)[0], the RK4 weights of the T
     rows of the four stages. Returns (D, q) of shapes (steps, 4, 4) and
-    (steps, 4).
+    (steps, 4), the only whole-grid arrays: each block of _STEP_BLOCK
+    steps makes its own A and stages and writes its slices of D and q,
+    with the same per-step arithmetic, and so the same bits, at any
+    block size.
     """
-    a0, am, a1 = mats[0:-1:2], mats[1::2], mats[2::2]
-    k2 = np.matmul(am, a0)
-    k2 *= h / 2.0
-    k2 += am
-    k3 = np.matmul(am, k2)
-    k3 *= h / 2.0
-    k3 += am
-    q = a0[:, 0, :] + k2[:, 0, :] + k3[:, 0, :]
-    q *= h * h / 6.0
-    q[:, 0] += h
-    d = np.matmul(a1, k3)
-    d *= h
-    d += a1
-    d += a0
-    k2 += k3
-    k2 *= 2.0
-    d += k2
-    d *= h / 6.0
+    steps = (lattice[0].shape[0] - 1) // 2
+    d = np.empty((steps, 4, 4))
+    q = np.empty((steps, 4))
+    for i in range(0, steps, _STEP_BLOCK):
+        j = min(i + _STEP_BLOCK, steps)
+        mats = frenet_matrix(*(c[2 * i:2 * j + 1] for c in lattice), kind)
+        a0, am, a1 = mats[0:-1:2], mats[1::2], mats[2::2]
+        k2 = np.matmul(am, a0)
+        k2 *= h / 2.0
+        k2 += am
+        k3 = np.matmul(am, k2)
+        k3 *= h / 2.0
+        k3 += am
+        qb = np.add(a0[:, 0, :], k2[:, 0, :], out=q[i:j])
+        qb += k3[:, 0, :]
+        qb *= h * h / 6.0
+        qb[:, 0] += h
+        db = np.matmul(a1, k3, out=d[i:j])
+        db *= h
+        db += a1
+        db += a0
+        k2 += k3
+        k2 *= 2.0
+        db += k2
+        db *= h / 6.0
     return d, q
 
 
@@ -283,8 +299,10 @@ def resample_curvatures(trace: CurveTrace
 CSV_HEADER = ("s,x1,x2,x3,x4,T1,T2,T3,T4,N1,N2,N3,N4,"
               "B11,B12,B13,B14,B21,B22,B23,B24,gram_residual")
 # rows formatted at a time: the writer's working memory, about 170 bytes
-# per value, stays below the integration's own peak (tested)
-_CSV_BLOCK_ROWS = 512
+# per value, stays below the integration's own peak (tested). The size
+# depends on the integration's largest transient: against one step
+# block, glibc trims and re-faults a 512-row block (1.75 MiB) each time
+_CSV_BLOCK_ROWS = 416
 
 
 def write_trace_csv(trace: CurveTrace, path) -> None:

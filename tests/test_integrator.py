@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from lcl import (CurvatureProfile, FrameKind, canonical_frame,
-                 classify_profile, frenet_matrix, gram_matrix, gram_targets,
-                 integrate_frame, pairing, resample_curvatures,
+                 classify_profile, frenet_matrix, gram_matrix, gram_residual,
+                 gram_targets, integrate_frame, pairing, resample_curvatures,
                  run_theorem_suite, write_trace_csv)
 from lcl.errors import ConfigError, FrameError, IntegrationError, ProfileError
-from lcl.integrator import CSV_HEADER, _prefix_increments
+from lcl.integrator import (CSV_HEADER, _prefix_increments,
+                            _rk4_increments)
 
 PN = FrameKind.PARTIALLY_NULL
 
@@ -384,6 +385,81 @@ def test_csv_writer_peak_memory_stays_below_the_integration_peak(tmp_path):
     finally:
         tracemalloc.stop()
     assert write_peak - held < integrate_peak
+
+
+
+def _whole_grid_increments(mats, h):
+    """The RK4 increments built for every step at once, from the Frenet
+    matrices of the whole half-step lattice: the reference for the
+    blocked build."""
+    a0, am, a1 = mats[0:-1:2], mats[1::2], mats[2::2]
+    k2 = np.matmul(am, a0)
+    k2 *= h / 2.0
+    k2 += am
+    k3 = np.matmul(am, k2)
+    k3 *= h / 2.0
+    k3 += am
+    q = a0[:, 0, :] + k2[:, 0, :] + k3[:, 0, :]
+    q *= h * h / 6.0
+    q[:, 0] += h
+    d = np.matmul(a1, k3)
+    d *= h
+    d += a1
+    d += a0
+    k2 += k3
+    k2 *= 2.0
+    d += k2
+    d *= h / 6.0
+    return d, q
+
+
+# one step, a block's edge on either side, two full blocks and a
+# one-step tail, and a long run; integrate_frame takes at least 10 steps
+@pytest.mark.parametrize("steps", [1, 1023, 1024, 1025, 2049, 5000])
+@pytest.mark.parametrize("family,curvatures", FAMILIES,
+                         ids=[f[0] for f in FAMILIES])
+def test_blocked_integration_is_bit_identical_to_the_whole_grid(
+        family, curvatures, steps):
+    p = CurvatureProfile.create(family, domain=(0.0, 1.0), **curvatures)
+    h = p.span / steps
+    lattice = p.evaluate_arrays(p.s_min + (h / 2.0) * np.arange(2 * steps + 1))
+    d_ref, q_ref = _whole_grid_increments(frenet_matrix(*lattice, p.kind), h)
+    d, q = _rk4_increments(lattice, p.kind, h)
+    assert np.array_equal(d, d_ref) and np.array_equal(q, q_ref)
+    if steps < 10:
+        return
+    frame0 = canonical_frame(p.kind)
+    frames = np.empty((steps + 1, 4, 4))
+    frames[0] = frame0
+    np.matmul(_prefix_increments(d_ref).reshape(-1, 4), frame0,
+              out=frames[1:].reshape(-1, 4))
+    frames[1:] += frame0
+    positions = np.zeros((steps + 1, 4))
+    np.matmul(q_ref[:, None, :], frames[:-1], out=positions[1:, None, :])
+    np.cumsum(positions, axis=0, out=positions)
+    tr = integrate_frame(p, h=h)
+    assert tr.n == steps + 1
+    assert np.array_equal(tr.frames, frames)
+    assert np.array_equal(tr.positions, positions)
+    assert np.array_equal(tr.gram_res, gram_residual(frames, p.kind))
+
+
+def test_integration_holds_little_beyond_its_trace():
+    # past the trace, integration holds the increments, the scan's
+    # carries and one step block's temporaries: at most two (n, 4, 4)
+    # stacks, where whole-grid Frenet matrices, RK4 stages and Gram
+    # temporaries held about four
+    p = CurvatureProfile.create("pseudo_null", tau="2", sigma="-s^2 + s",
+                                domain=(0.0, 1.0))
+    steps = 50_000
+    tracemalloc.start()
+    try:
+        tr = integrate_frame(p, h=p.span / steps)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tr.n == steps + 1
+    assert peak - held <= 2 * steps * 128
 
 
 # the prefix scan halves the step count at each level, so step counts on
