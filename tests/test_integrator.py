@@ -447,9 +447,9 @@ def test_blocked_integration_is_bit_identical_to_the_whole_grid(
 def test_integration_holds_little_beyond_its_trace():
     # past the trace, integration holds the increments, the scan's
     # carries and one step block's temporaries: at most two (n, 4, 4)
-    # stacks, where whole-grid Frenet matrices, RK4 stages and Gram
-    # temporaries held about four
-    p = CurvatureProfile.create("pseudo_null", tau="2", sigma="-s^2 + s",
+    # stacks; whole-grid Frenet matrices, RK4 stages or Gram temporaries
+    # would take about four
+    p = CurvatureProfile.create("pseudo_null", tau="2", sigma="2*(s + 3)",
                                 domain=(0.0, 1.0))
     steps = 50_000
     tracemalloc.start()
