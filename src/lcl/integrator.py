@@ -303,10 +303,10 @@ def resample_curvatures(trace: CurveTrace
 
 CSV_HEADER = ("s,x1,x2,x3,x4,T1,T2,T3,T4,N1,N2,N3,N4,"
               "B11,B12,B13,B14,B21,B22,B23,B24,gram_residual")
-# rows formatted at a time: the writer's working memory, about 170 bytes
-# per value, stays below the integration's own peak (tested). The size
-# depends on the integration's largest transient: against one step
-# block, glibc trims and re-faults a 512-row block (1.75 MiB) each time
+# rows formatted at a time: the writer's working memory, about 115 bytes
+# per value (1.0 MiB a block), stays below the integration's own peak
+# (tested). Of 320 to 512 rows, 448 and 512 ran within the run-to-run
+# spread of 416 on fine_synth, and nothing ran faster
 _CSV_BLOCK_ROWS = 416
 
 

@@ -11,8 +11,8 @@ from lcl import (CurvatureProfile, FrameKind, canonical_frame,
                  gram_targets, integrate_frame, pairing, resample_curvatures,
                  run_theorem_suite, write_trace_csv)
 from lcl.errors import ConfigError, FrameError, IntegrationError, ProfileError
-from lcl.integrator import (CSV_HEADER, _prefix_increments,
-                            _rk4_increments)
+from lcl.integrator import (_CSV_BLOCK_ROWS, CSV_HEADER,
+                            _prefix_increments, _rk4_increments)
 
 PN = FrameKind.PARTIALLY_NULL
 
@@ -355,18 +355,43 @@ def test_batched_sweep_matches_per_step_rk4(family, curvatures):
     assert np.max(np.abs(tr.gram_res - gram_res)) <= 1e-12 * f_scale ** 2
 
 
-def test_csv_bytes_match_per_value_formatting(tmp_path):
-    p = CurvatureProfile.create("partially_null", kappa="2 + sin(s)",
-                                tau="1 + s^2/4", domain=(0.0, 1.0))
-    tr = integrate_frame(p, h=0.05)
-    out = tmp_path / "trace.csv"
-    write_trace_csv(tr, out)
+def _per_value_csv(tr):
+    """The trace's CSV built one `'%.17g'` value at a time."""
     expected = [CSV_HEADER]
     for i in range(tr.n):
         row = [tr.s[i], *tr.positions[i], *tr.frames[i].reshape(16),
                tr.gram_res[i]]
         expected.append(",".join(f"{v:.17g}" for v in row))
-    assert out.read_bytes() == ("\n".join(expected) + "\n").encode()
+    return ("\n".join(expected) + "\n").encode()
+
+
+@pytest.mark.parametrize("rows", [21, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1,
+                                  2 * _CSV_BLOCK_ROWS + 1, 5001])
+@pytest.mark.parametrize("family,curvatures", [
+    ("partially_null", {"kappa": "2 + sin(s)", "tau": "1 + s^2/4"}),
+    ("pseudo_null", {"tau": "2", "sigma": "-s^2 + s"}),
+])
+def test_csv_bytes_match_per_value_formatting(family, curvatures, rows,
+                                              tmp_path):
+    # part of one writer block, one full block, one row over it, two
+    # blocks and a row over, and the 5,000 steps of a fine trace
+    p = CurvatureProfile.create(family, domain=(0.0, 1.0), **curvatures)
+    tr = integrate_frame(p, h=p.span / (rows - 1))
+    assert tr.n == rows
+    out = tmp_path / "trace.csv"
+    write_trace_csv(tr, out)
+    assert out.read_bytes() == _per_value_csv(tr)
+    if rows == 5001:
+        # every block has values below 1e-6 (the Gram residuals,
+        # roundoff-level frame entries), which the formatter scales by
+        # two TwoProducts
+        values = np.concatenate([tr.s[:, None], tr.positions,
+                                 tr.frames.reshape(tr.n, 16),
+                                 tr.gram_res[:, None]], axis=1)
+        tiny = (values != 0.0) & (np.abs(values) < 1e-6)
+        blocks = np.add.reduceat(tiny.any(axis=1),
+                                 np.arange(0, tr.n, _CSV_BLOCK_ROWS))
+        assert (blocks > 0).all()
 
 
 def test_csv_writer_peak_memory_stays_below_the_integration_peak(tmp_path):
