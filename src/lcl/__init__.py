@@ -29,8 +29,7 @@ from .hyperbolic import (SphereFit, closed_form_center,
 from .integrator import (CurveTrace, integrate_frame, resample_curvatures,
                          write_trace_csv)
 from .minkowski import nullspace_min_singular, pairing, row_norm
-from .profiles import (CurvatureProfile, SampleTable, load_profile,
-                       save_profile)
+from .profiles import CurvatureProfile, SampleTable, load_profile
 from .suite import (DEFAULT_SEED, Fixture, default_suite, fixtures_from_json,
                     load_suite)
 from .verifier import (FixtureResult, SuiteSummary, render_table,
@@ -60,5 +59,5 @@ __all__ = [
     "pn_type2_axis", "PSN_IMPLICATIONS", "psn_type1_axis", "psn_type1_check",
     "psn_type2_axis", "psn_type2_check", "render_table",
     "resample_curvatures",
-    "row_norm", "run_theorem_suite", "save_profile", "validate_axis", "write_trace_csv",
+    "row_norm", "run_theorem_suite", "validate_axis", "write_trace_csv",
 ]

@@ -17,7 +17,7 @@ scheme.
 Gram drift is not corrected. Once the frames are known, the positions
 are summed over the whole grid and the Gram residuals taken in step
 blocks; the run then aborts, naming the first step whose residual
-passed 1000 * eps_gram, since results are meaningless past that. The
+passed 1000 * EPS_GRAM, since results are meaningless past that. The
 scan is causal (E_j depends on steps 0..j only), so steps before a
 blow-up keep their values. Beyond the trace, integration holds only D
 (scanned in place, with carries of at most half its size), q and one
@@ -42,7 +42,7 @@ from .profiles import CurvatureProfile, is_number, require_family_rules
 
 log = logging.getLogger("lcl.integrator")
 
-DEFAULT_EPS_GRAM = 1e-6
+EPS_GRAM = 1e-6  # initial-frame Gram tolerance; 1000 x it aborts a run
 DEFAULT_STEP_FRACTION = 1e-3
 ABORT_FACTOR = 1e3
 _STEP_BLOCK = 1024  # steps built at a time; the default run is one block
@@ -116,28 +116,26 @@ def check_step(h) -> float:
 def integrate_frame(profile: CurvatureProfile,
                     initial: Optional[np.ndarray] = None,
                     alpha0: Optional[np.ndarray] = None,
-                    h: Optional[float] = None,
-                    eps_gram: float = DEFAULT_EPS_GRAM) -> CurveTrace:
+                    h: Optional[float] = None) -> CurveTrace:
     """Integrate the frame equations over the profile domain.
 
     Grid: s_i = s_min + i*h for i = 0..floor(span/h). Default h is
-    1e-3 * span. `initial` is a 4 x 4 frame, rows T, N, B1, B2 (default
-    canonical_frame); `alpha0` is the starting position, a length-4 array
-    (default the origin). The family rules run on the curvatures of the
-    half-step lattice s_min + i*h/2, the values the trace holds.
+    1e-3 * span; h may be at most span/10, so a trace has at least 11
+    points (the oracle's m >= 4 stacks rely on it). `initial` is a 4 x 4
+    frame, rows T, N, B1, B2 (default canonical_frame); `alpha0` is the
+    starting position, a length-4 array (default the origin). The
+    family rules run on the curvatures of the half-step lattice
+    s_min + i*h/2, the values the trace holds.
     Raises ProfileError where they fail, IntegrationError if Gram drift
-    passes 1000 * eps_gram, ConfigError for a bad step or eps_gram, and
-    FrameError for an initial frame or alpha0 that is not a finite
-    numeric array of its shape, or an initial frame off its Gram targets
-    by more than eps_gram.
+    passes 1000 * EPS_GRAM, ConfigError for a bad step, and FrameError
+    for an initial frame or alpha0 that is not a finite numeric array of
+    its shape, or an initial frame off its Gram targets by more than
+    EPS_GRAM.
     """
     span = profile.span
     h = check_step(DEFAULT_STEP_FRACTION * span if h is None else h)
     if h > span / 10.0:
         raise ConfigError(f"step h = {h} too large for domain span {span}")
-    if not (eps_gram > 0.0) or not math.isfinite(eps_gram):
-        raise ConfigError("eps_gram must be positive and finite, "
-                          f"got {eps_gram}")
 
     steps = int(math.floor(span / h + 1e-9))
     n = steps + 1
@@ -151,9 +149,9 @@ def integrate_frame(profile: CurvatureProfile,
         canonical_frame(profile.kind) if initial is None else initial,
         "initial frame", (4, 4), "4 x 4")
     res0 = gram_residual(frame0, profile.kind)
-    if res0 > eps_gram:
+    if res0 > EPS_GRAM:
         raise FrameError(f"initial frame Gram residual {res0:.3g} exceeds "
-                         f"eps_gram = {eps_gram:.3g}")
+                         f"EPS_GRAM = {EPS_GRAM:.3g}")
     pos0 = _finite_array(np.zeros(4) if alpha0 is None else alpha0,
                          "alpha0", (4,), "length 4")
 
@@ -182,7 +180,7 @@ def integrate_frame(profile: CurvatureProfile,
             gram_res[i:i + _STEP_BLOCK] = gram_residual(
                 frames[i:i + _STEP_BLOCK], profile.kind)
 
-    abort_at = ABORT_FACTOR * eps_gram
+    abort_at = ABORT_FACTOR * EPS_GRAM
     past = np.flatnonzero(~(gram_res <= abort_at))
     if past.size:
         i = int(past[0])

@@ -39,42 +39,29 @@ def row_norm(x):
 class NullspaceResult(NamedTuple):
     vector: np.ndarray       # (..., 4)
     sigma_min: np.ndarray    # (...)
-    degenerate: np.ndarray   # (...), bool
 
 
 def nullspace_min_singular(matrix) -> NullspaceResult:
     """Best unit-Euclidean-norm near-nullspace candidate of m x 4 matrices.
 
-    `matrix` is one m x 4 matrix or a stack (..., m, 4), decomposed by one
-    SVD call; the result's fields carry the stack's leading shape. For
-    each matrix: the right singular vector for the smallest singular
-    value, that value, and a degeneracy flag. An all-zero matrix is
-    degenerate: the entire space is nullspace and e1 is returned. Fewer
-    than 4 rows cannot have full column rank, so sigma_min is 0 and the
-    candidate spans the exact nullspace; only there is the full SVD
-    needed, since the thin one returns fewer than 4 right vectors. With
-    4 rows or more, the SVD is taken of the 4 x 4 R factor of a QR
-    decomposition, which has the matrix's singular values and right
-    vectors, so no m x 4 left vectors are formed.
+    `matrix` is one m x 4 matrix or a stack (..., m, 4) with m >= 4, the
+    only shape the oracle builds (its stacks have at least 10 rows);
+    fewer rows raise ValueError. The result's fields carry the stack's
+    leading shape: for each matrix, the right singular vector for the
+    smallest singular value, and that value. The SVD is taken of the
+    4 x 4 R factor of a QR decomposition, which has the matrix's
+    singular values and right vectors, so no m x 4 left vectors are
+    formed.
 
     The SVD fixes the vector only up to sign, so the sign is chosen to
     make its first component above 1e-6 of its largest one positive.
     """
     a = np.atleast_2d(np.asarray(matrix, dtype=float))
-    rows = a.shape[-2]
-    if a.shape[-1] != 4 or rows < 1:
-        raise ValueError(f"expected m x 4 matrices, m >= 1, got {a.shape}")
-    if rows < 4:
-        _, s, vt = np.linalg.svd(a, full_matrices=True)
-    else:
-        _, s, vt = np.linalg.svd(np.linalg.qr(a, mode="r"))
+    if a.shape[-1] != 4 or a.shape[-2] < 4:
+        raise ValueError(f"expected m x 4 matrices, m >= 4, got {a.shape}")
+    _, s, vt = np.linalg.svd(np.linalg.qr(a, mode="r"))
     u = vt[..., -1, :]
     mag = np.abs(u)
     first = (mag > 1e-6 * mag.max(axis=-1, keepdims=True)).argmax(axis=-1)
     lead = np.take_along_axis(u, first[..., None], axis=-1)
-    u = np.where(lead < 0, -u, u)
-    # one flat scan per matrix; any() over two axes is several times slower
-    degenerate = ~a.reshape(a.shape[:-2] + (-1,)).any(axis=-1)
-    sigma_min = np.where(degenerate | (rows < 4), 0.0, s[..., -1])
-    u = np.where(degenerate[..., None], np.array([1.0, 0.0, 0.0, 0.0]), u)
-    return NullspaceResult(u, sigma_min, degenerate)
+    return NullspaceResult(np.where(lead < 0, -u, u), s[..., -1])

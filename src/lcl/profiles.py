@@ -193,10 +193,6 @@ class CurvatureProfile(NamedTuple):
                    s_min=s_min, s_max=s_max, label=label)
 
     @property
-    def domain(self) -> tuple[float, float]:
-        return (self.s_min, self.s_max)
-
-    @property
     def span(self) -> float:
         return self.s_max - self.s_min
 
@@ -264,12 +260,6 @@ def read_json_file(path):
 
 def load_profile(path) -> CurvatureProfile:
     return CurvatureProfile.from_json_dict(read_json_file(path))
-
-
-def save_profile(p: CurvatureProfile, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(p.to_json_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
 
 
 def require_family_rules(p: CurvatureProfile, kappa: np.ndarray,

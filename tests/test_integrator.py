@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import lcl.integrator
 from lcl import (CurvatureProfile, FrameKind, canonical_frame,
                  classify_profile, frenet_matrix, gram_matrix, gram_residual,
                  gram_targets, integrate_frame, pairing, resample_curvatures,
@@ -119,11 +120,12 @@ def test_ints_and_numpy_scalars_are_steps(h):
     assert type(tr.h) is float and tr.h == float(h)
 
 
-def test_initial_frame_must_satisfy_the_gram_targets():
+def test_initial_frame_must_satisfy_the_gram_targets(monkeypatch):
     p = CurvatureProfile.create("partially_null", kappa="1", tau="1",
                                 domain=(0.0, 2.0))
+    monkeypatch.setattr(lcl.integrator, "EPS_GRAM", 1e-18)
     with pytest.raises(FrameError):
-        integrate_frame(p, eps_gram=1e-18)  # canonical frame cannot pass
+        integrate_frame(p)  # canonical frame cannot pass
 
 
 FAMILIES = [
@@ -197,11 +199,12 @@ def test_bad_alpha0_is_rejected(alpha0, match):
         integrate_frame(p, alpha0=alpha0)
 
 
-def test_integration_aborts_when_drift_passes_the_hard_limit():
+def test_integration_aborts_when_drift_passes_the_hard_limit(monkeypatch):
     p = CurvatureProfile.create("partially_null", kappa="3 + 2*sin(2*s)",
                                 tau="2 + s", domain=(0.0, 30.0))
+    monkeypatch.setattr(lcl.integrator, "EPS_GRAM", 3e-16)
     with pytest.raises(IntegrationError, match=r"at step 25 \(s = 0\.075\)"):
-        integrate_frame(p, h=0.003, eps_gram=3e-16)
+        integrate_frame(p, h=0.003)
 
 
 def test_overflowing_frames_abort_at_the_first_step():
@@ -226,14 +229,6 @@ def test_pseudo_null_run_rejects_kappa_other_than_one():
                                 sigma="s", domain=(0.0, 1.0))
     with pytest.raises(ProfileError, match="requires kappa = 1"):
         integrate_frame(p, h=0.01)
-
-
-@pytest.mark.parametrize("eps_gram", [float("nan"), float("inf"), 0.0, -1.0])
-def test_eps_gram_must_be_positive_and_finite(eps_gram):
-    p = CurvatureProfile.create("partially_null", kappa="1", tau="1",
-                                domain=(0.0, 2.0))
-    with pytest.raises(ConfigError, match="eps_gram"):
-        integrate_frame(p, eps_gram=eps_gram)
 
 
 def test_position_derivative_matches_tangent(circle_trace):
@@ -553,7 +548,7 @@ def test_prefix_scan_is_causal(n, k):
 
 def test_mid_run_abort_names_the_first_step_past_the_limit():
     # kappa = s^2 outgrows the step, so RK4's Gram drift (truncation, not
-    # roundoff: the frames stay near unit size) passes 1000 * eps_gram
+    # roundoff: the frames stay near unit size) passes 1000 * EPS_GRAM
     # partway through a 1500-step run; the scan must not let the later
     # steps move the first index past the limit
     p = CurvatureProfile.create("partially_null", kappa="s^2", tau="1",
@@ -565,4 +560,4 @@ def test_mid_run_abort_names_the_first_step_past_the_limit():
     assert steps // 2 < first < steps
     where = f"at step {first} (s = {p.s_min + first * h:.6g})"
     with pytest.raises(IntegrationError, match=re.escape(where)):
-        integrate_frame(p, h=h, eps_gram=1e-6)
+        integrate_frame(p, h=h)

@@ -9,7 +9,7 @@ import lcl.cli
 from lcl import (CurvatureProfile, FrameKind, OracleResult, Tolerances,
                  Verdict, classify_profile, closed_form_center,
                  default_suite, fit_pseudohyperbolic, integrate_frame,
-                 oracle_detect, pairing, save_profile)
+                 oracle_detect, pairing)
 from lcl.classifier import EPS_ORACLE_COEFF
 from lcl.minkowski import SIGNS
 
@@ -110,7 +110,8 @@ def test_vectors_are_arrays_and_a_missing_one_reads_none(
     assert empty.to_json_dict()["U"] is None
     monkeypatch.setattr(lcl.cli, "oracle_detect", lambda trace, tol: {0: empty})
     path = tmp_path / "circle.json"
-    save_profile(circle_profile, path)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(circle_profile.to_json_dict(), fh)
     assert lcl.cli.main(["oracle", str(path)]) == 0
     assert capsys.readouterr().out.rstrip().endswith("U = (none)")
     assert lcl.cli.main(["oracle", str(path), "--json"]) == 0
@@ -129,6 +130,28 @@ def test_failed_pairing_validation_note():
     res = oracle_detect(tr)[1]
     assert isinstance(res.note, str)
     assert res.verdict in (Y, N)
+
+
+@pytest.mark.parametrize("kind, curvatures", [
+    ("partially_null", {"kappa": "1", "tau": "1 + s"}),
+    ("pseudo_null", {"tau": "2", "sigma": "1 + s"}),
+])
+def test_coarsest_grid_stacks_at_least_ten_rows(kind, curvatures,
+                                                monkeypatch):
+    # nullspace_min_singular needs m >= 4 rows; the coarsest step
+    # integrate_frame accepts, span/10, still gives every k ten or more
+    p = CurvatureProfile.create(kind, domain=(0.0, 0.5), **curvatures)
+    trace = integrate_frame(p, h=p.span / 10)
+    shapes = []
+    kernel = lcl.classifier.nullspace_min_singular
+
+    def recording(rows):
+        shapes.append(rows.shape)
+        return kernel(rows)
+
+    monkeypatch.setattr(lcl.classifier, "nullspace_min_singular", recording)
+    assert sorted(oracle_detect(trace)) == [0, 1, 2, 3]
+    assert len(shapes) == 1 and shapes[0][0] == 4 and shapes[0][1] >= 10
 
 
 def _oracle_one_row(trace, k, tol=Tolerances()):
