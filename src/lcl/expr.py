@@ -11,13 +11,23 @@ Grammar (whitespace insignificant):
     FUNC   := sin | cos | tan | exp | log | sqrt | abs
 
 '^' binds tighter than unary minus, so -s^2 means -(s^2). Parse errors
-carry the byte offset of the offending token. The printer emits a
-canonical form that re-parses to an identical tree.
+carry the byte offset of the offending token.
+
+A parse tree is data: every node is one Expr record (op, args). op is
+"num" (args is the value alone), "s", "pi" or "e" (no args), "neg", a
+binary operator, or a function name; args holds the operand nodes.
+Equality, hashing and repr are the tuple's. One table, _BINARY, gives
+each binary operator its function and its printer levels, and both
+evaluation and printing read it. The printer emits a canonical form that
+re-parses to an equal tree. number() builds a constant as the tree its
+text parses to, so a numeric curvature round-trips through its text too.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,41 +49,28 @@ CONSTANTS = {"pi": math.pi, "e": math.e}
 # printer precedence levels
 _LVL_ADD, _LVL_MUL, _LVL_NEG, _LVL_POW, _LVL_ATOM = 1, 2, 3, 4, 5
 
+# op: (function, level of the node, of its left operand, of its right one);
+# ^ is right associative and binds above unary minus
+_BINARY = {
+    "+": (operator.add, _LVL_ADD, _LVL_ADD, _LVL_MUL),
+    "-": (operator.sub, _LVL_ADD, _LVL_ADD, _LVL_MUL),
+    "*": (operator.mul, _LVL_MUL, _LVL_MUL, _LVL_NEG),
+    "/": (np.divide, _LVL_MUL, _LVL_MUL, _LVL_NEG),
+    "^": (np.power, _LVL_POW, _LVL_ATOM, _LVL_NEG),
+}
 
-class Expr:
-    """Base class of the parse-tree nodes. A node is never changed once
-    built; its fields are its __slots__, which equality, hashing and repr
-    read, so two parses of one text compare equal."""
 
-    __slots__ = ()
+class Expr(NamedTuple):
+    """A parse-tree node (op, args); see the module docstring."""
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash((type(self), self._fields()))
-
-    def __repr__(self) -> str:
-        args = ", ".join(f"{name}={getattr(self, name)!r}"
-                         for name in self.__slots__)
-        return f"{type(self).__name__}({args})"
-
-    def _eval(self, s):
-        raise NotImplementedError
-
-    def _text(self, level: int) -> str:
-        raise NotImplementedError
+    op: str
+    args: tuple = ()
 
     def __call__(self, s):
         """Evaluate at a scalar or ndarray s; raise on non-finite results."""
         arr = np.asarray(s, dtype=float)
         with np.errstate(all="ignore"):
-            out = np.asarray(self._eval(arr), dtype=float)
+            out = np.asarray(_eval(self, arr), dtype=float)
         if out.shape != arr.shape:
             out = np.broadcast_to(out, arr.shape).copy()
         bad = ~np.isfinite(out)
@@ -86,109 +83,51 @@ class Expr:
         return out
 
     def to_text(self) -> str:
-        return self._text(_LVL_ADD)
+        return _text(self, _LVL_ADD)
 
     def __str__(self) -> str:
         return self.to_text()
 
 
-class Num(Expr):
-    __slots__ = ("value",)
-
-    def __init__(self, value: float):
-        self.value = value
-
-    def _eval(self, s):
-        return self.value
-
-    def _text(self, level):
-        v = self.value
-        return str(int(v)) if v.is_integer() and abs(v) < 1e16 else repr(v)
+def number(value) -> Expr:
+    """The constant `value` as the tree its text parses to: a negative
+    value, -0.0 included, is the negation of its magnitude."""
+    v = float(value)
+    if math.copysign(1.0, v) < 0.0:
+        return Expr("neg", (Expr("num", (-v,)),))
+    return Expr("num", (v,))
 
 
-class Var(Expr):
-    __slots__ = ()
-
-    def _eval(self, s):
+def _eval(node: Expr, s):
+    op, args = node
+    if op == "num":
+        return args[0]
+    if op == "s":
         return s
-
-    def _text(self, level):
-        return "s"
-
-
-class Const(Expr):
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def _eval(self, s):
-        return CONSTANTS[self.name]
-
-    def _text(self, level):
-        return self.name
+    if op in CONSTANTS:
+        return CONSTANTS[op]
+    if op == "neg":
+        return -_eval(args[0], s)
+    if op in _BINARY:
+        return _BINARY[op][0](_eval(args[0], s), _eval(args[1], s))
+    return FUNCTIONS[op](_eval(args[0], s))
 
 
-class Neg(Expr):
-    __slots__ = ("operand",)
-
-    def __init__(self, operand: Expr):
-        self.operand = operand
-
-    def _eval(self, s):
-        return -self.operand._eval(s)
-
-    def _text(self, level):
-        inner = self.operand._text(_LVL_NEG)
-        text = "-" + inner
-        return f"({text})" if level > _LVL_NEG else text
-
-
-class BinOp(Expr):
-    __slots__ = ("op", "left", "right")
-
-    def __init__(self, op: str, left: Expr, right: Expr):
-        self.op = op  # one of + - * / ^
-        self.left = left
-        self.right = right
-
-    def _eval(self, s):
-        a = self.left._eval(s)
-        b = self.right._eval(s)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        if self.op == "/":
-            with np.errstate(all="ignore"):
-                return np.divide(a, b)
-        return np.power(a, b)
-
-    def _text(self, level):
-        if self.op in "+-":
-            mine, left_lvl, right_lvl = _LVL_ADD, _LVL_ADD, _LVL_MUL
-        elif self.op in "*/":
-            mine, left_lvl, right_lvl = _LVL_MUL, _LVL_MUL, _LVL_NEG
-        else:  # ^ is right associative and binds above unary minus
-            mine, left_lvl, right_lvl = _LVL_POW, _LVL_ATOM, _LVL_NEG
-        text = f"{self.left._text(left_lvl)}{self.op}{self.right._text(right_lvl)}"
-        return f"({text})" if level > mine else text
-
-
-class Call(Expr):
-    __slots__ = ("func", "arg")
-
-    def __init__(self, func: str, arg: Expr):
-        self.func = func
-        self.arg = arg
-
-    def _eval(self, s):
-        return FUNCTIONS[self.func](self.arg._eval(s))
-
-    def _text(self, level):
-        return f"{self.func}({self.arg._text(_LVL_ADD)})"
+def _text(node: Expr, level: int) -> str:
+    op, args = node
+    if op == "num":
+        v = args[0]
+        return str(int(v)) if v.is_integer() and abs(v) < 1e16 else repr(v)
+    if op in FUNCTIONS:
+        return f"{op}({_text(args[0], _LVL_ADD)})"
+    if op == "neg":
+        mine, text = _LVL_NEG, "-" + _text(args[0], _LVL_NEG)
+    elif op in _BINARY:
+        _, mine, left, right = _BINARY[op]
+        text = f"{_text(args[0], left)}{op}{_text(args[1], right)}"
+    else:  # s, pi, e
+        return op
+    return f"({text})" if level > mine else text
 
 
 class _Tokenizer:
@@ -265,7 +204,7 @@ class _Parser:
         while self.tok[0] == "OP" and self.tok[1] in "+-":
             op = self.tok[1]
             self.advance()
-            node = BinOp(op, node, self.term())
+            node = Expr(op, (node, self.term()))
         return node
 
     def term(self) -> Expr:
@@ -273,13 +212,13 @@ class _Parser:
         while self.tok[0] == "OP" and self.tok[1] in "*/":
             op = self.tok[1]
             self.advance()
-            node = BinOp(op, node, self.unary())
+            node = Expr(op, (node, self.unary()))
         return node
 
     def unary(self) -> Expr:
         if self.tok[0] == "OP" and self.tok[1] == "-":
             self.advance()
-            return Neg(self.unary())
+            return Expr("neg", (self.unary(),))
         if self.tok[0] == "OP" and self.tok[1] == "+":
             self.advance()
             return self.unary()
@@ -289,14 +228,14 @@ class _Parser:
         node = self.atom()
         if self.tok[0] == "OP" and self.tok[1] == "^":
             self.advance()
-            node = BinOp("^", node, self.unary())
+            node = Expr("^", (node, self.unary()))
         return node
 
     def atom(self) -> Expr:
         kind, value, offset = self.tok
         if kind == "NUM":
             self.advance()
-            return Num(float(value))
+            return Expr("num", (value,))
         if kind == "LPAREN":
             self.advance()
             node = self.expr()
@@ -304,15 +243,13 @@ class _Parser:
             return node
         if kind == "IDENT":
             self.advance()
-            if value == "s":
-                return Var()
-            if value in CONSTANTS:
-                return Const(value)
+            if value == "s" or value in CONSTANTS:
+                return Expr(value)
             if value in FUNCTIONS:
                 self.expect("LPAREN", f"'(' after function {value!r}")
                 arg = self.expr()
                 self.expect("RPAREN", "')'")
-                return Call(value, arg)
+                return Expr(value, (arg,))
             raise UnknownIdentifierError(f"unknown identifier {value!r}",
                                          offset=offset)
         raise ExpressionSyntaxError("expected a number, name, or '('",

@@ -37,7 +37,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .errors import ConfigError, OutOfDomainError, ProfileError
-from .expr import Expr, Num, parse_expression
+from .expr import Expr, number, parse_expression
 from .frames import FrameKind, frame_family
 
 log = logging.getLogger("lcl.profiles")
@@ -152,7 +152,7 @@ def _as_component(value, default: str | None = None) -> Component:
     if isinstance(value, str):
         return parse_expression(value)
     if is_number(value):
-        return Num(as_float(value, "curvature component"))
+        return number(as_float(value, "curvature component"))
     if isinstance(value, dict):
         try:
             return SampleTable(value["s"], value["values"])

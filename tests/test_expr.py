@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from lcl import parse_expression
-from lcl.errors import (EvaluationError, ExpressionSyntaxError,
-                        UnknownIdentifierError)
+from lcl import DEFAULT_SEED, default_suite, parse_expression
+from lcl.errors import (EvaluationError, ExpressionError,
+                        ExpressionSyntaxError, UnknownIdentifierError)
 
 
 def test_polynomial_with_caret_power():
@@ -111,11 +111,66 @@ def test_whitespace_is_insignificant():
     assert a(3.0) == b(3.0) == 7.0
 
 
-@pytest.mark.parametrize("src", ["-s^2/2 + 0.3*s + 0.1", "2^3^2",
-                                 "sin(pi*s) - exp(-s)/e", "(1 + s)^-2"])
+# source text -> canonical text, which parses back to an equal tree
+CANONICAL = {
+    "-s^2/2 + 0.3*s + 0.1": "-s^2/2+0.3*s+0.1",
+    "2^3^2": "2^3^2",
+    "sin(pi*s) - exp(-s)/e": "sin(pi*s)-exp(-s)/e",
+    "(1 + s)^-2": "(1+s)^-2",
+    "-(s^2)": "-s^2",
+    "2^(3^2)": "2^3^2",
+    "(2^3)^2": "(2^3)^2",
+    "(-s)^2": "(-s)^2",
+    "+s": "s",
+    ".5*3.": "0.5*3",
+    "(s - 1) - s": "s-1-s",
+}
+
+
+@pytest.mark.parametrize("src", list(CANONICAL))
 def test_to_text_reparses_to_an_equal_tree(src):
     f = parse_expression(src)
+    assert f.to_text() == str(f) == CANONICAL[src]
     g = parse_expression(f.to_text())
     assert g == f and hash(g) == hash(f)
     assert repr(g) == repr(f)
+    assert g.to_text() == f.to_text()
     assert parse_expression("s + 1") != parse_expression("1 + s")
+
+
+def test_every_suite_text_is_canonical():
+    texts = {}
+    for seed in (DEFAULT_SEED, *range(16)):
+        for fx in default_suite(seed):
+            for name in ("kappa", "tau", "sigma"):
+                tree = getattr(fx.profile, name)
+                texts[str(tree)] = tree
+    assert len(texts) > 1000
+    for text, tree in texts.items():
+        again = parse_expression(text)
+        assert again.to_text() == text
+        assert again == tree and hash(again) == hash(tree)
+
+
+@pytest.mark.parametrize("src, error, message, offset", [
+    ("1.2.3", ExpressionSyntaxError, "bad number literal '1.2.3'", 0),
+    ("s # 1", ExpressionSyntaxError, "unexpected character '#'", 2),
+    ("s)", ExpressionSyntaxError, "unexpected trailing input ')'", 1),
+    ("sin s", ExpressionSyntaxError, "expected '(' after function 'sin'", 4),
+    ("(s", ExpressionSyntaxError, "expected ')'", 2),
+    ("*s", ExpressionSyntaxError, "expected a number, name, or '('", 0),
+    ("", ExpressionSyntaxError, "expected a number, name, or '('", 0),
+    ("2*t + 1", UnknownIdentifierError, "unknown identifier 't'", 2),
+])
+def test_parse_errors_pin_class_message_and_offset(src, error, message,
+                                                    offset):
+    with pytest.raises(ExpressionError) as ei:
+        parse_expression(src)
+    assert type(ei.value) is error
+    assert str(ei.value) == f"{message} (offset {offset})"
+    assert ei.value.offset == offset
+
+
+def test_a_non_string_is_a_type_error():
+    with pytest.raises(TypeError, match="expected an expression string"):
+        parse_expression(1.5)

@@ -130,6 +130,18 @@ def test_json_round_trip_preserves_evaluation():
         assert q.evaluate_arrays(s) == pytest.approx(p.evaluate_arrays(s))
 
 
+@pytest.mark.parametrize("value", [-3, -1.5, -1e-300, -1e20, -0.0, 2, 1e20])
+def test_numeric_component_round_trips_through_json(value):
+    p = CurvatureProfile.create("partially_null", kappa="1", tau=value)
+    q = CurvatureProfile.from_json_dict(p.to_json_dict())
+    assert q == p
+    s = np.linspace(0.0, 1.0, 5)
+    for at in (s, 0.5):
+        assert (np.asarray(q.tau(at)).tobytes()
+                == np.asarray(p.tau(at)).tobytes())
+    assert np.asarray(q.tau(0.5)).tobytes() == np.float64(value).tobytes()
+
+
 def test_save_and_load_profile(tmp_path):
     p = CurvatureProfile.create("partially_null", kappa="2", tau="6",
                                 domain=(0.0, 1.0), label="disk")
